@@ -3,7 +3,7 @@
 Simulates sampled received pulses on a six-satellite geometry (one at zenith,
 five on a 30-degree ring), runs the full ML localization pipeline on each
 noisy draw — matched filters, a coarse grid with the clock profiled out, then
-a simplex refinement of the exact profiled likelihood — and compares the
+Fisher-scoring refinement of the exact profiled likelihood — and compares the
 empirical mean squared error against the position bound at each SNR.
 
 Two estimation modes run on the same measurements: `fix_z` pins the receiver

@@ -4,8 +4,7 @@ Subcommands compute bound sweeps (`bounds`), Monte Carlo constellation
 experiments (`montecarlo`), coverage design queries (`coverage`), the ML
 efficiency demo (`ml`), and the cross-oracle verification chain (`verify`).
 Everything is deterministic for a fixed (config, seed): output bytes repeat
-across runs. The `SATCRB_THREADS` environment variable caps internal
-parallelism without changing results.
+across runs.
 
 Config files are flat ``key = value`` text (``#`` comments allowed) or a JSON
 object with the same keys. Keys match the dataclass field names: system

@@ -126,14 +126,10 @@ def fim_tdoa_rss(sats: Sequence[SatelliteState], params: SystemParams) -> Fisher
     return FisherMatrix(fim_tdoa_rss_arrays(phi_l, theta, d, params))
 
 
-def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
-    """Extract the position bounds from a 4x4 information matrix.
-
-    xy is the sum of the first two diagonal entries of the inverse, z the
-    third. Raises SingularInformation for unidentifiable geometries (fewer
-    than four effective satellites, coplanar layouts, empty cups).
-    """
-    m = j.m if isinstance(j, FisherMatrix) else np.asarray(j, dtype=float)
+def check_invertible(m: np.ndarray) -> None:
+    """Raise SingularInformation unless the square information matrix m is
+    finite, has a positive determinant and a condition number below
+    COND_LIMIT; every bound inversion passes this gate first."""
     if not np.all(np.isfinite(m)):
         raise SingularInformation("non-finite information matrix")
     det = np.linalg.det(m)
@@ -142,5 +138,16 @@ def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
     cond = np.linalg.cond(m)
     if not cond < COND_LIMIT:
         raise SingularInformation(f"condition number {cond:.3e} exceeds gate")
+
+
+def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
+    """Extract the position bounds from a 4x4 information matrix.
+
+    xy is the sum of the first two diagonal entries of the inverse, z the
+    third. Raises SingularInformation for unidentifiable geometries (fewer
+    than four effective satellites, coplanar layouts, empty cups).
+    """
+    m = j.m if isinstance(j, FisherMatrix) else np.asarray(j, dtype=float)
+    check_invertible(m)
     inv = np.linalg.solve(m, np.eye(4))
     return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=float(inv[2, 2]))

@@ -23,7 +23,6 @@ from .fim import (
     fim_tdoa_rss_arrays,
 )
 from .geometry import InvalidConfig, SystemParams, e_to_l_arrays, sample_constellation
-from .runtime import run_trials
 
 MODELS = ("tdoa", "tdoa_rss")
 
@@ -104,7 +103,7 @@ def crb_distribution(
     _check_model(model)
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    results = run_trials(lambda t: _trial_bounds(params, model, seed, t), trials)
+    results = [_trial_bounds(params, model, seed, t) for t in range(trials)]
     kept = [b for b in results if b is not None]
     n = float(params.n_sats)
     xs = np.sort(np.array([n * b.xy for b in kept]))

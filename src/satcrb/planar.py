@@ -7,15 +7,25 @@ factors beta_ij = 1 - cos(phi_i - phi_j), and a 3x3 Fisher-matrix inversion
 over (x, y, c*T0). Their agreement on random instances validates the FIM and
 inversion machinery used by the satellite modules against hand-checkable
 answers.
+
+Both routes are evaluated so that their agreement does not depend on the
+conditioning of the instance: beta_ij is computed as 2 sin^2((phi_i -
+phi_j) / 2), which keeps full relative precision for near-coincident bearings
+where 1 - cos cancels, and the FIM route sums and inverts the information
+matrix in exact rational arithmetic from the float64 direction vectors and
+weights. Near-coincident bearings give matrices with cond ~ 1e10, still
+inside the conditioning gate, where rounding the matrix entries alone would
+move the bound by ~1e-6 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .fim import COND_LIMIT, SingularInformation
+from .fim import check_invertible
 from .geometry import InvalidConfig
 
 
@@ -74,14 +84,15 @@ class PlanarSensors:
 
 def _betas(sensors: PlanarSensors) -> np.ndarray:
     phi = np.asarray(sensors.angles)
-    return 1.0 - np.cos(phi[:, None] - phi[None, :])
+    return 2.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
 
 
 def planar_crb_closed(sensors: PlanarSensors) -> float:
     """Closed-form planar TDOA bound, km^2.
 
     3 c^2 sum_ij A_i A_j beta_ij / (4 W_e rho sum_ijk A_i A_j A_k
-    beta_ij beta_jk beta_ki), with beta_ij = 1 - cos(phi_i - phi_j).
+    beta_ij beta_jk beta_ki), with beta_ij = 1 - cos(phi_i - phi_j)
+    = 2 sin^2((phi_i - phi_j) / 2).
     """
     if len(sensors.angles) < 3:
         raise CollinearSensors("TDOA needs at least three sensors")
@@ -97,6 +108,30 @@ def planar_crb_closed(sensors: PlanarSensors) -> float:
     return 3.0 * sensors.c**2 * pair / (4.0 * sensors.w_e * sensors.rho * triple)
 
 
+def _exact_xy_trace(u: np.ndarray, w: np.ndarray) -> float:
+    """(J^-1)_00 + (J^-1)_11 of J = sum_i w_i u_i u_i^T, (M, 3) rows u_i.
+
+    J and its cofactors are formed in rational arithmetic from the float64
+    inputs, so the only rounding is the final conversion to float.
+    """
+    uq = [[Fraction(float(x)) for x in row] for row in u]
+    wq = [Fraction(float(x)) for x in w]
+    a = [
+        [sum(wi * ui[r] * ui[c] for wi, ui in zip(wq, uq)) for c in range(3)]
+        for r in range(3)
+    ]
+
+    def minor(r0: int, r1: int, c0: int, c1: int) -> Fraction:
+        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+
+    det = (
+        a[0][0] * minor(1, 2, 1, 2)
+        - a[0][1] * minor(1, 2, 0, 2)
+        + a[0][2] * minor(1, 2, 0, 1)
+    )
+    return float((minor(1, 2, 1, 2) + minor(0, 2, 0, 2)) / det)
+
+
 def planar_crb_fim(sensors: PlanarSensors) -> float:
     """FIM route: build the 3x3 information over (x, y, c*T0) and invert."""
     if len(sensors.angles) < 3:
@@ -104,13 +139,5 @@ def planar_crb_fim(sensors: PlanarSensors) -> float:
     phi = np.asarray(sensors.angles)
     u = np.stack([np.cos(phi), np.sin(phi), -np.ones_like(phi)], axis=1)
     w = sensors.eta_planar * sensors.weights
-    j = (w[:, None] * u).T @ u
-    if not np.all(np.isfinite(j)):
-        raise SingularInformation("non-finite information matrix")
-    det = np.linalg.det(j)
-    if not det > 0.0 or np.linalg.cond(j) >= COND_LIMIT:
-        raise SingularInformation(
-            "planar information matrix is singular or near-singular"
-        )
-    inv = np.linalg.solve(j, np.eye(3))
-    return float(inv[0, 0] + inv[1, 1])
+    check_invertible((w[:, None] * u).T @ u)
+    return _exact_xy_trace(u, w)

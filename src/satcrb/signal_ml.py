@@ -10,9 +10,10 @@ sampled at t_k = k*dt with noise variance N0/(2*dt) per sample. Amplitudes
 follow the 1/distance law A_m = (h/D_m)*sqrt(es_max), so the zenith satellite
 receives exactly es_max. The ML location estimate profiles the amplitudes out
 in closed form (matched-filter outputs), scans a coarse spatial lattice with
-the clock offset maximized over correlation lags, then polishes with
-Nelder-Mead on the exact profiled likelihood evaluated at fractional delays
-via the analytic pulse.
+the clock offset maximized over correlation lags, then refines by Fisher
+scoring (Gauss-Newton) on the exact profiled likelihood, evaluated at
+fractional delays for all satellites at once via the analytic pulse and its
+derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
 
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
@@ -29,12 +30,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import fftconvolve
 
-from .fim import BoundSet, FisherMatrix, SingularInformation, crb_from_fim
+from .fim import (
+    BoundSet,
+    FisherMatrix,
+    SingularInformation,
+    check_invertible,
+    crb_from_fim,
+)
 from .geometry import InvalidConfig, SatelliteState, SystemParams, constellation_rng
-from .runtime import run_trials
 
 PULSES = ("gaussian", "raised_cosine")
 MODES = ("fix_z", "full_3d")
@@ -366,30 +370,132 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _profiled_score(
-    samples: list[np.ndarray],
-    taus: np.ndarray,
-    config: SignalConfig,
-    pulse: Callable[[np.ndarray], np.ndarray],
-    support_half: float,
-) -> float:
-    """Sum over satellites of C_m(tau_m)^2 / E_m(tau_m), exact delays."""
+@dataclass(frozen=True)
+class _Profile:
+    """Per-satellite matched-filter terms at exact (fractional) delays.
+
+    With s_m the pulse over satellite m's window, C_m = <v_m, s_m> and
+    E_m = <s_m, s_m>, the amplitude-profiled score is S = sum_m C_m^2 / E_m.
+    slope is dS/dtau_m and curvature the expected -d2S/dtau_m^2 (Fisher
+    information of the delay up to the common 1/N0 scale), both with the
+    amplitude at its profiled value a_m = C_m / E_m.
+    """
+
+    score: float
+    amplitudes: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+
+def _profile(samples: np.ndarray, taus: np.ndarray, config: SignalConfig) -> _Profile:
+    """Profiled-likelihood terms for all satellites in one array evaluation.
+
+    samples is (M, K); each satellite's window is the sample range the pulse
+    support covers around tau_m, clipped to the observation window, laid out
+    as one (M, L) index array with the clipped part masked.
+    """
     dt = config.dt
     k = config.n_samples
-    total = 0.0
-    for v, tau in zip(samples, taus):
-        lo = max(0, int(math.ceil((tau - support_half) / dt)))
-        hi = min(k - 1, int(math.floor((tau + support_half) / dt)))
-        if hi < lo:
-            continue
-        idx = np.arange(lo, hi + 1)
-        s = pulse(idx * dt - tau)
-        energy = float(np.dot(s, s))
-        if energy <= 0.0:
-            continue
-        corr = float(np.dot(v[lo : hi + 1], s))
-        total += corr * corr / energy
-    return total
+    half = 0.5 * config.support
+    lo = np.ceil((taus - half) / dt).astype(int)
+    hi = np.minimum(np.floor((taus + half) / dt).astype(int), k - 1)
+    idx = lo[:, None] + np.arange(int(2.0 * half / dt) + 2)
+    inside = (idx >= 0) & (idx <= hi[:, None])
+    t = idx * dt - taus[:, None]
+    s = np.where(inside, _pulse_fn(config)(t), 0.0)
+    ds = np.where(inside, _pulse_deriv_fn(config)(t), 0.0)
+    v = np.take_along_axis(samples, np.clip(idx, 0, k - 1), axis=1)
+    corr = np.einsum("ml,ml->m", v, s)
+    energy = np.einsum("ml,ml->m", s, s)
+    cross = np.einsum("ml,ml->m", s, ds)
+    # windows wholly outside the observation window carry no pulse energy
+    inv_e = np.divide(1.0, energy, out=np.zeros_like(energy), where=energy > 0.0)
+    a = corr * inv_e
+    # dS/dtau = -2 a <v - a s, s'>; the expected curvature is the Gauss-Newton
+    # one of |v - a s(tau)|^2 with a profiled out: 2 a^2 (|s'|^2 - <s,s'>^2/E)
+    slope = -2.0 * a * (np.einsum("ml,ml->m", v, ds) - a * cross)
+    resid = np.einsum("ml,ml->m", ds, ds) - cross * cross * inv_e
+    return _Profile(
+        score=float(np.dot(corr, a)),
+        amplitudes=a,
+        slope=slope,
+        curvature=2.0 * a * a * resid,
+    )
+
+
+def _matched_filter(samples: np.ndarray, pulse: np.ndarray) -> np.ndarray:
+    """corr[m, j] = sum_k v_m[k] s((k - j) dt) for j = 0..K-1, by real FFTs.
+
+    pulse holds the 2 ph + 1 samples of s centered on its middle index. The
+    full linear correlation has K + 2 ph - 1 lags and only lags ph..ph+K-1
+    are kept, so a circular transform of length >= K + ph wraps nothing onto
+    them.
+    """
+    k = samples.shape[1]
+    ph = (len(pulse) - 1) // 2
+    nfft = 1 << (k + ph - 1).bit_length()
+    spec = np.fft.rfft(samples, nfft, axis=1) * np.fft.rfft(pulse[::-1], nfft)
+    return np.fft.irfft(spec, nfft, axis=1)[:, ph : ph + k]
+
+
+def _lattice_offsets(halfwidth: float, spacing: float) -> np.ndarray:
+    """Per-axis offsets of the coarse lattice: an odd number of points from
+    -halfwidth to +halfwidth, so the center is one of them, at the fewest
+    points whose spacing does not exceed `spacing`."""
+    n_side = max(math.ceil(halfwidth / spacing), int(halfwidth > 0.0))
+    return np.arange(-n_side, n_side + 1) / max(n_side, 1) * halfwidth
+
+
+def _ascend(
+    evaluate: Callable[[np.ndarray], tuple[_Profile, np.ndarray, np.ndarray]],
+    u0: np.ndarray,
+    radius: float,
+    max_iter: int,
+    xtol: float,
+) -> tuple[np.ndarray, _Profile, bool]:
+    """Fisher scoring (Gauss-Newton) in a trust region for the score's maximum.
+
+    evaluate(u) returns the profile with the score's gradient and expected
+    Hessian in u. Each step solves the scoring equations and is clipped to
+    the trust radius, which never exceeds `radius`, so the search cannot leap
+    to a distant correlation peak. A step that lowers the score is halved,
+    and the radius with it, until it does not; the radius then halves after
+    a step that gains less than a quarter of the quadratic model's predicted
+    gain, and doubles after a full-length step that gains more than three
+    quarters of it. Converged once an accepted step is shorter than xtol, or
+    no step longer than xtol raises the score.
+    """
+    u = u0
+    cur, grad, fisher = evaluate(u)
+    delta = radius
+    for _ in range(max_iter):
+        try:
+            step = np.linalg.solve(fisher, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        norm = float(np.linalg.norm(step))
+        if not math.isfinite(norm) or norm == 0.0:
+            return u, cur, norm == 0.0
+        if norm > delta:
+            step, norm = step * (delta / norm), delta
+        while True:
+            trial, t_grad, t_fisher = evaluate(u + step)
+            gain = trial.score - cur.score
+            if gain >= 0.0:
+                break
+            step, norm = 0.5 * step, 0.5 * norm
+            delta = norm
+            if norm < xtol:
+                return u, cur, True
+        predicted = float(grad @ step - 0.5 * step @ fisher @ step)
+        u, cur, grad, fisher = u + step, trial, t_grad, t_fisher
+        if norm < xtol:
+            return u, cur, True
+        if gain < 0.25 * predicted:
+            delta = 0.5 * norm
+        elif gain > 0.75 * predicted and norm >= delta:
+            delta = min(2.0 * delta, radius)
+    return u, cur, False
 
 
 def ml_localize(
@@ -400,15 +506,18 @@ def ml_localize(
     search_center: Sequence[float] = (0.0, 0.0, 0.0),
     search_halfwidth: float = 4.5,
     grid_spacing: float | None = None,
-    max_iter: int = 600,
+    max_iter: int = 100,
 ) -> LocationEstimate:
     """Maximum-likelihood (xi, T0) with amplitudes profiled out.
 
-    Coarse stage: spatial lattice around search_center (spacing defaults to
-    c/(4 W_e)), clock offset maximized over integer correlation lags. Fine
-    stage: Nelder-Mead on the exact profiled likelihood, tolerance 1 m in
-    position and better than 1 ns in time (the clock variable is carried as
-    c*T0 in km). In fix_z mode the z coordinate is pinned to the search
+    Coarse stage: a lattice from search_center - search_halfwidth to
+    search_center + search_halfwidth per axis, odd-sized so the center is on
+    it, with spacing at most grid_spacing (default c/(4 W_e)); at each point
+    the clock offset is maximized over integer correlation lags. Fine stage:
+    Fisher scoring on the exact profiled likelihood over (x, y[, z], c*T0),
+    all in km, with steps of at most grid_spacing / 2, until a step is
+    shorter than 0.2 m (max_iter iterations at most; max_iter=0 returns the
+    lattice start). In fix_z mode the z coordinate is pinned to the search
     center's z (the receiver knows its altitude).
     """
     _check_mode(mode)
@@ -419,44 +528,33 @@ def ml_localize(
         )
     pos_all = sat_positions(constellation)
     pos = np.array([pos_all[m.sat_index] for m in measurements])
-    samples = [np.asarray(m.samples, dtype=float) for m in measurements]
+    samples = np.array([m.samples for m in measurements], dtype=float)
+    c = config.c
     dt = config.dt
     k = config.n_samples
     sp = make_pulse(config)
-    pulse = _pulse_fn(config)
-    support_half = 0.5 * config.support
 
     if grid_spacing is None:
-        w_e = effective_bandwidth_time(sp)
-        grid_spacing = config.c / (4.0 * w_e)
+        grid_spacing = c / (4.0 * effective_bandwidth_time(sp))
+    if not (search_halfwidth >= 0.0 and grid_spacing > 0.0):
+        raise InvalidConfig("search_halfwidth must be >= 0 and grid_spacing > 0")
 
-    # matched-filter outputs on the sample lattice:
-    # corr[m][j] = sum_k v_m[k] s((k - j) dt), j = 0..K-1
-    ph = sp.half_len
-    corr = [fftconvolve(v, sp.samples[::-1])[ph : ph + k] for v in samples]
-    corr2 = np.array([c_ * c_ for c_ in corr])
+    corr = _matched_filter(samples, sp.samples)
+    corr2 = corr * corr
 
     center = np.asarray(search_center, dtype=float)
-    offsets = np.arange(
-        -search_halfwidth, search_halfwidth + 0.5 * grid_spacing, grid_spacing
-    )
-    if mode == "fix_z":
-        grid = [
-            center + np.array([dx, dy, 0.0])
-            for dx in offsets
-            for dy in offsets
-        ]
-    else:
-        grid = [
-            center + np.array([dx, dy, dz])
-            for dx in offsets
-            for dy in offsets
-            for dz in offsets
-        ]
+    offsets = _lattice_offsets(search_halfwidth, grid_spacing)
+    z_offsets = [0.0] if mode == "fix_z" else offsets
+    grid = [
+        center + np.array([dx, dy, dz])
+        for dx in offsets
+        for dy in offsets
+        for dz in z_offsets
+    ]
 
     best = (-math.inf, None, None)
     for xi in grid:
-        g = np.linalg.norm(pos - xi[None, :], axis=1) / config.c
+        g = np.linalg.norm(pos - xi[None, :], axis=1) / c
         o = np.round(g / dt).astype(int)
         rel = o - o.min()
         span = int(rel.max())
@@ -473,63 +571,41 @@ def ml_localize(
             t0_hat = float(np.mean((rel + l_hat) * dt - g))
             best = (float(scores[l_hat]), xi.copy(), t0_hat)
 
-    score0, xi0, t00 = best
+    _, xi0, t00 = best
     if xi0 is None:
         raise SingularInformation("no lattice point keeps all pulses in-window")
 
-    # fine stage: exact likelihood over (x, y[, z], c*T0), all in km
+    # fine stage over u = (x, y[, z], c*T0), all in km
+    n_xyz = 2 if mode == "fix_z" else 3
+
     def unpack(u: np.ndarray) -> tuple[np.ndarray, float]:
-        if mode == "fix_z":
-            xi = np.array([u[0], u[1], center[2]])
-            return xi, u[2] / config.c
-        return u[:3].copy(), u[3] / config.c
+        xi = center.copy()
+        xi[:n_xyz] = u[:n_xyz]
+        return xi, u[-1] / c
 
-    def negloglike(u: np.ndarray) -> float:
+    def evaluate(u: np.ndarray) -> tuple[_Profile, np.ndarray, np.ndarray]:
         xi, t0 = unpack(u)
-        taus = _delays(pos, xi, t0, config.c)
-        return -_profiled_score(samples, taus, config, pulse, support_half)
+        diff = pos - xi[None, :]
+        dist = np.linalg.norm(diff, axis=1)
+        prof = _profile(samples, dist / c + t0, config)
+        # d tau_m / d u: minus the unit line of sight over c, then 1/c
+        jac = np.empty((len(pos), n_xyz + 1))
+        jac[:, :n_xyz] = -diff[:, :n_xyz] / (c * dist[:, None])
+        jac[:, -1] = 1.0 / c
+        grad = jac.T @ prof.slope
+        fisher = (jac * prof.curvature[:, None]).T @ jac
+        return prof, grad, fisher
 
-    if mode == "fix_z":
-        u0 = np.array([xi0[0], xi0[1], t00 * config.c])
-    else:
-        u0 = np.array([xi0[0], xi0[1], xi0[2], t00 * config.c])
-    # start the simplex at coarse-lattice scale so the polish can actually
-    # travel; the clock coordinate steps by half a sample in km
-    steps = np.full(len(u0), max(0.5 * grid_spacing, 0.05))
-    steps[-1] = max(0.5 * config.c * dt, 0.05)
-    simplex = np.vstack([u0] + [u0 + steps[i] * np.eye(len(u0))[i] for i in range(len(u0))])
-    res = minimize(
-        negloglike,
-        u0,
-        method="Nelder-Mead",
-        options=dict(
-            initial_simplex=simplex,
-            xatol=2.0e-4,  # km: 0.2 m in position, 0.7 ns in clock
-            fatol=1.0e-4 * max(1.0, abs(score0)),
-            maxiter=max_iter,
-            maxfev=2 * max_iter,
-        ),
+    u0 = np.append(xi0[:n_xyz], t00 * c)
+    u_hat, prof, converged = _ascend(
+        evaluate, u0, 0.5 * grid_spacing, max_iter, xtol=2.0e-4
     )
-    xi_hat, t0_hat = unpack(res.x)
-
-    # profiled amplitudes at the estimate: matched filter / pulse energy
-    taus = _delays(pos, xi_hat, t0_hat, config.c)
-    amps = []
-    for v, tau in zip(samples, taus):
-        lo = max(0, int(math.ceil((tau - support_half) / dt)))
-        hi = min(k - 1, int(math.floor((tau + support_half) / dt)))
-        if hi < lo:
-            amps.append(0.0)
-            continue
-        idx = np.arange(lo, hi + 1)
-        s = pulse(idx * dt - tau)
-        energy = float(np.dot(s, s))
-        amps.append(float(np.dot(v[lo : hi + 1], s)) / energy if energy else 0.0)
+    xi_hat, t0_hat = unpack(u_hat)
     return LocationEstimate(
         xi_hat=xi_hat,
         t0_hat=t0_hat,
-        amplitudes_hat=np.array(amps),
-        converged=bool(res.success),
+        amplitudes_hat=prof.amplitudes,
+        converged=converged,
     )
 
 
@@ -562,8 +638,7 @@ def signal_crb(
     if mode == "fix_z":
         keep = [0, 1, 3]
         j3 = j[np.ix_(keep, keep)]
-        if not np.linalg.det(j3) > 0.0:
-            raise SingularInformation("reduced information matrix is singular")
+        check_invertible(j3)
         inv = np.linalg.solve(j3, np.eye(3))
         return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=0.0)
     return crb_from_fim(j)
@@ -610,7 +685,7 @@ def mse_experiment(
             e_xyz = float(np.sum((est3.xi_hat - truth_xi) ** 2))
             return e_xy, e_xyz
 
-        errs = run_trials(one_trial, trials)
+        errs = [one_trial(t) for t in range(trials)]
         mse_xy = float(np.mean([e[0] for e in errs]))
         mse_xyz = float(np.mean([e[1] for e in errs]))
         rows.append(

@@ -10,6 +10,7 @@ from satcrb.fim import (
     BoundSet,
     FisherMatrix,
     SingularInformation,
+    check_invertible,
     crb_from_fim,
     fim_tdoa,
     fim_tdoa_arrays,
@@ -191,3 +192,14 @@ def test_array_kernel_matches_list_path():
     assert np.allclose(
         fim_tdoa_arrays(phi_l, theta, d, SPLIT), fim_tdoa(sats, SPLIT).m, rtol=1e-15
     )
+
+
+def test_invertibility_gate_covers_every_failure_mode():
+    check_invertible(np.diag([1.0, 2.0, 3.0]))  # square size is free
+    with pytest.raises(SingularInformation, match="non-finite"):
+        check_invertible(np.diag([1.0, np.nan, 1.0]))
+    with pytest.raises(SingularInformation, match="determinant"):
+        check_invertible(np.diag([1.0, -1.0, 1.0]))
+    # positive determinant, condition number 1e13: rejected by the cond gate
+    with pytest.raises(SingularInformation, match="condition number"):
+        check_invertible(np.diag([1.0, 1.0e-13, 1.0]))

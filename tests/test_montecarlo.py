@@ -66,14 +66,6 @@ def test_all_singular_run_is_flagged():
     assert len(d.samples_xy) == 0 and len(d.samples_z) == 0
 
 
-def test_threads_do_not_change_results(monkeypatch):
-    base = crb_distribution(SystemParams(n_sats=120), "tdoa", trials=24, seed=9)
-    monkeypatch.setenv("SATCRB_THREADS", "4")
-    threaded = crb_distribution(SystemParams(n_sats=120), "tdoa", trials=24, seed=9)
-    assert np.array_equal(base.samples_xy, threaded.samples_xy)
-    assert np.array_equal(base.samples_z, threaded.samples_z)
-
-
 def test_rss_no_worse_per_trial():
     params = SystemParams(n_sats=120, eta=400.0)
     for trial in range(25):

@@ -104,3 +104,46 @@ def test_validation_errors():
         make([0.0, 1.0, 2.0], [10.0, -1.0, 5.0])
     with pytest.raises(InvalidConfig):
         PlanarSensors((0.0, 1.0, 2.0), (1.0, 2.0, 3.0), 2.0, -5.0, 1.0, 3.0e5)
+
+
+def _verify_draws(seed, count=30):
+    """The sensor sets `satcrb --seed SEED verify` draws for its planar check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(3, 8))
+        yield make(
+            rng.uniform(0.0, 2.0 * math.pi, m),
+            rng.uniform(1.0, 100.0, m),
+            gamma=float(rng.uniform(1.0, 3.0)),
+        )
+
+
+def test_routes_agree_on_near_coincident_bearings():
+    # seed 1842214965's 20th draw has two bearings 2.5e-4 rad apart, so its
+    # information matrix has cond ~1.2e10: the float64 solve was off by
+    # 9.6e-7 and the 1 - cos form of beta by 9.2e-10
+    draws = list(_verify_draws(1842214965))
+    hard = draws[19]
+    phi = np.asarray(hard.angles)
+    u = np.stack([np.cos(phi), np.sin(phi), -np.ones_like(phi)], axis=1)
+    j = (hard.eta_planar * hard.weights[:, None] * u).T @ u
+    assert 1.0e10 < np.linalg.cond(j) < 1.0e12
+    for s in draws:
+        closed, fim = planar_crb_closed(s), planar_crb_fim(s)
+        assert abs(closed - fim) / fim < 1e-10
+
+
+def test_fim_route_matches_high_precision_inverse():
+    mp = pytest.importorskip("mpmath")
+    hard = list(_verify_draws(1842214965))[19]
+    with mp.workdps(50):
+        j = mp.zeros(3, 3)
+        for phi, w in zip(hard.angles, hard.eta_planar * hard.weights):
+            u = [mp.cos(mp.mpf(phi)), mp.sin(mp.mpf(phi)), mp.mpf(-1)]
+            for r in range(3):
+                for c in range(3):
+                    j[r, c] += mp.mpf(float(w)) * u[r] * u[c]
+        inv = j**-1
+        want = float(inv[0, 0] + inv[1, 1])
+    assert planar_crb_fim(hard) == pytest.approx(want, rel=1e-12)
+    assert planar_crb_closed(hard) == pytest.approx(want, rel=1e-12)

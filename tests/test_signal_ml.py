@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satcrb.fim import SingularInformation
 from satcrb.geometry import InvalidConfig, SystemParams
 from satcrb.signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
     Measurement,
     SignalConfig,
+    _ascend,
+    _lattice_offsets,
+    _matched_filter,
+    _Profile,
+    _profile,
     _pulse_deriv_fn,
     _pulse_fn,
     centered_t0,
@@ -68,6 +74,41 @@ def rc_cfg(**over) -> SignalConfig:
 
 def ring_positions() -> np.ndarray:
     return sat_positions(zenith_ring_geometry(SystemParams()))
+
+
+def reference_profiled_score(samples, taus, config) -> float:
+    """Sum over satellites of C_m(tau_m)^2 / E_m(tau_m): the per-satellite
+    loop that the vectorised `_profile` replaced, kept as its oracle."""
+    pulse = _pulse_fn(config)
+    support_half = 0.5 * config.support
+    dt = config.dt
+    k = config.n_samples
+    total = 0.0
+    for v, tau in zip(samples, taus):
+        lo = max(0, int(math.ceil((tau - support_half) / dt)))
+        hi = min(k - 1, int(math.floor((tau + support_half) / dt)))
+        if hi < lo:
+            continue
+        idx = np.arange(lo, hi + 1)
+        s = pulse(idx * dt - tau)
+        energy = float(np.dot(s, s))
+        if energy <= 0.0:
+            continue
+        corr = float(np.dot(v[lo : hi + 1], s))
+        total += corr * corr / energy
+    return total
+
+
+def noisy_windows(cfg, seed, trial=0):
+    pos = ring_positions()
+    t0 = centered_t0(pos, cfg)
+    meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed, trial=trial)
+    return pos, t0, meas, np.array([m.samples for m in meas])
+
+
+def score_at(est, pos, samples, cfg) -> float:
+    taus = np.linalg.norm(pos - est.xi_hat, axis=1) / cfg.c + est.t0_hat
+    return _profile(samples, taus, cfg).score
 
 
 class TestConfigValidation:
@@ -302,6 +343,17 @@ class TestCalibration:
         bounds = signal_crb(ring_positions(), gauss_cfg(), mode="full_3d")
         assert bounds.z / bounds.xy > 10.0
 
+    def test_fix_z_reduction_is_gated_on_conditioning(self):
+        # four satellites 1 m off the zenith axis: the reduced (x, y, cT0)
+        # information has a positive determinant but cond ~8e14
+        cfg = gauss_cfg()
+        ang = np.arange(4) * math.pi / 2.0
+        pos = np.stack([1e-3 * np.cos(ang), 1e-3 * np.sin(ang), np.full(4, 2.0e4)], axis=1)
+        j3 = signal_fim(pos, cfg).m[np.ix_([0, 1, 3], [0, 1, 3])]
+        assert np.linalg.det(j3) > 0.0 and np.linalg.cond(j3) >= 1e12
+        with pytest.raises(SingularInformation):
+            signal_crb(pos, cfg, mode="fix_z")
+
     def test_fix_z_reduction_never_hurts(self):
         cfg = gauss_cfg()
         pos = ring_positions()
@@ -317,6 +369,125 @@ class TestCalibration:
         assert (
             signal_crb(broken, cfg, "fix_z").xy < signal_crb(broken, cfg, "full_3d").xy
         )
+
+
+class TestProfiledScore:
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_matches_reference_loop(self, cfg):
+        _, _, _, samples = noisy_windows(cfg, seed=21)
+        rng = np.random.default_rng(5)
+        half = 0.5 * cfg.support
+        clipped = 0
+        for _ in range(40):
+            # delays reach past both ends of the window, so some pulse
+            # windows are clipped and some fall outside altogether
+            taus = rng.uniform(-1.5 * half, cfg.obs_window + 1.5 * half, len(samples))
+            clipped += int(np.sum((taus < half) | (taus > cfg.obs_window - half)))
+            want = reference_profiled_score(samples, taus, cfg)
+            got = _profile(samples, taus, cfg).score
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert clipped > 0
+
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_slope_is_score_derivative(self, cfg):
+        pos, t0, _, samples = noisy_windows(cfg, seed=22)
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + 0.3 * cfg.dt
+        # two windows clipped by the window edges, where <s, s'> != 0
+        half = 0.5 * cfg.support
+        taus[1], taus[2] = 0.37 * half, cfg.obs_window - 0.41 * half
+        prof = _profile(samples, taus, cfg)
+        h = 1.0e-4 * cfg.dt
+        for m in range(len(taus)):
+            e = np.zeros(len(taus))
+            e[m] = h
+            up = _profile(samples, taus + e, cfg).score
+            dn = _profile(samples, taus - e, cfg).score
+            assert prof.slope[m] == pytest.approx((up - dn) / (2.0 * h), rel=1e-5)
+
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_noiseless_curvature_is_score_curvature(self, cfg):
+        # without noise the expected Hessian is the exact one at the truth
+        pos, t0, _, samples = noisy_windows(dataclasses.replace(cfg, n0=1e-300), 23)
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
+        prof = _profile(samples, taus, cfg)
+        h = 0.02 * cfg.dt
+        for m in range(len(taus)):
+            e = np.zeros(len(taus))
+            e[m] = h
+            up = _profile(samples, taus + e, cfg).score
+            dn = _profile(samples, taus - e, cfg).score
+            second = (up - 2.0 * prof.score + dn) / (h * h)
+            assert prof.curvature[m] == pytest.approx(-second, rel=1e-3)
+        assert np.allclose(prof.slope, 0.0, atol=1e-9 * np.max(prof.curvature) * cfg.dt)
+
+    def test_matched_filter_is_lagged_correlation(self):
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal((3, 50))
+        pulse = rng.standard_normal(9)
+        ph = 4
+        want = np.zeros((3, 50))
+        for j in range(50):
+            for i in range(9):
+                k = j + i - ph  # pulse sample i sits at time (k - j) dt
+                if 0 <= k < 50:
+                    want[:, j] += samples[:, k] * pulse[i]
+        assert np.allclose(_matched_filter(samples, pulse), want, rtol=0.0, atol=1e-12)
+
+
+class TestAscent:
+    TARGET = np.array([1.0, -2.0])
+
+    def evaluate(self, u):
+        # concave quadratic whose model curvature is 10x too small, so every
+        # full scoring step overshoots the maximum ninefold
+        d = u - self.TARGET
+        prof = _Profile(-5.0 * float(d @ d), np.zeros(0), np.zeros(0), np.zeros(0))
+        return prof, -10.0 * d, np.eye(2)
+
+    def test_no_step_lowers_the_score(self):
+        u0 = np.zeros(2)
+        scores = [self.evaluate(u0)[0].score]
+        for iters in range(1, 8):
+            _, prof, _ = _ascend(self.evaluate, u0, radius=1e9, max_iter=iters, xtol=1e-9)
+            scores.append(prof.score)
+        assert all(b >= a for a, b in zip(scores, scores[1:]))
+        u, _, converged = _ascend(self.evaluate, u0, radius=1e9, max_iter=200, xtol=1e-9)
+        assert converged
+        assert np.allclose(u, self.TARGET, atol=1e-6)
+
+    def test_steps_stay_inside_the_radius(self):
+        u0 = np.zeros(2)
+        for iters in range(1, 6):
+            u, _, _ = _ascend(self.evaluate, u0, radius=0.1, max_iter=iters, xtol=1e-9)
+            assert np.linalg.norm(u - u0) <= 0.1 * iters * (1.0 + 1e-12)
+
+
+class TestLattice:
+    def test_default_lattice_brackets_the_window(self):
+        cfg = gauss_cfg()
+        spacing = cfg.c / (4.0 * effective_bandwidth_time(make_pulse(cfg)))
+        assert spacing == pytest.approx(7.49, abs=0.01)
+        assert np.array_equal(_lattice_offsets(4.5, spacing), [-4.5, 0.0, 4.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        halfwidth=st.floats(min_value=0.0, max_value=50.0),
+        spacing=st.floats(min_value=0.05, max_value=20.0),
+    )
+    def test_odd_centered_bracketing_lattice(self, halfwidth, spacing):
+        off = _lattice_offsets(halfwidth, spacing)
+        assert len(off) % 2 == 1
+        assert off[len(off) // 2] == 0.0
+        assert off[0] == -halfwidth and off[-1] == halfwidth
+        assert np.all(np.diff(off) <= spacing * (1.0 + 1e-12))
+
+    def test_search_window_validation(self):
+        cfg = gauss_cfg()
+        pos, _, meas, _ = noisy_windows(cfg, seed=1)
+        with pytest.raises(InvalidConfig):
+            ml_localize(meas, pos, cfg, search_halfwidth=-1.0)
+        with pytest.raises(InvalidConfig):
+            ml_localize(meas, pos, cfg, grid_spacing=0.0)
 
 
 class TestMlLocalize:
@@ -344,6 +515,33 @@ class TestMlLocalize:
         assert est.converged
         assert est.xi_hat[2] == 0.0
         assert np.linalg.norm(est.xi_hat[:2] - truth[0][:2]) < 1.0e-3
+
+    @pytest.mark.parametrize("mode", ["fix_z", "full_3d"])
+    def test_noiseless_recovery_raised_cosine(self, mode):
+        cfg = rc_cfg(n0=1e-14)
+        pos = ring_positions()
+        t0 = centered_t0(pos, cfg)
+        truth = (np.array([0.27, -0.31, 0.0 if mode == "fix_z" else 0.16]), t0 + 1.7e-7)
+        meas = simulate_measurements(truth, pos, cfg, seed=3)
+        est = ml_localize(meas, pos, cfg, mode=mode)
+        assert est.converged
+        assert np.linalg.norm(est.xi_hat - truth[0]) < 1.0e-3  # 1 m
+        assert abs(est.t0_hat - truth[1]) < 1.0e-8  # 10 ns
+        want_amps = np.linalg.norm(pos, axis=1).min() / np.linalg.norm(pos, axis=1)
+        assert np.max(np.abs(est.amplitudes_hat - want_amps)) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["fix_z", "full_3d"])
+    def test_refinement_never_lowers_the_lattice_score(self, mode):
+        cfg = gauss_cfg(n0=10.0**-0.6)  # 6 dB: below threshold, many outliers
+        offsets = _lattice_offsets(4.5, 7.49)
+        for trial in range(8):
+            pos, _, meas, samples = noisy_windows(cfg, seed=31, trial=trial)
+            start = ml_localize(meas, pos, cfg, mode=mode, max_iter=0)
+            assert not start.converged
+            assert all(np.any(np.isclose(x, offsets)) for x in start.xi_hat)
+            est = ml_localize(meas, pos, cfg, mode=mode)
+            assert est.converged
+            assert score_at(est, pos, samples, cfg) >= score_at(start, pos, samples, cfg)
 
     def test_mode_validation(self):
         cfg = gauss_cfg()
