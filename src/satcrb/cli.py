@@ -52,7 +52,7 @@ from .coverage import (
 )
 from .fim import SingularInformation
 from .geometry import InvalidConfig, SystemParams
-from .montecarlo import convergence_sweep, crb_distribution
+from .montecarlo import ConvergenceRow, convergence_sweep, crb_distribution
 from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
     SignalConfig,
@@ -259,19 +259,9 @@ def _grid_values(spec: str | None, axis: str) -> np.ndarray:
     return values
 
 
-def _int_list(spec: str, name: str) -> list[int]:
+def _number_list(spec: str, name: str, kind: type) -> list:
     try:
-        values = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidConfig(f"bad {name} list {spec!r}") from exc
-    if not values:
-        raise InvalidConfig(f"{name} list is empty")
-    return values
-
-
-def _float_list(spec: str, name: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [kind(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"bad {name} list {spec!r}") from exc
     if not values:
@@ -505,18 +495,9 @@ def bounds(ctx, axis, grid):
     _computation_errors(work)
 
 
-MONTECARLO_HEADER = (
-    "N",
-    "median_xy",
-    "p10_xy",
-    "p90_xy",
-    "median_z",
-    "p10_z",
-    "p90_z",
-    "lcrb_xy",
-    "lcrb_z",
-    "singular_count",
-)
+# one column per ConvergenceRow field, in order; n_sats prints as N
+_MC_FIELDS = [f.name for f in dataclasses.fields(ConvergenceRow)]
+MONTECARLO_HEADER = ("N", *_MC_FIELDS[1:])
 
 
 @main.command()
@@ -529,23 +510,10 @@ def montecarlo(ctx, model, trials, n_list):
     run = _load(ctx)
 
     def work() -> None:
-        counts = _int_list(n_list, "n")
+        counts = _number_list(n_list, "n", int)
         rows = [
-            (
-                row.n_sats,
-                row.median_xy,
-                row.p10_xy,
-                row.p90_xy,
-                row.median_z,
-                row.p10_z,
-                row.p90_z,
-                row.lcrb_xy,
-                row.lcrb_z,
-                row.singular_count,
-            )
-            for row in convergence_sweep(
-                run.params, model, counts, trials, run.seed
-            )
+            dataclasses.astuple(row)
+            for row in convergence_sweep(run.params, model, counts, trials, run.seed)
         ]
         _emit(render_rows(MONTECARLO_HEADER, rows, run.format), run.output_path)
 
@@ -606,7 +574,7 @@ def ml(ctx, snr_grid, trials):
     run = _load(ctx)
 
     def work() -> None:
-        snrs = _float_list(snr_grid, "snr")
+        snrs = _number_list(snr_grid, "snr", float)
         sig = run.signal if run.signal is not None else default_signal_config(run.params.c)
         geometry = sat_positions(zenith_ring_geometry(run.params))
         rows = [

@@ -69,14 +69,22 @@ def _directions(
     return sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)
 
 
+def _tdoa_gram(
+    phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum of L_i u_i u_i^T, with the direction rows u_i and the distances."""
+    vx, vy, vz = _directions(np.asarray(phi_l), np.asarray(theta))
+    u = np.stack([vx, vy, vz, -np.ones_like(vx)], axis=1)
+    d = np.asarray(d, dtype=float)
+    ell = 2.0 * params.eta_rho / d**2
+    return (ell[:, None] * u).T @ u, u, d
+
+
 def fim_tdoa_arrays(
     phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> np.ndarray:
     """Total TDOA information of the given (already visible) satellites."""
-    vx, vy, vz = _directions(np.asarray(phi_l), np.asarray(theta))
-    u = np.stack([vx, vy, vz, -np.ones_like(vx)], axis=1)
-    ell = 2.0 * params.eta_rho / np.asarray(d) ** 2
-    return (ell[:, None] * u).T @ u
+    return _tdoa_gram(phi_l, theta, d, params)[0]
 
 
 def fim_tdoa_rss_arrays(
@@ -88,11 +96,7 @@ def fim_tdoa_rss_arrays(
             "the TDOA+RSS weights K_i need eta and rho separately; "
             "construct SystemParams with eta="
         )
-    d = np.asarray(d, dtype=float)
-    vx, vy, vz = _directions(np.asarray(phi_l), np.asarray(theta))
-    u = np.stack([vx, vy, vz, -np.ones_like(vx)], axis=1)
-    ell = 2.0 * params.eta_rho / d**2
-    j = (ell[:, None] * u).T @ u
+    j, u, d = _tdoa_gram(phi_l, theta, d, params)
     # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
     extra = 2.0 * params.rho / d**4
     v = u[:, :3]
@@ -100,44 +104,63 @@ def fim_tdoa_rss_arrays(
     return j
 
 
-def _visible_arrays(
-    sats: Sequence[SatelliteState],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fim_of_states(sats: Sequence[SatelliteState], params: SystemParams, build):
     vis = [s for s in sats if s.visible]
-    phi_l = np.array([s.phi_l for s in vis])
-    theta = np.array([s.theta for s in vis])
-    d = np.array([s.d for s in vis])
-    return phi_l, theta, d
+    if not vis:
+        return FisherMatrix(np.zeros((4, 4)))
+    arrays = (np.array([getattr(s, k) for s in vis]) for k in ("phi_l", "theta", "d"))
+    return FisherMatrix(build(*arrays, params))
 
 
 def fim_tdoa(sats: Sequence[SatelliteState], params: SystemParams) -> FisherMatrix:
     """Sum of L_i u_i u_i^T over the visible satellites (zero matrix if none)."""
-    phi_l, theta, d = _visible_arrays(sats)
-    if phi_l.size == 0:
-        return FisherMatrix(np.zeros((4, 4)))
-    return FisherMatrix(fim_tdoa_arrays(phi_l, theta, d, params))
+    return _fim_of_states(sats, params, fim_tdoa_arrays)
 
 
 def fim_tdoa_rss(sats: Sequence[SatelliteState], params: SystemParams) -> FisherMatrix:
     """TDOA+RSS information over the visible satellites (zero matrix if none)."""
-    phi_l, theta, d = _visible_arrays(sats)
-    if phi_l.size == 0:
-        return FisherMatrix(np.zeros((4, 4)))
-    return FisherMatrix(fim_tdoa_rss_arrays(phi_l, theta, d, params))
+    return _fim_of_states(sats, params, fim_tdoa_rss_arrays)
 
 
-def check_invertible(m: np.ndarray) -> None:
-    """Raise SingularInformation unless the square information matrix m is
-    finite, has a positive determinant and a condition number below
-    COND_LIMIT; every bound inversion passes this gate first."""
+def gated_inverse(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (T, k, k) stack and the mask of the matrices that pass
+    the invertibility gate: finite, det > 0 and cond < COND_LIMIT, each test
+    run only where the one before passed. A failing matrix's inverse is NaN.
+    LAPACK handles each matrix of a stack on its own, so every result is
+    bit-identical to gating and inverting that matrix alone."""
+    m = np.asarray(j, dtype=float)
+    det = np.full(m.shape[0], np.nan)
+    cond = np.full(m.shape[0], np.nan)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    det[finite] = np.linalg.det(m[finite])
+    cond[det > 0.0] = np.linalg.cond(m[det > 0.0])
+    ok = cond < COND_LIMIT
+    inv = np.full_like(m, np.nan)
+    good = m[ok]
+    # a stack of identities: numpy < 2 reads a 2-d right-hand side as vectors
+    inv[ok] = np.linalg.solve(good, np.broadcast_to(np.eye(m.shape[-1]), good.shape))
+    return inv, ok
+
+
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of one square information matrix that passes the gate of
+    gated_inverse; otherwise SingularInformation naming the failed test."""
+    m = np.asarray(m, dtype=float)
+    inv, ok = gated_inverse(m[None])
+    if ok[0]:
+        return inv[0]
     if not np.all(np.isfinite(m)):
         raise SingularInformation("non-finite information matrix")
     det = np.linalg.det(m)
     if not det > 0.0:
         raise SingularInformation(f"non-positive determinant {det}")
-    cond = np.linalg.cond(m)
-    if not cond < COND_LIMIT:
-        raise SingularInformation(f"condition number {cond:.3e} exceeds gate")
+    raise SingularInformation(f"condition number {np.linalg.cond(m):.3e} exceeds gate")
+
+
+def check_invertible(m: np.ndarray) -> None:
+    """Raise SingularInformation unless the square information matrix m
+    passes the gate of gated_inverse; every bound inversion uses that gate."""
+    inverse(m)
 
 
 def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
@@ -147,7 +170,5 @@ def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
     third. Raises SingularInformation for unidentifiable geometries (fewer
     than four effective satellites, coplanar layouts, empty cups).
     """
-    m = j.m if isinstance(j, FisherMatrix) else np.asarray(j, dtype=float)
-    check_invertible(m)
-    inv = np.linalg.solve(m, np.eye(4))
+    inv = inverse(j.m if isinstance(j, FisherMatrix) else j)
     return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=float(inv[2, 2]))

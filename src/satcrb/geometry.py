@@ -13,7 +13,7 @@ theta ~ U[0, 2*pi). All lengths are km, all angles radians, times seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,10 +114,6 @@ class Constellation:
     theta: np.ndarray
     seed: int
 
-    @property
-    def sats(self) -> list[tuple[float, float]]:
-        return list(zip(self.phi_e.tolist(), self.theta.tolist()))
-
     def __len__(self) -> int:
         return self.phi_e.shape[0]
 
@@ -128,14 +124,43 @@ def constellation_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw(params: SystemParams, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """N cosines cos(phi_e), then N azimuths: the one (seed, trial) stream."""
+    rng = constellation_rng(seed, trial)
+    cos_phi_e = rng.uniform(-1.0, 1.0, params.n_sats)
+    theta = rng.uniform(0.0, 2.0 * math.pi, params.n_sats)
+    return cos_phi_e, theta
+
+
 def sample_constellation(
     params: SystemParams, seed: int, trial: int = 0
 ) -> Constellation:
     """Draw N satellites uniformly on the shell; deterministic per (seed, trial)."""
-    rng = constellation_rng(seed, trial)
-    cos_phi_e = rng.uniform(-1.0, 1.0, params.n_sats)
-    theta = rng.uniform(0.0, 2.0 * math.pi, params.n_sats)
+    cos_phi_e, theta = _draw(params, seed, trial)
     return Constellation(phi_e=np.arccos(cos_phi_e), theta=theta, seed=seed)
+
+
+# Prefilter slack in cos(phi_e): the rounding of e_to_l_arrays moves the
+# visibility edge by well under 1e-14 from chi_max, and the slack admits only
+# about N * CUP_MARGIN / 2 extra candidates per draw.
+CUP_MARGIN = 1.0e-9
+
+
+def _cup_candidates(cos_phi_e: np.ndarray, params: SystemParams) -> np.ndarray:
+    return cos_phi_e >= chi_max(params) - CUP_MARGIN
+
+
+def visible_sky(
+    params: SystemParams, seed: int, trial: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_l, theta, d) of the visible satellites of sample_constellation(
+    params, seed, trial), in draw order. Only the cup candidates go to the
+    local frame, where e_to_l_arrays still decides visibility, so the result
+    equals converting all N and masking, bit for bit."""
+    cos_phi_e, theta = _draw(params, seed, trial)
+    cand = _cup_candidates(cos_phi_e, params)
+    phi_l, d, visible = e_to_l_arrays(np.arccos(cos_phi_e[cand]), params)
+    return phi_l[visible], theta[cand][visible], d[visible]
 
 
 def e_to_l_arrays(

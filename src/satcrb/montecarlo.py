@@ -4,6 +4,13 @@ Each trial deploys a fresh uniform constellation, builds the Fisher
 information of the visible satellites, and records N*CRB. Aggregates
 (medians, nearest-rank percentiles, convergence tables, parameter sweeps,
 mean-information structure) feed both the test oracles and the CLI.
+
+crb_distribution's pipeline: draw (N cosines cos(phi_e), then N azimuths,
+from each trial's own (seed, trial) stream) -> visible-cup prefilter (only
+cos(phi_e) >= chi_max - CUP_MARGIN reaches the local frame, where phi_l <=
+phi_l_max decides; geometry.visible_sky) -> FIM (row t of one (trials, 4, 4)
+stack, left NaN below four visible satellites) -> one stacked gate
+(fim.gated_inverse inverts the rows that pass; the rest count as singular).
 """
 
 from __future__ import annotations
@@ -15,14 +22,8 @@ import numpy as np
 
 from .closed_form import acrb, lcrb_tdoa, lcrb_tdoa_rss
 from .coverage import coverage_prob
-from .fim import (
-    BoundSet,
-    SingularInformation,
-    crb_from_fim,
-    fim_tdoa_arrays,
-    fim_tdoa_rss_arrays,
-)
-from .geometry import InvalidConfig, SystemParams, e_to_l_arrays, sample_constellation
+from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
+from .geometry import InvalidConfig, SystemParams, visible_sky
 
 MODELS = ("tdoa", "tdoa_rss")
 
@@ -80,20 +81,18 @@ class CrbDistribution:
     def median_z(self) -> float:
         return self.percentile_z(50.0)
 
+    def summary(self, scale: float = 1.0) -> dict[str, float]:
+        """median/p10/p90 of both components, each times scale, keyed as the
+        sweep rows name them (median_xy, p10_xy, ..., p90_z)."""
+        return {
+            f"{stat}_{axis}": nearest_rank(samples, pct) * scale
+            for axis, samples in (("xy", self.samples_xy), ("z", self.samples_z))
+            for stat, pct in (("median", 50.0), ("p10", 10.0), ("p90", 90.0))
+        }
 
-def _trial_bounds(
-    params: SystemParams, model: str, seed: int, trial: int
-) -> BoundSet | None:
-    c = sample_constellation(params, seed, trial=trial)
-    phi_l, d, visible = e_to_l_arrays(c.phi_e, params)
-    phi_l, theta, d = phi_l[visible], c.theta[visible], d[visible]
-    if phi_l.size < 4:
-        return None
-    build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
-    try:
-        return crb_from_fim(build(phi_l, theta, d, params))
-    except SingularInformation:
-        return None
+
+def _fim_builder(model: str):
+    return fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
 
 
 def crb_distribution(
@@ -103,18 +102,21 @@ def crb_distribution(
     _check_model(model)
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    results = [_trial_bounds(params, model, seed, t) for t in range(trials)]
-    kept = [b for b in results if b is not None]
+    build = _fim_builder(model)
+    j = np.full((trials, 4, 4), np.nan)
+    for t in range(trials):
+        phi_l, theta, d = visible_sky(params, seed, t)
+        if phi_l.size >= 4:
+            j[t] = build(phi_l, theta, d, params)
+    inv, ok = gated_inverse(j)
     n = float(params.n_sats)
-    xs = np.sort(np.array([n * b.xy for b in kept]))
-    zs = np.sort(np.array([n * b.z for b in kept]))
     return CrbDistribution(
         model=model,
         n_sats=params.n_sats,
         trials=trials,
-        samples_xy=xs,
-        samples_z=zs,
-        singular_count=trials - len(kept),
+        samples_xy=np.sort(n * (inv[ok, 0, 0] + inv[ok, 1, 1])),
+        samples_z=np.sort(n * inv[ok, 2, 2]),
+        singular_count=trials - int(ok.sum()),
     )
 
 
@@ -149,12 +151,7 @@ def convergence_sweep(
         rows.append(
             ConvergenceRow(
                 n_sats=int(n),
-                median_xy=dist.median_xy,
-                p10_xy=dist.percentile_xy(10.0),
-                p90_xy=dist.percentile_xy(90.0),
-                median_z=dist.median_z,
-                p10_z=dist.percentile_z(10.0),
-                p90_z=dist.percentile_z(90.0),
+                **dist.summary(),
                 lcrb_xy=limit.xy,
                 lcrb_z=limit.z,
                 singular_count=dist.singular_count,
@@ -203,19 +200,13 @@ def parameter_sweep(
         p = dataclasses.replace(params, **{axis: float(value)}, n_sats=int(n))
         cov = coverage_prob(p)
         dist = crb_distribution(p, model, trials, seed)
-        scale = 1.0 / p.n_sats
         bounds = acrb(p, rss=(model == "tdoa_rss"))
         rows.append(
             ParameterRow(
                 axis_value=float(value),
                 coverage=cov,
                 covered=cov >= COVERAGE_RULE,
-                median_xy=dist.median_xy * scale,
-                p10_xy=dist.percentile_xy(10.0) * scale,
-                p90_xy=dist.percentile_xy(90.0) * scale,
-                median_z=dist.median_z * scale,
-                p10_z=dist.percentile_z(10.0) * scale,
-                p90_z=dist.percentile_z(90.0) * scale,
+                **dist.summary(scale=1.0 / p.n_sats),
                 acrb_xy=bounds.xy,
                 acrb_z=bounds.z,
                 singular_count=dist.singular_count,
@@ -236,8 +227,4 @@ def mean_fim(
     if n_samples < 10_000:
         raise InvalidConfig(f"n_samples must be >= 10000, got {n_samples}")
     p = dataclasses.replace(params, n_sats=int(n_samples))
-    c = sample_constellation(p, seed)
-    phi_l, d, visible = e_to_l_arrays(c.phi_e, p)
-    phi_l, theta, d = phi_l[visible], c.theta[visible], d[visible]
-    build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
-    return build(phi_l, theta, d, p) / float(n_samples)
+    return _fim_builder(model)(*visible_sky(p, seed), p) / float(n_samples)

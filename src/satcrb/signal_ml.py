@@ -35,8 +35,8 @@ from .fim import (
     BoundSet,
     FisherMatrix,
     SingularInformation,
-    check_invertible,
     crb_from_fim,
+    inverse,
 )
 from .geometry import InvalidConfig, SatelliteState, SystemParams, constellation_rng
 
@@ -637,9 +637,7 @@ def signal_crb(
     j = signal_fim(constellation, config).m
     if mode == "fix_z":
         keep = [0, 1, 3]
-        j3 = j[np.ix_(keep, keep)]
-        check_invertible(j3)
-        inv = np.linalg.solve(j3, np.eye(3))
+        inv = inverse(j[np.ix_(keep, keep)])
         return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=0.0)
     return crb_from_fim(j)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,45 @@ class TestMontecarloCommand:
         med_a = float(a.output.strip().splitlines()[1].split(",")[1])
         med_b = float(b.output.strip().splitlines()[1].split(",")[1])
         assert med_b < med_a
+
+
+ETA_CONFIG = Path(__file__).resolve().parent / "eta.cfg"
+
+# stdout of `satcrb --seed 7 montecarlo --trials 50 --n-list 4,250,2000`,
+# pinned byte for byte (csv rows end in CRLF); the tdoa_rss run adds
+# `--config tests/eta.cfg` and `--model tdoa_rss`
+GOLDEN_MONTECARLO = {
+    "tdoa": (
+        b"N,median_xy,p10_xy,p90_xy,median_z,p10_z,p90_z,lcrb_xy,lcrb_z,singular_count\r\n"
+        b"4,nan,nan,nan,nan,nan,nan,2.053686875718e-04,1.030822028326e-03,50\r\n"
+        b"250,2.217308873789e-04,1.816345700823e-04,2.822961760536e-04,"
+        b"1.135155495890e-03,8.822854026829e-04,1.467040100367e-03,"
+        b"2.053686875718e-04,1.030822028326e-03,0\r\n"
+        b"2000,2.066969855882e-04,1.922852009083e-04,2.173709587901e-04,"
+        b"1.035516170802e-03,9.549143213095e-04,1.169778597611e-03,"
+        b"2.053686875718e-04,1.030822028326e-03,0\r\n"
+    ),
+    "tdoa_rss": (
+        b"N,median_xy,p10_xy,p90_xy,median_z,p10_z,p90_z,lcrb_xy,lcrb_z,singular_count\r\n"
+        b"4,nan,nan,nan,nan,nan,nan,2.053685120583e-04,1.030795802336e-03,50\r\n"
+        b"250,2.217306728811e-04,1.816343903121e-04,2.822949214535e-04,"
+        b"1.135123370131e-03,8.822595256003e-04,1.466979988772e-03,"
+        b"2.053685120583e-04,1.030795802336e-03,0\r\n"
+        b"2000,2.066967750015e-04,1.922850341858e-04,2.173707695231e-04,"
+        b"1.035487806663e-03,9.548904670966e-04,1.169745341886e-03,"
+        b"2.053685120583e-04,1.030795802336e-03,0\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+def test_montecarlo_golden_output(model):
+    args = ["--seed", "7", "montecarlo", "--trials", "50", "--n-list", "4,250,2000"]
+    if model == "tdoa_rss":
+        args = ["--config", str(ETA_CONFIG), *args, "--model", "tdoa_rss"]
+    result = invoke(args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == GOLDEN_MONTECARLO[model]
 
 
 class TestCoverageCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satcrb.fim import (
+    COND_LIMIT,
     BoundSet,
     FisherMatrix,
     SingularInformation,
@@ -15,6 +16,8 @@ from satcrb.fim import (
     fim_tdoa,
     fim_tdoa_arrays,
     fim_tdoa_rss,
+    gated_inverse,
+    inverse,
 )
 from satcrb.geometry import (
     InvalidConfig,
@@ -203,3 +206,69 @@ def test_invertibility_gate_covers_every_failure_mode():
     # positive determinant, condition number 1e13: rejected by the cond gate
     with pytest.raises(SingularInformation, match="condition number"):
         check_invertible(np.diag([1.0, 1.0e-13, 1.0]))
+
+
+def reference_gate(m):
+    """The single-matrix gate written out on its own: finite, det > 0 and
+    cond < COND_LIMIT, each through numpy.linalg on this matrix alone."""
+    if not np.all(np.isfinite(m)):
+        return False
+    if not np.linalg.det(m) > 0.0:
+        return False
+    return bool(np.linalg.cond(m) < COND_LIMIT)
+
+
+def mixed_stack():
+    good = [fim_tdoa(visible_sats(seed), SPLIT).m for seed in (1, 2, 3)]
+    nan = good[0].copy()
+    nan[1, 2] = np.nan
+    inf = good[1].copy()
+    inf[3, 3] = np.inf
+    negative = np.diag([1.0, -2.0, 3.0, 4.0])  # det < 0
+    rank_deficient = np.diag([1.0, 2.0, 3.0, 0.0])  # det == 0
+    ill = np.diag([1.0, 1.0, 1.0, 1.0e-13])  # det > 0, cond 1e13
+    edge = np.diag([1.0, 1.0, 1.0, 1.0 / COND_LIMIT])  # cond == COND_LIMIT
+    return np.stack([good[0], nan, negative, good[1], ill, inf, rank_deficient, edge, good[2]])
+
+
+def test_gated_inverse_mixed_stack_matches_single_matrix_path():
+    stack = mixed_stack()
+    inv, ok = gated_inverse(stack)
+    assert ok.dtype == bool and ok.shape == (len(stack),)
+    assert ok.tolist() == [True, False, False, True, False, False, False, False, True]
+    for m, passed, got in zip(stack, ok, inv):
+        assert passed == reference_gate(m)
+        if passed:
+            check_invertible(m)
+            assert np.array_equal(got, np.linalg.solve(m, np.eye(4)))
+        else:
+            with pytest.raises(SingularInformation):
+                check_invertible(m)
+            assert np.isnan(got).all()
+
+
+def test_gated_inverse_keeps_the_stack_unchanged_and_handles_empty():
+    stack = mixed_stack()
+    before = stack.copy()
+    gated_inverse(stack)
+    assert np.array_equal(stack, before, equal_nan=True)
+    inv, ok = gated_inverse(np.zeros((0, 4, 4)))
+    assert inv.shape == (0, 4, 4) and ok.shape == (0,)
+    inv, ok = gated_inverse(np.full((3, 4, 4), np.nan))
+    assert not ok.any() and np.isnan(inv).all()
+
+
+def test_single_matrix_callers_agree_with_the_stack():
+    stack = mixed_stack()
+    inv, ok = gated_inverse(stack)
+    for m, passed, got in zip(stack, ok, inv):
+        if passed:
+            assert np.array_equal(inverse(m), got)
+            b = crb_from_fim(m)
+            assert b.xy == float(got[0, 0] + got[1, 1]) and b.z == float(got[2, 2])
+        else:
+            with pytest.raises(SingularInformation):
+                crb_from_fim(m)
+    # a 3x3 block goes through the same gate
+    block = stack[0][np.ix_([0, 1, 3], [0, 1, 3])]
+    assert np.array_equal(inverse(block), np.linalg.solve(block, np.eye(3)))

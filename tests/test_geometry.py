@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from satcrb.geometry import (
+    CUP_MARGIN,
     InvalidConfig,
     SystemParams,
+    _cup_candidates,
     chi_max,
     constellation_states,
+    e_to_l_arrays,
     d_max,
     d_max_minus_h,
     e_to_l,
@@ -18,6 +21,7 @@ from satcrb.geometry import (
     log_dmax_over_h,
     max_earth_angle,
     sample_constellation,
+    visible_sky,
 )
 from satcrb.coverage import visibility_prob
 
@@ -213,3 +217,49 @@ def test_split_accessors():
         _ = p.rho
     q = p.with_split(400.0)
     assert q.has_split and q.rho == pytest.approx(q.eta_rho / 400.0)
+
+
+def ulp_neighbourhood(x, k):
+    """The 2k+1 floats nearest x, in order, clipped to [-1, 1]."""
+    below = [x]
+    above = [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.clip(np.array(below[:0:-1] + above), -1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(min_value=1.0e-2, max_value=1.0e5),
+    phi_deg=st.floats(min_value=0.05, max_value=90.0),
+    spread=st.sampled_from([1, 8, 64]),
+)
+def test_prefilter_keeps_every_visible_satellite(h, phi_deg, spread):
+    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg))
+    a = chi_max(p)
+    # cosines a few ulps either side of the cup edge, then a wider band
+    # around it as wide as the slack itself
+    cos_phi_e = np.concatenate(
+        [
+            ulp_neighbourhood(a, 16 * spread),
+            np.clip(a + CUP_MARGIN * np.linspace(-2.0, 2.0, 101), -1.0, 1.0),
+        ]
+    )
+    visible = e_to_l_arrays(np.arccos(cos_phi_e), p)[2]
+    candidates = _cup_candidates(cos_phi_e, p)
+    assert not np.any(visible & ~candidates)
+    # the exact test itself flips at the edge, to within the rounding
+    assert visible[cos_phi_e >= a + 1e-12].all()
+    assert not visible[cos_phi_e <= a - 1e-12].any()
+
+
+@pytest.mark.parametrize("n_sats", [1, 4, 250, 5000])
+def test_visible_sky_is_the_masked_full_conversion(n_sats):
+    p = SystemParams(n_sats=n_sats)
+    for trial in range(5):
+        c = sample_constellation(p, seed=31, trial=trial)
+        phi_l, d, visible = e_to_l_arrays(c.phi_e, p)
+        got = visible_sky(p, seed=31, trial=trial)
+        for a, b in zip(got, (phi_l[visible], c.theta[visible], d[visible])):
+            assert np.array_equal(a, b)

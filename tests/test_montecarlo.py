@@ -1,12 +1,13 @@
 """Random-constellation experiment tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from satcrb.closed_form import lcrb_tdoa, moment_integrals
-from satcrb.fim import crb_from_fim, fim_tdoa_arrays
+from satcrb.fim import COND_LIMIT, crb_from_fim, fim_tdoa_arrays, fim_tdoa_rss_arrays
 from satcrb.geometry import InvalidConfig, SystemParams, e_to_l_arrays, sample_constellation
 from satcrb.montecarlo import (
     ConvergenceRow,
@@ -19,6 +20,72 @@ from satcrb.montecarlo import (
 )
 
 SPLIT = SystemParams(eta=400.0)
+
+
+def reference_trial_bounds(params, model, seed, trial):
+    """One trial the direct way: all N satellites to the local frame, then
+    the single-matrix gate and solve; None for a singular draw."""
+    c = sample_constellation(params, seed, trial=trial)
+    phi_l, d, visible = e_to_l_arrays(c.phi_e, params)
+    phi_l, theta, d = phi_l[visible], c.theta[visible], d[visible]
+    if phi_l.size < 4:
+        return None
+    build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
+    m = build(phi_l, theta, d, params)
+    if not (
+        np.all(np.isfinite(m))
+        and np.linalg.det(m) > 0.0
+        and np.linalg.cond(m) < COND_LIMIT
+    ):
+        return None
+    inv = np.linalg.solve(m, np.eye(4))
+    return float(inv[0, 0] + inv[1, 1]), float(inv[2, 2])
+
+
+def reference_distribution(params, model, trials, seed):
+    """The trial-by-trial loop crb_distribution must reproduce bit for bit."""
+    results = [reference_trial_bounds(params, model, seed, t) for t in range(trials)]
+    kept = [b for b in results if b is not None]
+    n = float(params.n_sats)
+    xs = np.sort(np.array([n * xy for xy, _ in kept]))
+    zs = np.sort(np.array([n * z for _, z in kept]))
+    return xs, zs, trials - len(kept)
+
+
+def assert_matches_reference(params, model, trials, seed):
+    dist = crb_distribution(params, model, trials, seed)
+    xs, zs, singular = reference_distribution(params, model, trials, seed)
+    assert dist.samples_xy.dtype == xs.dtype and dist.samples_z.dtype == zs.dtype
+    assert np.array_equal(dist.samples_xy, xs)
+    assert np.array_equal(dist.samples_z, zs)
+    assert dist.singular_count == singular
+    return dist
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+@pytest.mark.parametrize("n_sats", [3, 4, 5, 250, 2000])
+def test_distribution_matches_trial_by_trial_reference(model, n_sats):
+    params = SystemParams(n_sats=n_sats, eta=0.0025)
+    for seed in (0, 7, 20260819, 2**63 + 11):
+        dist = assert_matches_reference(params, model, trials=30, seed=seed)
+        if n_sats == 3:
+            assert dist.singular_count == dist.trials
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+@pytest.mark.parametrize("phi_deg", [5.0, 90.0])
+def test_distribution_matches_reference_at_low_altitude(model, phi_deg):
+    base = SystemParams(h=500.0, phi_l_max=math.radians(phi_deg), eta=4.0)
+    # at 5 degrees a draw sees about 1e-5 of the fleet, so only the largest
+    # fleet has trials with four or more visible satellites
+    for n_sats in (4, 250, 2000, 400_000 if phi_deg == 5.0 else 20_000):
+        params = dataclasses.replace(base, n_sats=n_sats)
+        for seed in (3, 9):
+            assert_matches_reference(params, model, trials=12, seed=seed)
+
+
+def test_large_fleet_matches_reference():
+    assert_matches_reference(SystemParams(n_sats=100_000), "tdoa", trials=5, seed=5)
 
 
 def test_nearest_rank_small_lists():
