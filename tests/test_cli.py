@@ -274,6 +274,178 @@ def test_montecarlo_golden_output(model):
     assert result.stdout_bytes == GOLDEN_MONTECARLO[model]
 
 
+RC_CONFIG = Path(__file__).resolve().parent / "rc.cfg"
+
+# stdout of one command per output path -- ML with each pulse family, both
+# bounds axes, the three coverage queries, verify -- pinned byte for byte
+# (csv rows end in CRLF); name -> (arguments, stdout)
+GOLDEN_COMMANDS = {
+    "ml_gaussian": (
+        ["--seed", "7", "ml", "--snr-grid", "6,18", "--trials", "50"],
+        (
+            b"snr_db,mse_xy,mse_xyz,crb_xy,crb_xyz\r\n"
+            b"6.000000000000e+00,1.850165299994e+01,3.932565569274e+02,"
+            b"9.763850684576e+00,2.030587678204e+02\r\n"
+            b"1.800000000000e+01,5.656985153207e-01,1.304967637099e+01,"
+            b"6.160573299841e-01,1.281214209174e+01\r\n"
+        ),
+    ),
+    "ml_raised_cosine": (
+        ["--config", str(RC_CONFIG), "--seed", "7", "ml", "--snr-grid", "6,18",
+         "--trials", "50"],
+        (
+            b"snr_db,mse_xy,mse_xyz,crb_xy,crb_xyz\r\n"
+            b"6.000000000000e+00,5.791726464328e+01,1.512447492012e+03,"
+            b"2.929155205373e+01,6.091763034613e+02\r\n"
+            b"1.800000000000e+01,2.277570097888e+00,4.382271595607e+01,"
+            b"1.848171989952e+00,3.843642627521e+01\r\n"
+        ),
+    ),
+    "bounds_h": (
+        ["bounds", "--grid", "500:40000:7"],
+        (
+            b"axis_value,lcrb_xy,lcrb_z,acrb_xy,acrb_z,aacrb_xy,aacrb_z,alpha_xy,"
+            b"alpha_z,beta_xy,beta_z,coverage_prob,covered\r\n"
+            b"5.000000000000e+02,1.019202738528e-05,5.528812019206e-05,"
+            b"4.076810954114e-08,2.211524807682e-07,3.219533294666e-08,"
+            b"1.785773491058e-07,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,9.879624266367e-03,false\r\n"
+            b"1.037890815556e+03,1.265254676959e-05,6.753049344528e-05,"
+            b"5.061018707834e-08,2.701219737811e-07,3.318799376068e-08,"
+            b"1.835406531759e-07,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,2.791677918681e-01,false\r\n"
+            b"2.154434690032e+03,1.817912468409e-05,9.507796352269e-05,"
+            b"7.271649873636e-08,3.803118540908e-07,3.746523954699e-08,"
+            b"2.049268821075e-07,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,9.351275042054e-01,true\r\n"
+            b"4.472135955000e+03,3.182329672960e-05,1.632065253681e-04,"
+            b"1.272931869184e-07,6.528261014723e-07,5.589533294666e-08,"
+            b"2.970773491058e-07,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,9.999411344449e-01,true\r\n"
+            b"9.283177667226e+03,7.019049650905e-05,3.549711837725e-04,"
+            b"2.807619860362e-07,1.419884735090e-06,1.353081980682e-07,"
+            b"6.941416747135e-07,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,9.999999994964e-01,true\r\n"
+            b"1.926984967998e+04,1.939737769984e-04,9.738487094928e-04,"
+            b"7.758951079934e-07,3.895394837971e-06,4.774878609735e-07,"
+            b"2.405039989240e-06,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,1.000000000000e+00,true\r\n"
+            b"4.000000000000e+04,6.418433942774e-04,3.213181231683e-03,"
+            b"2.567373577110e-06,1.285272492673e-05,1.951895332947e-06,"
+            b"9.777077349106e-06,3.189533294666e-08,1.770773491058e-07,"
+            b"1.200000000000e-15,6.000000000000e-15,1.000000000000e+00,true\r\n"
+        ),
+    ),
+    "bounds_phi": (
+        ["bounds", "--axis", "phi_l_max", "--grid", "5:90:7"],
+        (
+            b"axis_value,lcrb_xy,lcrb_z,acrb_xy,acrb_z,aacrb_xy,aacrb_z,alpha_xy,"
+            b"alpha_z,beta_xy,beta_z,coverage_prob,covered\r\n"
+            b"5.000000000000e+00,3.004982771108e+00,2.366131891894e+03,"
+            b"1.201993108443e-02,9.464527567574e+00,7.614576409901e-03,"
+            b"5.995867385126e+00,6.998820919647e-04,5.514188357519e-01,"
+            b"1.728673579484e-11,1.361112137344e-08,1.846221763707e-04,false\r\n"
+            b"1.916666666667e+01,1.438093664955e-02,7.643165599529e-01,"
+            b"5.752374659818e-05,3.057266239812e-03,3.639661540862e-05,"
+            b"1.935014550457e-03,3.239908716110e-06,1.737332117441e-04,"
+            b"8.289176673129e-14,4.403203346783e-12,5.770858142148e-01,false\r\n"
+            b"3.333333333333e+01,1.688969357528e-03,2.915403968989e-02,"
+            b"6.755877430111e-06,1.166161587596e-04,4.262122080490e-06,"
+            b"7.364076640581e-05,3.528372896843e-07,6.261385760062e-06,"
+            b"9.773211977015e-15,1.684484516144e-13,9.985728822665e-01,true\r\n"
+            b"4.750000000000e+01,4.579699367685e-04,3.787465755083e-03,"
+            b"1.831879747074e-06,1.514986302033e-05,1.149697648302e-06,"
+            b"9.526454803698e-06,8.429506160209e-08,7.394798261832e-07,"
+            b"2.663506466749e-15,2.196743744379e-14,9.999999911201e-01,true\r\n"
+            b"6.166666666667e+01,1.877888177877e-04,8.880302289424e-04,"
+            b"7.511552711507e-07,3.552120915770e-06,4.675262869398e-07,"
+            b"2.217818346007e-06,2.835225202852e-08,1.493352969170e-07,"
+            b"1.097935087278e-15,5.171207622725e-15,1.000000000000e+00,true\r\n"
+            b"7.583333333333e+01,9.973163166770e-05,2.979445822436e-04,"
+            b"3.989265266708e-07,1.191778328974e-06,2.451202687391e-07,"
+            b"7.355168832643e-07,1.082396377907e-08,3.915086402827e-08,"
+            b"5.857407624000e-16,1.740915048090e-15,1.000000000000e+00,true\r\n"
+            b"9.000000000000e+01,6.365218542700e-05,1.280722819518e-04,"
+            b"2.546087417080e-07,5.122891278071e-07,1.502755063496e-07,"
+            b"3.053609079879e-07,2.755063496326e-10,5.360907987892e-09,"
+            b"3.750000000000e-16,7.500000000000e-16,1.000000000000e+00,true\r\n"
+        ),
+    ),
+    "coverage_prob": (
+        ["coverage", "--query", "prob"],
+        (
+            b"{\n"
+            b'  "query": "prob",\n'
+            b'  "inputs": {\n'
+            b'    "r": 6371.0,\n'
+            b'    "h": 20000.0,\n'
+            b'    "phi_l_max_deg": 59.99999999999999,\n'
+            b'    "n_sats": 250\n'
+            b"  },\n"
+            b'  "answer": {\n'
+            b'    "p_single": 0.16493639025333165,\n'
+            b'    "p_cov": 0.9999999999999994\n'
+            b"  }\n"
+            b"}\n"
+        ),
+    ),
+    "coverage_min_angle": (
+        ["coverage", "--query", "min_angle"],
+        (
+            b"{\n"
+            b'  "query": "min_angle",\n'
+            b'  "inputs": {\n'
+            b'    "r": 6371.0,\n'
+            b'    "h": 20000.0,\n'
+            b'    "phi_l_max_deg": 59.99999999999999,\n'
+            b'    "n_sats": 250,\n'
+            b'    "target": 0.9\n'
+            b"  },\n"
+            b'  "answer": {\n'
+            b'    "phi_l_max_deg": 24.49951171875\n'
+            b"  }\n"
+            b"}\n"
+        ),
+    ),
+    "coverage_min_height": (
+        ["coverage", "--query", "min_height"],
+        (
+            b"{\n"
+            b'  "query": "min_height",\n'
+            b'  "inputs": {\n'
+            b'    "r": 6371.0,\n'
+            b'    "h": 20000.0,\n'
+            b'    "phi_l_max_deg": 59.99999999999999,\n'
+            b'    "n_sats": 250,\n'
+            b'    "target": 0.9\n'
+            b"  },\n"
+            b'  "answer": {\n'
+            b'    "h_km": 1996.612548828125\n'
+            b"  }\n"
+            b"}\n"
+        ),
+    ),
+    "verify": (
+        ["--seed", "7", "verify"],
+        (
+            b"PASS moments-quadrature: max_rel=9.204e-13 gate=1e-08\n"
+            b"PASS limit-routes: max_rel=1.682e-11 gate=1e-09\n"
+            b"PASS montecarlo-limit: max_median_dev=7.128e-03 gate=5e-02\n"
+            b"PASS planar-oracle: max_rel=2.608e-15 gate=1e-10\n"
+            b"PASS decoupling: max_coupling=2.329e-12 gate=1e-03\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_COMMANDS))
+def test_golden_output(name):
+    args, want = GOLDEN_COMMANDS[name]
+    result = invoke(args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == want
+
+
 class TestCoverageCommand:
     def test_prob_query(self):
         result = invoke(["coverage", "--query", "prob"])
