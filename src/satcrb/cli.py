@@ -44,6 +44,7 @@ from .closed_form import (
     quadrature_moments,
 )
 from .coverage import (
+    COVERAGE_RULE,
     Unachievable,
     coverage_prob,
     min_angle_for_coverage,
@@ -58,7 +59,6 @@ from .signal_ml import (
     SignalConfig,
     decoupling_check,
     mse_experiment,
-    sat_positions,
     zenith_ring_geometry,
 )
 
@@ -294,27 +294,27 @@ def run_verification(
     the literal closed-form route only, so tests can confirm a mismatch in a
     single path is actually detected."""
     checks: list[CheckResult] = []
-    grid_h = (500.0, 2000.0, 20000.0, 40000.0)
-    grid_phi = (10.0, 35.0, 60.0, 90.0)
+    # the (h, phi_l_max) grid of checks 1 and 2, each point with an eta split
+    grid = [
+        SystemParams(
+            r=params.r,
+            h=h,
+            phi_l_max=math.radians(phi),
+            eta_rho=params.eta_rho,
+            n_sats=params.n_sats,
+            c=params.c,
+        ).with_split(1.0e6 / h**2)
+        for h in (500.0, 2000.0, 20000.0, 40000.0)
+        for phi in (10.0, 35.0, 60.0, 90.0)
+    ]
 
     # 1. closed-form moments against Gauss-Legendre quadrature
     worst = 0.0
-    for h in grid_h:
-        for phi in grid_phi:
-            p = SystemParams(
-                r=params.r,
-                h=h,
-                phi_l_max=math.radians(phi),
-                eta_rho=params.eta_rho,
-                n_sats=params.n_sats,
-                c=params.c,
-            ).with_split(1.0e6 / h**2)
-            closed = moment_integrals(p)
-            quad = quadrature_moments(p, n_points=128)
-            for field in ("m_l", "m_l_cos", "m_l_sin2", "m_k_sin2", "m_k_cos2"):
-                worst = max(
-                    worst, _rel(getattr(closed, field), getattr(quad, field))
-                )
+    for p in grid:
+        closed = moment_integrals(p)
+        quad = quadrature_moments(p, n_points=128)
+        for field in ("m_l", "m_l_cos", "m_l_sin2", "m_k_sin2", "m_k_cos2"):
+            worst = max(worst, _rel(getattr(closed, field), getattr(quad, field)))
     checks.append(
         CheckResult(
             "moments-quadrature", worst < 1e-8, f"max_rel={worst:.3e} gate=1e-08"
@@ -323,26 +323,15 @@ def run_verification(
 
     # 2. literal limit formulas against moment assembly
     worst = 0.0
-    for h in grid_h:
-        for phi in grid_phi:
-            p = SystemParams(
-                r=params.r,
-                h=h,
-                phi_l_max=math.radians(phi),
-                eta_rho=params.eta_rho,
-                n_sats=params.n_sats,
-                c=params.c,
-            ).with_split(1.0e6 / h**2)
-            p_literal = dataclasses.replace(
-                p, eta_rho=p.eta_rho * literal_eta_rho_factor
-            )
-            for literal_fn, assembly_fn in (
-                (lcrb_tdoa, lcrb_tdoa_from_moments),
-                (lcrb_tdoa_rss, lcrb_tdoa_rss_from_moments),
-            ):
-                lit = literal_fn(p_literal)
-                asm = assembly_fn(moment_integrals(p))
-                worst = max(worst, _rel(lit.xy, asm.xy), _rel(lit.z, asm.z))
+    for p in grid:
+        p_literal = dataclasses.replace(p, eta_rho=p.eta_rho * literal_eta_rho_factor)
+        for literal_fn, assembly_fn in (
+            (lcrb_tdoa, lcrb_tdoa_from_moments),
+            (lcrb_tdoa_rss, lcrb_tdoa_rss_from_moments),
+        ):
+            lit = literal_fn(p_literal)
+            asm = assembly_fn(moment_integrals(p))
+            worst = max(worst, _rel(lit.xy, asm.xy), _rel(lit.z, asm.z))
     checks.append(
         CheckResult(
             "limit-routes", worst < 1e-9, f"max_rel={worst:.3e} gate=1e-09"
@@ -386,9 +375,7 @@ def run_verification(
 
     # 5. amplitude/(position, clock) decoupling for the symmetric pulse
     sig = signal if signal is not None else default_signal_config(c=params.c)
-    coupling = decoupling_check(
-        sat_positions(zenith_ring_geometry(params)), sig
-    )
+    coupling = decoupling_check(zenith_ring_geometry(params), sig)
     checks.append(
         CheckResult(
             "decoupling", coupling < 1e-3, f"max_coupling={coupling:.3e} gate=1e-03"
@@ -487,7 +474,7 @@ def bounds(ctx, axis, grid):
                     coeff.beta_xy,
                     coeff.beta_z,
                     p_cov,
-                    bool(p_cov >= 0.9),
+                    bool(p_cov >= COVERAGE_RULE),
                 )
             )
         _emit(render_rows(BOUNDS_HEADER, rows, run.format), run.output_path)
@@ -576,7 +563,7 @@ def ml(ctx, snr_grid, trials):
     def work() -> None:
         snrs = _number_list(snr_grid, "snr", float)
         sig = run.signal if run.signal is not None else default_signal_config(run.params.c)
-        geometry = sat_positions(zenith_ring_geometry(run.params))
+        geometry = zenith_ring_geometry(run.params)
         rows = [
             (row.snr_db, row.mse_xy, row.mse_xyz, row.crb_xy, row.crb_xyz)
             for row in mse_experiment(geometry, sig, snrs, trials, run.seed)

@@ -14,6 +14,11 @@ from dataclasses import dataclass, replace
 from .geometry import InvalidConfig, SystemParams, chi_max, d_max, h_minus_zeta_d_max
 
 
+# design rule: a sweep point below this coverage probability is flagged as not
+# covered
+COVERAGE_RULE = 0.9
+
+
 class Unachievable(ValueError):
     """No parameter value in the search range reaches the coverage target."""
 
@@ -68,28 +73,43 @@ def coverage_result(params: SystemParams) -> CoverageResult:
     return CoverageResult(p=visibility_prob(params), p_cov=coverage_prob(params))
 
 
+def _lowest_covering(
+    params: SystemParams, field: str, hi: float, target: float, tol: float,
+    unreachable: str,
+) -> float:
+    """Bisection on (0, hi] for the smallest value of `field` whose coverage
+    probability reaches the target; coverage must be monotone increasing in
+    the field and vanish as it goes to 0."""
+    if not (0.0 < target < 1.0):
+        raise InvalidConfig(f"target must be in (0,1), got {target}")
+
+    def covered(value: float) -> bool:
+        return coverage_prob(replace(params, **{field: value})) >= target
+
+    if not covered(hi):
+        raise Unachievable(unreachable)
+    lo = 0.0  # exclusive
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if covered(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def min_angle_for_coverage(
     params: SystemParams, target: float, tol: float = 1e-4
 ) -> float:
     """Smallest phi_l_max whose coverage probability reaches the target.
 
-    Bisection on (0, pi/2]; coverage is monotone increasing in the angle.
+    Bisection on (0, pi/2]; coverage is monotone increasing in the angle and
+    goes to 0 as the cone closes.
     """
-    if not (0.0 < target < 1.0):
-        raise InvalidConfig(f"target must be in (0,1), got {target}")
-    hi = math.pi / 2.0
-    if coverage_prob(replace(params, phi_l_max=hi)) < target:
-        raise Unachievable(
-            f"coverage {target} unreachable even at phi_l_max=90 deg"
-        )
-    lo = 0.0  # exclusive; coverage -> 0 as the cone closes
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if coverage_prob(replace(params, phi_l_max=mid)) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _lowest_covering(
+        params, "phi_l_max", math.pi / 2.0, target, tol,
+        f"coverage {target} unreachable even at phi_l_max=90 deg",
+    )
 
 
 def min_height_for_coverage(
@@ -98,18 +118,9 @@ def min_height_for_coverage(
     """Smallest altitude whose coverage probability reaches the target.
 
     Bisection on (0, h_max] km; coverage is monotone increasing in h at fixed
-    viewing angle (a higher shell widens the cup).
+    viewing angle (a higher shell widens the cup, which vanishes as h -> 0).
     """
-    if not (0.0 < target < 1.0):
-        raise InvalidConfig(f"target must be in (0,1), got {target}")
-    hi = h_max
-    if coverage_prob(replace(params, h=hi)) < target:
-        raise Unachievable(f"coverage {target} unreachable below h={h_max} km")
-    lo = 0.0  # exclusive; the cup vanishes as h -> 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if coverage_prob(replace(params, h=mid)) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _lowest_covering(
+        params, "h", h_max, target, tol,
+        f"coverage {target} unreachable below h={h_max} km",
+    )

@@ -1,8 +1,13 @@
 """Fisher information matrices for constellation snapshots.
 
 The unknown vector is gamma = (x, y, z, T0) in the LT's local frame (z toward
-zenith). Each satellite contributes an outer-product summand built from its
-direction vector. Two measurement models are supported:
+zenith). Each satellite contributes an outer-product summand w_i u_i u_i^T
+built from its direction vector; `weighted_gram` is the one place that sum is
+formed, for the bounds here, the signal model's information, the ML
+estimator's scoring matrix and the planar oracle's gate. The array builders
+take the visible satellites' (phi_l, theta, d); `fim_tdoa` and `fim_tdoa_rss`
+are thin wrappers over them for lists of SatelliteState. Two measurement
+models are supported:
 
 * TDOA+RSS: the received amplitude carries ranging information too, giving the
   spatial weight K_i = (2 rho / D_i^4)(1 + eta D_i^2) and timing weight
@@ -62,22 +67,28 @@ class BoundSet:
         return BoundSet(xy=self.xy * factor, z=self.z * factor)
 
 
-def _directions(
-    phi_l: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sin_l = np.sin(phi_l)
-    return sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)
+def weighted_gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i u_i u_i^T over the rows u_i of the (M, k) array u."""
+    return (w[:, None] * u).T @ u
+
+
+def timing_rows(v: np.ndarray) -> np.ndarray:
+    """Rows u_i = (v_i, -1) over (x, y, z, c*T0) from the (M, 3) unit lines
+    of sight v_i toward the satellites."""
+    return np.concatenate([v, -np.ones((len(v), 1))], axis=1)
 
 
 def _tdoa_gram(
     phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum of L_i u_i u_i^T, with the direction rows u_i and the distances."""
-    vx, vy, vz = _directions(np.asarray(phi_l), np.asarray(theta))
-    u = np.stack([vx, vy, vz, -np.ones_like(vx)], axis=1)
+    phi_l, theta = np.asarray(phi_l), np.asarray(theta)
+    sin_l = np.sin(phi_l)
+    u = timing_rows(
+        np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=1)
+    )
     d = np.asarray(d, dtype=float)
-    ell = 2.0 * params.eta_rho / d**2
-    return (ell[:, None] * u).T @ u, u, d
+    return weighted_gram(u, 2.0 * params.eta_rho / d**2), u, d
 
 
 def fim_tdoa_arrays(
@@ -98,9 +109,7 @@ def fim_tdoa_rss_arrays(
         )
     j, u, d = _tdoa_gram(phi_l, theta, d, params)
     # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
-    extra = 2.0 * params.rho / d**4
-    v = u[:, :3]
-    j[:3, :3] += (extra[:, None] * v).T @ v
+    j[:3, :3] += weighted_gram(u[:, :3], 2.0 * params.rho / d**4)
     return j
 
 

@@ -13,7 +13,7 @@ theta ~ U[0, 2*pi). All lengths are km, all angles radians, times seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,15 +85,7 @@ class SystemParams:
 
     def with_split(self, eta: float) -> "SystemParams":
         """Return a copy carrying an explicit eta (and hence rho) split."""
-        return SystemParams(
-            r=self.r,
-            h=self.h,
-            phi_l_max=self.phi_l_max,
-            eta_rho=self.eta_rho,
-            n_sats=self.n_sats,
-            c=self.c,
-            eta=eta,
-        )
+        return replace(self, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -202,28 +194,33 @@ def constellation_states(
     ]
 
 
-def _sqrt_shell(params: SystemParams) -> float:
-    """sqrt(R^2 - r^2 sin^2(phi_l_max)), the shared surd of the D_max forms."""
+def _sqrt_shell(phi_l: float, params: SystemParams) -> float:
+    """sqrt(R^2 - r^2 sin^2(phi_l)), the shared surd of the shell-distance forms."""
     r, big_r = params.r, params.big_r
-    s = r * math.sin(params.phi_l_max)
+    s = r * math.sin(phi_l)
     return math.sqrt((big_r - s) * (big_r + s))
 
 
-def d_max(params: SystemParams) -> float:
-    """Largest LT-satellite distance with phi_l <= phi_l_max.
+def shell_distance(phi_l: float, params: SystemParams) -> float:
+    """Distance from the LT to the height-h shell along zenith angle phi_l.
 
-    Algebraically sqrt(R^2 - r^2 sin^2(phi_l_max)) - r*cos(phi_l_max), but
-    evaluated as h(2r+h)/(sqrt(R^2 - r^2 sin^2) + r cos) which stays exact for
-    h many orders below r (the literal form cancels catastrophically there).
+    Algebraically sqrt(R^2 - r^2 sin^2(phi_l)) - r*cos(phi_l), but evaluated
+    as h(2r+h)/(sqrt(R^2 - r^2 sin^2) + r cos) which stays exact for h many
+    orders below r (the literal form cancels catastrophically there).
     """
     r, h = params.r, params.h
-    return h * (2.0 * r + h) / (_sqrt_shell(params) + r * params.zeta)
+    return h * (2.0 * r + h) / (_sqrt_shell(phi_l, params) + r * math.cos(phi_l))
+
+
+def d_max(params: SystemParams) -> float:
+    """Largest LT-satellite distance with phi_l <= phi_l_max."""
+    return shell_distance(params.phi_l_max, params)
 
 
 def d_max_minus_h(params: SystemParams) -> float:
     """D_max - h without cancellation; the small-h limit is h(1-zeta)/zeta."""
     r, h, big_r = params.r, params.h, params.big_r
-    sq = _sqrt_shell(params)
+    sq = _sqrt_shell(params.phi_l_max, params)
     s2 = (r * math.sin(params.phi_l_max)) ** 2
     # 2r + h - r*zeta - sq == r(1-zeta) + (R - sq), with R - sq = s2/(R + sq)
     return h * (r * (1.0 - params.zeta) + s2 / (big_r + sq)) / (sq + r * params.zeta)
@@ -232,7 +229,7 @@ def h_minus_zeta_d_max(params: SystemParams) -> float:
     """h - zeta*D_max without cancellation; of order h^2/r for small h."""
     h, r = params.h, params.r
     zeta = params.zeta
-    sq = _sqrt_shell(params)
+    sq = _sqrt_shell(params.phi_l_max, params)
     # (h + r zeta^2)^2 - zeta^2 (R^2 - r^2 sin^2) == h^2 (1 - zeta^2)
     return h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
 

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import acrb, lcrb_tdoa, lcrb_tdoa_rss
-from .coverage import coverage_prob
+from .coverage import COVERAGE_RULE, coverage_prob
 from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
 from .geometry import InvalidConfig, SystemParams, visible_sky
 
 MODELS = ("tdoa", "tdoa_rss")
-
-COVERAGE_RULE = 0.9  # sweep points below this coverage probability get flagged
 
 
 def _check_model(model: str) -> str:

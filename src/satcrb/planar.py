@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fim import check_invertible
+from .fim import check_invertible, weighted_gram
 from .geometry import InvalidConfig
 
 
@@ -139,5 +139,5 @@ def planar_crb_fim(sensors: PlanarSensors) -> float:
     phi = np.asarray(sensors.angles)
     u = np.stack([np.cos(phi), np.sin(phi), -np.ones_like(phi)], axis=1)
     w = sensors.eta_planar * sensors.weights
-    check_invertible((w[:, None] * u).T @ u)
+    check_invertible(weighted_gram(u, w))
     return _exact_xy_trace(u, w)

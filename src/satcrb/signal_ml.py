@@ -6,9 +6,12 @@ pulse in white Gaussian noise:
 
     v_m(t_k) = A_m s(t_k - tau_m) + w_mk,   tau_m = |p_m - xi|/c + T0,
 
-sampled at t_k = k*dt with noise variance N0/(2*dt) per sample. Amplitudes
-follow the 1/distance law A_m = (h/D_m)*sqrt(es_max), so the zenith satellite
-receives exactly es_max. The ML location estimate profiles the amplitudes out
+sampled at t_k = k*dt with noise variance N0/(2*dt) per sample. A
+constellation is the (M, 3) array of the satellite positions p_m, km, in the
+local frame. Amplitudes follow the 1/distance law A_m = (h/D_m)*sqrt(es_max)
+with h the nearest satellite's distance, so the zenith satellite receives
+exactly es_max. `_pulse` is the one evaluator of the analytic pulse and its
+derivative. The ML location estimate profiles the amplitudes out
 in closed form (matched-filter outputs), scans a coarse spatial lattice with
 the clock offset maximized over correlation lags, then refines by Fisher
 scoring (Gauss-Newton) on the exact profiled likelihood, evaluated at
@@ -18,8 +21,8 @@ derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
 is exactly the weight the bound modules call L_m once expressed per km^2;
-`signal_fim` builds that matrix so simulated MSE and the bound share one
-calibration.
+`signal_fim` builds that matrix with the bound modules' `weighted_gram`, so
+simulated MSE and the bound share one calibration.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from .fim import (
     SingularInformation,
     crb_from_fim,
     inverse,
+    timing_rows,
+    weighted_gram,
 )
-from .geometry import InvalidConfig, SatelliteState, SystemParams, constellation_rng
+from .geometry import InvalidConfig, SystemParams, constellation_rng, shell_distance
 
 PULSES = ("gaussian", "raised_cosine")
 MODES = ("fix_z", "full_3d")
@@ -123,67 +128,24 @@ class LocationEstimate:
     converged: bool
 
 
-def _pulse_fn(
-    config: SignalConfig, truncate_at: float | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Analytic unit-energy pulse centered at t=0, zero outside its support.
-
-    truncate_at chops the waveform above that time (test instrumentation for
-    deliberately breaking time symmetry); energy is not re-normalized then.
-    """
-    half = 0.5 * config.support
+def _pulse(config: SignalConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic unit-energy pulse s(t), centered at t=0, and its time
+    derivative at the times t; both are zero outside the support."""
+    t = np.asarray(t, dtype=float)
+    outside = np.abs(t) > 0.5 * config.support
     if config.pulse == "gaussian":
         sigma = config.pulse_width
-        amp = (math.pi * sigma * sigma) ** -0.25
-
-        def shape(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = amp * np.exp(-0.5 * (t / sigma) ** 2)
-            out[np.abs(t) > half] = 0.0
-            return out
-
-    else:  # raised_cosine
-        amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
-
-        def shape(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = amp * 0.5 * (1.0 + np.cos(2.0 * math.pi * t / config.pulse_width))
-            out[np.abs(t) > half] = 0.0
-            return out
-
-    if truncate_at is None:
-        return shape
-
-    def truncated(t: np.ndarray) -> np.ndarray:
-        out = shape(t)
-        out[np.asarray(t, dtype=float) > truncate_at] = 0.0
-        return out
-
-    return truncated
-
-
-def _pulse_deriv_fn(config: SignalConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Analytic time derivative of the pulse (zero outside the support)."""
-    base = _pulse_fn(config)
-    if config.pulse == "gaussian":
-        sigma = config.pulse_width
-
-        def deriv(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            return -t / (sigma * sigma) * base(t)
-
-    else:
-        half = 0.5 * config.pulse_width
-        amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
-        w = 2.0 * math.pi / config.pulse_width
-
-        def deriv(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = -amp * 0.5 * w * np.sin(w * t)
-            out[np.abs(t) > half] = 0.0
-            return out
-
-    return deriv
+        s = (math.pi * sigma * sigma) ** -0.25 * np.exp(-0.5 * (t / sigma) ** 2)
+        s[outside] = 0.0
+        return s, -t / (sigma * sigma) * s
+    # raised cosine of full period pulse_width
+    amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
+    w = 2.0 * math.pi / config.pulse_width
+    s = amp * 0.5 * (1.0 + np.cos(2.0 * math.pi * t / config.pulse_width))
+    ds = -amp * 0.5 * w * np.sin(w * t)
+    s[outside] = 0.0
+    ds[outside] = 0.0
+    return s, ds
 
 
 @dataclass(frozen=True)
@@ -222,20 +184,19 @@ _FINE_POINTS = 2048
 def make_pulse(config: SignalConfig) -> SampledPulse:
     """Sample the pulse on the observation lattice and normalize its energy."""
     dt = config.dt
-    shape = _pulse_fn(config)
-    deriv = _pulse_deriv_fn(config)
     half = int(math.ceil(0.5 * config.support / dt))
-    t = (np.arange(2 * half + 1) - half) * dt
-    raw = shape(t)
+    raw, deriv = _pulse(config, (np.arange(2 * half + 1) - half) * dt)
     scale = 1.0 / math.sqrt(float(np.dot(raw, raw)) * dt)
     dt_fine = config.support / _FINE_POINTS
-    t_fine = (np.arange(_FINE_POINTS + 1) - _FINE_POINTS // 2) * dt_fine
+    fine, deriv_fine = _pulse(
+        config, (np.arange(_FINE_POINTS + 1) - _FINE_POINTS // 2) * dt_fine
+    )
     return SampledPulse(
         samples=raw * scale,
-        deriv=deriv(t) * scale,
+        deriv=deriv * scale,
         dt=dt,
-        fine=shape(t_fine) * scale,
-        deriv_fine=deriv(t_fine) * scale,
+        fine=fine * scale,
+        deriv_fine=deriv_fine * scale,
         dt_fine=dt_fine,
     )
 
@@ -268,58 +229,34 @@ def rss_negligibility_threshold(h: float, c: float) -> float:
     return c / h
 
 
-def sat_positions(
-    constellation: Sequence[SatelliteState] | np.ndarray,
-) -> np.ndarray:
-    """(M, 3) km positions of the visible satellites in the local frame."""
-    if isinstance(constellation, np.ndarray):
-        pos = np.asarray(constellation, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise InvalidConfig("position array must have shape (M, 3)")
-        return pos
-    vis = [s for s in constellation if s.visible]
-    return np.array(
-        [
-            [
-                s.d * math.sin(s.phi_l) * math.cos(s.theta),
-                s.d * math.sin(s.phi_l) * math.sin(s.theta),
-                s.d * math.cos(s.phi_l),
-            ]
-            for s in vis
-        ]
-    ).reshape(-1, 3)
+def sat_positions(positions: np.ndarray) -> np.ndarray:
+    """The (M, 3) km satellite positions in the local frame, as floats;
+    InvalidConfig for any other shape."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise InvalidConfig("position array must have shape (M, 3)")
+    return pos
 
 
 def zenith_ring_geometry(
     params: SystemParams, ring_phi_l: float = math.radians(30.0), n_ring: int = 5
-) -> list[SatelliteState]:
-    """One satellite at zenith plus a ring of n_ring at elevation ring_phi_l,
-    all on the shell of height h."""
-    sats = [SatelliteState(phi_l=0.0, theta=0.0, d=params.h, visible=True)]
-    d_ring = shell_distance(ring_phi_l, params)
-    for k in range(n_ring):
-        sats.append(
-            SatelliteState(
-                phi_l=ring_phi_l,
-                theta=2.0 * math.pi * k / n_ring,
-                d=d_ring,
-                visible=True,
-            )
-        )
-    return sats
+) -> np.ndarray:
+    """(1 + n_ring, 3) km positions: one satellite at zenith plus a ring of
+    n_ring at zenith angle ring_phi_l, all on the shell of height h."""
+    d = shell_distance(ring_phi_l, params)
+    rho, z = d * math.sin(ring_phi_l), d * math.cos(ring_phi_l)
+    ring = [
+        [rho * math.cos(theta), rho * math.sin(theta), z]
+        for theta in (2.0 * math.pi * k / n_ring for k in range(n_ring))
+    ]
+    return np.array([[0.0, 0.0, params.h], *ring])
 
 
-def shell_distance(phi_l: float, params: SystemParams) -> float:
-    """Distance from the origin to the height-h shell along elevation phi_l."""
-    s = params.r * math.sin(phi_l)
-    sq = math.sqrt((params.big_r - s) * (params.big_r + s))
-    return params.h * (2.0 * params.r + params.h) / (sq + params.r * math.cos(phi_l))
-
-
-def amplitudes(positions: np.ndarray, params_h: float, es_max: float) -> np.ndarray:
-    """A_m = (h / D_m) sqrt(es_max): zenith distance h receives es_max."""
+def amplitudes(positions: np.ndarray, es_max: float) -> np.ndarray:
+    """A_m = (h / D_m) sqrt(es_max) with h the nearest satellite's distance,
+    so the zenith satellite receives es_max."""
     d = np.linalg.norm(positions, axis=1)
-    return params_h / d * math.sqrt(es_max)
+    return d.min() / d * math.sqrt(es_max)
 
 
 def _delays(positions: np.ndarray, xi: np.ndarray, t0: float, c: float) -> np.ndarray:
@@ -334,34 +271,38 @@ def centered_t0(positions: np.ndarray, config: SignalConfig) -> float:
 
 def simulate_measurements(
     truth: tuple[np.ndarray, float],
-    constellation: Sequence[SatelliteState] | np.ndarray,
+    positions: np.ndarray,
     config: SignalConfig,
     seed: int,
     trial: int = 0,
 ) -> list[Measurement]:
-    """Sampled windows for every visible satellite, deterministic per seed."""
+    """Sampled windows for every satellite, deterministic per seed: row m of
+    one (M, K) block of noise draws, with the pulse added over its support."""
     xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
-    pos = sat_positions(constellation)
+    pos = sat_positions(positions)
     if len(pos) < 4:
         raise InsufficientCoverage(
             f"need at least 4 visible satellites, got {len(pos)}"
         )
-    h = float(np.linalg.norm(pos, axis=1).min())  # zenith-normalized amplitudes
-    amps = amplitudes(pos, h, config.es_max)
+    amps = amplitudes(pos, config.es_max)
     taus = _delays(pos, xi, t0, config.c)
+    dt = config.dt
     k = config.n_samples
-    t_axis = np.arange(k) * config.dt
-    pulse = _pulse_fn(config)
-    sigma = math.sqrt(config.n0 / (2.0 * config.dt))
+    sigma = math.sqrt(config.n0 / (2.0 * dt))
     rng = constellation_rng(seed, trial=trial)
-    out = []
+    samples = sigma * rng.standard_normal((len(pos), k))
+    # each pulse's support with a sample of slack on either side (_pulse
+    # itself decides the edge samples), clipped to the window
+    half = 0.5 * config.support
+    lo = np.clip(np.floor((taus - half) / dt).astype(int) - 1, 0, k)
+    hi = np.clip(np.ceil((taus + half) / dt).astype(int) + 2, 0, k)
     for m in range(len(pos)):
-        clean = amps[m] * pulse(t_axis - taus[m])
-        noise = sigma * rng.standard_normal(k)
-        out.append(
-            Measurement(samples=clean + noise, sat_index=m, true_delay=float(taus[m]))
-        )
-    return out
+        t = np.arange(lo[m], hi[m]) * dt - taus[m]
+        samples[m, lo[m] : hi[m]] += amps[m] * _pulse(config, t)[0]
+    return [
+        Measurement(samples=samples[m], sat_index=m, true_delay=float(taus[m]))
+        for m in range(len(pos))
+    ]
 
 
 def _check_mode(mode: str) -> str:
@@ -402,8 +343,9 @@ def _profile(samples: np.ndarray, taus: np.ndarray, config: SignalConfig) -> _Pr
     idx = lo[:, None] + np.arange(int(2.0 * half / dt) + 2)
     inside = (idx >= 0) & (idx <= hi[:, None])
     t = idx * dt - taus[:, None]
-    s = np.where(inside, _pulse_fn(config)(t), 0.0)
-    ds = np.where(inside, _pulse_deriv_fn(config)(t), 0.0)
+    s, ds = _pulse(config, t)
+    s = np.where(inside, s, 0.0)
+    ds = np.where(inside, ds, 0.0)
     v = np.take_along_axis(samples, np.clip(idx, 0, k - 1), axis=1)
     corr = np.einsum("ml,ml->m", v, s)
     energy = np.einsum("ml,ml->m", s, s)
@@ -500,7 +442,7 @@ def _ascend(
 
 def ml_localize(
     measurements: Sequence[Measurement],
-    constellation: Sequence[SatelliteState] | np.ndarray,
+    positions: np.ndarray,
     config: SignalConfig,
     mode: str = "full_3d",
     search_center: Sequence[float] = (0.0, 0.0, 0.0),
@@ -526,7 +468,7 @@ def ml_localize(
         raise InsufficientCoverage(
             f"{mode} needs at least {need} measurements, got {len(measurements)}"
         )
-    pos_all = sat_positions(constellation)
+    pos_all = sat_positions(positions)
     pos = np.array([pos_all[m.sat_index] for m in measurements])
     samples = np.array([m.samples for m in measurements], dtype=float)
     c = config.c
@@ -593,8 +535,7 @@ def ml_localize(
         jac[:, :n_xyz] = -diff[:, :n_xyz] / (c * dist[:, None])
         jac[:, -1] = 1.0 / c
         grad = jac.T @ prof.slope
-        fisher = (jac * prof.curvature[:, None]).T @ jac
-        return prof, grad, fisher
+        return prof, grad, weighted_gram(jac, prof.curvature)
 
     u0 = np.append(xi0[:n_xyz], t00 * c)
     u_hat, prof, converged = _ascend(
@@ -609,32 +550,26 @@ def ml_localize(
     )
 
 
-def signal_fim(
-    constellation: Sequence[SatelliteState] | np.ndarray, config: SignalConfig
-) -> FisherMatrix:
+def signal_fim(positions: np.ndarray, config: SignalConfig) -> FisherMatrix:
     """4x4 information over (x, y, z, c*T0) implied by the signal model.
 
     Weights are the per-satellite delay informations expressed per km^2:
     L_m = 2 (A_m^2 / N0) (2 pi W_e / c)^2.
     """
-    pos = sat_positions(constellation)
-    h = float(np.linalg.norm(pos, axis=1).min())
-    amps = amplitudes(pos, h, config.es_max)
+    pos = sat_positions(positions)
+    amps = amplitudes(pos, config.es_max)
     w_e = effective_bandwidth_time(make_pulse(config))
     ell = 2.0 * amps**2 / config.n0 * (2.0 * math.pi * w_e / config.c) ** 2
     d = np.linalg.norm(pos, axis=1)
-    u = np.concatenate([pos / d[:, None], -np.ones((len(pos), 1))], axis=1)
-    return FisherMatrix((ell[:, None] * u).T @ u)
+    return FisherMatrix(weighted_gram(timing_rows(pos / d[:, None]), ell))
 
 
 def signal_crb(
-    constellation: Sequence[SatelliteState] | np.ndarray,
-    config: SignalConfig,
-    mode: str = "full_3d",
+    positions: np.ndarray, config: SignalConfig, mode: str = "full_3d"
 ) -> BoundSet:
     """CRB of the signal model; fix_z drops the z row/column before inverting."""
     _check_mode(mode)
-    j = signal_fim(constellation, config).m
+    j = signal_fim(positions, config).m
     if mode == "fix_z":
         keep = [0, 1, 3]
         inv = inverse(j[np.ix_(keep, keep)])
@@ -653,7 +588,7 @@ class MseRow:
 
 
 def mse_experiment(
-    geometry: Sequence[SatelliteState] | np.ndarray,
+    positions: np.ndarray,
     config: SignalConfig,
     snr_grid: Sequence[float],
     trials: int,
@@ -667,7 +602,7 @@ def mse_experiment(
     """
     if trials < 50:
         raise InvalidConfig(f"trials must be >= 50, got {trials}")
-    pos = sat_positions(geometry)
+    pos = sat_positions(positions)
     truth_xi = np.zeros(3)
     rows = []
     for snr_db in snr_grid:
@@ -700,9 +635,7 @@ def mse_experiment(
 
 
 def decoupling_check(
-    geometry: Sequence[SatelliteState] | np.ndarray,
-    config: SignalConfig,
-    break_symmetry: bool = False,
+    positions: np.ndarray, config: SignalConfig, break_symmetry: bool = False
 ) -> float:
     """Largest normalized information coupling between (xi, T0) and amplitudes.
 
@@ -710,25 +643,21 @@ def decoupling_check(
     central finite differences of the noiseless sample means and returns
     max |J_ab| / sqrt(J_aa J_bb) over the cross block. A time-symmetric pulse
     makes this vanish; break_symmetry truncates the pulse tail to confirm the
-    check can detect a coupled model.
+    check can detect a coupled model: it zeroes the pulse after 0.15
+    pulse_width, without re-normalizing its energy.
     """
-    pos = sat_positions(geometry)
-    m_count = len(pos)
-    h = float(np.linalg.norm(pos, axis=1).min())
-    amps = amplitudes(pos, h, config.es_max)
-    truncate = 0.15 * config.pulse_width if break_symmetry else None
-    pulse = _pulse_fn(config, truncate_at=truncate)
+    pos = sat_positions(positions)
+    amps = amplitudes(pos, config.es_max)
     t_axis = np.arange(config.n_samples) * config.dt
     t0 = centered_t0(pos, config)
 
     def mean_vector(theta: np.ndarray) -> np.ndarray:
-        xi = theta[:3]
-        t0_loc = theta[3] / config.c
-        a = theta[4:]
-        taus = _delays(pos, xi, t0_loc, config.c)
-        return np.concatenate(
-            [a[m] * pulse(t_axis - taus[m]) for m in range(m_count)]
-        )
+        taus = _delays(pos, theta[:3], theta[3] / config.c, config.c)
+        t = t_axis[None, :] - taus[:, None]
+        s = _pulse(config, t)[0]
+        if break_symmetry:
+            s[t > 0.15 * config.pulse_width] = 0.0
+        return (theta[4:, None] * s).ravel()
 
     theta0 = np.concatenate([np.zeros(3), [t0 * config.c], amps])
     steps = np.concatenate(

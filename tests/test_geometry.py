@@ -1,5 +1,6 @@
 """Geometry: frame conversion, D_max forms, constellation sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,19 @@ def test_split_accessors():
         _ = p.rho
     q = p.with_split(400.0)
     assert q.has_split and q.rho == pytest.approx(q.eta_rho / 400.0)
+
+
+def test_with_split_keeps_every_other_field():
+    p = SystemParams(
+        r=6000.0, h=1234.0, phi_l_max=0.7, eta_rho=3.0e12, n_sats=77, c=2.9e5, eta=9.0
+    )
+    q = p.with_split(400.0)
+    assert q.eta == 400.0
+    for field in dataclasses.fields(SystemParams):
+        # a field left at its default here could not show that it survives
+        assert getattr(p, field.name) != field.default, field.name
+        if field.name != "eta":
+            assert getattr(q, field.name) == getattr(p, field.name), field.name
 
 
 def ulp_neighbourhood(x, k):

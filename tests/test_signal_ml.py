@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satcrb.fim import SingularInformation
-from satcrb.geometry import InvalidConfig, SystemParams
+from satcrb.geometry import InvalidConfig, SystemParams, shell_distance
 from satcrb.signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
@@ -20,8 +20,7 @@ from satcrb.signal_ml import (
     _matched_filter,
     _Profile,
     _profile,
-    _pulse_deriv_fn,
-    _pulse_fn,
+    _pulse,
     centered_t0,
     decoupling_check,
     effective_bandwidth,
@@ -31,7 +30,6 @@ from satcrb.signal_ml import (
     mse_experiment,
     rss_negligibility_threshold,
     sat_positions,
-    shell_distance,
     signal_crb,
     signal_fim,
     simulate_measurements,
@@ -79,7 +77,6 @@ def ring_positions() -> np.ndarray:
 def reference_profiled_score(samples, taus, config) -> float:
     """Sum over satellites of C_m(tau_m)^2 / E_m(tau_m): the per-satellite
     loop that the vectorised `_profile` replaced, kept as its oracle."""
-    pulse = _pulse_fn(config)
     support_half = 0.5 * config.support
     dt = config.dt
     k = config.n_samples
@@ -90,7 +87,7 @@ def reference_profiled_score(samples, taus, config) -> float:
         if hi < lo:
             continue
         idx = np.arange(lo, hi + 1)
-        s = pulse(idx * dt - tau)
+        s = _pulse(config, idx * dt - tau)[0]
         energy = float(np.dot(s, s))
         if energy <= 0.0:
             continue
@@ -222,15 +219,16 @@ class TestEffectiveBandwidth:
 class TestGeometryHelpers:
     def test_zenith_ring_shape(self):
         params = SystemParams()
-        geo = zenith_ring_geometry(params)
-        assert len(geo) == 6
-        assert geo[0].d == params.h and geo[0].phi_l == 0.0
-        ring_d = shell_distance(math.radians(30.0), params)
-        for s in geo[1:]:
-            assert s.d == pytest.approx(ring_d, rel=1e-14)
-        pos = sat_positions(geo)
+        pos = zenith_ring_geometry(params)
         assert pos.shape == (6, 3)
-        assert np.linalg.norm(pos[0] - [0, 0, params.h]) < 1e-9
+        assert np.array_equal(pos[0], [0.0, 0.0, params.h])
+        d = np.linalg.norm(pos, axis=1)
+        ring_d = shell_distance(math.radians(30.0), params)
+        assert d[1:] == pytest.approx(np.full(5, ring_d), rel=1e-14)
+        zenith_angle = np.arccos(pos[1:, 2] / d[1:])
+        assert zenith_angle == pytest.approx(np.full(5, math.radians(30.0)), rel=1e-12)
+        azimuth = np.arctan2(pos[1:, 1], pos[1:, 0]) % (2.0 * math.pi)
+        assert azimuth == pytest.approx(2.0 * math.pi * np.arange(5) / 5, abs=1e-12)
 
     def test_shell_distance_zenith_is_height(self):
         params = SystemParams()
@@ -245,11 +243,6 @@ class TestGeometryHelpers:
     def test_sat_positions_validates_shape(self):
         with pytest.raises(InvalidConfig):
             sat_positions(np.zeros((4, 2)))
-
-    def test_sat_positions_drops_invisible(self):
-        geo = zenith_ring_geometry(SystemParams())
-        geo[3] = dataclasses.replace(geo[3], visible=False)
-        assert sat_positions(geo).shape == (5, 3)
 
     def test_centered_t0_keeps_arrivals_interior(self):
         cfg = gauss_cfg()
@@ -308,11 +301,10 @@ class TestSimulate:
         t0 = centered_t0(pos, cfg)
         meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         d = np.linalg.norm(pos, axis=1)
-        pulse = _pulse_fn(cfg)
         t_axis = np.arange(cfg.n_samples) * cfg.dt
         for m in meas:
             a_m = (d.min() / d[m.sat_index]) * 2.0
-            clean = a_m * pulse(t_axis - m.true_delay)
+            clean = a_m * _pulse(cfg, t_axis - m.true_delay)[0]
             assert np.allclose(m.samples, clean, atol=1e-12, rtol=0.0)
 
 
@@ -323,7 +315,7 @@ class TestCalibration:
         2 (E/N0) (2 pi W_e)^2 well within 2 percent."""
         k = cfg.n_samples
         tax = np.arange(k) * cfg.dt
-        sd = _pulse_deriv_fn(cfg)(tax - 0.5 * cfg.obs_window)
+        sd = _pulse(cfg, tax - 0.5 * cfg.obs_window)[1]
         j_num = 2.0 * cfg.dt / cfg.n0 * float(np.dot(sd, sd))
         w_e = effective_bandwidth_time(make_pulse(cfg))
         j_ana = 2.0 / cfg.n0 * (2.0 * math.pi * w_e) ** 2
