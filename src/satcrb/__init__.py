@@ -9,6 +9,8 @@ estimator on simulated sampled signals that attains the bound.
 Distances are kilometres, angles radians, time seconds, bandwidth hertz.
 """
 
+from types import ModuleType as _ModuleType
+
 from .closed_form import (
     DegenerateGeometry,
     LimitCoefficients,
@@ -97,77 +99,8 @@ from .signal_ml import (
 
 __version__ = "1.0.0"
 
+# every name imported above, plus the version
 __all__ = [
-    "C_KM_S",
-    "MODELS",
-    "MODES",
-    "PULSES",
-    "BoundSet",
-    "CollinearSensors",
-    "Constellation",
-    "ConvergenceRow",
-    "CoverageResult",
-    "CrbDistribution",
-    "DegenerateGeometry",
-    "FisherMatrix",
-    "InsufficientCoverage",
-    "InvalidConfig",
-    "LimitCoefficients",
-    "LocationEstimate",
-    "Measurement",
-    "MomentSet",
-    "MseRow",
-    "ParameterRow",
-    "PlanarSensors",
-    "SampledPulse",
-    "SatelliteState",
-    "SignalConfig",
-    "SingularInformation",
-    "SystemParams",
-    "Unachievable",
-    "aacrb",
-    "acrb",
-    "chi_max",
-    "constellation_rng",
-    "constellation_states",
-    "convergence_sweep",
-    "coverage_prob",
-    "coverage_result",
-    "crb_distribution",
-    "crb_from_fim",
-    "cup_expectation",
-    "d_max",
-    "decoupling_check",
-    "e_to_l",
-    "effective_bandwidth",
-    "effective_bandwidth_time",
-    "fim_tdoa",
-    "fim_tdoa_rss",
-    "lcrb_tdoa",
-    "lcrb_tdoa_from_moments",
-    "lcrb_tdoa_rss",
-    "lcrb_tdoa_rss_from_moments",
-    "limit_coefficients",
-    "make_pulse",
-    "max_earth_angle",
-    "mean_fim",
-    "min_angle_for_coverage",
-    "min_height_for_coverage",
-    "ml_localize",
-    "moment_integrals",
-    "mse_experiment",
-    "parameter_sweep",
-    "planar_crb_closed",
-    "planar_crb_fim",
-    "quadrature_moments",
-    "rss_negligibility_threshold",
-    "sample_constellation",
-    "sat_positions",
-    "signal_crb",
-    "signal_fim",
-    "simulate_measurements",
-    "visibility_prob",
-    "visibility_prob_dmax_form",
-    "zenith_ring_geometry",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -19,9 +19,9 @@ unachievable target, 4 verification failure.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,26 +33,28 @@ import numpy as np
 
 from .closed_form import (
     DegenerateGeometry,
-    aacrb,
-    acrb,
     lcrb_tdoa,
+    lcrb_tdoa_arrays,
     lcrb_tdoa_from_moments,
     lcrb_tdoa_rss,
     lcrb_tdoa_rss_from_moments,
-    limit_coefficients,
+    limit_coefficients_arrays,
     moment_integrals,
     quadrature_moments,
+    raise_first,
+    two_term,
 )
 from .coverage import (
     COVERAGE_RULE,
     Unachievable,
     coverage_prob,
+    coverage_prob_arrays,
     min_angle_for_coverage,
     min_height_for_coverage,
     visibility_prob,
 )
 from .fim import SingularInformation
-from .geometry import InvalidConfig, SystemParams
+from .geometry import SWEEP_RANGES, InvalidConfig, SystemParams
 from .montecarlo import ConvergenceRow, convergence_sweep, crb_distribution
 from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
@@ -191,37 +193,37 @@ def load_run_config(
     )
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12e}"
-    return str(value)
+def _kind(value) -> type:
+    """bool, int or float: how a column whose first cell is value prints."""
+    for kind, types in ((bool, np.bool_), (int, np.integer), (float, np.floating)):
+        if isinstance(value, (kind, types)):
+            return kind
+    raise TypeError(f"no column format for {value!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+# one CSV formatter per column kind, mapping a whole column to strings lazily,
+# so only one row's cells exist at a time
+_CSV_COLUMN = {
+    bool: lambda col: ("true" if v else "false" for v in col),
+    int: lambda col: map(str, map(int, col)),
+    float: lambda col: map("{:.12e}".format, map(float, col)),
+}
 
 
 def render_rows(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """CSV with CRLF line ends, or a JSON array of objects; each column is
+    converted by one formatter, chosen by its first cell. Cells are numbers
+    and flags, so no CSV field needs quoting."""
+    columns = list(zip(*rows))
+    kinds = [_kind(col[0]) for col in columns]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        cells = zip(*(_CSV_COLUMN[k](c) for k, c in zip(kinds, columns)))
+        for line in itertools.chain([header], cells):
+            buf.write(",".join(line) + "\r\n")
         return buf.getvalue()
-    payload = [
-        {key: _jsonable(v) for key, v in zip(header, row)} for row in rows
-    ]
+    values = [list(map(k, c)) for k, c in zip(kinds, columns)]
+    payload = [dict(zip(header, row)) for row in zip(*values)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -419,23 +421,6 @@ def _load(ctx) -> RunConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-BOUNDS_HEADER = (
-    "axis_value",
-    "lcrb_xy",
-    "lcrb_z",
-    "acrb_xy",
-    "acrb_z",
-    "aacrb_xy",
-    "aacrb_z",
-    "alpha_xy",
-    "alpha_z",
-    "beta_xy",
-    "beta_z",
-    "coverage_prob",
-    "covered",
-)
-
-
 @main.command()
 @click.option("--axis", type=click.Choice(["h", "phi_l_max"]), default="h", help="Sweep axis.")
 @click.option("--grid", default=None, help="lo:hi:n or comma list (degrees for the angle).")
@@ -447,37 +432,35 @@ def bounds(ctx, axis, grid):
 
     def work() -> None:
         values = _grid_values(grid, axis)
-        rows = []
-        for value in values:
-            if axis == "h":
-                p = dataclasses.replace(run.params, h=float(value))
-            else:
-                p = dataclasses.replace(
-                    run.params, phi_l_max=math.radians(float(value))
-                )
-            limit = lcrb_tdoa(p)
-            per_n = acrb(p)
-            approx = aacrb(p)
-            coeff = limit_coefficients(p)
-            p_cov = coverage_prob(p)
-            rows.append(
-                (
-                    float(value),
-                    limit.xy,
-                    limit.z,
-                    per_n.xy,
-                    per_n.z,
-                    approx.xy,
-                    approx.z,
-                    coeff.alpha_xy,
-                    coeff.alpha_z,
-                    coeff.beta_xy,
-                    coeff.beta_z,
-                    p_cov,
-                    bool(p_cov >= COVERAGE_RULE),
-                )
-            )
-        _emit(render_rows(BOUNDS_HEADER, rows, run.format), run.output_path)
+        p = run.params
+        # one array evaluation per sweep; the fixed axis is a length-1 array
+        swept = values if axis == "h" else np.radians(values)
+        h = swept if axis == "h" else np.array([p.h])
+        phi = swept if axis == "phi_l_max" else np.array([p.phi_l_max])
+        limit, checks = lcrb_tdoa_arrays(p, h, phi)
+        coeff, coeff_checks = limit_coefficients_arrays(p, h, phi)
+        # the first bad point wins, as point by point: an illegal value (replace
+        # raises its InvalidConfig), then the LCRB's checks, the coefficients'
+        illegal = ~SWEEP_RANGES[axis](swept)
+        raise_first([
+            (illegal, lambda j: dataclasses.replace(p, **{axis: float(swept[j])})),
+            *checks,
+            *coeff_checks,
+        ])
+        per_n = limit.scaled(1.0 / p.n_sats)
+        approx = two_term(coeff, h)
+        p_cov = coverage_prob_arrays(p, h, phi)
+        columns = {
+            "axis_value": values, "lcrb_xy": limit.xy, "lcrb_z": limit.z,
+            "acrb_xy": per_n.xy, "acrb_z": per_n.z,
+            "aacrb_xy": approx.xy, "aacrb_z": approx.z,
+            "alpha_xy": coeff.alpha_xy, "alpha_z": coeff.alpha_z,
+            "beta_xy": coeff.beta_xy, "beta_z": coeff.beta_z,
+            "coverage_prob": p_cov, "covered": p_cov >= COVERAGE_RULE,
+        }
+        cells = (np.broadcast_to(c, values.shape).tolist() for c in columns.values())
+        text = render_rows(list(columns), list(zip(*cells)), run.format)
+        _emit(text, run.output_path)
 
     _computation_errors(work)
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fim import BoundSet
-from .geometry import InvalidConfig, SystemParams, chi_max
+from .geometry import InvalidConfig, SystemParams, chi_max, libm
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,18 +135,38 @@ def quadrature_moments(params: SystemParams, n_points: int = 128) -> MomentSet:
     )
 
 
+def raise_first(checks: Sequence[tuple[np.ndarray, Callable]]) -> None:
+    """Raise the error of the first failing point of a sweep. A check is a
+    mask of failing points (length 1 stands for every point) and a function
+    that returns, or itself raises, point j's error; at one point the checks
+    fail in list order."""
+    failing = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if failing:
+        j, k = min(failing)
+        raise checks[k][1](j)
+
+
+def _at_point(kernel: Callable, params: SystemParams):
+    """An array kernel on the one-point sweep of params: raise its error, or
+    return its result with every field reduced to that point's float."""
+    out, checks = kernel(params, np.array([params.h]), np.array([params.phi_l_max]))
+    raise_first(checks)
+    return type(out)(**{f.name: float(getattr(out, f.name)[0]) for f in fields(out)})
+
+
 @dataclass(frozen=True)
 class _CupEdges:
-    """Cup-edge geometry in extended precision (np.longdouble scalars).
+    """Cup-edge geometry in extended precision (np.longdouble arrays).
 
     The bound denominators subtract nearly equal terms when the viewing cone
     is narrow (they are weighted variances of cos phi_e over a shrinking cup),
     which magnifies the rounding already present in D_max, log(D_max/h) and
     friends. Carrying the edge quantities and the bracket arithmetic in
     extended precision keeps the closed forms accurate through the corners of
-    the parameter grids; results are cast back to float on return.
+    the parameter grids; results are cast back to float on return. Numpy has
+    no SIMD loops for longdouble, so each element is the scalar result.
 
-    Fields (same algebra as the float64 geometry helpers):
+    Fields: dm = D_max, lam = log(D_max/h), hmzd = h - zeta D_max, and
       surd  = R - r zeta^2 - zeta D_max
             = sin^2 (R^2 + zeta^2 r^2) / (R + zeta sqrt(R^2 - r^2 sin^2))
       q     = R - (r(h - zeta D_max) + hR)/D_max
@@ -154,23 +174,26 @@ class _CupEdges:
     """
 
     r: np.longdouble
-    h: np.longdouble
-    big_r: np.longdouble
-    zeta: np.longdouble
-    sin2: np.longdouble
-    dm: np.longdouble
-    lam: np.longdouble
-    hmzd: np.longdouble
-    surd: np.longdouble
-    q: np.longdouble
+    h: np.ndarray
+    big_r: np.ndarray
+    zeta: np.ndarray
+    sin2: np.ndarray
+    dm: np.ndarray
+    lam: np.ndarray
+    hmzd: np.ndarray
+    surd: np.ndarray
+    q: np.ndarray
 
 
-def _cup_edges(params: SystemParams) -> _CupEdges:
+@np.errstate(all="ignore")
+def _cup_edges(params: SystemParams, h: np.ndarray, phi: np.ndarray) -> _CupEdges:
+    """Edge quantities elementwise over h and phi_l_max (1-d float arrays
+    broadcast together); params supplies r."""
     one = np.longdouble(1.0)
     r = np.longdouble(params.r)
-    h = np.longdouble(params.h)
+    h = h.astype(np.longdouble)
     big_r = r + h
-    phi = np.longdouble(params.phi_l_max)
+    phi = phi.astype(np.longdouble)
     zeta = np.cos(phi)
     sin_phi = np.sin(phi)
     sin2 = sin_phi * sin_phi
@@ -188,12 +211,33 @@ def _cup_edges(params: SystemParams) -> _CupEdges:
     )
 
 
+def _rss_brackets(e: _CupEdges, eta: np.longdouble) -> tuple[np.ndarray, np.ndarray]:
+    """The sin^2 and cos^2 brackets of the K moments, the TDOA+RSS xy
+    denominator and (before its q^2 term) z denominator."""
+    r, h, big_r, dm, lam = e.r, e.h, e.big_r, e.dm, e.lam
+    rr = big_r * big_r - r * r
+    ss = big_r * big_r + r * r
+    pos2 = 1.0 / (h * h) - 1.0 / (dm * dm)
+    pos4 = 1.0 / h**4 - 1.0 / dm**4
+    return (
+        4.0 * (2.0 * eta * ss - 1.0) * lam
+        - 2.0 * (eta * rr * rr - 2.0 * ss) * pos2
+        - 4.0 * eta * r * e.hmzd
+        - rr * rr * pos4
+    ), (
+        2.0 * rr * (eta * rr - 2.0) * pos2
+        - 4.0 * (2.0 * eta * rr - 1.0) * lam
+        + 4.0 * eta * r * e.hmzd
+        + rr * rr * pos4
+    )
+
+
 def moment_integrals(params: SystemParams) -> MomentSet:
     """Closed-form values of the five cup expectations."""
-    e = _cup_edges(params)
-    r, h, big_r, dm, lam, hmzd = e.r, e.h, e.big_r, e.dm, e.lam, e.hmzd
+    e = _cup_edges(params, np.array([params.h]), np.array([params.phi_l_max]))
+    r, big_r, dm, lam = e.r, e.big_r, e.dm, e.lam
     er = np.longdouble(params.eta_rho)
-    one_minus_chi = hmzd / big_r
+    one_minus_chi = e.hmzd / big_r
     chi = 1.0 - one_minus_chi
 
     m_l = er * lam / (r * big_r)
@@ -202,36 +246,17 @@ def moment_integrals(params: SystemParams) -> MomentSet:
         lam * (big_r**2 + r * r) / (4.0 * r**3 * big_r)
         - one_minus_chi * (dm * dm + r * big_r * (1.0 + chi)) / (4.0 * r * r * dm * dm)
     )
-
-    m_k_sin2 = m_k_cos2 = None
+    m_k = [None, None]
     if params.has_split:
-        eta = np.longdouble(params.eta)
         rho = np.longdouble(params.rho)
-        rr = big_r * big_r - r * r
-        ss = big_r * big_r + r * r
-        pos2 = 1.0 / (h * h) - 1.0 / (dm * dm)
-        pos4 = 1.0 / h**4 - 1.0 / dm**4
-        b_sin = (
-            4.0 * (2.0 * eta * ss - 1.0) * lam
-            - (2.0 * eta * rr * rr - 4.0 * ss) * pos2
-            - 4.0 * eta * r * hmzd
-            - rr * rr * pos4
-        )
-        b_cos = (
-            2.0 * rr * (eta * rr - 2.0) * pos2
-            - 4.0 * (2.0 * eta * rr - 1.0) * lam
-            + 4.0 * eta * r * hmzd
-            + rr * rr * pos4
-        )
-        m_k_sin2 = float(rho * b_sin / (16.0 * r**3 * big_r))
-        m_k_cos2 = float(rho * b_cos / (16.0 * r**3 * big_r))
-
+        brackets = _rss_brackets(e, np.longdouble(params.eta))
+        m_k = [float((rho * b / (16.0 * r**3 * big_r))[0]) for b in brackets]
     return MomentSet(
-        m_k_sin2=m_k_sin2,
-        m_k_cos2=m_k_cos2,
-        m_l=float(m_l),
-        m_l_cos=float(m_l_cos),
-        m_l_sin2=float(m_l_sin2),
+        m_k_sin2=m_k[0],
+        m_k_cos2=m_k[1],
+        m_l=float(m_l[0]),
+        m_l_cos=float(m_l_cos[0]),
+        m_l_sin2=float(m_l_sin2[0]),
     )
 
 
@@ -243,14 +268,28 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-def lcrb_tdoa(params: SystemParams) -> BoundSet:
-    """Limit of N*CRB for the TDOA model (literal published expressions)."""
-    e = _cup_edges(params)
+def _limit(lam, xy_num, xy_den, z_num, z_den) -> tuple[BoundSet, list]:
+    """num/den per axis with float64 denominators, and the checks of each
+    point: log(D_max/h) > 0, then finite positive xy and z denominators."""
+    vanished = DegenerateGeometry("log(D_max/h) vanished; viewing cone too small")
+    xy, z = xy_den.astype(float), z_den.astype(float)
+
+    def positive(name: str, d: np.ndarray):
+        return ~(np.isfinite(d) & (d > 0.0)), lambda j: _check_positive(name, float(d[j]))
+
+    checks = [(~(lam > 0.0), lambda j: vanished), positive("xy", xy), positive("z", z)]
+    return BoundSet(xy=xy_num / xy, z=z_num / z), checks
+
+
+@np.errstate(all="ignore")
+def lcrb_tdoa_arrays(
+    params: SystemParams, h: np.ndarray, phi: np.ndarray
+) -> tuple[BoundSet, list]:
+    """lcrb_tdoa elementwise over h and phi_l_max (1-d arrays broadcast
+    together): the bounds, and the checks each point must pass."""
+    e = _cup_edges(params, h, phi)
     r, h, big_r, lam = e.r, e.h, e.big_r, e.lam
     er = np.longdouble(params.eta_rho)
-    if not lam > 0.0:
-        raise DegenerateGeometry("log(D_max/h) vanished; viewing cone too small")
-
     xy_den = er * (
         lam * (big_r**2 + r * r) / (8.0 * big_r * r**3)
         - e.surd / (8.0 * big_r * r * r)
@@ -260,9 +299,26 @@ def lcrb_tdoa(params: SystemParams) -> BoundSet:
         - h * (2.0 * r + h) * lam / (2.0 * r**3 * big_r)
         - e.q * e.q / (r**3 * big_r * lam)
     )
-    xy = 1.0 / _check_positive("xy", float(xy_den))
-    z = 1.0 / _check_positive("z", float(z_den))
-    return BoundSet(xy=xy, z=z)
+    return _limit(lam, 1.0, xy_den, 1.0, z_den)
+
+
+def lcrb_tdoa(params: SystemParams) -> BoundSet:
+    """Limit of N*CRB for the TDOA model (literal published expressions)."""
+    return _at_point(lcrb_tdoa_arrays, params)
+
+
+@np.errstate(all="ignore")
+def _lcrb_tdoa_rss_arrays(
+    params: SystemParams, h: np.ndarray, phi: np.ndarray
+) -> tuple[BoundSet, list]:
+    e = _cup_edges(params, h, phi)
+    r, big_r, lam = e.r, e.big_r, e.lam
+    eta, rho = np.longdouble(params.eta), np.longdouble(params.rho)
+    xy_den, z_den = _rss_brackets(e, eta)
+    return _limit(
+        lam, (64.0 * big_r * r**3 / rho).astype(float), xy_den,
+        (16.0 * big_r * r**3 / rho).astype(float), z_den - 16.0 * eta * e.q * e.q / lam,
+    )
 
 
 def lcrb_tdoa_rss(params: SystemParams) -> BoundSet:
@@ -272,33 +328,7 @@ def lcrb_tdoa_rss(params: SystemParams) -> BoundSet:
             "the TDOA+RSS bound needs eta and rho separately; "
             "construct SystemParams with eta="
         )
-    e = _cup_edges(params)
-    r, h, big_r, dm, lam, hmzd = e.r, e.h, e.big_r, e.dm, e.lam, e.hmzd
-    eta = np.longdouble(params.eta)
-    rho = np.longdouble(params.rho)
-    if not lam > 0.0:
-        raise DegenerateGeometry("log(D_max/h) vanished; viewing cone too small")
-    rr = big_r * big_r - r * r
-    ss = big_r * big_r + r * r
-    pos2 = 1.0 / (h * h) - 1.0 / (dm * dm)
-    pos4 = 1.0 / h**4 - 1.0 / dm**4
-
-    xy_den = (
-        4.0 * (2.0 * eta * ss - 1.0) * lam
-        - 2.0 * (eta * rr * rr - 2.0 * ss) * pos2
-        - 4.0 * eta * r * hmzd
-        - rr * rr * pos4
-    )
-    z_den = (
-        2.0 * rr * (eta * rr - 2.0) * pos2
-        - 4.0 * (2.0 * eta * rr - 1.0) * lam
-        + 4.0 * eta * r * hmzd
-        + rr * rr * pos4
-        - 16.0 * eta * e.q * e.q / lam
-    )
-    xy = float(64.0 * big_r * r**3 / rho) / _check_positive("xy", float(xy_den))
-    z = float(16.0 * big_r * r**3 / rho) / _check_positive("z", float(z_den))
-    return BoundSet(xy=xy, z=z)
+    return _at_point(_lcrb_tdoa_rss_arrays, params)
 
 
 def lcrb_tdoa_from_moments(moments: MomentSet) -> BoundSet:
@@ -325,24 +355,44 @@ def acrb(params: SystemParams, rss: bool = False) -> BoundSet:
     return base.scaled(1.0 / params.n_sats)
 
 
+@np.errstate(all="ignore")
+def limit_coefficients_arrays(
+    params: SystemParams, h: np.ndarray, phi: np.ndarray
+) -> tuple[LimitCoefficients, list]:
+    """limit_coefficients elementwise over phi_l_max (h is unused), and the
+    check that no divisor is zero, where the scalar float formula raises.
+    Powers and logs go through `libm`, so each element is that formula's."""
+    r, zeta = params.r, np.cos(phi)
+    sin2 = libm(pow, np.sin(phi), 2)
+    sq = libm(pow, 1.0 - zeta, 2)
+    log_zeta = libm(lambda z: math.log(z) if z > 0.0 else -math.inf, zeta)
+    den = params.eta_rho * params.n_sats
+    div = (
+        den * (2.0 * log_zeta + sin2),
+        den * (sin2 + 2.0 * sq / log_zeta),
+        den * (zeta + 2.0) * sq,
+        den * libm(pow, 1.0 - zeta, 3),
+    )
+    zero = (log_zeta == 0.0) | np.any([d == 0.0 for d in div], axis=0)
+    return LimitCoefficients(
+        alpha_xy=-8.0 * r * r / div[0],
+        alpha_z=2.0 * r * r / div[1],
+        beta_xy=12.0 / div[2],
+        beta_z=12.0 / div[3],
+    ), [(zero, lambda j: ZeroDivisionError("float division by zero"))]
+
+
 def limit_coefficients(params: SystemParams) -> LimitCoefficients:
     """h->0 and h->infinity coefficients of the TDOA ACRB, N folded in."""
-    r = params.r
-    zeta = params.zeta
-    sin2 = math.sin(params.phi_l_max) ** 2
-    log_zeta = math.log(zeta) if zeta > 0.0 else -math.inf
-    den = params.eta_rho * params.n_sats
-    alpha_xy = -8.0 * r * r / (den * (2.0 * log_zeta + sin2))
-    alpha_z = 2.0 * r * r / (den * (sin2 + 2.0 * (1.0 - zeta) ** 2 / log_zeta))
-    beta_xy = 12.0 / (den * (zeta + 2.0) * (1.0 - zeta) ** 2)
-    beta_z = 12.0 / (den * (1.0 - zeta) ** 3)
-    return LimitCoefficients(
-        alpha_xy=alpha_xy, alpha_z=alpha_z, beta_xy=beta_xy, beta_z=beta_z
-    )
+    return _at_point(limit_coefficients_arrays, params)
+
+
+def two_term(co: LimitCoefficients, h):
+    """The AACRB alpha + beta h^2 from the coefficients, elementwise over h."""
+    h2 = h * h
+    return BoundSet(xy=co.alpha_xy + co.beta_xy * h2, z=co.alpha_z + co.beta_z * h2)
 
 
 def aacrb(params: SystemParams) -> BoundSet:
     """Two-coefficient approximation alpha + beta h^2 of the TDOA ACRB."""
-    co = limit_coefficients(params)
-    h2 = params.h * params.h
-    return BoundSet(xy=co.alpha_xy + co.beta_xy * h2, z=co.alpha_z + co.beta_z * h2)
+    return two_term(limit_coefficients(params), params.h)

@@ -11,7 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import InvalidConfig, SystemParams, chi_max, d_max, h_minus_zeta_d_max
+import numpy as np
+
+from .geometry import (
+    InvalidConfig,
+    SystemParams,
+    d_max,
+    h_minus_zeta_d_max,
+    h_minus_zeta_d_max_arrays,
+    libm,
+)
 
 
 # design rule: a sweep point below this coverage probability is flagged as not
@@ -44,6 +53,27 @@ def visibility_prob_dmax_form(params: SystemParams) -> float:
     return 0.5 * (params.h - d_max(params) * params.zeta) / params.big_r
 
 
+@np.errstate(all="ignore")
+def coverage_prob_arrays(params: SystemParams, h: np.ndarray, phi: np.ndarray):
+    """coverage_prob elementwise over h and phi_l_max (1-d arrays broadcast
+    together): p in one array pass, then logs, exps and the compensated sums
+    through the C library, so each element is the one-point float."""
+    n = params.n_sats
+    p = 0.5 * h_minus_zeta_d_max_arrays(params, h, phi) / (params.r + h)
+    out = np.where(p >= 1.0, 1.0 if n >= 4 else 0.0, 0.0)
+    inside = ~((p <= 0.0) | (p >= 1.0))
+    log_p = libm(math.log, p[inside])
+    log_1mp = libm(math.log1p, -p[inside])
+    terms = [
+        libm(math.exp, math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+             + m * log_p + (n - m) * log_1mp).tolist()
+        for m in range(min(4, n + 1))
+    ]
+    tail = 1.0 - np.fromiter(map(math.fsum, zip(*terms)), float, log_p.size)
+    out[inside] = np.clip(tail, 0.0, 1.0)
+    return out
+
+
 def coverage_prob(params: SystemParams) -> float:
     """P(at least 4 of N satellites visible).
 
@@ -51,22 +81,8 @@ def coverage_prob(params: SystemParams) -> float:
     log space and combined with compensated summation, so N up to 1e4 with
     tiny p neither underflows nor loses the tail.
     """
-    n = params.n_sats
-    p = visibility_prob(params)
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0 if n >= 4 else 0.0
-    log_p = math.log(p)
-    log_1mp = math.log1p(-p)
-    terms = []
-    for m in range(min(4, n + 1)):
-        log_comb = (
-            math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        )
-        terms.append(math.exp(log_comb + m * log_p + (n - m) * log_1mp))
-    tail = 1.0 - math.fsum(terms)
-    return min(max(tail, 0.0), 1.0)
+    h, phi = np.array([params.h]), np.array([params.phi_l_max])
+    return float(coverage_prob_arrays(params, h, phi)[0])
 
 
 def coverage_result(params: SystemParams) -> CoverageResult:
@@ -82,6 +98,10 @@ def _lowest_covering(
     the field and vanish as it goes to 0."""
     if not (0.0 < target < 1.0):
         raise InvalidConfig(f"target must be in (0,1), got {target}")
+    # the loop stops once the bracket is narrower than tol, which a tol <= 0
+    # never allows
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidConfig(f"tol must be finite and positive, got {tol}")
 
     def covered(value: float) -> bool:
         return coverage_prob(replace(params, **{field: value})) >= target

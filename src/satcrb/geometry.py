@@ -12,6 +12,7 @@ theta ~ U[0, 2*pi). All lengths are km, all angles radians, times seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,21 @@ C_KM_S = 299792.458  # vacuum speed of light, km/s
 
 class InvalidConfig(ValueError):
     """Raised when system parameters are outside their legal ranges."""
+
+
+def libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) for each v of the 1-d float array x, through the C
+    library: bit for bit the scalar `math` result, which numpy's SIMD float64
+    log, log1p, exp and power miss in the last bit for some inputs."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+
+
+# legal values of the two fields a bound sweep varies, elementwise on arrays
+# (h positive and finite)
+SWEEP_RANGES = {
+    "h": lambda h: (h > 0.0) & (h < math.inf),
+    "phi_l_max": lambda phi: (0.0 < phi) & (phi <= math.pi / 2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -46,9 +62,9 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not (self.r > 0.0 and math.isfinite(self.r)):
             raise InvalidConfig(f"Earth radius must be positive, got r={self.r}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
+        if not SWEEP_RANGES["h"](self.h):
             raise InvalidConfig(f"altitude must be positive, got h={self.h}")
-        if not (0.0 < self.phi_l_max <= math.pi / 2.0):
+        if not SWEEP_RANGES["phi_l_max"](self.phi_l_max):
             raise InvalidConfig(
                 f"phi_l_max must lie in (0, pi/2], got {self.phi_l_max}"
             )
@@ -194,11 +210,11 @@ def constellation_states(
     ]
 
 
-def _sqrt_shell(phi_l: float, params: SystemParams) -> float:
-    """sqrt(R^2 - r^2 sin^2(phi_l)), the shared surd of the shell-distance forms."""
-    r, big_r = params.r, params.big_r
-    s = r * math.sin(phi_l)
-    return math.sqrt((big_r - s) * (big_r + s))
+def _sqrt_shell(phi_l, r: float, big_r):
+    """sqrt(R^2 - r^2 sin^2(phi_l)), the shared surd of the shell-distance
+    forms; elementwise on arrays of phi_l and R."""
+    s = r * np.sin(phi_l)
+    return np.sqrt((big_r - s) * (big_r + s))
 
 
 def shell_distance(phi_l: float, params: SystemParams) -> float:
@@ -209,7 +225,8 @@ def shell_distance(phi_l: float, params: SystemParams) -> float:
     orders below r (the literal form cancels catastrophically there).
     """
     r, h = params.r, params.h
-    return h * (2.0 * r + h) / (_sqrt_shell(phi_l, params) + r * math.cos(phi_l))
+    sq = _sqrt_shell(phi_l, r, params.big_r)
+    return h * (2.0 * r + h) / (sq + r * math.cos(phi_l))
 
 
 def d_max(params: SystemParams) -> float:
@@ -217,26 +234,19 @@ def d_max(params: SystemParams) -> float:
     return shell_distance(params.phi_l_max, params)
 
 
-def d_max_minus_h(params: SystemParams) -> float:
-    """D_max - h without cancellation; the small-h limit is h(1-zeta)/zeta."""
-    r, h, big_r = params.r, params.h, params.big_r
-    sq = _sqrt_shell(params.phi_l_max, params)
-    s2 = (r * math.sin(params.phi_l_max)) ** 2
-    # 2r + h - r*zeta - sq == r(1-zeta) + (R - sq), with R - sq = s2/(R + sq)
-    return h * (r * (1.0 - params.zeta) + s2 / (big_r + sq)) / (sq + r * params.zeta)
-
 def h_minus_zeta_d_max(params: SystemParams) -> float:
     """h - zeta*D_max without cancellation; of order h^2/r for small h."""
-    h, r = params.h, params.r
-    zeta = params.zeta
-    sq = _sqrt_shell(params.phi_l_max, params)
+    return float(h_minus_zeta_d_max_arrays(params, params.h, params.phi_l_max))
+
+
+def h_minus_zeta_d_max_arrays(params: SystemParams, h, phi):
+    """h - zeta*D_max elementwise over h and phi_l_max, floats or arrays
+    broadcast together; params supplies r."""
+    r = params.r
+    zeta = np.cos(phi)
+    sq = _sqrt_shell(phi, r, r + h)
     # (h + r zeta^2)^2 - zeta^2 (R^2 - r^2 sin^2) == h^2 (1 - zeta^2)
     return h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
-
-
-def log_dmax_over_h(params: SystemParams) -> float:
-    """log(D_max / h), accurate even when D_max/h -> 1 at large h."""
-    return math.log1p(d_max_minus_h(params) / params.h)
 
 
 def chi_max(params: SystemParams) -> float:

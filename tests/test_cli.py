@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, output formats, exit codes."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -444,6 +445,88 @@ def test_golden_output(name):
     result = invoke(args)
     assert result.exit_code == 0
     assert result.stdout_bytes == want
+
+
+# sha256 of the stdout of the two 10 000-point sweeps the benchmark runs and
+# of a 300-point JSON sweep, captured from the per-point implementation the
+# array evaluation replaced
+BOUNDS_SHA256 = {
+    "h_10000": (
+        ["bounds", "--grid", "500:40000:10000"],
+        "e217819e6c4ea9a172f7b0741a3c8cb70c10b199c9ffe26a729f63223b2dc6f3",
+    ),
+    "phi_10000": (
+        ["bounds", "--axis", "phi_l_max", "--grid", "5:90:10000"],
+        "31d84a8cd4b15a9e8fece8af36084372dd53080b25f4acf9a54909d2f16b3590",
+    ),
+    "h_300_json_eta": (
+        ["--config", str(ETA_CONFIG), "--format", "json", "bounds", "--grid",
+         "500:40000:300"],
+        "2e761563d4cfa0fa71085428e8d127dfd193f0b703124c9a4a54fe3e7fa86b03",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDS_SHA256))
+def test_bounds_sweep_sha256(name):
+    args, want = BOUNDS_SHA256[name]
+    result = invoke(args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == want
+
+
+# The first bad grid point decides the error: an illegal value (exit 2) or a
+# degenerate cone (exit 3, the xy denominator checked before z), each with
+# the message the per-point evaluation printed.
+BOUNDS_ERRORS = [
+    (["--axis", "phi_l_max", "--grid", "60,1e-9,95"], 3,
+     "error: xy denominator degenerated to -2.558921159341066e-17; "
+     "viewing cone too small"),
+    (["--axis", "phi_l_max", "--grid", "95,1e-9"], 2,
+     "Error: phi_l_max must lie in (0, pi/2], got 1.6580627893946132"),
+    (["--axis", "phi_l_max", "--grid", "1e-6"], 3,
+     "error: z denominator degenerated to -1.1364009944609503e-14; "
+     "viewing cone too small"),
+    (["--axis", "phi_l_max", "--grid", "60,1e-6,1e-9"], 3,
+     "error: z denominator degenerated to -1.1364009944609503e-14; "
+     "viewing cone too small"),
+    (["--axis", "phi_l_max", "--grid", "1e-300"], 3,
+     "error: xy denominator degenerated to -0.0; viewing cone too small"),
+    (["--axis", "phi_l_max", "--grid", "60,0"], 2,
+     "Error: phi_l_max must lie in (0, pi/2], got 0.0"),
+    (["--grid", "500,nan,1e300"], 2, "Error: altitude must be positive, got h=nan"),
+    (["--grid", "500,1e300,nan"], 3,
+     "error: xy denominator degenerated to 0.0; viewing cone too small"),
+    (["--grid", "500,-5"], 2, "Error: altitude must be positive, got h=-5.0"),
+]
+
+
+@pytest.mark.parametrize("args,code,message", BOUNDS_ERRORS)
+def test_bounds_first_bad_point_wins(args, code, message):
+    result = CliRunner().invoke(main, ["bounds", *args])
+    assert result.exit_code == code
+    assert result.stdout_bytes == b""
+    assert result.stderr.strip().splitlines()[-1] == message
+
+
+# cos(phi_l_max) rounds to 1 below about 6e-7 degrees, where the limit
+# coefficients divide by zero; at h = 500 km the LCRB still evaluates there.
+ZERO_DIVISION_ANGLE = "1.3351540665427098e-08"
+
+
+def test_bounds_zero_division_keeps_its_place(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 500\n")
+    base = ["--config", str(cfg), "bounds", "--axis", "phi_l_max", "--grid"]
+    result = CliRunner().invoke(main, [*base, f"1e-7,{ZERO_DIVISION_ANGLE}"])
+    assert result.exit_code == 3
+    assert result.stderr.strip().splitlines()[-1] == (
+        "error: xy denominator degenerated to -9.897812857476313e-16; "
+        "viewing cone too small"
+    )
+    for grid in (f"60,{ZERO_DIVISION_ANGLE}", f"{ZERO_DIVISION_ANGLE},95"):
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            invoke([*base, grid])
 
 
 class TestCoverageCommand:

@@ -1,25 +1,32 @@
 """Closed-form bounds vs quadrature oracle, route agreement, limits."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satcrb.closed_form import (
     DegenerateGeometry,
+    _cup_edges,
+    _lcrb_tdoa_rss_arrays,
     aacrb,
     acrb,
     cup_expectation,
     lcrb_tdoa,
+    lcrb_tdoa_arrays,
     lcrb_tdoa_from_moments,
     lcrb_tdoa_rss,
     lcrb_tdoa_rss_from_moments,
     limit_coefficients,
+    limit_coefficients_arrays,
     moment_integrals,
     quadrature_moments,
+    two_term,
 )
-from satcrb.coverage import visibility_prob
+from satcrb.coverage import coverage_prob, coverage_prob_arrays, visibility_prob
 from satcrb.geometry import InvalidConfig, SystemParams, d_max
 
 SPLIT = SystemParams(eta=400.0)
@@ -263,3 +270,172 @@ def test_degenerate_cone_raises():
 def test_rss_requires_split():
     with pytest.raises(InvalidConfig):
         lcrb_tdoa_rss(SystemParams())
+
+
+# the (h km, phi_l_max deg) grid of verify's checks 1 and 2
+VERIFY_GRID = [
+    (h, phi) for h in (500.0, 2000.0, 20000.0, 40000.0) for phi in (10.0, 35.0, 60.0, 90.0)
+]
+
+
+@pytest.mark.parametrize("h,phi_deg", VERIFY_GRID)
+def test_rss_limit_matches_quadrature(h, phi_deg):
+    """The literal TDOA+RSS limit against the K moments integrated directly
+    (512 nodes), which share no bracket with it; worst measured 9.6e-12."""
+    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg)).with_split(1.0e6 / h**2)
+    lit = lcrb_tdoa_rss(p)
+    quad = lcrb_tdoa_rss_from_moments(quadrature_moments(p, n_points=512))
+    assert lit.xy == pytest.approx(quad.xy, rel=1e-9)
+    assert lit.z == pytest.approx(quad.z, rel=1e-9)
+
+
+def _mp_cup_edges(r: float, h: float, phi: float) -> dict:
+    """D_max, log(D_max/h), h - zeta D_max, surd and q from their defining
+    (cancelling) expressions, carried at 50 digits."""
+    with mpmath.workdps(50):
+        r, h, phi = mpmath.mpf(r), mpmath.mpf(h), mpmath.mpf(phi)
+        big_r, zeta = r + h, mpmath.cos(phi)
+        dm = mpmath.sqrt(big_r**2 - (r * mpmath.sin(phi)) ** 2) - r * zeta
+        return dict(
+            dm=dm,
+            lam=mpmath.log(dm / h),
+            hmzd=h - zeta * dm,
+            surd=big_r - r * zeta**2 - zeta * dm,
+            q=big_r - (r * (h - zeta * dm) + h * big_r) / dm,
+        )
+
+
+def _cup_edge_error(h: float, phi_deg: float) -> float:
+    phi = math.radians(phi_deg)
+    e = _cup_edges(SystemParams(), np.array([h]), np.array([phi]))
+    worst = 0.0
+    for name, want in _mp_cup_edges(6371.0, h, phi).items():
+        num, den = getattr(e, name)[0].as_integer_ratio()  # exact longdouble
+        with mpmath.workdps(50):
+            worst = max(worst, float(abs(mpmath.mpf(num) / den / want - 1)))
+    return worst
+
+
+LD_EPS = float(np.finfo(np.longdouble).eps)
+
+
+@pytest.mark.parametrize("h,phi_deg", VERIFY_GRID)
+def test_cup_edges_match_mpmath_on_grid(h, phi_deg):
+    # worst measured 2.2 eps with the 64-bit x87 mantissa
+    assert _cup_edge_error(h, phi_deg) <= 16.0 * LD_EPS
+
+
+@pytest.mark.parametrize(
+    "h,phi_deg",
+    [(h, phi) for h in (0.01, 0.1, 1.0e5) for phi in (0.05, 1.0, 60.0, 90.0)]
+    + [(500.0, 0.05), (40000.0, 0.05)],
+)
+def test_cup_edges_match_mpmath_at_extremes(h, phi_deg):
+    # The longdouble forms still cancel at the corners: q through R^2 - r^2
+    # at h = 0.01 km (3.4e-14), log(D_max/h) and h - zeta D_max through
+    # 1 - zeta at 0.05 deg (2.3e-14, 4.5e-15); 3.1e5 eps at worst.
+    assert _cup_edge_error(h, phi_deg) <= 1.0e6 * LD_EPS
+
+
+def _bits(x) -> int:
+    return int(np.array(x, dtype=np.float64).view(np.int64))
+
+
+def _scalar_outcome(fn, *args):
+    """fn(*args), or the DegenerateGeometry or ZeroDivisionError it raises."""
+    try:
+        return fn(*args)
+    except (DegenerateGeometry, ZeroDivisionError) as exc:
+        return exc
+
+
+SWEEPS = st.integers(min_value=17, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.01, 1.0e5), min_size=n, max_size=n),
+        st.lists(st.floats(math.radians(0.05), math.pi / 2.0), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SWEEPS)
+def test_array_kernels_equal_one_point_calls_bit_for_bit(sweep):
+    """Each element of an array evaluation (longer than an AVX-512 vector)
+    is the one-point call's float, sign bit included, or fails with the
+    one-point call's error."""
+    h, phi = (np.array(v) for v in sweep)
+    base = SystemParams(eta=400.0)
+    points = [dataclasses.replace(base, h=a, phi_l_max=b) for a, b in zip(*sweep)]
+    for kernel, scalar in (
+        (lcrb_tdoa_arrays, lcrb_tdoa),
+        (_lcrb_tdoa_rss_arrays, lcrb_tdoa_rss),
+        (limit_coefficients_arrays, limit_coefficients),
+    ):
+        out, checks = kernel(base, h, phi)
+        for j, p in enumerate(points):
+            want = _scalar_outcome(scalar, p)
+            errors = [_scalar_outcome(error, j) for bad, error in checks if bad[j]]
+            if isinstance(want, Exception):
+                assert errors and type(errors[0]) is type(want)
+                assert str(errors[0]) == str(want)
+                continue
+            assert not errors
+            for f in dataclasses.fields(out):
+                assert _bits(getattr(out, f.name)[j]) == _bits(getattr(want, f.name))
+    coeff, _ = limit_coefficients_arrays(base, h, phi)
+    approx = two_term(coeff, h)
+    cov = coverage_prob_arrays(base, h, phi)
+    for j, p in enumerate(points):
+        assert _bits(cov[j]) == _bits(coverage_prob(p))
+        want = _scalar_outcome(aacrb, p)
+        if not isinstance(want, Exception):
+            assert (_bits(approx.xy[j]), _bits(approx.z[j])) == (
+                _bits(want.xy), _bits(want.z))
+
+
+@settings(max_examples=20, deadline=None)
+@given(SWEEPS)
+def test_length_one_axis_broadcasts_like_a_constant_array(sweep):
+    """A sweep holds one axis as a length-1 array; it must give the bits of
+    the same value repeated."""
+    h, phi = (np.array(v) for v in sweep)
+    base = SystemParams()
+    for one, full in (((h, phi[:1]), (h, np.full_like(h, phi[0]))),
+                      ((h[:1], phi), (np.full_like(phi, h[0]), phi))):
+        a, b = lcrb_tdoa_arrays(base, *one)[0], lcrb_tdoa_arrays(base, *full)[0]
+        assert np.array_equal(a.xy.view(np.int64), b.xy.view(np.int64))
+        assert np.array_equal(a.z.view(np.int64), b.z.view(np.int64))
+        a = coverage_prob_arrays(base, *one)
+        b = coverage_prob_arrays(base, *full)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def reference_limit_coefficients(p: SystemParams) -> tuple[float, ...]:
+    """The per-point float formula the array kernel replaced, with `math`."""
+    r, zeta = p.r, math.cos(p.phi_l_max)
+    sin2 = math.sin(p.phi_l_max) ** 2
+    log_zeta = math.log(zeta) if zeta > 0.0 else -math.inf
+    den = p.eta_rho * p.n_sats
+    return (
+        -8.0 * r * r / (den * (2.0 * log_zeta + sin2)),
+        2.0 * r * r / (den * (sin2 + 2.0 * (1.0 - zeta) ** 2 / log_zeta)),
+        12.0 / (den * (zeta + 2.0) * (1.0 - zeta) ** 2),
+        12.0 / (den * (1.0 - zeta) ** 3),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_limit_coefficients_match_math_formula_bit_for_bit(seed):
+    # numpy's SIMD float64 power and log differ from libm in the last bit for
+    # 0.1-5% of inputs; 256 spread-out angles per example catch a swap
+    rng = np.random.default_rng(seed)
+    phis = np.radians(np.concatenate([rng.uniform(0.05, 90.0, 128),
+                                      0.05 * 1800.0 ** rng.uniform(0.0, 1.0, 128)])).tolist()
+    base = SystemParams(n_sats=250)
+    co, _ = limit_coefficients_arrays(base, np.array([base.h]), np.array(phis))
+    got = np.stack([co.alpha_xy, co.alpha_z, co.beta_xy, co.beta_z], axis=1)
+    want = np.array([
+        reference_limit_coefficients(dataclasses.replace(base, phi_l_max=f)) for f in phis
+    ])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

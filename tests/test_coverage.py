@@ -1,21 +1,25 @@
 """Visibility probability and constellation coverage tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from satcrb import coverage
 from satcrb.coverage import (
     Unachievable,
     coverage_prob,
+    coverage_prob_arrays,
     coverage_result,
     min_angle_for_coverage,
     min_height_for_coverage,
     visibility_prob,
     visibility_prob_dmax_form,
 )
-from satcrb.geometry import SystemParams, sample_constellation
+from satcrb.geometry import InvalidConfig, SystemParams, sample_constellation
 
 P_DEFAULT = 0.16493639025333170  # frozen: r=6371, h=20000, phi=60 deg
 
@@ -146,3 +150,63 @@ def test_visible_fraction_matches_p_monte_carlo():
     n_total = trials * params.n_sats
     se = math.sqrt(p * (1.0 - p) / n_total)
     assert count / n_total == pytest.approx(p, abs=3.0 * se)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bisection_rejects_tol_that_cannot_stop(tol, monkeypatch):
+    # a bisection that never narrows below tol would loop forever; the
+    # counting stand-in fails the test after 200 evaluations instead
+    calls = []
+
+    def bounded(params):
+        calls.append(params)
+        assert len(calls) < 200, "bisection did not stop"
+        return real(params)
+
+    real = coverage.coverage_prob
+    monkeypatch.setattr(coverage, "coverage_prob", bounded)
+    with pytest.raises(InvalidConfig, match="tol must be finite and positive"):
+        min_angle_for_coverage(SystemParams(), 0.9, tol=tol)
+    with pytest.raises(InvalidConfig, match="tol must be finite and positive"):
+        min_height_for_coverage(SystemParams(), 0.9, tol=tol)
+    assert calls == []
+
+
+
+def reference_coverage_prob(n: int, r: float, h: float, phi: float) -> float:
+    """The per-point float formula the array kernel replaced, with `math`."""
+    big_r, zeta, s = r + h, math.cos(phi), r * math.sin(phi)
+    sq = math.sqrt((big_r - s) * (big_r + s))
+    q = 0.5 * (h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)) / big_r
+    if q <= 0.0:
+        return 0.0
+    if q >= 1.0:
+        return 1.0 if n >= 4 else 0.0
+    log_p, log_1mp = math.log(q), math.log1p(-q)
+    terms = [
+        math.exp(math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+                 + m * log_p + (n - m) * log_1mp)
+        for m in range(min(4, n + 1))
+    ]
+    return min(max(1.0 - math.fsum(terms), 0.0), 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["h", "phi_l_max"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 4, 40, 250, 2000, 100000]),
+)
+def test_coverage_prob_arrays_match_math_formula_bit_for_bit(axis, seed, n):
+    # numpy's SIMD float64 log, log1p and exp differ from libm in the last
+    # bit for 0.03-6% of inputs; 2048 spread-out points per example catch a swap
+    base = SystemParams(n_sats=n)
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, 2048)
+    if axis == "h":  # 0.01 to 1e5 km, log-uniform
+        h, phi = 0.01 * 1.0e7**u, np.array([base.phi_l_max])
+    else:  # 0.05 to 90 degrees
+        h, phi = np.array([base.h]), np.radians(0.05 + 89.95 * u)
+    got = coverage_prob_arrays(base, h, phi)
+    hs, phis = np.broadcast_arrays(h, phi)
+    want = np.array([reference_coverage_prob(n, base.r, a, b) for a, b in zip(hs.tolist(), phis.tolist())])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
