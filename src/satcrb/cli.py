@@ -210,11 +210,10 @@ _CSV_COLUMN = {
 }
 
 
-def render_rows(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
-    """CSV with CRLF line ends, or a JSON array of objects; each column is
-    converted by one formatter, chosen by its first cell. Cells are numbers
-    and flags, so no CSV field needs quoting."""
-    columns = list(zip(*rows))
+def render_rows(header: Sequence[str], columns: Sequence[Sequence], fmt: str) -> str:
+    """Rows given column by column, as CSV with CRLF line ends or a JSON array
+    of objects; each column is converted by one formatter, chosen by its first
+    cell. Cells are numbers and flags, so no CSV field needs quoting."""
     kinds = [_kind(col[0]) for col in columns]
     if fmt == "csv":
         buf = io.StringIO()
@@ -458,9 +457,8 @@ def bounds(ctx, axis, grid):
             "beta_xy": coeff.beta_xy, "beta_z": coeff.beta_z,
             "coverage_prob": p_cov, "covered": p_cov >= COVERAGE_RULE,
         }
-        cells = (np.broadcast_to(c, values.shape).tolist() for c in columns.values())
-        text = render_rows(list(columns), list(zip(*cells)), run.format)
-        _emit(text, run.output_path)
+        cells = [np.broadcast_to(c, values.shape).tolist() for c in columns.values()]
+        _emit(render_rows(list(columns), cells, run.format), run.output_path)
 
     _computation_errors(work)
 
@@ -485,7 +483,7 @@ def montecarlo(ctx, model, trials, n_list):
             dataclasses.astuple(row)
             for row in convergence_sweep(run.params, model, counts, trials, run.seed)
         ]
-        _emit(render_rows(MONTECARLO_HEADER, rows, run.format), run.output_path)
+        _emit(render_rows(MONTECARLO_HEADER, list(zip(*rows)), run.format), run.output_path)
 
     _computation_errors(work)
 
@@ -551,7 +549,7 @@ def ml(ctx, snr_grid, trials):
             (row.snr_db, row.mse_xy, row.mse_xyz, row.crb_xy, row.crb_xyz)
             for row in mse_experiment(geometry, sig, snrs, trials, run.seed)
         ]
-        _emit(render_rows(ML_HEADER, rows, run.format), run.output_path)
+        _emit(render_rows(ML_HEADER, list(zip(*rows)), run.format), run.output_path)
 
     _computation_errors(work)
 

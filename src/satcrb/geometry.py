@@ -234,6 +234,15 @@ def d_max(params: SystemParams) -> float:
     return shell_distance(params.phi_l_max, params)
 
 
+def d_max_minus_h(params: SystemParams) -> float:
+    """D_max - h without cancellation; the small-h limit is h(1-zeta)/zeta."""
+    r, h, big_r = params.r, params.h, params.big_r
+    sq = float(_sqrt_shell(params.phi_l_max, r, big_r))
+    s2 = (r * math.sin(params.phi_l_max)) ** 2
+    # 2r + h - r*zeta - sq == r(1-zeta) + (R - sq), with R - sq = s2/(R + sq)
+    return h * (r * (1.0 - params.zeta) + s2 / (big_r + sq)) / (sq + r * params.zeta)
+
+
 def h_minus_zeta_d_max(params: SystemParams) -> float:
     """h - zeta*D_max without cancellation; of order h^2/r for small h."""
     return float(h_minus_zeta_d_max_arrays(params, params.h, params.phi_l_max))
@@ -247,6 +256,11 @@ def h_minus_zeta_d_max_arrays(params: SystemParams, h, phi):
     sq = _sqrt_shell(phi, r, r + h)
     # (h + r zeta^2)^2 - zeta^2 (R^2 - r^2 sin^2) == h^2 (1 - zeta^2)
     return h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
+
+
+def log_dmax_over_h(params: SystemParams) -> float:
+    """log(D_max / h), accurate even when D_max/h -> 1 at large h."""
+    return math.log1p(d_max_minus_h(params) / params.h)
 
 
 def chi_max(params: SystemParams) -> float:

@@ -16,8 +16,10 @@ from satcrb.geometry import (
     constellation_states,
     e_to_l_arrays,
     d_max,
+    d_max_minus_h,
     e_to_l,
     h_minus_zeta_d_max,
+    log_dmax_over_h,
     max_earth_angle,
     sample_constellation,
     visible_sky,
@@ -69,9 +71,11 @@ def test_d_max_monotone_in_h_and_angle():
 
 def test_stable_differences_match_naive_at_moderate_scale():
     p = DEFAULTS
+    assert d_max_minus_h(p) == pytest.approx(d_max(p) - p.h, rel=1e-12)
     assert h_minus_zeta_d_max(p) == pytest.approx(
         p.h - p.zeta * d_max(p), rel=1e-12
     )
+    assert log_dmax_over_h(p) == pytest.approx(math.log(d_max(p) / p.h), rel=1e-12)
 
 
 def test_e_to_l_zenith():
