@@ -360,8 +360,9 @@ def limit_coefficients_arrays(
     params: SystemParams, h: np.ndarray, phi: np.ndarray
 ) -> tuple[LimitCoefficients, list]:
     """limit_coefficients elementwise over phi_l_max (h is unused), and the
-    check that no divisor is zero, where the scalar float formula raises.
-    Powers and logs go through `libm`, so each element is that formula's."""
+    check that no divisor is zero, as it is where cos(phi_l_max) rounds to 1
+    (below about 6e-7 degrees). Powers and logs go through `libm`, so each
+    element is the scalar float formula's."""
     r, zeta = params.r, np.cos(phi)
     sin2 = libm(pow, np.sin(phi), 2)
     sq = libm(pow, 1.0 - zeta, 2)
@@ -379,7 +380,10 @@ def limit_coefficients_arrays(
         alpha_z=2.0 * r * r / div[1],
         beta_xy=12.0 / div[2],
         beta_z=12.0 / div[3],
-    ), [(zero, lambda j: ZeroDivisionError("float division by zero"))]
+    ), [(zero, lambda j: DegenerateGeometry(
+        f"limit coefficients divide by zero at cos(phi_l_max) = {float(zeta[j])!r}; "
+        "viewing cone too small"
+    ))]
 
 
 def limit_coefficients(params: SystemParams) -> LimitCoefficients:

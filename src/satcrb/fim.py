@@ -68,8 +68,9 @@ class BoundSet:
 
 
 def weighted_gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i u_i u_i^T over the rows u_i of the (M, k) array u."""
-    return (w[:, None] * u).T @ u
+    """sum_i w_i u_i u_i^T over the rows u_i of the (M, k) array u; a stack
+    (..., M, k) with weights (..., M) gives one (k, k) matrix per entry."""
+    return np.swapaxes(w[..., None] * u, -1, -2) @ u
 
 
 def timing_rows(v: np.ndarray) -> np.ndarray:

@@ -510,7 +510,8 @@ def test_bounds_first_bad_point_wins(args, code, message):
 
 
 # cos(phi_l_max) rounds to 1 below about 6e-7 degrees, where the limit
-# coefficients divide by zero; at h = 500 km the LCRB still evaluates there.
+# coefficients divide by zero; at h = 500 km the LCRB still evaluates there,
+# so the sweep stops at that point with a DegenerateGeometry.
 ZERO_DIVISION_ANGLE = "1.3351540665427098e-08"
 
 
@@ -524,9 +525,14 @@ def test_bounds_zero_division_keeps_its_place(tmp_path):
         "error: xy denominator degenerated to -9.897812857476313e-16; "
         "viewing cone too small"
     )
-    for grid in (f"60,{ZERO_DIVISION_ANGLE}", f"{ZERO_DIVISION_ANGLE},95"):
-        with pytest.raises(ZeroDivisionError, match="float division by zero"):
-            invoke([*base, grid])
+    for grid in (f"60,{ZERO_DIVISION_ANGLE}", f"{ZERO_DIVISION_ANGLE},95", "60,3e-7"):
+        result = CliRunner().invoke(main, [*base, grid])
+        assert result.exit_code == 3
+        assert result.stdout_bytes == b""
+        assert result.stderr.strip().splitlines()[-1] == (
+            "error: limit coefficients divide by zero at cos(phi_l_max) = 1.0; "
+            "viewing cone too small"
+        )
 
 
 class TestCoverageCommand:

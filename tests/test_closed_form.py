@@ -342,10 +342,10 @@ def _bits(x) -> int:
 
 
 def _scalar_outcome(fn, *args):
-    """fn(*args), or the DegenerateGeometry or ZeroDivisionError it raises."""
+    """fn(*args), or the DegenerateGeometry it raises."""
     try:
         return fn(*args)
-    except (DegenerateGeometry, ZeroDivisionError) as exc:
+    except DegenerateGeometry as exc:
         return exc
 
 
@@ -439,3 +439,14 @@ def test_limit_coefficients_match_math_formula_bit_for_bit(seed):
         reference_limit_coefficients(dataclasses.replace(base, phi_l_max=f)) for f in phis
     ])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("phi_deg", [1.3351540665427098e-08, 3e-7])
+def test_limit_coefficients_zero_divisor_is_degenerate(phi_deg):
+    # cos(phi_l_max) rounds to 1, where the per-point formula divides by zero
+    p = SystemParams(h=500.0, phi_l_max=math.radians(phi_deg))
+    assert math.cos(p.phi_l_max) == 1.0
+    with pytest.raises(ZeroDivisionError):
+        reference_limit_coefficients(p)
+    with pytest.raises(DegenerateGeometry, match=r"divide by zero at cos\(phi_l_max\) = 1\.0"):
+        limit_coefficients(p)

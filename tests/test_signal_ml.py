@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satcrb.cli import default_signal_config
 from satcrb.fim import SingularInformation
 from satcrb.geometry import InvalidConfig, SystemParams, shell_distance
 from satcrb.signal_ml import (
@@ -16,11 +17,16 @@ from satcrb.signal_ml import (
     Measurement,
     SignalConfig,
     _ascend,
+    _coarse,
     _lattice_offsets,
+    _lattice_points,
     _matched_filter,
     _Profile,
     _profile,
     _pulse,
+    _refine,
+    _scoring_steps,
+    _start,
     centered_t0,
     decoupling_check,
     effective_bandwidth,
@@ -96,6 +102,31 @@ def reference_profiled_score(samples, taus, config) -> float:
     return total
 
 
+def reference_lattice_start(samples, pos, points, cfg):
+    """(xi, T0) at the first best lattice point, scanned one point at a time
+    with a stacked window per point: the loop that `_coarse` and `_start`
+    replaced, kept as their oracle."""
+    corr = _matched_filter(samples, make_pulse(cfg).samples)
+    corr2 = corr * corr
+    k = cfg.n_samples
+    best = (-math.inf, None, None)
+    for xi in points:
+        g = np.linalg.norm(pos - xi[None, :], axis=1) / cfg.c
+        o = np.round(g / cfg.dt).astype(int)
+        rel = o - o.min()
+        span = int(rel.max())
+        if span >= k:
+            continue
+        width = k - span
+        windows = np.stack([corr2[m, rel[m] : rel[m] + width] for m in range(len(pos))])
+        scores = windows.sum(axis=0)
+        l_hat = int(np.argmax(scores))
+        if scores[l_hat] > best[0]:
+            t0_hat = float(np.mean((rel + l_hat) * cfg.dt - g))
+            best = (float(scores[l_hat]), xi.copy(), t0_hat)
+    return best[1], best[2]
+
+
 def noisy_windows(cfg, seed, trial=0):
     pos = ring_positions()
     t0 = centered_t0(pos, cfg)
@@ -103,9 +134,15 @@ def noisy_windows(cfg, seed, trial=0):
     return pos, t0, meas, np.array([m.samples for m in meas])
 
 
+def profile_one(samples, taus, cfg) -> _Profile:
+    """`_profile` of one trial's (M, K) samples at its delays (M,)."""
+    prof = _profile(samples[None], taus[None], cfg, np.arange(1))
+    return _Profile(*(getattr(prof, f.name)[0] for f in dataclasses.fields(prof)))
+
+
 def score_at(est, pos, samples, cfg) -> float:
     taus = np.linalg.norm(pos - est.xi_hat, axis=1) / cfg.c + est.t0_hat
-    return _profile(samples, taus, cfg).score
+    return profile_one(samples, taus, cfg).score
 
 
 class TestConfigValidation:
@@ -366,19 +403,36 @@ class TestCalibration:
 class TestProfiledScore:
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_matches_reference_loop(self, cfg):
-        _, _, _, samples = noisy_windows(cfg, seed=21)
+        # a (C, M) stack of delays over C = 5 trials' samples
+        samples = np.array([noisy_windows(cfg, seed=21, trial=t)[3] for t in range(5)])
         rng = np.random.default_rng(5)
         half = 0.5 * cfg.support
         clipped = 0
-        for _ in range(40):
+        for _ in range(8):
             # delays reach past both ends of the window, so some pulse
             # windows are clipped and some fall outside altogether
-            taus = rng.uniform(-1.5 * half, cfg.obs_window + 1.5 * half, len(samples))
+            taus = rng.uniform(-1.5 * half, cfg.obs_window + 1.5 * half, samples.shape[:2])
             clipped += int(np.sum((taus < half) | (taus > cfg.obs_window - half)))
-            want = reference_profiled_score(samples, taus, cfg)
-            got = _profile(samples, taus, cfg).score
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            got = _profile(samples, taus, cfg, np.arange(len(samples))).score
+            assert got.shape == (len(samples),)
+            for v, tau, score in zip(samples, taus, got):
+                want = reference_profiled_score(v, tau, cfg)
+                assert score == pytest.approx(want, rel=1e-12, abs=0.0)
         assert clipped > 0
+
+    def test_trial_rows_select_samples(self):
+        # delays for a subset of the trials, out of order, give those
+        # trials' terms bit for bit
+        cfg = gauss_cfg()
+        pos, t0, _, _ = noisy_windows(cfg, seed=24)
+        samples = np.array([noisy_windows(cfg, seed=24, trial=t)[3] for t in range(4)])
+        rng = np.random.default_rng(6)
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + rng.normal(0.0, cfg.dt, (4, 6))
+        full = _profile(samples, taus, cfg, np.arange(4))
+        rows = np.array([3, 1])
+        part = _profile(samples, taus[rows], cfg, rows)
+        for f in dataclasses.fields(full):
+            assert np.array_equal(getattr(part, f.name), getattr(full, f.name)[rows])
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_slope_is_score_derivative(self, cfg):
@@ -387,13 +441,13 @@ class TestProfiledScore:
         # two windows clipped by the window edges, where <s, s'> != 0
         half = 0.5 * cfg.support
         taus[1], taus[2] = 0.37 * half, cfg.obs_window - 0.41 * half
-        prof = _profile(samples, taus, cfg)
+        prof = profile_one(samples, taus, cfg)
         h = 1.0e-4 * cfg.dt
         for m in range(len(taus)):
             e = np.zeros(len(taus))
             e[m] = h
-            up = _profile(samples, taus + e, cfg).score
-            dn = _profile(samples, taus - e, cfg).score
+            up = profile_one(samples, taus + e, cfg).score
+            dn = profile_one(samples, taus - e, cfg).score
             assert prof.slope[m] == pytest.approx((up - dn) / (2.0 * h), rel=1e-5)
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
@@ -401,13 +455,13 @@ class TestProfiledScore:
         # without noise the expected Hessian is the exact one at the truth
         pos, t0, _, samples = noisy_windows(dataclasses.replace(cfg, n0=1e-300), 23)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
-        prof = _profile(samples, taus, cfg)
+        prof = profile_one(samples, taus, cfg)
         h = 0.02 * cfg.dt
         for m in range(len(taus)):
             e = np.zeros(len(taus))
             e[m] = h
-            up = _profile(samples, taus + e, cfg).score
-            dn = _profile(samples, taus - e, cfg).score
+            up = profile_one(samples, taus + e, cfg).score
+            dn = profile_one(samples, taus - e, cfg).score
             second = (up - 2.0 * prof.score + dn) / (h * h)
             assert prof.curvature[m] == pytest.approx(-second, rel=1e-3)
         assert np.allclose(prof.slope, 0.0, atol=1e-9 * np.max(prof.curvature) * cfg.dt)
@@ -428,30 +482,64 @@ class TestProfiledScore:
 
 class TestAscent:
     TARGET = np.array([1.0, -2.0])
+    # (curvature, model curvature) of each trial's concave quadratic: full
+    # scoring steps overshoot the maximum ninefold, land on it, cover 30% of
+    # the way, overshoot twofold, or (singular model) follow the gradient
+    TRIALS = np.array([[10.0, 1.0], [1.0, 1.0], [0.3, 1.0], [3.0, 1.0], [0.5, 0.0]])
 
-    def evaluate(self, u):
-        # concave quadratic whose model curvature is 10x too small, so every
-        # full scoring step overshoots the maximum ninefold
-        d = u - self.TARGET
-        prof = _Profile(-5.0 * float(d @ d), np.zeros(0), np.zeros(0), np.zeros(0))
-        return prof, -10.0 * d, np.eye(2)
+    def quadratics(self, trials=TRIALS, calls=None):
+        def evaluate(rows, u):
+            k, f = trials[rows, 0], trials[rows, 1]
+            d = u - self.TARGET
+            if calls is not None:
+                np.add.at(calls, rows, 1)
+            none = np.zeros((len(u), 0))
+            prof = _Profile(-0.5 * k * np.sum(d * d, axis=1), none, none, none)
+            return prof, -k[:, None] * d, f[:, None, None] * np.eye(2)
+
+        return evaluate
 
     def test_no_step_lowers_the_score(self):
-        u0 = np.zeros(2)
-        scores = [self.evaluate(u0)[0].score]
+        u0 = np.zeros((len(self.TRIALS), 2))
+        scores = [self.quadratics()(np.arange(len(u0)), u0)[0].score]
         for iters in range(1, 8):
-            _, prof, _ = _ascend(self.evaluate, u0, radius=1e9, max_iter=iters, xtol=1e-9)
-            scores.append(prof.score)
-        assert all(b >= a for a, b in zip(scores, scores[1:]))
-        u, _, converged = _ascend(self.evaluate, u0, radius=1e9, max_iter=200, xtol=1e-9)
-        assert converged
+            _, score, _, _ = _ascend(self.quadratics(), u0, 1e9, iters, xtol=1e-9)
+            scores.append(score)
+        assert all(np.all(b >= a) for a, b in zip(scores, scores[1:]))
+        calls = np.zeros(len(u0), dtype=int)
+        u, _, _, converged = _ascend(
+            self.quadratics(calls=calls), u0, 1e9, 200, xtol=1e-9
+        )
+        assert converged.all()
         assert np.allclose(u, self.TARGET, atol=1e-6)
+        # the trials finish in different rounds
+        assert len(set(calls)) == len(calls)
 
     def test_steps_stay_inside_the_radius(self):
-        u0 = np.zeros(2)
+        u0 = np.zeros((len(self.TRIALS), 2))
         for iters in range(1, 6):
-            u, _, _ = _ascend(self.evaluate, u0, radius=0.1, max_iter=iters, xtol=1e-9)
-            assert np.linalg.norm(u - u0) <= 0.1 * iters * (1.0 + 1e-12)
+            u, _, _, _ = _ascend(self.quadratics(), u0, 0.1, iters, xtol=1e-9)
+            assert np.all(np.linalg.norm(u - u0, axis=1) <= 0.1 * iters * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 200])
+    def test_batch_equals_one_trial_calls(self, max_iter):
+        u0 = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0], [1.0, -2.0], [0.5, 0.5]])
+        batch = _ascend(self.quadratics(), u0, 2.0, max_iter, xtol=1e-9)
+        for i in range(len(u0)):
+            one = _ascend(self.quadratics(self.TRIALS[i : i + 1]), u0[i : i + 1],
+                          2.0, max_iter, xtol=1e-9)
+            for a, b in zip(one, batch):
+                assert np.array_equal(a[0], b[i])
+        # the trial that starts on the maximum takes a zero step and stops
+        assert batch[3][3] == (max_iter > 0)
+
+    def test_singular_fisher_falls_back_for_that_trial_only(self):
+        fisher = np.array([[[2.0, 1.0], [1.0, 3.0]], np.zeros((2, 2)), 4.0 * np.eye(2)])
+        grad = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 1.0]])
+        steps = _scoring_steps(fisher, grad)
+        assert np.array_equal(steps[1], grad[1])
+        for i in (0, 2):
+            assert np.array_equal(steps[i], np.linalg.solve(fisher[i], grad[i]))
 
 
 class TestLattice:
@@ -472,6 +560,33 @@ class TestLattice:
         assert off[len(off) // 2] == 0.0
         assert off[0] == -halfwidth and off[-1] == halfwidth
         assert np.all(np.diff(off) <= spacing * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("mode", ["fix_z", "full_3d"])
+    @pytest.mark.parametrize("n0", [10.0**-0.6, 1e-2], ids=["6dB", "20dB"])
+    def test_coarse_matches_per_point_scan(self, mode, n0):
+        cfg = gauss_cfg(n0=n0)
+        center = np.array([0.3, -0.2, 0.1])
+        points = _lattice_points(center, 9.0, 4.5, mode)
+        assert len(points) == (25 if mode == "fix_z" else 125)
+        n_xyz = 2 if mode == "fix_z" else 3
+        for trial in range(4):
+            pos, _, _, samples = noisy_windows(cfg, seed=32, trial=trial)
+            best, t0 = _coarse(samples, make_pulse(cfg).samples, pos, points, cfg)
+            xi, t0_hat = reference_lattice_start(samples, pos, points, cfg)
+            want = np.append(xi[:n_xyz], t0_hat * cfg.c)
+            assert np.array_equal(_start(points, best, t0, n_xyz, cfg.c), want)
+
+    def test_fix_z_lattice_is_the_full_lattice_plane(self):
+        center = np.array([0.3, -0.2, 0.1])
+        full = _lattice_points(center, 9.0, 4.5, "full_3d")
+        plane = _lattice_points(center, 9.0, 4.5, "fix_z")
+        assert np.array_equal(plane, full[full[:, 2] == center[2]])
+
+    def test_no_point_in_window_is_singular(self):
+        cfg = gauss_cfg()
+        pos, _, meas, _ = noisy_windows(cfg, seed=1)
+        with pytest.raises(SingularInformation, match="in-window"):
+            ml_localize(meas, pos, cfg, search_center=(2.0e4, 0.0, 0.0))
 
     def test_search_window_validation(self):
         cfg = gauss_cfg()
@@ -596,10 +711,61 @@ class TestMlLocalize:
         assert r.mse_xyz > r.mse_xy
 
 
+class TestLockstep:
+    def test_chunk_equals_one_trial_calls(self):
+        """A chunk of trials refined together gives each trial the bits of
+        its own `ml_localize` call and of a chunk of one."""
+        cfg = gauss_cfg(n0=10.0**-1.2)  # 12 dB
+        pos = ring_positions()
+        t0 = centered_t0(pos, cfg)
+        sp = make_pulse(cfg)
+        spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
+        points = _lattice_points(np.zeros(3), 4.5, spacing, "full_3d")
+        meas = [
+            simulate_measurements((np.zeros(3), t0), pos, cfg, 41, trial=t)
+            for t in range(5)
+        ]
+        samples = np.array([[m.samples for m in ms] for ms in meas])
+        starts = np.array(
+            [_start(points, *_coarse(v, sp.samples, pos, points, cfg), 3, cfg.c)
+             for v in samples]
+        )
+        # the last entry restarts trial 0 at its own estimate, where the
+        # first step is already shorter than the tolerance
+        est0 = ml_localize(meas[0], pos, cfg)
+        samples = np.concatenate([samples, samples[:1]])
+        starts = np.vstack([starts, np.append(est0.xi_hat, est0.t0_hat * cfg.c)])
+        center = np.zeros(3)
+        for max_iter in (1, 100):
+            batch = _refine(samples, pos, center, starts, cfg, 0.5 * spacing, max_iter)
+            u, _, amps, converged = batch
+            for i in range(len(starts)):
+                one = _refine(samples[i : i + 1], pos, center, starts[i : i + 1], cfg,
+                              0.5 * spacing, max_iter)
+                for a, b in zip(one, batch):
+                    assert np.array_equal(a[0], b[i])
+                if i < len(meas):
+                    est = ml_localize(meas[i], pos, cfg, max_iter=max_iter)
+                    assert np.array_equal(est.xi_hat, u[i, :3])
+                    assert est.t0_hat == u[i, 3] / cfg.c
+                    assert np.array_equal(est.amplitudes_hat, amps[i])
+                    assert est.converged == converged[i]
+            # at max_iter=1 the lattice starts run out and the restart stops
+            assert list(converged) == [max_iter > 1] * len(meas) + [True]
+
+
 class TestMseExperiment:
     def test_requires_fifty_trials(self):
         with pytest.raises(InvalidConfig):
             mse_experiment(ring_positions(), gauss_cfg(), [20.0], trials=10, seed=1)
+
+    def test_no_unconverged_solves_at_22_db(self):
+        params = SystemParams()
+        rows = mse_experiment(
+            zenith_ring_geometry(params), default_signal_config(params.c), [22.0],
+            trials=50, seed=5,
+        )
+        assert (rows[0].unconverged_xy, rows[0].unconverged_xyz) == (0, 0)
 
     def test_rows_and_determinism(self):
         pos = ring_positions()
