@@ -524,56 +524,49 @@ def _ascend(
     than xtol raises the score; max_iter accepted steps at most.
 
     Every trial keeps its own point, score, gradient, Fisher matrix, trust
-    radius and step, and whether it is halving a rejected step. Each round,
-    one evaluate call scores the proposal of every trial still running (its
-    next scoring step or its halved step), and a trial that finishes drops
+    radius and step length. Each round, every trial still running solves
+    its scoring equations and clips the step to its radius, and one
+    evaluate call scores all the proposals; a trial that finishes drops
     out, so each trial follows the iterate sequence it would follow alone.
-    Returns the points, their scores and amplitudes, and the converged flags.
+    A rejected step needs no state of its own: the trial re-solves the same
+    equations at the halved radius, which gives exactly the halved step,
+    because halving a float is exact. Returns the points, their scores and
+    amplitudes, and the converged flags.
     """
     u = np.array(u0, dtype=float)
     n_trials = len(u)
     cur, grad, fisher = evaluate(np.arange(n_trials), u)
     score, amps = cur.score.copy(), cur.amplitudes.copy()
     delta = np.full(n_trials, float(radius))
-    step = np.zeros_like(u)
-    norm = np.zeros(n_trials)
     iters = np.zeros(n_trials, dtype=int)
-    halving = np.zeros(n_trials, dtype=bool)
     converged = np.zeros(n_trials, dtype=bool)
     running = np.full(n_trials, max_iter > 0)
     while running.any():
-        new = np.flatnonzero(running & ~halving)
-        if len(new):
-            s = _scoring_steps(fisher[new], grad[new])
-            n_s = np.sqrt(_dot(s, s))
-            stop = ~np.isfinite(n_s) | (n_s == 0.0)
-            if stop.any():
-                converged[new[stop]] = n_s[stop] == 0.0
-                running[new[stop]] = False
-                new, s, n_s = new[~stop], s[~stop], n_s[~stop]
-            d = delta[new]
-            clip = n_s > d
-            s[clip] *= (d[clip] / n_s[clip])[:, None]
-            n_s[clip] = d[clip]
-            step[new], norm[new] = s, n_s
         rows = np.flatnonzero(running)
-        if not len(rows):
-            break
-        trial, t_grad, t_fisher = evaluate(rows, u[rows] + step[rows])
+        step = _scoring_steps(fisher[rows], grad[rows])
+        n_s = np.sqrt(_dot(step, step))
+        stop = ~np.isfinite(n_s) | (n_s == 0.0)
+        if stop.any():
+            converged[rows[stop]] = n_s[stop] == 0.0
+            running[rows[stop]] = False
+            rows, step, n_s = rows[~stop], step[~stop], n_s[~stop]
+            if not len(rows):
+                break
+        d = delta[rows]
+        clip = n_s > d
+        step[clip] *= (d[clip] / n_s[clip])[:, None]
+        n_s[clip] = d[clip]
+        trial, t_grad, t_fisher = evaluate(rows, u[rows] + step)
         gain = trial.score - score[rows]
         up = gain >= 0.0
-        halving[rows] = ~up
 
         down = rows[~up]
-        if len(down):
-            step[down] *= 0.5
-            norm[down] *= 0.5
-            delta[down] = norm[down]
-            gave_up = down[norm[down] < xtol]
-            converged[gave_up] = True
-            running[gave_up] = False
+        delta[down] = 0.5 * n_s[~up]
+        gave_up = down[delta[down] < xtol]
+        converged[gave_up] = True
+        running[gave_up] = False
 
-        ok, gain, st = rows[up], gain[up], step[rows[up]]
+        ok, gain, st, n_ok = rows[up], gain[up], step[up], n_s[up]
         predicted = _dot(grad[ok], st) - _dot(
             ((0.5 * st)[:, None, :] @ fisher[ok])[:, 0, :], st
         )
@@ -581,7 +574,7 @@ def _ascend(
         score[ok], amps[ok] = trial.score[up], trial.amplitudes[up]
         grad[ok], fisher[ok] = t_grad[up], t_fisher[up]
         iters[ok] += 1
-        n_ok, d_ok = norm[ok], delta[ok]
+        d_ok = delta[ok]
         shrink = gain < 0.25 * predicted
         grow = ~shrink & (gain > 0.75 * predicted) & (n_ok >= d_ok)
         delta[ok] = np.where(

@@ -127,6 +127,75 @@ def reference_lattice_start(samples, pos, points, cfg):
     return best[1], best[2]
 
 
+def reference_refine(samples, pos, center, u0, cfg, radius, max_iter):
+    """One trial's fine stage as the per-trial solver did it before trials
+    were refined in lockstep: a scalar trust-region loop over a profile of
+    one (M, K) sample block. Kept as the oracle the lockstep solver must
+    match bit for bit. Returns (u, score, amplitudes, converged)."""
+    c, dt, k = cfg.c, cfg.dt, cfg.n_samples
+    n_xyz = len(u0) - 1
+    half = 0.5 * cfg.support
+
+    def evaluate(u):
+        xi = center.copy()
+        xi[:n_xyz] = u[:n_xyz]
+        diff = pos - xi[None, :]
+        dist = np.linalg.norm(diff, axis=1)
+        taus = dist / c + u[-1] / c
+        lo = np.ceil((taus - half) / dt).astype(int)
+        hi = np.minimum(np.floor((taus + half) / dt).astype(int), k - 1)
+        idx = lo[:, None] + np.arange(int(2.0 * half / dt) + 2)
+        inside = (idx >= 0) & (idx <= hi[:, None])
+        s, ds = _pulse(cfg, idx * dt - taus[:, None])
+        s = np.where(inside, s, 0.0)
+        ds = np.where(inside, ds, 0.0)
+        v = np.take_along_axis(samples, np.clip(idx, 0, k - 1), axis=1)
+        corr = np.einsum("ml,ml->m", v, s)
+        energy = np.einsum("ml,ml->m", s, s)
+        cross = np.einsum("ml,ml->m", s, ds)
+        inv_e = np.divide(1.0, energy, out=np.zeros_like(energy), where=energy > 0.0)
+        a = corr * inv_e
+        slope = -2.0 * a * (np.einsum("ml,ml->m", v, ds) - a * cross)
+        resid = np.einsum("ml,ml->m", ds, ds) - cross * cross * inv_e
+        jac = np.empty((len(pos), n_xyz + 1))
+        jac[:, :n_xyz] = -diff[:, :n_xyz] / (c * dist[:, None])
+        jac[:, -1] = 1.0 / c
+        w = 2.0 * a * a * resid
+        return float(np.dot(corr, a)), a, jac.T @ slope, (w[:, None] * jac).T @ jac
+
+    u = u0
+    score, amps, grad, fisher = evaluate(u)
+    delta = radius
+    for _ in range(max_iter):
+        try:
+            step = np.linalg.solve(fisher, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        norm = float(np.linalg.norm(step))
+        if not math.isfinite(norm) or norm == 0.0:
+            return u, score, amps, norm == 0.0
+        if norm > delta:
+            step, norm = step * (delta / norm), delta
+        while True:
+            t_score, t_amps, t_grad, t_fisher = evaluate(u + step)
+            gain = t_score - score
+            if gain >= 0.0:
+                break
+            step, norm = 0.5 * step, 0.5 * norm
+            delta = norm
+            if norm < 2.0e-4:
+                return u, score, amps, True
+        predicted = float(grad @ step - 0.5 * step @ fisher @ step)
+        u, score, amps, grad, fisher = u + step, t_score, t_amps, t_grad, t_fisher
+        if norm < 2.0e-4:
+            return u, score, amps, True
+        if gain < 0.25 * predicted:
+            delta = 0.5 * norm
+        elif gain > 0.75 * predicted and norm >= delta:
+            delta = min(2.0 * delta, radius)
+    return u, score, amps, False
+
+
 def noisy_windows(cfg, seed, trial=0):
     pos = ring_positions()
     t0 = centered_t0(pos, cfg)
@@ -712,6 +781,37 @@ class TestMlLocalize:
 
 
 class TestLockstep:
+    @pytest.mark.parametrize(
+        "cfg",
+        [gauss_cfg(n0=10.0**-0.6), gauss_cfg(), rc_cfg(n0=10.0**-0.6)],
+        ids=["gauss-6dB", "gauss-20dB", "rc-6dB"],
+    )
+    def test_chunk_follows_the_per_trial_solver(self, cfg):
+        """Every trial of a chunk ends where the per-trial solver ends, bit
+        for bit, in both modes and when it runs out of iterations."""
+        pos = ring_positions()
+        sp = make_pulse(cfg)
+        spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
+        points = _lattice_points(np.zeros(3), 4.5, spacing, "full_3d")
+        plane = points[:, 2] == 0.0
+        samples = np.array([noisy_windows(cfg, seed=43, trial=t)[3] for t in range(8)])
+        starts = {"fix_z": [], "full_3d": []}
+        for v in samples:
+            best, t0 = _coarse(v, sp.samples, pos, points, cfg)
+            starts["fix_z"].append(_start(points[plane], best[plane], t0[plane], 2, cfg.c))
+            starts["full_3d"].append(_start(points, best, t0, 3, cfg.c))
+        center = np.zeros(3)
+        for mode, u0 in starts.items():
+            for max_iter in (3, 100):
+                batch = _refine(
+                    samples, pos, center, np.array(u0), cfg, 0.5 * spacing, max_iter
+                )
+                for i, v in enumerate(samples):
+                    want = reference_refine(v, pos, center, u0[i], cfg, 0.5 * spacing,
+                                            max_iter)
+                    for got, w in zip(batch, want):
+                        assert np.array_equal(got[i], w)
+
     def test_chunk_equals_one_trial_calls(self):
         """A chunk of trials refined together gives each trial the bits of
         its own `ml_localize` call and of a chunk of one."""
