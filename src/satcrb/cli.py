@@ -11,7 +11,8 @@ object with the same keys. Keys match the dataclass field names: system
 parameters (r, h, phi_l_max, eta_rho, n_sats, eta, c) and signal parameters
 (pulse, pulse_width, sample_rate, obs_window, n0, es_max), plus seed, format,
 and output_path. Angles are degrees in files and radians internally. The key
-``c`` sets the one propagation speed shared by both parameter sets.
+``c`` sets the one propagation speed shared by both parameter sets. A seed,
+from a file or ``--seed``, is an integer in [0, 2**64 - 1].
 
 Exit codes: 0 success, 2 usage or config error, 3 degenerate geometry or
 unachievable target, 4 verification failure.
@@ -54,7 +55,7 @@ from .coverage import (
     visibility_prob,
 )
 from .fim import SingularInformation
-from .geometry import SWEEP_RANGES, InvalidConfig, SystemParams
+from .geometry import SWEEP_RANGES, InvalidConfig, SystemParams, check_seed
 from .montecarlo import ConvergenceRow, convergence_sweep, crb_distribution
 from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
@@ -173,10 +174,10 @@ def load_run_config(
         signal = dataclasses.replace(base, c=params.c, **sig_kwargs)
 
     file_seed = data.get("seed")
-    final_seed = (
+    final_seed = check_seed(
         seed
         if seed is not None
-        else (int(file_seed) if file_seed is not None else DEFAULT_SEED)
+        else (file_seed if file_seed is not None else DEFAULT_SEED)
     )
     final_fmt = fmt if fmt is not None else str(data.get("format", "csv"))
     if final_fmt not in FORMATS:

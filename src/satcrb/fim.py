@@ -74,9 +74,9 @@ def weighted_gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def timing_rows(v: np.ndarray) -> np.ndarray:
-    """Rows u_i = (v_i, -1) over (x, y, z, c*T0) from the (M, 3) unit lines
-    of sight v_i toward the satellites."""
-    return np.concatenate([v, -np.ones((len(v), 1))], axis=1)
+    """Rows u_i = (v_i, -1) over (x, y, z, c*T0) from the (..., M, 3) unit
+    lines of sight v_i toward the satellites."""
+    return np.concatenate([v, -np.ones(v.shape[:-1] + (1,))], axis=-1)
 
 
 def _tdoa_gram(
@@ -86,7 +86,7 @@ def _tdoa_gram(
     phi_l, theta = np.asarray(phi_l), np.asarray(theta)
     sin_l = np.sin(phi_l)
     u = timing_rows(
-        np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=1)
+        np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=-1)
     )
     d = np.asarray(d, dtype=float)
     return weighted_gram(u, 2.0 * params.eta_rho / d**2), u, d
@@ -95,7 +95,11 @@ def _tdoa_gram(
 def fim_tdoa_arrays(
     phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> np.ndarray:
-    """Total TDOA information of the given (already visible) satellites."""
+    """Total TDOA information of the given (already visible) satellites.
+
+    Like fim_tdoa_rss_arrays, it takes (M,) arrays or a stack of (..., M)
+    rows, one 4x4 matrix per row; a slot with d = inf weighs zero, so rows
+    of unequal length are padded with it."""
     return _tdoa_gram(phi_l, theta, d, params)[0]
 
 
@@ -110,7 +114,7 @@ def fim_tdoa_rss_arrays(
         )
     j, u, d = _tdoa_gram(phi_l, theta, d, params)
     # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
-    j[:3, :3] += weighted_gram(u[:, :3], 2.0 * params.rho / d**4)
+    j[..., :3, :3] += weighted_gram(u[..., :3], 2.0 * params.rho / d**4)
     return j
 
 

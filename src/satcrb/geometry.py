@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -126,26 +127,121 @@ class Constellation:
         return self.phi_e.shape[0]
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator), which
+# stream_keys replays
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+SEED_MAX = 2**64 - 1
+
+
+def check_seed(seed) -> int:
+    """seed as an int; InvalidConfig unless it is an integer in [0, 2**64 - 1]."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or not 0 <= seed <= SEED_MAX
+    ):
+        raise InvalidConfig(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
+    return int(seed)
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> np.uint32(16))
+
+
+def stream_keys(seed: int, trials: range) -> np.ndarray:
+    """Philox keys of the (seed, trial) streams for the trials of a range of
+    step 1 in [0, 2**64 - 1], as a (len(trials), 2) uint64 array: row i is
+    SeedSequence(entropy=seed, spawn_key=(trials[i],)).generate_state(2,
+    np.uint64), bit for bit.
+
+    SeedSequence hashes the seed's words (at most two below 2**64, padded
+    with zeros to its four-word pool) into the pool with the first 16 hash
+    constants, which is the pool of SeedSequence(seed). The spawn key's
+    words follow, each mixed into every pool word with the next four
+    constants (a trial from 2**32 on is two words), and generate_state
+    hashes the pool into the key. Only those last two stages depend on the
+    trial, so they run here as uint32 array arithmetic over all trials.
+    """
+    seed = check_seed(seed)
+    if trials.step != 1 or trials.start < 0 or trials.stop - 1 > SEED_MAX:
+        raise InvalidConfig(
+            f"trials must be a range of step 1 in [0, 2**64 - 1], got {trials}"
+        )
+    t = np.uint64(trials.start) + np.arange(len(trials), dtype=np.uint64)
+    pool = np.tile(np.random.SeedSequence(seed).pool, (t.size, 1))
+    const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
+    high = t >> np.uint64(32)
+    for word, rows in ((t, slice(None)), (high, high > 0)):
+        word = (word & np.uint64(_MASK32)).astype(np.uint32)
+        for i in range(4):
+            value = word ^ np.uint32(const)
+            const = const * _MULT_A & _MASK32
+            value = _xorshift(value * np.uint32(const))
+            mixed = _xorshift(
+                np.uint32(_MIX_MULT_L) * pool[:, i] - np.uint32(_MIX_MULT_R) * value
+            )
+            pool[rows, i] = mixed[rows]
+    const = _INIT_B
+    for i in range(4):
+        value = pool[:, i] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        pool[:, i] = _xorshift(value * np.uint32(const))
+    return pool.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def constellation_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """Counter-based generator giving an independent stream per (seed, trial)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(ss))
+    """Counter-based generator giving an independent stream per (seed, trial):
+    Philox keyed with stream_keys, the stream of
+    Philox(SeedSequence(entropy=seed, spawn_key=(trial,)))."""
+    key = stream_keys(seed, range(trial, trial + 1))[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw(params: SystemParams, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
-    """N cosines cos(phi_e), then N azimuths: the one (seed, trial) stream."""
-    rng = constellation_rng(seed, trial)
-    cos_phi_e = rng.uniform(-1.0, 1.0, params.n_sats)
-    theta = rng.uniform(0.0, 2.0 * math.pi, params.n_sats)
-    return cos_phi_e, theta
+def _uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of out: the first doubles in [0, 1) of the stream keyed keys[i].
+    One Philox reset to a key draws what a fresh Philox(key=...) draws, so
+    a single generator serves every row."""
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key, row in zip(keys, out):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=row)
+    return out
+
+
+def _draw(
+    params: SystemParams, keys: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's stream into its row of the (trials, 2N) block out: N
+    cosines cos(phi_e), then N uniforms u for the azimuths 2 pi u. These
+    are the values of uniform(-1, 1, N) and uniform(0, 2 pi, N), which
+    compute low + (high - low) u; -1 + 2u is exact, so it is done in place."""
+    n = params.n_sats
+    _uniform_rows(keys, out)
+    cos_phi_e = out[:, :n]
+    cos_phi_e *= 2.0
+    cos_phi_e -= 1.0
+    return cos_phi_e, out[:, n:]
+
+
+def _azimuth(u: np.ndarray) -> np.ndarray:
+    return 2.0 * math.pi * u
 
 
 def sample_constellation(
     params: SystemParams, seed: int, trial: int = 0
 ) -> Constellation:
     """Draw N satellites uniformly on the shell; deterministic per (seed, trial)."""
-    cos_phi_e, theta = _draw(params, seed, trial)
-    return Constellation(phi_e=np.arccos(cos_phi_e), theta=theta, seed=seed)
+    keys = stream_keys(seed, range(trial, trial + 1))
+    cos_phi_e, u = _draw(params, keys, np.empty((1, 2 * params.n_sats)))
+    return Constellation(
+        phi_e=np.arccos(cos_phi_e[0]), theta=_azimuth(u[0]), seed=seed
+    )
 
 
 # Prefilter slack in cos(phi_e): the rounding of e_to_l_arrays moves the
@@ -158,17 +254,84 @@ def _cup_candidates(cos_phi_e: np.ndarray, params: SystemParams) -> np.ndarray:
     return cos_phi_e >= chi_max(params) - CUP_MARGIN
 
 
+# doubles a chunk of trials draws at once; a chunk holds at least one trial
+_BLOCK = 1 << 16
+
+
+def _trials_per_chunk(n_sats: int) -> int:
+    return max(1, _BLOCK // (2 * n_sats))
+
+
+def _padded(filled: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
+    """values in the True slots of the mask filled, in row-major order, and
+    fill in the others."""
+    rows = np.full(filled.shape, fill)
+    rows[filled] = values
+    return rows
+
+
+def _cup_draws(
+    params: SystemParams, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(trial, cos(phi_e), u) of each cup candidate of the streams keys, in
+    trial order and then draw order; the block of draws dies on return."""
+    n = params.n_sats
+    block = np.empty((len(keys), 2 * n))
+    cand = np.flatnonzero(_cup_candidates(_draw(params, keys, block)[0], params))
+    trial = cand // n
+    # a candidate's place in the flat block; its azimuth's is n further on
+    at = cand + trial * n
+    flat = block.reshape(-1)
+    return trial, flat[at], flat[at + n]
+
+
+def _visible_chunk(
+    params: SystemParams, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    trial, cos_phi_e, u = _cup_draws(params, keys)
+    phi_l, d, visible = e_to_l_arrays(np.arccos(cos_phi_e), params)
+    counts = np.bincount(trial[visible], minlength=len(keys))
+    # row-major order of the padded rows is trial order, then draw order
+    filled = np.arange(counts.max()) < counts[:, None]
+    return (
+        counts,
+        _padded(filled, phi_l[visible], 0.0),
+        _padded(filled, _azimuth(u[visible]), 0.0),
+        _padded(filled, d[visible], math.inf),
+    )
+
+
+def visible_chunks(
+    params: SystemParams, seed: int, trials: range
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The visible satellites of the streams (seed, t) for t in `trials`,
+    a chunk of trials at a time.
+
+    Yields (rows, counts, phi_l, theta, d): rows is the chunk's slice of
+    `trials`, and row i of the padded (chunk, max(counts)) arrays holds the
+    counts[i] visible satellites of trials[rows][i] in draw order, then
+    padding slots with phi_l = theta = 0 at d = inf. A chunk draws its
+    streams into one block of at most _BLOCK doubles (one trial if N is
+    larger), and only the cup candidates of the whole chunk go to the local
+    frame, in one call, where e_to_l_arrays still decides visibility; so
+    each trial's satellites equal converting all N of its
+    sample_constellation and masking, bit for bit.
+    """
+    keys = stream_keys(seed, trials)
+    size = _trials_per_chunk(params.n_sats)
+    for first in range(0, len(keys), size):
+        chunk = keys[first : first + size]
+        yield (slice(first, first + size), *_visible_chunk(params, chunk))
+
+
 def visible_sky(
     params: SystemParams, seed: int, trial: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi_l, theta, d) of the visible satellites of sample_constellation(
-    params, seed, trial), in draw order. Only the cup candidates go to the
-    local frame, where e_to_l_arrays still decides visibility, so the result
-    equals converting all N and masking, bit for bit."""
-    cos_phi_e, theta = _draw(params, seed, trial)
-    cand = _cup_candidates(cos_phi_e, params)
-    phi_l, d, visible = e_to_l_arrays(np.arccos(cos_phi_e[cand]), params)
-    return phi_l[visible], theta[cand][visible], d[visible]
+    params, seed, trial), in draw order: visible_chunks for one trial."""
+    chunks = visible_chunks(params, seed, range(trial, trial + 1))
+    _, _, phi_l, theta, d = next(chunks)
+    return phi_l[0], theta[0], d[0]
 
 
 def e_to_l_arrays(

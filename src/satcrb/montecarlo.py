@@ -5,12 +5,19 @@ information of the visible satellites, and records N*CRB. Aggregates
 (medians, nearest-rank percentiles, convergence tables, parameter sweeps,
 mean-information structure) feed both the test oracles and the CLI.
 
-crb_distribution's pipeline: draw (N cosines cos(phi_e), then N azimuths,
-from each trial's own (seed, trial) stream) -> visible-cup prefilter (only
-cos(phi_e) >= chi_max - CUP_MARGIN reaches the local frame, where phi_l <=
-phi_l_max decides; geometry.visible_sky) -> FIM (row t of one (trials, 4, 4)
-stack, left NaN below four visible satellites) -> one stacked gate
-(fim.gated_inverse inverts the rows that pass; the rest count as singular).
+crb_distribution's pipeline, a chunk of trials at a time
+(geometry.visible_chunks): keys (the Philox key of every trial's (seed,
+trial) stream, derived for all trials at once by geometry.stream_keys) ->
+chunked draw (one reused generator, reset to each trial's key, fills that
+trial's row of one bounded block: N cosines cos(phi_e), then N azimuths)
+-> candidates (only the chunk's cos(phi_e) >= chi_max - CUP_MARGIN reach
+the local frame, in one call, where phi_l <= phi_l_max decides) -> padded
+FIM stack (row t of the chunk holds trial t's visible satellites, padded
+at d = inf, where a satellite weighs zero; one (chunk, 4, 4) build; rows
+below four visible satellites are NaN and counted as uncovered) -> one
+gate (fim.gated_inverse inverts the whole run's rows that pass; the rest
+count as singular). Every result is bit for bit the one-trial-at-a-time
+computation.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .closed_form import acrb, lcrb_tdoa, lcrb_tdoa_rss
 from .coverage import COVERAGE_RULE, coverage_prob
 from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
-from .geometry import InvalidConfig, SystemParams, visible_sky
+from .geometry import InvalidConfig, SystemParams, visible_chunks, visible_sky
 
 MODELS = ("tdoa", "tdoa_rss")
 
@@ -51,7 +58,9 @@ def nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
 
 @dataclass(frozen=True)
 class CrbDistribution:
-    """Empirical law of N*CRB over random constellations (singulars dropped)."""
+    """Empirical law of N*CRB over random constellations (singulars dropped).
+    The uncovered trials, with fewer than four visible satellites, are
+    among the singular ones."""
 
     model: str
     n_sats: int
@@ -59,6 +68,7 @@ class CrbDistribution:
     samples_xy: np.ndarray
     samples_z: np.ndarray
     singular_count: int
+    uncovered_count: int
 
     @property
     def all_singular(self) -> bool:
@@ -101,11 +111,13 @@ def crb_distribution(
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     build = _fim_builder(model)
-    j = np.full((trials, 4, 4), np.nan)
-    for t in range(trials):
-        phi_l, theta, d = visible_sky(params, seed, t)
-        if phi_l.size >= 4:
-            j[t] = build(phi_l, theta, d, params)
+    j = np.empty((trials, 4, 4))
+    uncovered = 0
+    for rows, counts, phi_l, theta, d in visible_chunks(params, seed, range(trials)):
+        chunk = build(phi_l, theta, d, params)
+        chunk[counts < 4] = np.nan
+        j[rows] = chunk
+        uncovered += int(np.sum(counts < 4))
     inv, ok = gated_inverse(j)
     n = float(params.n_sats)
     return CrbDistribution(
@@ -115,6 +127,7 @@ def crb_distribution(
         samples_xy=np.sort(n * (inv[ok, 0, 0] + inv[ok, 1, 1])),
         samples_z=np.sort(n * inv[ok, 2, 2]),
         singular_count=trials - int(ok.sum()),
+        uncovered_count=uncovered,
     )
 
 

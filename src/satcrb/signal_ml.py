@@ -396,20 +396,28 @@ def _profile(
     )
 
 
-def _matched_filter(samples: np.ndarray, pulse: np.ndarray) -> np.ndarray:
-    """corr[m, j] = sum_k v_m[k] s((k - j) dt) for j = 0..K-1, by real FFTs.
-
-    pulse holds the 2 ph + 1 samples of s centered on its middle index. The
-    full linear correlation has K + 2 ph - 1 lags and only lags ph..ph+K-1
-    are kept, so a circular transform of length >= K + ph wraps nothing onto
-    them.
-    """
-    k = samples.shape[1]
+def _pulse_filter(pulse: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
+    """(spectrum, nfft, ph) of the matched filter for windows of k samples:
+    the rfft of the time-reversed pulse over the transform length nfft, and
+    ph, the pulse's half length. pulse holds the 2 ph + 1 samples of s
+    centered on its middle index. The full linear correlation has
+    K + 2 ph - 1 lags and only lags ph..ph+K-1 are kept, so a circular
+    transform of length >= K + ph wraps nothing onto them. The pulse is
+    fixed for an SNR point, so its spectrum is computed once per point."""
     ph = (len(pulse) - 1) // 2
     nfft = 1 << (k + ph - 1).bit_length()
+    return np.fft.rfft(pulse[::-1], nfft), nfft, ph
+
+
+def _matched_filter(
+    samples: np.ndarray, pulse_filter: tuple[np.ndarray, int, int]
+) -> np.ndarray:
+    """corr[m, j] = sum_k v_m[k] s((k - j) dt) for j = 0..K-1, by real FFTs,
+    with pulse_filter = _pulse_filter(s, K)."""
+    spectrum, nfft, ph = pulse_filter
     spec = np.fft.rfft(samples, nfft, axis=1)
-    spec *= np.fft.rfft(pulse[::-1], nfft)
-    return np.fft.irfft(spec, nfft, axis=1)[:, ph : ph + k]
+    spec *= spectrum
+    return np.fft.irfft(spec, nfft, axis=1)[:, ph : ph + samples.shape[1]]
 
 
 def _lattice_offsets(halfwidth: float, spacing: float) -> np.ndarray:
@@ -434,7 +442,7 @@ def _lattice_points(
 
 def _coarse(
     samples: np.ndarray,
-    pulse: np.ndarray,
+    pulse_filter: tuple[np.ndarray, int, int],
     positions: np.ndarray,
     points: np.ndarray,
     config: SignalConfig,
@@ -447,7 +455,7 @@ def _coarse(
     offsets the point implies; the score is -inf where the delay spread
     leaves no lag with every pulse in the window.
     """
-    corr2 = _matched_filter(samples, pulse)
+    corr2 = _matched_filter(samples, pulse_filter)
     corr2 *= corr2
     dt, k = config.dt, config.n_samples
     g = np.linalg.norm(positions - points[:, None, :], axis=-1) / config.c
@@ -663,7 +671,9 @@ def ml_localize(
 
     center = np.asarray(search_center, dtype=float)
     points = _lattice_points(center, search_halfwidth, grid_spacing, mode)
-    best, t0 = _coarse(samples, sp.samples, pos, points, config)
+    best, t0 = _coarse(
+        samples, _pulse_filter(sp.samples, samples.shape[1]), pos, points, config
+    )
     u0 = _start(points, best, t0, 2 if mode == "fix_z" else 3, config.c)
     u, _, amps, converged = _refine(
         samples[None], pos, center, u0[None], config, 0.5 * grid_spacing, max_iter
@@ -759,6 +769,7 @@ def mse_experiment(
         cfg = dataclasses.replace(config, n0=n0)
         t0 = centered_t0(pos, cfg)
         sp = make_pulse(cfg)
+        pulse_filter = _pulse_filter(sp.samples, cfg.n_samples)
         spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
         points = _lattice_points(truth_xi, _HALFWIDTH, spacing, "full_3d")
         plane = points[:, 2] == truth_xi[2]
@@ -774,7 +785,7 @@ def mse_experiment(
                     m.samples
                     for m in simulate_measurements((truth_xi, t0), pos, cfg, seed, trial)
                 ]
-                best, t0s = _coarse(samples[i], sp.samples, pos, points, cfg)
+                best, t0s = _coarse(samples[i], pulse_filter, pos, points, cfg)
                 u_xy[i] = _start(points[plane], best[plane], t0s[plane], 2, cfg.c)
                 u_xyz[i] = _start(points, best, t0s, 3, cfg.c)
             for mode, u0 in (("fix_z", u_xy), ("full_3d", u_xyz)):

@@ -93,6 +93,26 @@ class TestConfigLoading:
         assert run.seed == 11
         assert run.format == "csv"
 
+    @pytest.mark.parametrize("value", ["-1", "18446744073709551616", "1.5"])
+    def test_bad_file_seed_exits_2(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {value}\n")
+        with pytest.raises(InvalidConfig, match="seed must be an integer"):
+            load_run_config(str(cfg))
+        result = CliRunner().invoke(
+            main, ["--config", str(cfg), "montecarlo", "--trials", "2", "--n-list", "10"]
+        )
+        assert result.exit_code == 2
+        assert (
+            f"Error: seed must be an integer in [0, 2**64 - 1], got {value}"
+            in result.stderr
+        )
+
+    def test_largest_file_seed_is_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 18446744073709551615\n")
+        assert load_run_config(str(cfg)).seed == 2**64 - 1
+
     def test_signal_keys_build_signal_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("pulse = raised_cosine\npulse_width = 2e-4\nsample_rate = 2e5\n")

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from satcrb.geometry import (
     CUP_MARGIN,
+    SEED_MAX,
     InvalidConfig,
     SystemParams,
     _cup_candidates,
+    check_seed,
     chi_max,
+    constellation_rng,
     constellation_states,
     e_to_l_arrays,
     d_max,
@@ -22,6 +25,7 @@ from satcrb.geometry import (
     log_dmax_over_h,
     max_earth_angle,
     sample_constellation,
+    stream_keys,
     visible_sky,
 )
 from satcrb.coverage import visibility_prob
@@ -277,3 +281,84 @@ def test_visible_sky_is_the_masked_full_conversion(n_sats):
         got = visible_sky(p, seed=31, trial=trial)
         for a, b in zip(got, (phi_l[visible], c.theta[visible], d[visible])):
             assert np.array_equal(a, b)
+
+
+def seed_sequence_key(seed, trial):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,)).generate_state(
+        2, np.uint64
+    )
+
+
+# the trials 0-1000, those where a trial becomes two words, and the last
+TRIAL_RANGES = [
+    range(1001),
+    range(2**32 - 2, 2**32 + 2),
+    range(SEED_MAX - 1, SEED_MAX + 1),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, SEED_MAX])
+def test_stream_keys_are_the_seed_sequence_keys(seed):
+    for trials in TRIAL_RANGES:
+        keys = stream_keys(seed, trials)
+        assert keys.shape == (len(trials), 2) and keys.dtype == np.uint64
+        for t, key in zip(trials, keys):
+            assert np.array_equal(key, seed_sequence_key(seed, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, SEED_MAX), trial=st.integers(0, SEED_MAX - 2))
+def test_stream_keys_match_seed_sequence_anywhere(seed, trial):
+    for trials in (range(2), range(trial, trial + 3)):
+        for t, key in zip(trials, stream_keys(seed, trials)):
+            assert np.array_equal(key, seed_sequence_key(seed, t))
+
+
+def test_constellation_rng_is_the_seed_sequence_stream():
+    """The streams are keyed without a SeedSequence per trial; this pins
+    that a Philox keyed with SeedSequence's key draws what the
+    SeedSequence-seeded Philox draws, so a numpy that breaks it fails here."""
+    for seed, trial in ((0, 0), (7, 3), (SEED_MAX, 2**32)):
+        key = seed_sequence_key(seed, trial)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        want = np.random.Generator(np.random.Philox(ss)).random(1001)
+        keyed = np.random.Generator(np.random.Philox(key=key)).random(1001)
+        assert np.array_equal(keyed, want)
+        assert np.array_equal(constellation_rng(seed, trial).random(1001), want)
+
+
+@pytest.mark.parametrize("n_sats", [1, 5, 4000])
+def test_sample_constellation_is_the_uniform_draw(n_sats):
+    """The draw is uniform(-1, 1, N) cosines, then uniform(0, 2 pi, N)
+    azimuths, from the trial's SeedSequence-seeded Philox, bit for bit."""
+    p = SystemParams(n_sats=n_sats)
+    for seed, trial in ((3, 0), (20260819, 11), (2**63 + 11, 2)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        cos_phi_e = rng.uniform(-1.0, 1.0, n_sats)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n_sats)
+        c = sample_constellation(p, seed, trial)
+        assert np.array_equal(c.phi_e, np.arccos(cos_phi_e))
+        assert np.array_equal(c.theta, theta)
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 1.5, "7", True, None])
+def test_seed_outside_its_range_is_rejected(seed):
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        check_seed(seed)
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        sample_constellation(SystemParams(n_sats=4), seed)
+
+
+@pytest.mark.parametrize(
+    "trials", [range(-1, 1), range(SEED_MAX, SEED_MAX + 2), range(0, 4, 2)]
+)
+def test_trials_outside_their_range_are_rejected(trials):
+    with pytest.raises(InvalidConfig, match="trials must be a range"):
+        stream_keys(1, trials)
+
+
+def test_seed_and_trial_bounds_are_accepted():
+    assert check_seed(0) == 0 and check_seed(np.uint64(SEED_MAX)) == SEED_MAX
+    assert stream_keys(5, range(0)).shape == (0, 2)
+    assert constellation_rng(SEED_MAX, SEED_MAX).random() >= 0.0

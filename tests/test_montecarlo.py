@@ -8,7 +8,13 @@ import pytest
 
 from satcrb.closed_form import lcrb_tdoa, moment_integrals
 from satcrb.fim import COND_LIMIT, crb_from_fim, fim_tdoa_arrays, fim_tdoa_rss_arrays
-from satcrb.geometry import InvalidConfig, SystemParams, e_to_l_arrays, sample_constellation
+from satcrb.geometry import (
+    InvalidConfig,
+    SystemParams,
+    _trials_per_chunk,
+    e_to_l_arrays,
+    sample_constellation,
+)
 from satcrb.montecarlo import (
     ConvergenceRow,
     CrbDistribution,
@@ -86,6 +92,33 @@ def test_distribution_matches_reference_at_low_altitude(model, phi_deg):
 
 def test_large_fleet_matches_reference():
     assert_matches_reference(SystemParams(n_sats=100_000), "tdoa", trials=5, seed=5)
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+@pytest.mark.parametrize("n_sats", [250, 2000, 100_000])
+def test_distribution_matches_reference_across_chunk_boundaries(model, n_sats):
+    """Trial counts one below, at and one above a chunk of trials, and one
+    above two chunks; at N = 1e5 a chunk is a single trial."""
+    params = SystemParams(n_sats=n_sats, eta=0.0025)
+    size = _trials_per_chunk(n_sats)
+    assert (size == 1) == (n_sats == 100_000)
+    for trials in sorted({max(size - 1, 1), size, size + 1, 2 * size + 1}):
+        assert_matches_reference(params, model, trials=trials, seed=size + trials)
+
+
+def test_uncovered_draws_are_counted():
+    dist = crb_distribution(SystemParams(n_sats=2000), "tdoa", trials=200, seed=5)
+    assert dist.uncovered_count == 0
+    for n_sats in (4, 12):
+        p = SystemParams(n_sats=n_sats)
+        dist = crb_distribution(p, "tdoa", trials=300, seed=5)
+        # the trials short of four visible satellites, and only those
+        visible = [
+            e_to_l_arrays(sample_constellation(p, 5, t).phi_e, p)[2].sum()
+            for t in range(300)
+        ]
+        assert dist.uncovered_count == sum(v < 4 for v in visible)
+        assert 0 < dist.uncovered_count <= dist.singular_count
 
 
 def test_nearest_rank_small_lists():

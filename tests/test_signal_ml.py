@@ -24,6 +24,7 @@ from satcrb.signal_ml import (
     _Profile,
     _profile,
     _pulse,
+    _pulse_filter,
     _refine,
     _scoring_steps,
     _start,
@@ -106,7 +107,8 @@ def reference_lattice_start(samples, pos, points, cfg):
     """(xi, T0) at the first best lattice point, scanned one point at a time
     with a stacked window per point: the loop that `_coarse` and `_start`
     replaced, kept as their oracle."""
-    corr = _matched_filter(samples, make_pulse(cfg).samples)
+    pulse_filter = _pulse_filter(make_pulse(cfg).samples, samples.shape[1])
+    corr = _matched_filter(samples, pulse_filter)
     corr2 = corr * corr
     k = cfg.n_samples
     best = (-math.inf, None, None)
@@ -546,7 +548,8 @@ class TestProfiledScore:
                 k = j + i - ph  # pulse sample i sits at time (k - j) dt
                 if 0 <= k < 50:
                     want[:, j] += samples[:, k] * pulse[i]
-        assert np.allclose(_matched_filter(samples, pulse), want, rtol=0.0, atol=1e-12)
+        got = _matched_filter(samples, _pulse_filter(pulse, 50))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestAscent:
@@ -640,7 +643,8 @@ class TestLattice:
         n_xyz = 2 if mode == "fix_z" else 3
         for trial in range(4):
             pos, _, _, samples = noisy_windows(cfg, seed=32, trial=trial)
-            best, t0 = _coarse(samples, make_pulse(cfg).samples, pos, points, cfg)
+            pulse_filter = _pulse_filter(make_pulse(cfg).samples, cfg.n_samples)
+            best, t0 = _coarse(samples, pulse_filter, pos, points, cfg)
             xi, t0_hat = reference_lattice_start(samples, pos, points, cfg)
             want = np.append(xi[:n_xyz], t0_hat * cfg.c)
             assert np.array_equal(_start(points, best, t0, n_xyz, cfg.c), want)
@@ -796,8 +800,9 @@ class TestLockstep:
         plane = points[:, 2] == 0.0
         samples = np.array([noisy_windows(cfg, seed=43, trial=t)[3] for t in range(8)])
         starts = {"fix_z": [], "full_3d": []}
+        pulse_filter = _pulse_filter(sp.samples, cfg.n_samples)
         for v in samples:
-            best, t0 = _coarse(v, sp.samples, pos, points, cfg)
+            best, t0 = _coarse(v, pulse_filter, pos, points, cfg)
             starts["fix_z"].append(_start(points[plane], best[plane], t0[plane], 2, cfg.c))
             starts["full_3d"].append(_start(points, best, t0, 3, cfg.c))
         center = np.zeros(3)
@@ -827,7 +832,8 @@ class TestLockstep:
         ]
         samples = np.array([[m.samples for m in ms] for ms in meas])
         starts = np.array(
-            [_start(points, *_coarse(v, sp.samples, pos, points, cfg), 3, cfg.c)
+            [_start(points, *_coarse(v, _pulse_filter(sp.samples, cfg.n_samples), pos,
+                                     points, cfg), 3, cfg.c)
              for v in samples]
         )
         # the last entry restarts trial 0 at its own estimate, where the
