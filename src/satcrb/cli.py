@@ -55,7 +55,7 @@ from .coverage import (
     visibility_prob,
 )
 from .fim import SingularInformation
-from .geometry import SWEEP_RANGES, InvalidConfig, SystemParams, check_seed
+from .geometry import SEED_MAX, SWEEP_RANGES, InvalidConfig, SystemParams, check_seed
 from .montecarlo import ConvergenceRow, convergence_sweep, crb_distribution
 from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
@@ -403,7 +403,7 @@ def _computation_errors(fn: Callable[[], None]) -> None:
 
 @click.group()
 @click.option("--config", "config_path", default=None, help="Config file (key=value or JSON).")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="RNG seed.")
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=None, help="RNG seed.")
 @click.option("--out", "output_path", default=None, help="Output file (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default=None, help="Row output format.")
 @click.pass_context

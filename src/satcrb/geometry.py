@@ -200,13 +200,15 @@ def constellation_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row i of out: the first doubles in [0, 1) of the stream keyed keys[i].
-    One Philox reset to a key draws what a fresh Philox(key=...) draws, so
-    a single generator serves every row."""
+def _uniform_rows(keys: np.ndarray, out: np.ndarray, skip: int = 0) -> np.ndarray:
+    """Row i of out: doubles in [0, 1) of the stream keyed keys[i], from its
+    (4 skip)-th on. A Philox counter counts blocks of four doubles, and one
+    Philox reset to a key and a counter draws what a fresh Philox(key=...)
+    advanced by that count draws, so a single generator serves every row."""
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
     state = bitgen.state
+    state["state"]["counter"][0] = skip
     for key, row in zip(keys, out):
         state["state"]["key"] = key
         bitgen.state = state
@@ -214,19 +216,34 @@ def _uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw(
+# A trial's stream is N cosines cos(phi_e), then N uniforms u for the
+# azimuths 2 pi u: the values of uniform(-1, 1, N) and uniform(0, 2 pi, N),
+# which compute low + (high - low) u. The two halves are drawn in turn into
+# the same row of a (trials, N + 3) block; the azimuth draw starts at a
+# block of four doubles, up to 3 before its first.
+_ROW_SLACK = 3
+
+
+def _draw_cosines(
     params: SystemParams, keys: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's stream into its row of the (trials, 2N) block out: N
-    cosines cos(phi_e), then N uniforms u for the azimuths 2 pi u. These
-    are the values of uniform(-1, 1, N) and uniform(0, 2 pi, N), which
-    compute low + (high - low) u; -1 + 2u is exact, so it is done in place."""
-    n = params.n_sats
-    _uniform_rows(keys, out)
-    cos_phi_e = out[:, :n]
+) -> np.ndarray:
+    """Each trial's N cosines, in the first N columns of its row of out.
+    -1 + 2u is exact, so it is done in place."""
+    cos_phi_e = _uniform_rows(keys, out[:, : params.n_sats])
     cos_phi_e *= 2.0
     cos_phi_e -= 1.0
-    return cos_phi_e, out[:, n:]
+    return cos_phi_e
+
+
+def _draw_azimuths(
+    params: SystemParams, keys: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Each trial's N azimuth uniforms, over its row of out. The draw starts
+    at the block of four doubles holding the first of them, N mod 4 columns
+    before it."""
+    n = params.n_sats
+    _uniform_rows(keys, out[:, : n + n % 4], skip=n // 4)
+    return out[:, n % 4 : n % 4 + n]
 
 
 def _azimuth(u: np.ndarray) -> np.ndarray:
@@ -238,10 +255,10 @@ def sample_constellation(
 ) -> Constellation:
     """Draw N satellites uniformly on the shell; deterministic per (seed, trial)."""
     keys = stream_keys(seed, range(trial, trial + 1))
-    cos_phi_e, u = _draw(params, keys, np.empty((1, 2 * params.n_sats)))
-    return Constellation(
-        phi_e=np.arccos(cos_phi_e[0]), theta=_azimuth(u[0]), seed=seed
-    )
+    block = np.empty((1, params.n_sats + _ROW_SLACK))
+    phi_e = np.arccos(_draw_cosines(params, keys, block)[0])
+    theta = _azimuth(_draw_azimuths(params, keys, block)[0])
+    return Constellation(phi_e=phi_e, theta=theta, seed=seed)
 
 
 # Prefilter slack in cos(phi_e): the rounding of e_to_l_arrays moves the
@@ -255,11 +272,11 @@ def _cup_candidates(cos_phi_e: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 # doubles a chunk of trials draws at once; a chunk holds at least one trial
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def _trials_per_chunk(n_sats: int) -> int:
-    return max(1, _BLOCK // (2 * n_sats))
+    return max(1, _BLOCK // n_sats)
 
 
 def _padded(filled: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
@@ -274,20 +291,24 @@ def _cup_draws(
     params: SystemParams, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(trial, cos(phi_e), u) of each cup candidate of the streams keys, in
-    trial order and then draw order; the block of draws dies on return."""
+    trial order and then draw order. The candidates are taken before the
+    azimuths overwrite the cosines, and the block dies on return."""
     n = params.n_sats
-    block = np.empty((len(keys), 2 * n))
-    cand = np.flatnonzero(_cup_candidates(_draw(params, keys, block)[0], params))
+    block = np.empty((len(keys), n + _ROW_SLACK))
+    cand = np.flatnonzero(_cup_candidates(_draw_cosines(params, keys, block), params))
     trial = cand // n
-    # a candidate's place in the flat block; its azimuth's is n further on
-    at = cand + trial * n
+    # a candidate's place in the flat block; its azimuth's is n mod 4 further
+    at = cand + trial * _ROW_SLACK
     flat = block.reshape(-1)
-    return trial, flat[at], flat[at + n]
+    cos_phi_e = flat[at]
+    _draw_azimuths(params, keys, block)
+    return trial, cos_phi_e, flat[at + n % 4]
 
 
 def _visible_chunk(
     params: SystemParams, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """counts and padded (phi_l, theta, d) of one chunk of visible_chunks."""
     trial, cos_phi_e, u = _cup_draws(params, keys)
     phi_l, d, visible = e_to_l_arrays(np.arccos(cos_phi_e), params)
     counts = np.bincount(trial[visible], minlength=len(keys))
@@ -311,7 +332,7 @@ def visible_chunks(
     `trials`, and row i of the padded (chunk, max(counts)) arrays holds the
     counts[i] visible satellites of trials[rows][i] in draw order, then
     padding slots with phi_l = theta = 0 at d = inf. A chunk draws its
-    streams into one block of at most _BLOCK doubles (one trial if N is
+    streams into one block of about _BLOCK doubles (one trial if N is
     larger), and only the cup candidates of the whole chunk go to the local
     frame, in one call, where e_to_l_arrays still decides visibility; so
     each trial's satellites equal converting all N of its

@@ -327,7 +327,7 @@ def test_constellation_rng_is_the_seed_sequence_stream():
         assert np.array_equal(constellation_rng(seed, trial).random(1001), want)
 
 
-@pytest.mark.parametrize("n_sats", [1, 5, 4000])
+@pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 4000, 100_001])
 def test_sample_constellation_is_the_uniform_draw(n_sats):
     """The draw is uniform(-1, 1, N) cosines, then uniform(0, 2 pi, N)
     azimuths, from the trial's SeedSequence-seeded Philox, bit for bit."""
