@@ -20,6 +20,7 @@ unachievable target, 4 verification failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -133,6 +134,17 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
+def _config_number(key: str, value, kind: type):
+    """The value of a numeric config key as kind, float or int; InvalidConfig
+    naming the key unless it is a number (an integer for int), not a bool,
+    and kind holds it (an integer beyond the float range does not)."""
+    if not isinstance(value, bool) and isinstance(value, (int, kind)):
+        with contextlib.suppress(OverflowError):
+            return kind(value)
+    noun = "an integer" if kind is int else "a number"
+    raise InvalidConfig(f"config key {key} must be {noun}, got {value!r}")
+
+
 def load_run_config(
     config_path: str | None,
     seed: int | None = None,
@@ -149,18 +161,9 @@ def load_run_config(
     param_kwargs = {}
     for key in _PARAM_KEYS:
         if key in data and data[key] is not None:
-            value = data[key]
-            if key == "n_sats":
-                value = int(value)
-            elif key == "phi_l_max":
-                value = math.radians(float(value))
-            else:
-                value = float(value)
-            param_kwargs[key] = value
-    try:
-        params = SystemParams(**param_kwargs)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
+            value = _config_number(key, data[key], int if key == "n_sats" else float)
+            param_kwargs[key] = math.radians(value) if key == "phi_l_max" else value
+    params = SystemParams(**param_kwargs)
 
     signal = None
     if any(key in data for key in _SIGNAL_KEYS):
@@ -169,7 +172,9 @@ def load_run_config(
         for key in _SIGNAL_KEYS:
             if key in data:
                 sig_kwargs[key] = (
-                    str(data[key]) if key == "pulse" else float(data[key])
+                    str(data[key])
+                    if key == "pulse"
+                    else _config_number(key, data[key], float)
                 )
         signal = dataclasses.replace(base, c=params.c, **sig_kwargs)
 

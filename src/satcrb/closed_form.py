@@ -171,6 +171,7 @@ class _CupEdges:
             = sin^2 (R^2 + zeta^2 r^2) / (R + zeta sqrt(R^2 - r^2 sin^2))
       q     = R - (r(h - zeta D_max) + hR)/D_max
             = (R^2 - r^2) r^2 sin^2 / ((R + sqrt)(sqrt + r zeta) D_max)
+    with R^2 - r^2 formed as h(2r + h), which does not cancel at small h.
     """
 
     r: np.longdouble
@@ -204,7 +205,7 @@ def _cup_edges(params: SystemParams, h: np.ndarray, phi: np.ndarray) -> _CupEdge
     lam = np.log1p(dmh / h)
     hmzd = h * h * (one - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
     surd = sin2 * (big_r * big_r + zeta * zeta * r * r) / (big_r + zeta * sq)
-    q = (big_r * big_r - r * r) * r * r * sin2 / ((big_r + sq) * (sq + r * zeta) * dm)
+    q = h * (2.0 * r + h) * r * r * sin2 / ((big_r + sq) * (sq + r * zeta) * dm)
     return _CupEdges(
         r=r, h=h, big_r=big_r, zeta=zeta, sin2=sin2,
         dm=dm, lam=lam, hmzd=hmzd, surd=surd, q=q,
@@ -215,7 +216,7 @@ def _rss_brackets(e: _CupEdges, eta: np.longdouble) -> tuple[np.ndarray, np.ndar
     """The sin^2 and cos^2 brackets of the K moments, the TDOA+RSS xy
     denominator and (before its q^2 term) z denominator."""
     r, h, big_r, dm, lam = e.r, e.h, e.big_r, e.dm, e.lam
-    rr = big_r * big_r - r * r
+    rr = h * (2.0 * r + h)
     ss = big_r * big_r + r * r
     pos2 = 1.0 / (h * h) - 1.0 / (dm * dm)
     pos4 = 1.0 / h**4 - 1.0 / dm**4

@@ -4,10 +4,10 @@ The unknown vector is gamma = (x, y, z, T0) in the LT's local frame (z toward
 zenith). Each satellite contributes an outer-product summand w_i u_i u_i^T
 built from its direction vector; `weighted_gram` is the one place that sum is
 formed, for the bounds here, the signal model's information, the ML
-estimator's scoring matrix and the planar oracle's gate. The array builders
-take the visible satellites' (phi_l, theta, d); `fim_tdoa` and `fim_tdoa_rss`
-are thin wrappers over them for lists of SatelliteState. Two measurement
-models are supported:
+estimator's scoring matrix and the planar oracle's gate. The builders take
+the visible satellites' (phi_l, theta, d) arrays, as geometry.visible_sky
+gives them, and return plain (4, 4) arrays, or a stack of them for padded
+rows. Two measurement models are supported:
 
 * TDOA+RSS: the received amplitude carries ranging information too, giving the
   spatial weight K_i = (2 rho / D_i^4)(1 + eta D_i^2) and timing weight
@@ -23,11 +23,10 @@ depend on that nuisance scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import InvalidConfig, SatelliteState, SystemParams
+from .geometry import InvalidConfig, SystemParams
 
 # Geometries whose 4x4 information matrix is worse-conditioned than this are
 # treated as unidentifiable rather than inverted into garbage.
@@ -36,19 +35,6 @@ COND_LIMIT = 1.0e12
 
 class SingularInformation(Exception):
     """The information matrix is too ill-conditioned to bound anything."""
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    """4x4 symmetric information matrix, ordering (x, y, z, T0)."""
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.m, dtype=float)
-        if a.shape != (4, 4):
-            raise InvalidConfig(f"Fisher matrix must be 4x4, got {a.shape}")
-        object.__setattr__(self, "m", a)
 
 
 @dataclass(frozen=True)
@@ -118,24 +104,6 @@ def fim_tdoa_rss_arrays(
     return j
 
 
-def _fim_of_states(sats: Sequence[SatelliteState], params: SystemParams, build):
-    vis = [s for s in sats if s.visible]
-    if not vis:
-        return FisherMatrix(np.zeros((4, 4)))
-    arrays = (np.array([getattr(s, k) for s in vis]) for k in ("phi_l", "theta", "d"))
-    return FisherMatrix(build(*arrays, params))
-
-
-def fim_tdoa(sats: Sequence[SatelliteState], params: SystemParams) -> FisherMatrix:
-    """Sum of L_i u_i u_i^T over the visible satellites (zero matrix if none)."""
-    return _fim_of_states(sats, params, fim_tdoa_arrays)
-
-
-def fim_tdoa_rss(sats: Sequence[SatelliteState], params: SystemParams) -> FisherMatrix:
-    """TDOA+RSS information over the visible satellites (zero matrix if none)."""
-    return _fim_of_states(sats, params, fim_tdoa_rss_arrays)
-
-
 def gated_inverse(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (T, k, k) stack and the mask of the matrices that pass
     the invertibility gate: finite, det > 0 and cond < COND_LIMIT, each test
@@ -171,18 +139,16 @@ def inverse(m: np.ndarray) -> np.ndarray:
     raise SingularInformation(f"condition number {np.linalg.cond(m):.3e} exceeds gate")
 
 
-def check_invertible(m: np.ndarray) -> None:
-    """Raise SingularInformation unless the square information matrix m
-    passes the gate of gated_inverse; every bound inversion uses that gate."""
-    inverse(m)
-
-
-def crb_from_fim(j: FisherMatrix | np.ndarray) -> BoundSet:
-    """Extract the position bounds from a 4x4 information matrix.
+def crb_from_fim(j: np.ndarray) -> BoundSet:
+    """Extract the position bounds from a 4x4 information matrix over
+    (x, y, z, c*T0).
 
     xy is the sum of the first two diagonal entries of the inverse, z the
-    third. Raises SingularInformation for unidentifiable geometries (fewer
-    than four effective satellites, coplanar layouts, empty cups).
+    third. Raises InvalidConfig for any other shape, and SingularInformation
+    for unidentifiable geometries (fewer than four effective satellites,
+    coplanar layouts, empty cups).
     """
-    inv = inverse(j.m if isinstance(j, FisherMatrix) else j)
+    if np.shape(j) != (4, 4):
+        raise InvalidConfig(f"Fisher matrix must be 4x4, got {np.shape(j)}")
+    inv = inverse(j)
     return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=float(inv[2, 2]))

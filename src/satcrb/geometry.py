@@ -7,7 +7,10 @@ direction and the satellite direction, phi_l is measured at the LT from its
 local zenith. A satellite is usable when phi_l <= phi_l_max.
 
 Uniform deployment on the sphere means cos(phi_e) ~ U[-1, 1] and the azimuth
-theta ~ U[0, 2*pi). All lengths are km, all angles radians, times seconds.
+theta ~ U[0, 2*pi). A draw's visible satellites are three arrays
+(phi_l, theta, d) in draw order, as visible_sky gives them for one trial and
+visible_chunks for padded chunks of trials; e_to_l_arrays converts Earth-frame
+angles to them. All lengths are km, all angles radians, times seconds.
 """
 
 from __future__ import annotations
@@ -103,16 +106,6 @@ class SystemParams:
     def with_split(self, eta: float) -> "SystemParams":
         """Return a copy carrying an explicit eta (and hence rho) split."""
         return replace(self, eta=eta)
-
-
-@dataclass(frozen=True)
-class SatelliteState:
-    """One satellite seen from the LT: local angles, distance, visibility."""
-
-    phi_l: float
-    theta: float
-    d: float
-    visible: bool
 
 
 @dataclass(frozen=True)
@@ -371,27 +364,6 @@ def e_to_l_arrays(
     cos_l = (big_r * np.cos(phi_e) - r) / d
     phi_l = np.arctan2(sin_l, cos_l)
     return phi_l, d, phi_l <= params.phi_l_max
-
-
-def e_to_l(phi_e: float, params: SystemParams, theta: float = 0.0) -> SatelliteState:
-    """Convert one Earth-center angle to the LT's local frame."""
-    if not (0.0 <= phi_e <= math.pi):
-        raise InvalidConfig(f"phi_e must lie in [0, pi], got {phi_e}")
-    phi_l, d, visible = e_to_l_arrays(np.asarray([phi_e]), params)
-    return SatelliteState(
-        phi_l=float(phi_l[0]), theta=theta, d=float(d[0]), visible=bool(visible[0])
-    )
-
-
-def constellation_states(
-    constellation: Constellation, params: SystemParams
-) -> list[SatelliteState]:
-    """Expand a sampled constellation into per-satellite local states."""
-    phi_l, d, visible = e_to_l_arrays(constellation.phi_e, params)
-    return [
-        SatelliteState(phi_l=float(p), theta=float(t), d=float(dd), visible=bool(v))
-        for p, t, dd, v in zip(phi_l, constellation.theta, d, visible)
-    ]
 
 
 def _sqrt_shell(phi_l, r: float, big_r):

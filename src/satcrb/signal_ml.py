@@ -8,7 +8,8 @@ pulse in white Gaussian noise:
 
 sampled at t_k = k*dt with noise variance N0/(2*dt) per sample. A
 constellation is the (M, 3) array of the satellite positions p_m, km, in the
-local frame. Amplitudes follow the 1/distance law A_m = (h/D_m)*sqrt(es_max)
+local frame, and a trial's samples the (M, K) array whose row m is p_m's
+window. Amplitudes follow the 1/distance law A_m = (h/D_m)*sqrt(es_max)
 with h the nearest satellite's distance, so the zenith satellite receives
 exactly es_max. `_pulse` is the one evaluator of the analytic pulse and its
 derivative. The ML location estimate profiles the amplitudes out
@@ -38,6 +39,7 @@ simulated MSE and the bound share one calibration.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -47,7 +49,6 @@ import numpy as np
 
 from .fim import (
     BoundSet,
-    FisherMatrix,
     SingularInformation,
     crb_from_fim,
     inverse,
@@ -123,15 +124,6 @@ class SignalConfig:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One satellite's sampled window; true_delay is test-only bookkeeping."""
-
-    samples: np.ndarray
-    sat_index: int
-    true_delay: float
-
-
-@dataclass(frozen=True)
 class LocationEstimate:
     xi_hat: np.ndarray
     t0_hat: float
@@ -163,8 +155,8 @@ def _pulse(config: SignalConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 class SampledPulse:
     """Pulse samples on the measurement lattice, energy-normalized.
 
-    samples[i] = s((i - (len-1)/2) * dt) after rescaling so sum(s^2) dt = 1;
-    deriv holds the analytic derivative samples with the same scale factor.
+    samples[i] = s((i - (len-1)/2) dt) at the config's dt, rescaled so that
+    sum(s^2) dt = 1.
     fine and deriv_fine sample the same waveform on a fixed 2048-point lattice
     across the support (spacing dt_fine, independent of the measurement rate):
     both bandwidth routes work there, because at a non-commensurate sample
@@ -174,8 +166,6 @@ class SampledPulse:
     """
 
     samples: np.ndarray
-    deriv: np.ndarray
-    dt: float
     fine: np.ndarray
     deriv_fine: np.ndarray
     dt_fine: float
@@ -183,10 +173,6 @@ class SampledPulse:
     @property
     def half_len(self) -> int:
         return (len(self.samples) - 1) // 2
-
-    @property
-    def energy(self) -> float:
-        return float(np.dot(self.samples, self.samples))
 
 
 _FINE_POINTS = 2048
@@ -196,7 +182,7 @@ def make_pulse(config: SignalConfig) -> SampledPulse:
     """Sample the pulse on the observation lattice and normalize its energy."""
     dt = config.dt
     half = int(math.ceil(0.5 * config.support / dt))
-    raw, deriv = _pulse(config, (np.arange(2 * half + 1) - half) * dt)
+    raw = _pulse(config, (np.arange(2 * half + 1) - half) * dt)[0]
     scale = 1.0 / math.sqrt(float(np.dot(raw, raw)) * dt)
     dt_fine = config.support / _FINE_POINTS
     fine, deriv_fine = _pulse(
@@ -204,8 +190,6 @@ def make_pulse(config: SignalConfig) -> SampledPulse:
     )
     return SampledPulse(
         samples=raw * scale,
-        deriv=deriv * scale,
-        dt=dt,
         fine=fine * scale,
         deriv_fine=deriv_fine * scale,
         dt_fine=dt_fine,
@@ -286,9 +270,10 @@ def simulate_measurements(
     config: SignalConfig,
     seed: int,
     trial: int = 0,
-) -> list[Measurement]:
-    """Sampled windows for every satellite, deterministic per seed: row m of
-    one (M, K) block of noise draws, with the pulse added over its support."""
+) -> np.ndarray:
+    """The (M, K) block of sampled windows, deterministic per (seed, trial):
+    row m is the window of positions[m], noise draws with its pulse added
+    over the pulse's support."""
     xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
     pos = sat_positions(positions)
     if len(pos) < 4:
@@ -310,10 +295,7 @@ def simulate_measurements(
     for m in range(len(pos)):
         t = np.arange(lo[m], hi[m]) * dt - taus[m]
         samples[m, lo[m] : hi[m]] += amps[m] * _pulse(config, t)[0]
-    return [
-        Measurement(samples=samples[m], sat_index=m, true_delay=float(taus[m]))
-        for m in range(len(pos))
-    ]
+    return samples
 
 
 def _check_mode(mode: str) -> str:
@@ -631,7 +613,7 @@ _MAX_ITER = 100
 
 
 def ml_localize(
-    measurements: Sequence[Measurement],
+    samples: np.ndarray,
     positions: np.ndarray,
     config: SignalConfig,
     mode: str = "full_3d",
@@ -640,7 +622,8 @@ def ml_localize(
     grid_spacing: float | None = None,
     max_iter: int = _MAX_ITER,
 ) -> LocationEstimate:
-    """Maximum-likelihood (xi, T0) with amplitudes profiled out.
+    """Maximum-likelihood (xi, T0) with amplitudes profiled out, from the
+    (M, K) samples whose row m is the window of positions[m].
 
     Coarse stage: a lattice from search_center - search_halfwidth to
     search_center + search_halfwidth per axis, odd-sized so the center is on
@@ -654,14 +637,15 @@ def ml_localize(
     lockstep solver of `mse_experiment`, run on a chunk of one trial.
     """
     _check_mode(mode)
+    pos = sat_positions(positions)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or len(samples) != len(pos):
+        raise InvalidConfig(f"samples need one row per position, got {samples.shape}")
     need = 3 if mode == "fix_z" else 4
-    if len(measurements) < need:
+    if len(pos) < need:
         raise InsufficientCoverage(
-            f"{mode} needs at least {need} measurements, got {len(measurements)}"
+            f"{mode} needs at least {need} measurements, got {len(pos)}"
         )
-    pos_all = sat_positions(positions)
-    pos = np.array([pos_all[m.sat_index] for m in measurements])
-    samples = np.array([m.samples for m in measurements], dtype=float)
     sp = make_pulse(config)
 
     if grid_spacing is None:
@@ -687,7 +671,7 @@ def ml_localize(
     )
 
 
-def signal_fim(positions: np.ndarray, config: SignalConfig) -> FisherMatrix:
+def signal_fim(positions: np.ndarray, config: SignalConfig) -> np.ndarray:
     """4x4 information over (x, y, z, c*T0) implied by the signal model.
 
     Weights are the per-satellite delay informations expressed per km^2:
@@ -698,7 +682,7 @@ def signal_fim(positions: np.ndarray, config: SignalConfig) -> FisherMatrix:
     w_e = effective_bandwidth_time(make_pulse(config))
     ell = 2.0 * amps**2 / config.n0 * (2.0 * math.pi * w_e / config.c) ** 2
     d = np.linalg.norm(pos, axis=1)
-    return FisherMatrix(weighted_gram(timing_rows(pos / d[:, None]), ell))
+    return weighted_gram(timing_rows(pos / d[:, None]), ell)
 
 
 def signal_crb(
@@ -706,7 +690,7 @@ def signal_crb(
 ) -> BoundSet:
     """CRB of the signal model; fix_z drops the z row/column before inverting."""
     _check_mode(mode)
-    j = signal_fim(positions, config).m
+    j = signal_fim(positions, config)
     if mode == "fix_z":
         keep = [0, 1, 3]
         inv = inverse(j[np.ix_(keep, keep)])
@@ -728,6 +712,16 @@ class MseRow:
     trials: int
     unconverged_xy: int
     unconverged_xyz: int
+
+
+def _noise_density(es_max: float, snr_db: float) -> float:
+    """N0 at Es,max/N0 = snr_db dB; InvalidConfig unless it is finite and
+    positive, which a non-finite SNR never gives."""
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
+        n0 = es_max / 10.0 ** (snr_db / 10.0)
+        if 0.0 < n0 < math.inf:
+            return n0
+    raise InvalidConfig(f"SNR {snr_db} dB gives no finite positive noise density N0")
 
 
 # Trials whose fine stages run in lockstep. One trial's samples take
@@ -760,12 +754,12 @@ def mse_experiment(
     if trials < 50:
         raise InvalidConfig(f"trials must be >= 50, got {trials}")
     pos = sat_positions(positions)
+    n0s = [_noise_density(config.es_max, float(snr_db)) for snr_db in snr_grid]
     truth_xi = np.zeros(3)
     # one buffer for every chunk, so no two chunks' samples are ever alive
     buffer = np.empty((_CHUNK, len(pos), config.n_samples))
     rows = []
-    for snr_db in snr_grid:
-        n0 = config.es_max / 10.0 ** (float(snr_db) / 10.0)
+    for snr_db, n0 in zip(snr_grid, n0s):
         cfg = dataclasses.replace(config, n0=n0)
         t0 = centered_t0(pos, cfg)
         sp = make_pulse(cfg)
@@ -781,10 +775,7 @@ def mse_experiment(
             u_xy = np.empty((len(chunk), 3))
             u_xyz = np.empty((len(chunk), 4))
             for i, trial in enumerate(chunk):
-                samples[i] = [
-                    m.samples
-                    for m in simulate_measurements((truth_xi, t0), pos, cfg, seed, trial)
-                ]
+                samples[i] = simulate_measurements((truth_xi, t0), pos, cfg, seed, trial)
                 best, t0s = _coarse(samples[i], pulse_filter, pos, points, cfg)
                 u_xy[i] = _start(points[plane], best[plane], t0s[plane], 2, cfg.c)
                 u_xyz[i] = _start(points, best, t0s, 3, cfg.c)

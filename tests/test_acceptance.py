@@ -21,13 +21,12 @@ from satcrb import (
     SystemParams,
     acrb,
     aacrb,
-    constellation_states,
     coverage_prob,
     crb_distribution,
     crb_from_fim,
     decoupling_check,
-    fim_tdoa,
-    fim_tdoa_rss,
+    fim_tdoa_arrays,
+    fim_tdoa_rss_arrays,
     lcrb_tdoa,
     lcrb_tdoa_from_moments,
     lcrb_tdoa_rss,
@@ -41,7 +40,7 @@ from satcrb import (
     planar_crb_fim,
     quadrature_moments,
     rss_negligibility_threshold,
-    sample_constellation,
+    visible_sky,
     zenith_ring_geometry,
 )
 from satcrb.cli import default_signal_config, main
@@ -200,11 +199,11 @@ def test_criterion_08_bandwidth_gap():
     gaps_xy, gaps_z = [], []
     trial = 0
     while len(gaps_xy) < 20 and trial < 200:
-        sats = constellation_states(sample_constellation(p, SEED + trial), p)
+        sky = visible_sky(p, SEED + trial)
         trial += 1
         try:
-            tdoa_only = crb_from_fim(fim_tdoa(sats, p))
-            combined = crb_from_fim(fim_tdoa_rss(sats, p))
+            tdoa_only = crb_from_fim(fim_tdoa_arrays(*sky, p))
+            combined = crb_from_fim(fim_tdoa_rss_arrays(*sky, p))
         except SingularInformation:
             continue
         gaps_xy.append(abs(combined.xy - tdoa_only.xy) / tdoa_only.xy)

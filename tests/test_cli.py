@@ -108,6 +108,33 @@ class TestConfigLoading:
             in result.stderr
         )
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "h = abc",
+            "sample_rate = abc",
+            "h = [1,2]",
+            'h = "500"',
+            "h = true",
+            "n0 = null",
+            "n_sats = 2.7",
+            "n_sats = true",
+            "n_sats = 250.0",
+            "h = 1" + "0" * 400,
+        ],
+        ids=lambda line: line[:20],
+    )
+    def test_non_number_value_exits_2(self, tmp_path, line):
+        key, raw = (part.strip() for part in line.split("="))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        noun = "an integer" if key == "n_sats" else "a number"
+        with pytest.raises(InvalidConfig, match=f"config key {key} must be {noun}"):
+            load_run_config(str(cfg))
+        result = CliRunner().invoke(main, ["--config", str(cfg), "coverage"])
+        assert result.exit_code == 2
+        assert f"Error: config key {key} must be {noun}, got " in result.stderr
+
     def test_largest_file_seed_is_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 18446744073709551615\n")
@@ -599,6 +626,15 @@ class TestMlCommand:
         assert mse_xyz > mse_xy  # estimating z as well can only cost accuracy
         assert crb_xyz > crb_xy
         assert 0.5 < mse_xy / crb_xy < 2.0
+
+    @pytest.mark.parametrize("snr", ["-inf", "inf", "nan"])
+    def test_non_finite_snr_exits_2(self, snr):
+        result = CliRunner().invoke(main, ["ml", f"--snr-grid=18,{snr}", "--trials", "50"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: SNR {snr} dB gives no finite positive noise density N0" in (
+            result.stderr
+        )
 
 
 class TestVerifyCommand:

@@ -305,11 +305,14 @@ def _mp_cup_edges(r: float, h: float, phi: float) -> dict:
         )
 
 
-def _cup_edge_error(h: float, phi_deg: float) -> float:
+def _cup_edge_error(h: float, phi_deg: float, names=None) -> float:
+    """The worst relative error of the edge quantities (those named, or all)."""
     phi = math.radians(phi_deg)
     e = _cup_edges(SystemParams(), np.array([h]), np.array([phi]))
     worst = 0.0
     for name, want in _mp_cup_edges(6371.0, h, phi).items():
+        if names is not None and name not in names:
+            continue
         num, den = getattr(e, name)[0].as_integer_ratio()  # exact longdouble
         with mpmath.workdps(50):
             worst = max(worst, float(abs(mpmath.mpf(num) / den / want - 1)))
@@ -325,16 +328,24 @@ def test_cup_edges_match_mpmath_on_grid(h, phi_deg):
     assert _cup_edge_error(h, phi_deg) <= 16.0 * LD_EPS
 
 
-@pytest.mark.parametrize(
-    "h,phi_deg",
-    [(h, phi) for h in (0.01, 0.1, 1.0e5) for phi in (0.05, 1.0, 60.0, 90.0)]
-    + [(500.0, 0.05), (40000.0, 0.05)],
-)
+EXTREMES = [
+    (h, phi) for h in (0.01, 0.1, 1.0e5) for phi in (0.05, 1.0, 60.0, 90.0)
+] + [(500.0, 0.05), (40000.0, 0.05)]
+
+
+@pytest.mark.parametrize("h,phi_deg", EXTREMES)
 def test_cup_edges_match_mpmath_at_extremes(h, phi_deg):
-    # The longdouble forms still cancel at the corners: q through R^2 - r^2
-    # at h = 0.01 km (3.4e-14), log(D_max/h) and h - zeta D_max through
-    # 1 - zeta at 0.05 deg (2.3e-14, 4.5e-15); 3.1e5 eps at worst.
+    # The longdouble forms still cancel at the corners: log(D_max/h) and
+    # h - zeta D_max through 1 - zeta at 0.05 deg (2.1e5 and 4.2e4 eps), and
+    # D_max through R - r sin(phi_l_max) at h = 0.01 km (9.8e4 eps).
     assert _cup_edge_error(h, phi_deg) <= 1.0e6 * LD_EPS
+
+
+@pytest.mark.parametrize("h,phi_deg", EXTREMES)
+def test_q_matches_mpmath_at_extremes(h, phi_deg):
+    # R^2 - r^2 is formed as h(2r + h): 174 eps at worst, where R^2 - r^2
+    # itself had cancelled to 3.1e5 eps at h = 0.01 km
+    assert _cup_edge_error(h, phi_deg, names=("q",)) <= 256.0 * LD_EPS
 
 
 def _bits(x) -> int:

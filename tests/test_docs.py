@@ -1,0 +1,38 @@
+"""The demos and the README's Python examples run against the current API."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import satcrb
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the directory the satcrb under test is imported from, for the subprocesses
+PACKAGE_ROOT = str(Path(satcrb.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_0(demo):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, path])))
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run_in_one_namespace():
+    blocks = re.findall(
+        r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+    )
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["bound"].xy > 0.0

@@ -1,5 +1,6 @@
 """Fisher matrices: structure, inversion gates, model relations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,38 +10,33 @@ from hypothesis import given, settings, strategies as st
 from satcrb.fim import (
     COND_LIMIT,
     BoundSet,
-    FisherMatrix,
     SingularInformation,
-    check_invertible,
     crb_from_fim,
-    fim_tdoa,
     fim_tdoa_arrays,
-    fim_tdoa_rss,
+    fim_tdoa_rss_arrays,
     gated_inverse,
     inverse,
 )
-from satcrb.geometry import (
-    InvalidConfig,
-    SatelliteState,
-    SystemParams,
-    constellation_states,
-    sample_constellation,
-)
+from satcrb.geometry import InvalidConfig, SystemParams, visible_sky
 
 SPLIT = SystemParams(eta=400.0)
 
 
 def visible_sats(seed, n=20, params=SPLIT):
-    p = SystemParams(
-        r=params.r, h=params.h, phi_l_max=params.phi_l_max,
-        eta_rho=params.eta_rho, n_sats=n, c=params.c, eta=params.eta,
-    )
-    # resample until at least 5 visible so the FIM is comfortably regular
+    """(phi_l, theta, d) of the visible satellites of the first draw of
+    (seed, trial) with at least 5 of them, so the FIM is comfortably regular."""
+    p = dataclasses.replace(params, n_sats=n)
     for trial in range(50):
-        sats = constellation_states(sample_constellation(p, seed, trial), p)
-        if sum(s.visible for s in sats) >= 5:
-            return sats
+        drawn = visible_sky(p, seed, trial)
+        if len(drawn[0]) >= 5:
+            return drawn
     raise AssertionError("no draw with enough visible satellites")
+
+
+def sky(*sats):
+    """(phi_l, theta, d) arrays of satellites given as (phi_l, theta, d)."""
+    a = np.array(sats, dtype=float).reshape(-1, 3)
+    return a[:, 0], a[:, 1], a[:, 2]
 
 
 def test_boundset_sum_is_structural():
@@ -49,8 +45,7 @@ def test_boundset_sum_is_structural():
 
 
 def test_zenith_satellite_structure():
-    s = SatelliteState(phi_l=0.0, theta=0.3, d=SPLIT.h, visible=True)
-    j = fim_tdoa_rss([s], SPLIT).m
+    j = fim_tdoa_rss_arrays(*sky((0.0, 0.3, SPLIT.h)), SPLIT)
     k = 2.0 * SPLIT.rho / SPLIT.h**4 * (1.0 + SPLIT.eta * SPLIT.h**2)
     ell = 2.0 * SPLIT.eta_rho / SPLIT.h**2
     expect = np.zeros((4, 4))
@@ -61,46 +56,44 @@ def test_zenith_satellite_structure():
 
 
 def test_single_satellite_tdoa_rank_one():
-    s = SatelliteState(phi_l=0.4, theta=1.0, d=21000.0, visible=True)
-    j = fim_tdoa([s], SPLIT).m
+    j = fim_tdoa_arrays(*sky((0.4, 1.0, 21000.0)), SPLIT)
     assert np.linalg.matrix_rank(j, tol=1e-6 * np.trace(j)) == 1
 
 
 def test_fim_symmetric_psd():
     sats = visible_sats(seed=1)
-    for j in (fim_tdoa(sats, SPLIT).m, fim_tdoa_rss(sats, SPLIT).m):
+    for j in (fim_tdoa_arrays(*sats, SPLIT), fim_tdoa_rss_arrays(*sats, SPLIT)):
         assert np.allclose(j, j.T, rtol=1e-12)
         w = np.linalg.eigvalsh(j)
         assert w.min() >= -1e-10 * np.trace(j)
 
 
 def test_invisible_satellites_do_not_contribute():
-    vis = SatelliteState(phi_l=0.2, theta=0.0, d=20500.0, visible=True)
-    hid = SatelliteState(phi_l=1.4, theta=1.0, d=30000.0, visible=False)
-    a = fim_tdoa([vis], SPLIT).m
-    b = fim_tdoa([vis, hid], SPLIT).m
-    assert np.array_equal(a, b)
+    # the array form has no hidden satellites, only padding slots at d = inf
+    vis = (0.2, 0.0, 20500.0)
+    pad = (0.0, 0.0, math.inf)
+    for build in (fim_tdoa_arrays, fim_tdoa_rss_arrays):
+        assert np.array_equal(build(*sky(vis), SPLIT), build(*sky(vis, pad), SPLIT))
 
 
 def test_empty_visible_set_gives_zero_matrix():
-    hid = SatelliteState(phi_l=1.4, theta=1.0, d=30000.0, visible=False)
-    assert np.array_equal(fim_tdoa([hid], SPLIT).m, np.zeros((4, 4)))
+    assert np.array_equal(fim_tdoa_arrays(*sky(), SPLIT), np.zeros((4, 4)))
     with pytest.raises(SingularInformation):
-        crb_from_fim(fim_tdoa([hid], SPLIT))
+        crb_from_fim(fim_tdoa_arrays(*sky(), SPLIT))
 
 
 def test_rss_needs_split():
     sats = visible_sats(seed=2)
     with pytest.raises(InvalidConfig):
-        fim_tdoa_rss(sats, SystemParams())
+        fim_tdoa_rss_arrays(*sats, SystemParams())
 
 
 def test_rss_reduces_to_tdoa_at_large_eta():
     # eta*D^2 >= eta*h^2 = 1e9 makes the amplitude channel negligible
     p = SystemParams(eta=1.0e9 / SystemParams().h ** 2)
     sats = visible_sats(seed=3, params=p)
-    jt = fim_tdoa(sats, p).m
-    jr = fim_tdoa_rss(sats, p).m
+    jt = fim_tdoa_arrays(*sats, p)
+    jr = fim_tdoa_rss_arrays(*sats, p)
     scale = jt[3, 3]  # sum of L_i
     assert np.max(np.abs(jr - jt)) <= 1e-9 * scale
     diag = np.diag(jt)[:3]
@@ -109,11 +102,8 @@ def test_rss_reduces_to_tdoa_at_large_eta():
 
 
 def test_coplanar_constellation_has_no_cross_axis_information():
-    sats = [
-        SatelliteState(phi_l=f, theta=t, d=22000.0, visible=True)
-        for f, t in [(0.3, 0.0), (0.5, math.pi), (0.8, 0.0), (1.0, math.pi)]
-    ]
-    j = fim_tdoa(sats, SPLIT).m
+    bearings = [(0.3, 0.0), (0.5, math.pi), (0.8, 0.0), (1.0, math.pi)]
+    j = fim_tdoa_arrays(*sky(*[(f, t, 22000.0) for f, t in bearings]), SPLIT)
     assert j[1, 1] == pytest.approx(0.0, abs=1e-12 * j[0, 0])
     with pytest.raises(SingularInformation):
         crb_from_fim(j)
@@ -127,18 +117,13 @@ def test_crb_diagonal_example():
 
 
 def test_three_satellites_singular():
-    sats = visible_sats(seed=4)[:3]
-    sats = [
-        SatelliteState(phi_l=s.phi_l, theta=s.theta, d=s.d, visible=True)
-        for s in sats
-    ]
+    phi_l, theta, d = visible_sats(seed=4)
     with pytest.raises(SingularInformation):
-        crb_from_fim(fim_tdoa(sats, SPLIT))
+        crb_from_fim(fim_tdoa_arrays(phi_l[:3], theta[:3], d[:3], SPLIT))
 
 
 def test_crb_matches_linear_solve_oracle():
-    sats = visible_sats(seed=5)
-    j = fim_tdoa(sats, SPLIT).m
+    j = fim_tdoa_arrays(*visible_sats(seed=5), SPLIT)
     b = crb_from_fim(j)
     # independent route: solve J x_k = e_k per column
     cols = [np.linalg.solve(j, np.eye(4)[:, k]) for k in range(4)]
@@ -149,16 +134,11 @@ def test_crb_matches_linear_solve_oracle():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_rotation_invariance(offset):
-    sats = visible_sats(seed=6)
-    rot = [
-        SatelliteState(
-            phi_l=s.phi_l, theta=(s.theta + offset) % (2.0 * math.pi),
-            d=s.d, visible=s.visible,
-        )
-        for s in sats
-    ]
-    b0 = crb_from_fim(fim_tdoa(sats, SPLIT))
-    b1 = crb_from_fim(fim_tdoa(rot, SPLIT))
+    phi_l, theta, d = visible_sats(seed=6)
+    b0 = crb_from_fim(fim_tdoa_arrays(phi_l, theta, d, SPLIT))
+    b1 = crb_from_fim(
+        fim_tdoa_arrays(phi_l, (theta + offset) % (2.0 * math.pi), d, SPLIT)
+    )
     assert b1.xy == pytest.approx(b0.xy, rel=1e-10)
     assert b1.z == pytest.approx(b0.z, rel=1e-10)
     assert b1.xyz == pytest.approx(b0.xyz, rel=1e-10)
@@ -166,9 +146,11 @@ def test_rotation_invariance(offset):
 
 def test_extra_satellite_never_hurts():
     sats = visible_sats(seed=7)
-    extra = SatelliteState(phi_l=0.7, theta=2.1, d=21500.0, visible=True)
-    b0 = crb_from_fim(fim_tdoa(sats, SPLIT))
-    b1 = crb_from_fim(fim_tdoa(sats + [extra], SPLIT))
+    extra = (0.7, 2.1, 21500.0)
+    b0 = crb_from_fim(fim_tdoa_arrays(*sats, SPLIT))
+    b1 = crb_from_fim(
+        fim_tdoa_arrays(*(np.append(a, x) for a, x in zip(sats, extra)), SPLIT)
+    )
     assert b1.xy <= b0.xy * (1.0 + 1e-12)
     assert b1.z <= b0.z * (1.0 + 1e-12)
 
@@ -176,36 +158,29 @@ def test_extra_satellite_never_hurts():
 def test_eta_rho_scaling():
     sats = visible_sats(seed=8)
     p2 = SystemParams(eta_rho=SPLIT.eta_rho * 4.0, eta=SPLIT.eta)
-    b0 = crb_from_fim(fim_tdoa(sats, SPLIT))
-    b1 = crb_from_fim(fim_tdoa(sats, p2))
+    b0 = crb_from_fim(fim_tdoa_arrays(*sats, SPLIT))
+    b1 = crb_from_fim(fim_tdoa_arrays(*sats, p2))
     assert b1.xy == pytest.approx(b0.xy / 4.0, rel=1e-14)
     assert b1.z == pytest.approx(b0.z / 4.0, rel=1e-14)
 
 
 def test_fisher_matrix_shape_gate():
-    with pytest.raises(InvalidConfig):
-        FisherMatrix(np.zeros((3, 3)))
-
-
-def test_array_kernel_matches_list_path():
-    sats = visible_sats(seed=9)
-    phi_l = np.array([s.phi_l for s in sats if s.visible])
-    theta = np.array([s.theta for s in sats if s.visible])
-    d = np.array([s.d for s in sats if s.visible])
-    assert np.allclose(
-        fim_tdoa_arrays(phi_l, theta, d, SPLIT), fim_tdoa(sats, SPLIT).m, rtol=1e-15
-    )
+    # identities of other shapes are invertible, and still give no bound:
+    # np.eye(3) once gave xy = 2, z = 1
+    for m in (np.eye(3), np.eye(5), np.ones(4), np.stack([np.eye(4)] * 2)):
+        with pytest.raises(InvalidConfig, match="4x4"):
+            crb_from_fim(m)
 
 
 def test_invertibility_gate_covers_every_failure_mode():
-    check_invertible(np.diag([1.0, 2.0, 3.0]))  # square size is free
+    inverse(np.diag([1.0, 2.0, 3.0]))  # square size is free
     with pytest.raises(SingularInformation, match="non-finite"):
-        check_invertible(np.diag([1.0, np.nan, 1.0]))
+        inverse(np.diag([1.0, np.nan, 1.0]))
     with pytest.raises(SingularInformation, match="determinant"):
-        check_invertible(np.diag([1.0, -1.0, 1.0]))
+        inverse(np.diag([1.0, -1.0, 1.0]))
     # positive determinant, condition number 1e13: rejected by the cond gate
     with pytest.raises(SingularInformation, match="condition number"):
-        check_invertible(np.diag([1.0, 1.0e-13, 1.0]))
+        inverse(np.diag([1.0, 1.0e-13, 1.0]))
 
 
 def reference_gate(m):
@@ -219,7 +194,7 @@ def reference_gate(m):
 
 
 def mixed_stack():
-    good = [fim_tdoa(visible_sats(seed), SPLIT).m for seed in (1, 2, 3)]
+    good = [fim_tdoa_arrays(*visible_sats(seed), SPLIT) for seed in (1, 2, 3)]
     nan = good[0].copy()
     nan[1, 2] = np.nan
     inf = good[1].copy()
@@ -239,11 +214,11 @@ def test_gated_inverse_mixed_stack_matches_single_matrix_path():
     for m, passed, got in zip(stack, ok, inv):
         assert passed == reference_gate(m)
         if passed:
-            check_invertible(m)
+            inverse(m)
             assert np.array_equal(got, np.linalg.solve(m, np.eye(4)))
         else:
             with pytest.raises(SingularInformation):
-                check_invertible(m)
+                inverse(m)
             assert np.isnan(got).all()
 
 

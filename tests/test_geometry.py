@@ -16,11 +16,9 @@ from satcrb.geometry import (
     check_seed,
     chi_max,
     constellation_rng,
-    constellation_states,
     e_to_l_arrays,
     d_max,
     d_max_minus_h,
-    e_to_l,
     h_minus_zeta_d_max,
     log_dmax_over_h,
     max_earth_angle,
@@ -35,6 +33,12 @@ DEFAULTS = SystemParams()
 # frozen from a 50-digit evaluation of sqrt(R^2 - r^2 sin^2) - r*zeta at defaults
 D_MAX_DEFAULT = 22601.849810517559
 PHI_E_MAX_DEFAULT_DEG = 47.923115577542835
+
+
+def to_local(phi_e, params):
+    """(phi_l, d, visible) of one Earth-frame angle, through e_to_l_arrays."""
+    phi_l, d, visible = e_to_l_arrays(np.array([phi_e]), params)
+    return float(phi_l[0]), float(d[0]), bool(visible[0])
 
 
 def literal_d_max(params):
@@ -83,41 +87,41 @@ def test_stable_differences_match_naive_at_moderate_scale():
 
 
 def test_e_to_l_zenith():
-    s = e_to_l(0.0, DEFAULTS)
-    assert s.d == pytest.approx(DEFAULTS.h, rel=1e-12)
-    assert s.phi_l == pytest.approx(0.0, abs=1e-12)
-    assert s.visible
+    phi_l, d, visible = to_local(0.0, DEFAULTS)
+    assert d == pytest.approx(DEFAULTS.h, rel=1e-12)
+    assert phi_l == pytest.approx(0.0, abs=1e-12)
+    assert visible
 
 
 def test_e_to_l_antipode():
-    s = e_to_l(math.pi, DEFAULTS)
-    assert s.d == pytest.approx(2.0 * DEFAULTS.r + DEFAULTS.h, rel=1e-12)
-    assert s.phi_l == pytest.approx(math.pi, rel=1e-12)
-    assert not s.visible
+    phi_l, d, visible = to_local(math.pi, DEFAULTS)
+    assert d == pytest.approx(2.0 * DEFAULTS.r + DEFAULTS.h, rel=1e-12)
+    assert phi_l == pytest.approx(math.pi, rel=1e-12)
+    assert not visible
 
 
 def test_e_to_l_published_angle_pair():
     # 47.93 deg at Earth center maps to the 60 deg viewing-cone edge
-    s = e_to_l(math.radians(47.93), DEFAULTS)
-    assert math.degrees(s.phi_l) == pytest.approx(60.0, abs=0.05)
+    phi_l, _, _ = to_local(math.radians(47.93), DEFAULTS)
+    assert math.degrees(phi_l) == pytest.approx(60.0, abs=0.05)
 
 
 @given(st.floats(min_value=0.0, max_value=math.pi))
 def test_e_to_l_trig_identities(phi_e):
     p = DEFAULTS
-    s = e_to_l(phi_e, p)
+    phi_l, d, _ = to_local(phi_e, p)
     law = math.sqrt(
         p.big_r**2 + p.r**2 - 2.0 * p.r * p.big_r * math.cos(phi_e)
     )
-    assert s.d == pytest.approx(law, rel=1e-12)
+    assert d == pytest.approx(law, rel=1e-12)
     # transfer relations: R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
     assert p.big_r * math.sin(phi_e) == pytest.approx(
-        s.d * math.sin(s.phi_l), rel=1e-12, abs=1e-9
+        d * math.sin(phi_l), rel=1e-12, abs=1e-9
     )
     assert p.big_r * math.cos(phi_e) - p.r == pytest.approx(
-        s.d * math.cos(s.phi_l), rel=1e-12, abs=1e-9
+        d * math.cos(phi_l), rel=1e-12, abs=1e-9
     )
-    assert math.sin(s.phi_l) ** 2 + math.cos(s.phi_l) ** 2 == pytest.approx(
+    assert math.sin(phi_l) ** 2 + math.cos(phi_l) ** 2 == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -131,8 +135,8 @@ def test_max_earth_angle_default():
 def test_max_earth_angle_roundtrip():
     for phi_deg in (5.0, 30.0, 60.0, 90.0):
         p = SystemParams(phi_l_max=math.radians(phi_deg))
-        s = e_to_l(max_earth_angle(p), p)
-        assert s.phi_l == pytest.approx(p.phi_l_max, abs=1e-10)
+        phi_l, _, _ = to_local(max_earth_angle(p), p)
+        assert phi_l == pytest.approx(p.phi_l_max, abs=1e-10)
 
 
 def test_max_earth_angle_small_cone():
@@ -149,7 +153,7 @@ def test_max_earth_angle_horizon():
 def test_d_max_consistent_with_max_earth_angle():
     for phi_deg in (10.0, 45.0, 60.0, 90.0):
         p = SystemParams(phi_l_max=math.radians(phi_deg))
-        assert d_max(p) == pytest.approx(e_to_l(max_earth_angle(p), p).d, rel=1e-10)
+        assert d_max(p) == pytest.approx(to_local(max_earth_angle(p), p)[1], rel=1e-10)
 
 
 def test_sample_constellation_deterministic():
@@ -186,14 +190,14 @@ def test_sample_constellation_visible_fraction_matches_p():
     assert abs(frac - pv) < 3.0 * math.sqrt(pv * (1.0 - pv) / n)
 
 
-def test_constellation_states_visibility_flags():
+def test_e_to_l_arrays_visibility_flags():
     p = SystemParams(n_sats=500)
     c = sample_constellation(p, seed=5)
-    states = constellation_states(c, p)
+    _, d, visible = e_to_l_arrays(c.phi_e, p)
     cut = max_earth_angle(p)
-    for st_, phi_e in zip(states, c.phi_e):
-        assert st_.visible == (phi_e <= cut) or math.isclose(phi_e, cut)
-        assert p.h <= st_.d <= 2.0 * p.r + p.h
+    for vis, dd, phi_e in zip(visible, d, c.phi_e):
+        assert vis == (phi_e <= cut) or math.isclose(phi_e, cut)
+        assert p.h <= dd <= 2.0 * p.r + p.h
 
 
 @pytest.mark.parametrize(

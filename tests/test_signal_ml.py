@@ -14,7 +14,6 @@ from satcrb.geometry import InvalidConfig, SystemParams, shell_distance
 from satcrb.signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
-    Measurement,
     SignalConfig,
     _ascend,
     _coarse,
@@ -201,8 +200,7 @@ def reference_refine(samples, pos, center, u0, cfg, radius, max_iter):
 def noisy_windows(cfg, seed, trial=0):
     pos = ring_positions()
     t0 = centered_t0(pos, cfg)
-    meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed, trial=trial)
-    return pos, t0, meas, np.array([m.samples for m in meas])
+    return pos, t0, simulate_measurements((np.zeros(3), t0), pos, cfg, seed, trial=trial)
 
 
 def profile_one(samples, taus, cfg) -> _Profile:
@@ -253,7 +251,9 @@ class TestPulse:
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_odd_moment_vanishes(self, cfg):
         sp = make_pulse(cfg)
-        assert abs(float(np.dot(sp.samples, sp.deriv)) * cfg.dt) < 1e-8
+        t = (np.arange(len(sp.samples)) - sp.half_len) * cfg.dt
+        s, ds = _pulse(cfg, t)
+        assert abs(float(np.dot(s, ds)) * cfg.dt) < 1e-8
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_autocorrelation_peaks_at_zero_lag(self, cfg):
@@ -369,15 +369,15 @@ class TestSimulate:
             simulate_measurements((np.zeros(3), 0.0), pos, cfg, seed=1)
 
     def test_shapes_and_delays(self):
-        cfg = gauss_cfg()
+        cfg = gauss_cfg(n0=1e-300)
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=3)
-        assert len(meas) == 6
-        for m in meas:
-            assert len(m.samples) == cfg.n_samples
-            want = np.linalg.norm(pos[m.sat_index]) / cfg.c + t0
-            assert m.true_delay == pytest.approx(want, rel=1e-15)
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=3)
+        assert samples.shape == (6, cfg.n_samples)
+        # row m belongs to positions[m]: its pulse peaks within a sample of
+        # tau_m = |p_m| / c + T0
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
+        assert np.all(np.abs(np.argmax(samples, axis=1) * cfg.dt - taus) <= cfg.dt)
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = gauss_cfg()
@@ -386,34 +386,34 @@ class TestSimulate:
         a = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=5, trial=2)
         b = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=5, trial=2)
         c = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=5, trial=3)
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.samples, mb.samples)
-        assert not np.array_equal(a[0].samples, c[0].samples)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a[0], c[0])
 
     def test_noiseless_matched_filter_recovers_delay(self):
         cfg = gauss_cfg(n0=1e-300)
         pos = ring_positions()
         t0 = centered_t0(pos, cfg) + 0.37 * cfg.dt
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
         sp = make_pulse(cfg)
-        for m in meas:
+        for v, tau in zip(samples, taus):
             # full correlation index ph + j holds sum_k v[k] s((k - j) dt)
-            corr = np.correlate(m.samples, sp.samples, mode="full")
+            corr = np.correlate(v, sp.samples, mode="full")
             j_hat = int(np.argmax(corr)) - sp.half_len
-            assert abs(j_hat * cfg.dt - m.true_delay) <= 0.5 * cfg.dt
+            assert abs(j_hat * cfg.dt - tau) <= 0.5 * cfg.dt
 
     def test_amplitude_law(self):
         """Noiseless samples reproduce A_m s(t - tau_m) with A_m = (h/D_m) sqrt(es_max)."""
         cfg = gauss_cfg(n0=1e-300, es_max=4.0)
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         d = np.linalg.norm(pos, axis=1)
         t_axis = np.arange(cfg.n_samples) * cfg.dt
-        for m in meas:
-            a_m = (d.min() / d[m.sat_index]) * 2.0
-            clean = a_m * _pulse(cfg, t_axis - m.true_delay)[0]
-            assert np.allclose(m.samples, clean, atol=1e-12, rtol=0.0)
+        for v, d_m in zip(samples, d):
+            a_m = (d.min() / d_m) * 2.0
+            clean = a_m * _pulse(cfg, t_axis - (d_m / cfg.c + t0))[0]
+            assert np.allclose(v, clean, atol=1e-12, rtol=0.0)
 
 
 class TestCalibration:
@@ -432,7 +432,7 @@ class TestCalibration:
     def test_fim_clock_entry_is_weight_sum(self):
         cfg = gauss_cfg()
         pos = ring_positions()
-        j = signal_fim(pos, cfg).m
+        j = signal_fim(pos, cfg)
         w_e = effective_bandwidth_time(make_pulse(cfg))
         d = np.linalg.norm(pos, axis=1)
         amps2 = (d.min() / d) ** 2 * cfg.es_max
@@ -449,7 +449,7 @@ class TestCalibration:
         cfg = gauss_cfg()
         ang = np.arange(4) * math.pi / 2.0
         pos = np.stack([1e-3 * np.cos(ang), 1e-3 * np.sin(ang), np.full(4, 2.0e4)], axis=1)
-        j3 = signal_fim(pos, cfg).m[np.ix_([0, 1, 3], [0, 1, 3])]
+        j3 = signal_fim(pos, cfg)[np.ix_([0, 1, 3], [0, 1, 3])]
         assert np.linalg.det(j3) > 0.0 and np.linalg.cond(j3) >= 1e12
         with pytest.raises(SingularInformation):
             signal_crb(pos, cfg, mode="fix_z")
@@ -475,7 +475,7 @@ class TestProfiledScore:
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_matches_reference_loop(self, cfg):
         # a (C, M) stack of delays over C = 5 trials' samples
-        samples = np.array([noisy_windows(cfg, seed=21, trial=t)[3] for t in range(5)])
+        samples = np.array([noisy_windows(cfg, seed=21, trial=t)[2] for t in range(5)])
         rng = np.random.default_rng(5)
         half = 0.5 * cfg.support
         clipped = 0
@@ -495,8 +495,8 @@ class TestProfiledScore:
         # delays for a subset of the trials, out of order, give those
         # trials' terms bit for bit
         cfg = gauss_cfg()
-        pos, t0, _, _ = noisy_windows(cfg, seed=24)
-        samples = np.array([noisy_windows(cfg, seed=24, trial=t)[3] for t in range(4)])
+        pos, t0, _ = noisy_windows(cfg, seed=24)
+        samples = np.array([noisy_windows(cfg, seed=24, trial=t)[2] for t in range(4)])
         rng = np.random.default_rng(6)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + rng.normal(0.0, cfg.dt, (4, 6))
         full = _profile(samples, taus, cfg, np.arange(4))
@@ -507,7 +507,7 @@ class TestProfiledScore:
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_slope_is_score_derivative(self, cfg):
-        pos, t0, _, samples = noisy_windows(cfg, seed=22)
+        pos, t0, samples = noisy_windows(cfg, seed=22)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + 0.3 * cfg.dt
         # two windows clipped by the window edges, where <s, s'> != 0
         half = 0.5 * cfg.support
@@ -524,7 +524,7 @@ class TestProfiledScore:
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_noiseless_curvature_is_score_curvature(self, cfg):
         # without noise the expected Hessian is the exact one at the truth
-        pos, t0, _, samples = noisy_windows(dataclasses.replace(cfg, n0=1e-300), 23)
+        pos, t0, samples = noisy_windows(dataclasses.replace(cfg, n0=1e-300), 23)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
         prof = profile_one(samples, taus, cfg)
         h = 0.02 * cfg.dt
@@ -642,7 +642,7 @@ class TestLattice:
         assert len(points) == (25 if mode == "fix_z" else 125)
         n_xyz = 2 if mode == "fix_z" else 3
         for trial in range(4):
-            pos, _, _, samples = noisy_windows(cfg, seed=32, trial=trial)
+            pos, _, samples = noisy_windows(cfg, seed=32, trial=trial)
             pulse_filter = _pulse_filter(make_pulse(cfg).samples, cfg.n_samples)
             best, t0 = _coarse(samples, pulse_filter, pos, points, cfg)
             xi, t0_hat = reference_lattice_start(samples, pos, points, cfg)
@@ -657,17 +657,17 @@ class TestLattice:
 
     def test_no_point_in_window_is_singular(self):
         cfg = gauss_cfg()
-        pos, _, meas, _ = noisy_windows(cfg, seed=1)
+        pos, _, samples = noisy_windows(cfg, seed=1)
         with pytest.raises(SingularInformation, match="in-window"):
-            ml_localize(meas, pos, cfg, search_center=(2.0e4, 0.0, 0.0))
+            ml_localize(samples, pos, cfg, search_center=(2.0e4, 0.0, 0.0))
 
     def test_search_window_validation(self):
         cfg = gauss_cfg()
-        pos, _, meas, _ = noisy_windows(cfg, seed=1)
+        pos, _, samples = noisy_windows(cfg, seed=1)
         with pytest.raises(InvalidConfig):
-            ml_localize(meas, pos, cfg, search_halfwidth=-1.0)
+            ml_localize(samples, pos, cfg, search_halfwidth=-1.0)
         with pytest.raises(InvalidConfig):
-            ml_localize(meas, pos, cfg, grid_spacing=0.0)
+            ml_localize(samples, pos, cfg, grid_spacing=0.0)
 
 
 class TestMlLocalize:
@@ -676,8 +676,8 @@ class TestMlLocalize:
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
         truth = (np.array([0.21, -0.43, 0.12]), t0 + 2.3e-7)
-        meas = simulate_measurements(truth, pos, cfg, seed=1)
-        est = ml_localize(meas, pos, cfg, mode="full_3d")
+        samples = simulate_measurements(truth, pos, cfg, seed=1)
+        est = ml_localize(samples, pos, cfg, mode="full_3d")
         assert est.converged
         assert np.linalg.norm(est.xi_hat - truth[0]) < 1.0e-3  # 1 m
         assert abs(est.t0_hat - truth[1]) < 1.0e-8  # 10 ns
@@ -690,8 +690,8 @@ class TestMlLocalize:
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
         truth = (np.array([-0.35, 0.18, 0.0]), t0 - 1.1e-7)
-        meas = simulate_measurements(truth, pos, cfg, seed=2)
-        est = ml_localize(meas, pos, cfg, mode="fix_z")
+        samples = simulate_measurements(truth, pos, cfg, seed=2)
+        est = ml_localize(samples, pos, cfg, mode="fix_z")
         assert est.converged
         assert est.xi_hat[2] == 0.0
         assert np.linalg.norm(est.xi_hat[:2] - truth[0][:2]) < 1.0e-3
@@ -702,8 +702,8 @@ class TestMlLocalize:
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
         truth = (np.array([0.27, -0.31, 0.0 if mode == "fix_z" else 0.16]), t0 + 1.7e-7)
-        meas = simulate_measurements(truth, pos, cfg, seed=3)
-        est = ml_localize(meas, pos, cfg, mode=mode)
+        samples = simulate_measurements(truth, pos, cfg, seed=3)
+        est = ml_localize(samples, pos, cfg, mode=mode)
         assert est.converged
         assert np.linalg.norm(est.xi_hat - truth[0]) < 1.0e-3  # 1 m
         assert abs(est.t0_hat - truth[1]) < 1.0e-8  # 10 ns
@@ -715,11 +715,11 @@ class TestMlLocalize:
         cfg = gauss_cfg(n0=10.0**-0.6)  # 6 dB: below threshold, many outliers
         offsets = _lattice_offsets(4.5, 7.49)
         for trial in range(8):
-            pos, _, meas, samples = noisy_windows(cfg, seed=31, trial=trial)
-            start = ml_localize(meas, pos, cfg, mode=mode, max_iter=0)
+            pos, _, samples = noisy_windows(cfg, seed=31, trial=trial)
+            start = ml_localize(samples, pos, cfg, mode=mode, max_iter=0)
             assert not start.converged
             assert all(np.any(np.isclose(x, offsets)) for x in start.xi_hat)
-            est = ml_localize(meas, pos, cfg, mode=mode)
+            est = ml_localize(samples, pos, cfg, mode=mode)
             assert est.converged
             assert score_at(est, pos, samples, cfg) >= score_at(start, pos, samples, cfg)
 
@@ -727,30 +727,39 @@ class TestMlLocalize:
         cfg = gauss_cfg()
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         with pytest.raises(InvalidConfig):
-            ml_localize(meas, pos, cfg, mode="hybrid")
+            ml_localize(samples, pos, cfg, mode="hybrid")
 
     def test_minimum_measurement_counts(self):
         cfg = gauss_cfg()
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         with pytest.raises(InsufficientCoverage):
-            ml_localize(meas[:3], pos, cfg, mode="full_3d")
+            ml_localize(samples[:3], pos[:3], cfg, mode="full_3d")
         with pytest.raises(InsufficientCoverage):
-            ml_localize(meas[:2], pos, cfg, mode="fix_z")
+            ml_localize(samples[:2], pos[:2], cfg, mode="fix_z")
         # three channels suffice once z is pinned
-        est = ml_localize(meas[:3], pos, gauss_cfg(n0=1e-14), mode="fix_z")
+        est = ml_localize(samples[:3], pos[:3], gauss_cfg(n0=1e-14), mode="fix_z")
         assert isinstance(est, LocationEstimate)
+
+    def test_samples_must_match_positions(self):
+        cfg = gauss_cfg()
+        pos, _, samples = noisy_windows(cfg, seed=1)
+        # one row per position: a block of other height, or one window, is
+        # no alignment of samples to satellites
+        for bad in (samples[:5], samples[0], samples[None]):
+            with pytest.raises(InvalidConfig, match="one row per position"):
+                ml_localize(bad, pos, cfg)
 
     def test_deterministic(self):
         cfg = gauss_cfg()
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
-        meas = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=11)
-        a = ml_localize(meas, pos, cfg, mode="full_3d")
-        b = ml_localize(meas, pos, cfg, mode="full_3d")
+        samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=11)
+        a = ml_localize(samples, pos, cfg, mode="full_3d")
+        b = ml_localize(samples, pos, cfg, mode="full_3d")
         assert np.array_equal(a.xi_hat, b.xi_hat)
         assert a.t0_hat == b.t0_hat
 
@@ -759,18 +768,10 @@ class TestMlLocalize:
         pos = ring_positions()
         t0 = centered_t0(pos, cfg)
         truth = (np.array([0.4, 0.1, -0.2]), t0)
-        meas = simulate_measurements(truth, pos, cfg, seed=4)
-        est = ml_localize(meas, pos, cfg, mode="full_3d")
+        samples = simulate_measurements(truth, pos, cfg, seed=4)
+        est = ml_localize(samples, pos, cfg, mode="full_3d")
         shift = 25  # samples; pulses stay interior
-        shifted = [
-            Measurement(
-                samples=np.roll(m.samples, shift),
-                sat_index=m.sat_index,
-                true_delay=m.true_delay + shift * cfg.dt,
-            )
-            for m in meas
-        ]
-        est_s = ml_localize(shifted, pos, cfg, mode="full_3d")
+        est_s = ml_localize(np.roll(samples, shift, axis=1), pos, cfg, mode="full_3d")
         assert np.linalg.norm(est_s.xi_hat - est.xi_hat) < 1.0e-3
         assert est_s.t0_hat - est.t0_hat == pytest.approx(shift * cfg.dt, abs=1e-9)
 
@@ -798,7 +799,7 @@ class TestLockstep:
         spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
         points = _lattice_points(np.zeros(3), 4.5, spacing, "full_3d")
         plane = points[:, 2] == 0.0
-        samples = np.array([noisy_windows(cfg, seed=43, trial=t)[3] for t in range(8)])
+        samples = np.array([noisy_windows(cfg, seed=43, trial=t)[2] for t in range(8)])
         starts = {"fix_z": [], "full_3d": []}
         pulse_filter = _pulse_filter(sp.samples, cfg.n_samples)
         for v in samples:
@@ -830,7 +831,7 @@ class TestLockstep:
             simulate_measurements((np.zeros(3), t0), pos, cfg, 41, trial=t)
             for t in range(5)
         ]
-        samples = np.array([[m.samples for m in ms] for ms in meas])
+        samples = np.array(meas)
         starts = np.array(
             [_start(points, *_coarse(v, _pulse_filter(sp.samples, cfg.n_samples), pos,
                                      points, cfg), 3, cfg.c)
