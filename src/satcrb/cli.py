@@ -251,7 +251,10 @@ def _grid_values(spec: str | None, axis: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 3:
             raise InvalidConfig(f"grid must be lo:hi:n, got {spec!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise InvalidConfig(f"bad grid range {spec!r}") from exc
         if n < 1 or not 0.0 < lo <= hi:
             raise InvalidConfig(f"bad grid range {spec!r}")
         if axis == "h":

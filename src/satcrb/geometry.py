@@ -193,19 +193,24 @@ def constellation_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_rows(keys: np.ndarray, out: np.ndarray, skip: int = 0) -> np.ndarray:
-    """Row i of out: doubles in [0, 1) of the stream keyed keys[i], from its
-    (4 skip)-th on. A Philox counter counts blocks of four doubles, and one
-    Philox reset to a key and a counter draws what a fresh Philox(key=...)
-    advanced by that count draws, so a single generator serves every row."""
+def stream_rows(
+    keys: np.ndarray, out: np.ndarray, draw: str = "random", skip: int = 0
+) -> np.ndarray:
+    """Row i of out: what Generator.<draw>(out=row) gives the stream keyed
+    keys[i], from its (4 skip)-th 64-bit word on; "random" draws doubles in
+    [0, 1), one word each, and "standard_normal" unit normals. A Philox
+    counter counts blocks of four words, and one Philox reset to a key and a
+    counter draws what a fresh Philox(key=...) advanced by that count draws,
+    so a single generator serves every row."""
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
+    fill = getattr(gen, draw)
     state = bitgen.state
     state["state"]["counter"][0] = skip
     for key, row in zip(keys, out):
         state["state"]["key"] = key
         bitgen.state = state
-        gen.random(out=row)
+        fill(out=row)
     return out
 
 
@@ -222,7 +227,7 @@ def _draw_cosines(
 ) -> np.ndarray:
     """Each trial's N cosines, in the first N columns of its row of out.
     -1 + 2u is exact, so it is done in place."""
-    cos_phi_e = _uniform_rows(keys, out[:, : params.n_sats])
+    cos_phi_e = stream_rows(keys, out[:, : params.n_sats])
     cos_phi_e *= 2.0
     cos_phi_e -= 1.0
     return cos_phi_e
@@ -235,7 +240,7 @@ def _draw_azimuths(
     at the block of four doubles holding the first of them, N mod 4 columns
     before it."""
     n = params.n_sats
-    _uniform_rows(keys, out[:, : n + n % 4], skip=n // 4)
+    stream_rows(keys, out[:, : n + n % 4], skip=n // 4)
     return out[:, n % 4 : n % 4 + n]
 
 

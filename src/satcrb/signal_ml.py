@@ -23,12 +23,14 @@ There is one solver, and it refines a chunk of trials in lockstep: `_ascend`
 keeps each trial's scoring state, and one `_profile` call per round
 evaluates every trial still running on a (C, M) stack of delays. Each trial
 follows the iterate sequence it would follow alone, bit for bit.
-`ml_localize` is a chunk of one. `mse_experiment` simulates and scans one
-trial at a time, with one matched filter and one full_3d lattice per trial
-serving both modes, and refines `_CHUNK` = 8 trials together. Memory sets
-that size: the chunk's samples (M*K doubles per trial, 187 kB at the
-default config) are the one buffer the batching adds, so batched FFTs or
-lattices over all trials of an SNR point are not used.
+`ml_localize` is a chunk of one. `mse_experiment` runs chunk by chunk: it
+draws the unit normals of `_CHUNK` = 8 trials once, and at each SNR point
+scales them into the chunk's samples, adds the pulse block it built once
+for the experiment, scans each trial with one matched filter and one
+full_3d lattice serving both modes, and refines the chunk together. Memory
+sets that size: the chunk's normals and samples (M*K doubles per trial
+each, 187 kB at the default config) are the two buffers the batching adds,
+so batched FFTs or lattices over all trials of an SNR point are not used.
 
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
@@ -55,7 +57,13 @@ from .fim import (
     timing_rows,
     weighted_gram,
 )
-from .geometry import InvalidConfig, SystemParams, constellation_rng, shell_distance
+from .geometry import (
+    InvalidConfig,
+    SystemParams,
+    shell_distance,
+    stream_keys,
+    stream_rows,
+)
 
 PULSES = ("gaussian", "raised_cosine")
 MODES = ("fix_z", "full_3d")
@@ -264,6 +272,45 @@ def centered_t0(positions: np.ndarray, config: SignalConfig) -> float:
     return 0.5 * (config.obs_window - (g.max() - g.min())) - g.min()
 
 
+def _pulse_block(
+    truth: tuple[np.ndarray, float], positions: np.ndarray, config: SignalConfig
+) -> list[tuple[int, int, np.ndarray]]:
+    """Each satellite's (lo, hi, A_m s(t_k - tau_m)) for the samples
+    lo <= k < hi of its window: the pulse's support with a sample of slack on
+    either side (_pulse itself decides the edge samples), clipped to the
+    window. Nothing here depends on N0, so every trial and SNR point of an
+    experiment shares one block."""
+    xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
+    if len(positions) < 4:
+        raise InsufficientCoverage(
+            f"need at least 4 visible satellites, got {len(positions)}"
+        )
+    amps = amplitudes(positions, config.es_max)
+    taus = _delays(positions, xi, t0, config.c)
+    dt, k = config.dt, config.n_samples
+    half = 0.5 * config.support
+    lo = np.clip(np.floor((taus - half) / dt).astype(int) - 1, 0, k)
+    hi = np.clip(np.ceil((taus + half) / dt).astype(int) + 2, 0, k)
+    return [
+        (a, b, amp * _pulse(config, np.arange(a, b) * dt - tau)[0])
+        for a, b, amp, tau in zip(lo, hi, amps, taus)
+    ]
+
+
+def _noisy_samples(
+    noise: np.ndarray,
+    block: list[tuple[int, int, np.ndarray]],
+    config: SignalConfig,
+    out: np.ndarray,
+) -> np.ndarray:
+    """out = sigma * noise with the pulse block added to every trial, for
+    (C, M, K) unit normals and sigma = sqrt(N0 / (2 dt))."""
+    np.multiply(math.sqrt(config.n0 / (2.0 * config.dt)), noise, out=out)
+    for m, (lo, hi, pulse) in enumerate(block):
+        out[:, m, lo:hi] += pulse
+    return out
+
+
 def simulate_measurements(
     truth: tuple[np.ndarray, float],
     positions: np.ndarray,
@@ -272,30 +319,17 @@ def simulate_measurements(
     trial: int = 0,
 ) -> np.ndarray:
     """The (M, K) block of sampled windows, deterministic per (seed, trial):
-    row m is the window of positions[m], noise draws with its pulse added
-    over the pulse's support."""
-    xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
+    row m is the window of positions[m], sigma times the stream's unit
+    normals with its pulse added over the pulse's support. `mse_experiment`
+    forms every trial's samples the same way."""
     pos = sat_positions(positions)
-    if len(pos) < 4:
-        raise InsufficientCoverage(
-            f"need at least 4 visible satellites, got {len(pos)}"
-        )
-    amps = amplitudes(pos, config.es_max)
-    taus = _delays(pos, xi, t0, config.c)
-    dt = config.dt
-    k = config.n_samples
-    sigma = math.sqrt(config.n0 / (2.0 * dt))
-    rng = constellation_rng(seed, trial=trial)
-    samples = sigma * rng.standard_normal((len(pos), k))
-    # each pulse's support with a sample of slack on either side (_pulse
-    # itself decides the edge samples), clipped to the window
-    half = 0.5 * config.support
-    lo = np.clip(np.floor((taus - half) / dt).astype(int) - 1, 0, k)
-    hi = np.clip(np.ceil((taus + half) / dt).astype(int) + 2, 0, k)
-    for m in range(len(pos)):
-        t = np.arange(lo[m], hi[m]) * dt - taus[m]
-        samples[m, lo[m] : hi[m]] += amps[m] * _pulse(config, t)[0]
-    return samples
+    block = _pulse_block(truth, pos, config)
+    noise = stream_rows(
+        stream_keys(seed, range(trial, trial + 1)),
+        np.empty((1, len(pos), config.n_samples)),
+        "standard_normal",
+    )
+    return _noisy_samples(noise, block, config, noise)[0]
 
 
 def _check_mode(mode: str) -> str:
@@ -725,12 +759,14 @@ def _noise_density(es_max: float, snr_db: float) -> float:
 
 
 # Trials whose fine stages run in lockstep. One trial's samples take
-# M * K * 8 bytes (187 kB at the default config's six satellites), and one
-# buffer holds a chunk's, so the chunk sets what the batching adds to the
-# peak memory: at 8 trials the ml_snr benchmark's peak RSS grew by about
-# 1.2 MiB (2.8%, against a 5% bound), while one `_profile` call costs
-# 0.027 ms per trial at 8 trials, 0.091 ms at 1 and 0.037 ms at 50 (best of
-# five timeit runs, 2-vCPU Xeon, numpy 2.4).
+# M * K * 8 bytes (187 kB at the default config's six satellites), and a
+# chunk holds two such blocks: its unit normals, drawn once for every SNR
+# point, and its samples at the current point. So the chunk sets what the
+# batching adds to the peak memory: at 8 trials the ml_snr benchmark's peak
+# RSS grew by about 1.2 MiB for the samples (2.8%, against a 5% bound) and
+# about 1.5 MiB more for the normals, while one `_profile` call costs 0.027
+# ms per trial at 8 trials, 0.091 ms at 1 and 0.037 ms at 50 (best of five
+# timeit runs, 2-vCPU Xeon, numpy 2.4).
 _CHUNK = 8
 
 
@@ -746,62 +782,73 @@ def mse_experiment(
     fix_z estimates score mse_xy against the reduced-model bound; full_3d
     estimates score mse_xyz against the full bound. The truth sits at the
     origin with the clock offset centering all arrivals in the window. Each
-    trial is `ml_localize` with its defaults in both modes: one matched
-    filter and one full_3d lattice per trial serve both, fix_z starting from
-    the lattice's dz = 0 plane, and the fine stages of `_CHUNK` trials run
-    in lockstep.
+    trial is `ml_localize` with its defaults in both modes on the samples
+    `simulate_measurements` gives it at that SNR point: one matched filter
+    and one full_3d lattice per trial and point serve both modes, fix_z
+    starting from the lattice's dz = 0 plane, and the fine stages of
+    `_CHUNK` trials run in lockstep.
+
+    The loop runs chunk by chunk. Only the noise scale depends on N0, so the
+    pulse block, the matched filter's spectrum and the lattice are built
+    once, and a chunk's unit normals are drawn once and scaled for each SNR
+    point in turn; every row has the bits of a point-by-point loop.
     """
     if trials < 50:
         raise InvalidConfig(f"trials must be >= 50, got {trials}")
     pos = sat_positions(positions)
-    n0s = [_noise_density(config.es_max, float(snr_db)) for snr_db in snr_grid]
+    cfgs = [
+        dataclasses.replace(config, n0=_noise_density(config.es_max, float(snr_db)))
+        for snr_db in snr_grid
+    ]
     truth_xi = np.zeros(3)
-    # one buffer for every chunk, so no two chunks' samples are ever alive
-    buffer = np.empty((_CHUNK, len(pos), config.n_samples))
-    rows = []
-    for snr_db, n0 in zip(snr_grid, n0s):
-        cfg = dataclasses.replace(config, n0=n0)
-        t0 = centered_t0(pos, cfg)
-        sp = make_pulse(cfg)
-        pulse_filter = _pulse_filter(sp.samples, cfg.n_samples)
-        spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
-        points = _lattice_points(truth_xi, _HALFWIDTH, spacing, "full_3d")
-        plane = points[:, 2] == truth_xi[2]
-        errors = {mode: [] for mode in MODES}
-        unconverged = dict.fromkeys(MODES, 0)
-        for first in range(0, trials, _CHUNK):
-            chunk = range(first, min(first + _CHUNK, trials))
-            samples = buffer[: len(chunk)]
-            u_xy = np.empty((len(chunk), 3))
-            u_xyz = np.empty((len(chunk), 4))
-            for i, trial in enumerate(chunk):
-                samples[i] = simulate_measurements((truth_xi, t0), pos, cfg, seed, trial)
-                best, t0s = _coarse(samples[i], pulse_filter, pos, points, cfg)
-                u_xy[i] = _start(points[plane], best[plane], t0s[plane], 2, cfg.c)
-                u_xyz[i] = _start(points, best, t0s, 3, cfg.c)
+    block = _pulse_block((truth_xi, centered_t0(pos, config)), pos, config)
+    keys = stream_keys(seed, range(trials))
+    sp = make_pulse(config)
+    pulse_filter = _pulse_filter(sp.samples, config.n_samples)
+    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
+    points = _lattice_points(truth_xi, _HALFWIDTH, spacing, "full_3d")
+    plane = points[:, 2] == truth_xi[2]
+    errors = [{mode: [] for mode in MODES} for _ in cfgs]
+    unconverged = [dict.fromkeys(MODES, 0) for _ in cfgs]
+    # one block of normals and one of samples for every chunk, so no two
+    # chunks' draws are ever alive
+    noise = np.empty((_CHUNK, len(pos), config.n_samples))
+    buffer = np.empty_like(noise)
+    for first in range(0, trials, _CHUNK):
+        chunk_keys = keys[first : first + _CHUNK]
+        z = stream_rows(chunk_keys, noise[: len(chunk_keys)], "standard_normal")
+        samples = buffer[: len(z)]
+        for cfg, err, unconv in zip(cfgs, errors, unconverged):
+            _noisy_samples(z, block, cfg, samples)
+            u_xy = np.empty((len(z), 3))
+            u_xyz = np.empty((len(z), 4))
+            for i, v in enumerate(samples):
+                best, t0s = _coarse(v, pulse_filter, pos, points, config)
+                u_xy[i] = _start(points[plane], best[plane], t0s[plane], 2, config.c)
+                u_xyz[i] = _start(points, best, t0s, 3, config.c)
             for mode, u0 in (("fix_z", u_xy), ("full_3d", u_xyz)):
                 u, _, _, converged = _refine(
-                    samples, pos, truth_xi, u0, cfg, 0.5 * spacing, _MAX_ITER
+                    samples, pos, truth_xi, u0, config, 0.5 * spacing, _MAX_ITER
                 )
                 n = u0.shape[1] - 1
-                errors[mode] += [
+                err[mode] += [
                     float(np.sum((xi[:n] - truth_xi[:n]) ** 2))
-                    for xi in _unpack(u, truth_xi, cfg.c)[0]
+                    for xi in _unpack(u, truth_xi, config.c)[0]
                 ]
-                unconverged[mode] += int(np.sum(~converged))
-        rows.append(
-            MseRow(
-                snr_db=float(snr_db),
-                mse_xy=float(np.mean(errors["fix_z"])),
-                mse_xyz=float(np.mean(errors["full_3d"])),
-                crb_xy=signal_crb(pos, cfg, mode="fix_z").xy,
-                crb_xyz=signal_crb(pos, cfg, mode="full_3d").xyz,
-                trials=trials,
-                unconverged_xy=unconverged["fix_z"],
-                unconverged_xyz=unconverged["full_3d"],
-            )
+                unconv[mode] += int(np.sum(~converged))
+    return [
+        MseRow(
+            snr_db=float(snr_db),
+            mse_xy=float(np.mean(err["fix_z"])),
+            mse_xyz=float(np.mean(err["full_3d"])),
+            crb_xy=signal_crb(pos, cfg, mode="fix_z").xy,
+            crb_xyz=signal_crb(pos, cfg, mode="full_3d").xyz,
+            trials=trials,
+            unconverged_xy=unconv["fix_z"],
+            unconverged_xyz=unconv["full_3d"],
         )
-    return rows
+        for snr_db, cfg, err, unconv in zip(snr_grid, cfgs, errors, unconverged)
+    ]
 
 
 def decoupling_check(

@@ -233,6 +233,13 @@ class TestBoundsCommand:
         result = invoke(["bounds", "--grid", "1:2:3:4"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["1:2:abc", "1:2:1e9", "abc:2:3"])
+    def test_unparsable_grid_range_exits_2(self, grid):
+        result = CliRunner().invoke(main, ["bounds", "--grid", grid])
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert f"Error: bad grid range {grid!r}" in result.stderr
+
     def test_writes_to_file(self, tmp_path):
         out = tmp_path / "rows.csv"
         result = invoke(["--out", str(out), "bounds", "--grid", "20000:20000:1"])
@@ -635,6 +642,25 @@ class TestMlCommand:
         assert f"Error: SNR {snr} dB gives no finite positive noise density N0" in (
             result.stderr
         )
+
+
+# sha256 of `--seed S ml --snr-grid 6,18,30 --trials 50` stdout, captured from
+# the SNR-major loop that drew every trial's noise again at each SNR point.
+# The default grid at seed 7 hashes to
+# d454c47187ab20218336e6a73b6800d61cc5a1d43cc5e05c427d7c0a130070a6 (about 3 s,
+# so it is not run here).
+ML_SHA256 = {
+    0: "f8cdd3c12dccdf72f5f74f62c2404d05877cee42f644344006f95e8bdbb1209d",
+    7: "cdb72e389c79fddee0d6f3337675a6d2d9f277bd03e0e9ffa73228ddc53bb9a5",
+    2**64 - 1: "0e87bed3164396ed158fc4b1483868533a0dccb869c390d49451ce2f7e43a0b3",
+}
+
+
+@pytest.mark.parametrize("seed", list(ML_SHA256))
+def test_ml_sha256(seed):
+    result = invoke(["--seed", str(seed), "ml", "--snr-grid", "6,18,30", "--trials", "50"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == ML_SHA256[seed]
 
 
 class TestVerifyCommand:

@@ -24,6 +24,7 @@ from satcrb.geometry import (
     max_earth_angle,
     sample_constellation,
     stream_keys,
+    stream_rows,
     visible_sky,
 )
 from satcrb.coverage import visibility_prob
@@ -329,6 +330,17 @@ def test_constellation_rng_is_the_seed_sequence_stream():
         keyed = np.random.Generator(np.random.Philox(key=key)).random(1001)
         assert np.array_equal(keyed, want)
         assert np.array_equal(constellation_rng(seed, trial).random(1001), want)
+
+
+@pytest.mark.parametrize("seed,last", [(0, 2), (7, 5), (SEED_MAX, SEED_MAX)])
+def test_stream_rows_normals_are_the_trial_stream(seed, last):
+    """Each row of a keyed block of unit normals is the trial's own
+    standard_normal draw, bit for bit: the ziggurat takes a varying number
+    of words per value, so no row may leave state for the next."""
+    trials = range(last - 2, last + 1)
+    rows = stream_rows(stream_keys(seed, trials), np.empty((3, 6, 3900)), "standard_normal")
+    for t, row in zip(trials, rows):
+        assert np.array_equal(row, constellation_rng(seed, t).standard_normal((6, 3900)))
 
 
 @pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 4000, 100_001])

@@ -866,6 +866,35 @@ class TestMseExperiment:
         with pytest.raises(InvalidConfig):
             mse_experiment(ring_positions(), gauss_cfg(), [20.0], trials=10, seed=1)
 
+    def test_needs_four_satellites(self):
+        with pytest.raises(InsufficientCoverage):
+            mse_experiment(ring_positions()[:3], gauss_cfg(), [20.0], trials=50, seed=1)
+
+    def test_rows_are_the_per_trial_calls(self):
+        """53 trials (a partial last chunk) at two SNR points give the rows of
+        one `simulate_measurements` and one `ml_localize` per trial, SNR
+        point and mode, bit for bit."""
+        pos = ring_positions()
+        rows = []
+        for snr_db in (8.0, 20.0):
+            cfg = gauss_cfg(n0=1.0 / 10.0 ** (snr_db / 10.0))  # es_max = 1
+            t0 = centered_t0(pos, cfg)
+            errors = {mode: [] for mode in ("fix_z", "full_3d")}
+            unconverged = dict.fromkeys(errors, 0)
+            for trial in range(53):
+                samples = simulate_measurements((np.zeros(3), t0), pos, cfg, 13, trial)
+                for mode, n in (("fix_z", 2), ("full_3d", 3)):
+                    est = ml_localize(samples, pos, cfg, mode=mode)
+                    errors[mode].append(float(np.sum(est.xi_hat[:n] ** 2)))
+                    unconverged[mode] += not est.converged
+            rows.append((
+                snr_db, float(np.mean(errors["fix_z"])), float(np.mean(errors["full_3d"])),
+                signal_crb(pos, cfg, "fix_z").xy, signal_crb(pos, cfg, "full_3d").xyz,
+                53, unconverged["fix_z"], unconverged["full_3d"],
+            ))
+        got = mse_experiment(pos, gauss_cfg(), [8.0, 20.0], trials=53, seed=13)
+        assert [dataclasses.astuple(r) for r in got] == rows
+
     def test_no_unconverged_solves_at_22_db(self):
         params = SystemParams()
         rows = mse_experiment(
