@@ -418,8 +418,8 @@ def _pulse_filter(pulse: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     ph, the pulse's half length. pulse holds the 2 ph + 1 samples of s
     centered on its middle index. The full linear correlation has
     K + 2 ph - 1 lags and only lags ph..ph+K-1 are kept, so a circular
-    transform of length >= K + ph wraps nothing onto them. The pulse is
-    fixed for an SNR point, so its spectrum is computed once per point."""
+    transform of length >= K + ph wraps nothing onto them. The pulse does
+    not depend on N0, so its spectrum is computed once per experiment."""
     ph = (len(pulse) - 1) // 2
     nfft = 1 << (k + ph - 1).bit_length()
     return np.fft.rfft(pulse[::-1], nfft), nfft, ph
@@ -763,10 +763,10 @@ def _noise_density(es_max: float, snr_db: float) -> float:
 # chunk holds two such blocks: its unit normals, drawn once for every SNR
 # point, and its samples at the current point. So the chunk sets what the
 # batching adds to the peak memory: at 8 trials the ml_snr benchmark's peak
-# RSS grew by about 1.2 MiB for the samples (2.8%, against a 5% bound) and
-# about 1.5 MiB more for the normals, while one `_profile` call costs 0.027
-# ms per trial at 8 trials, 0.091 ms at 1 and 0.037 ms at 50 (best of five
-# timeit runs, 2-vCPU Xeon, numpy 2.4).
+# RSS grew by about 1.2 MiB with the samples and 1.35 MiB more with the
+# normals (45.2 to 46.6 MiB, 3.0% against a 5% bound), while one `_profile`
+# call costs 0.027 ms per trial at 8 trials, 0.091 ms at 1 and 0.037 ms at
+# 50 (best of five timeit runs, 2-vCPU Xeon, numpy 2.4).
 _CHUNK = 8
 
 
@@ -791,7 +791,8 @@ def mse_experiment(
     The loop runs chunk by chunk. Only the noise scale depends on N0, so the
     pulse block, the matched filter's spectrum and the lattice are built
     once, and a chunk's unit normals are drawn once and scaled for each SNR
-    point in turn; every row has the bits of a point-by-point loop.
+    point in turn, with the multiplies and adds of `simulate_measurements`,
+    so each row keeps the bits of those per-trial calls.
     """
     if trials < 50:
         raise InvalidConfig(f"trials must be >= 50, got {trials}")
