@@ -5,9 +5,10 @@ zenith). Each satellite contributes an outer-product summand w_i u_i u_i^T
 built from its direction vector; `weighted_gram` is the one place that sum is
 formed, for the bounds here, the signal model's information, the ML
 estimator's scoring matrix and the planar oracle's gate. The builders take
-the visible satellites' (phi_l, theta, d) arrays, as geometry.visible_sky
-gives them, and return plain (4, 4) arrays, or a stack of them for padded
-rows. Two measurement models are supported:
+the visible satellites' (M, 3) unit lines of sight v and (M,) distances d,
+as geometry.visible_sky gives them (the signal model forms the same lines of
+sight as positions / d), and return plain (4, 4) arrays, or a stack of them
+for padded rows. Two measurement models are supported:
 
 * TDOA+RSS: the received amplitude carries ranging information too, giving the
   spatial weight K_i = (2 rho / D_i^4)(1 + eta D_i^2) and timing weight
@@ -66,31 +67,26 @@ def timing_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _tdoa_gram(
-    phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
+    v: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum of L_i u_i u_i^T, with the direction rows u_i and the distances."""
-    phi_l, theta = np.asarray(phi_l), np.asarray(theta)
-    sin_l = np.sin(phi_l)
-    u = timing_rows(
-        np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=-1)
-    )
+    u = timing_rows(np.asarray(v, dtype=float))
     d = np.asarray(d, dtype=float)
     return weighted_gram(u, 2.0 * params.eta_rho / d**2), u, d
 
 
-def fim_tdoa_arrays(
-    phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
-) -> np.ndarray:
+def fim_tdoa_arrays(v: np.ndarray, d: np.ndarray, params: SystemParams) -> np.ndarray:
     """Total TDOA information of the given (already visible) satellites.
 
-    Like fim_tdoa_rss_arrays, it takes (M,) arrays or a stack of (..., M)
-    rows, one 4x4 matrix per row; a slot with d = inf weighs zero, so rows
-    of unequal length are padded with it."""
-    return _tdoa_gram(phi_l, theta, d, params)[0]
+    Like fim_tdoa_rss_arrays, it takes (M, 3) lines of sight with (M,)
+    distances, or a stack of (..., M, 3) and (..., M) rows, one 4x4 matrix
+    per row; a slot with d = inf weighs zero, so rows of unequal length are
+    padded with it (and v = 0)."""
+    return _tdoa_gram(v, d, params)[0]
 
 
 def fim_tdoa_rss_arrays(
-    phi_l: np.ndarray, theta: np.ndarray, d: np.ndarray, params: SystemParams
+    v: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> np.ndarray:
     """Total TDOA+RSS information; needs the (eta, rho) split in params."""
     if not params.has_split:
@@ -98,7 +94,7 @@ def fim_tdoa_rss_arrays(
             "the TDOA+RSS weights K_i need eta and rho separately; "
             "construct SystemParams with eta="
         )
-    j, u, d = _tdoa_gram(phi_l, theta, d, params)
+    j, u, d = _tdoa_gram(v, d, params)
     # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
     j[..., :3, :3] += weighted_gram(u[..., :3], 2.0 * params.rho / d**4)
     return j

@@ -4,13 +4,16 @@ Satellites live on a sphere of radius R = r + h around the Earth's center;
 the localized terminal (LT) sits on the Earth's surface at radius r. Angles
 come in two frames: phi_e is measured from the Earth's center between the LT
 direction and the satellite direction, phi_l is measured at the LT from its
-local zenith. A satellite is usable when phi_l <= phi_l_max.
+local zenith. A satellite is usable when cos(phi_l) >= zeta = cos(phi_l_max).
 
 Uniform deployment on the sphere means cos(phi_e) ~ U[-1, 1] and the azimuth
-theta ~ U[0, 2*pi). A draw's visible satellites are three arrays
-(phi_l, theta, d) in draw order, as visible_sky gives them for one trial and
-visible_chunks for padded chunks of trials; e_to_l_arrays converts Earth-frame
-angles to them. All lengths are km, all angles radians, times seconds.
+theta ~ U[0, 2*pi). local_frame takes the drawn cosine straight to the
+distance d and to cos(phi_l) and sin(phi_l), with no angle in between. A
+draw's visible satellites are their unit lines of sight v = (sin(phi_l)
+cos(theta), sin(phi_l) sin(theta), cos(phi_l)), an (M, 3) array, and their
+distances d, in draw order, as visible_sky gives them for one trial and
+visible_chunks for padded chunks of trials. All lengths are km, all angles
+radians, times seconds.
 """
 
 from __future__ import annotations
@@ -110,14 +113,15 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Earth-frame angles of N deployed satellites plus the seed that made them."""
+    """Earth-frame cosines cos(phi_e) and azimuths of N deployed satellites
+    plus the seed that made them."""
 
-    phi_e: np.ndarray
+    cos_phi_e: np.ndarray
     theta: np.ndarray
     seed: int
 
     def __len__(self) -> int:
-        return self.phi_e.shape[0]
+        return self.cos_phi_e.shape[0]
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator), which
@@ -254,12 +258,12 @@ def sample_constellation(
     """Draw N satellites uniformly on the shell; deterministic per (seed, trial)."""
     keys = stream_keys(seed, range(trial, trial + 1))
     block = np.empty((1, params.n_sats + _ROW_SLACK))
-    phi_e = np.arccos(_draw_cosines(params, keys, block)[0])
+    cos_phi_e = _draw_cosines(params, keys, block)[0].copy()
     theta = _azimuth(_draw_azimuths(params, keys, block)[0])
-    return Constellation(phi_e=phi_e, theta=theta, seed=seed)
+    return Constellation(cos_phi_e=cos_phi_e, theta=theta, seed=seed)
 
 
-# Prefilter slack in cos(phi_e): the rounding of e_to_l_arrays moves the
+# Prefilter slack in cos(phi_e): the rounding of local_frame moves the
 # visibility edge by well under 1e-14 from chi_max, and the slack admits only
 # about N * CUP_MARGIN / 2 extra candidates per draw.
 CUP_MARGIN = 1.0e-9
@@ -303,38 +307,67 @@ def _cup_draws(
     return trial, cos_phi_e, flat[at + n % 4]
 
 
+def local_frame(
+    cos_phi_e: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, cos(phi_l), sin(phi_l)) of satellites at the Earth-frame cosines
+    c = cos(phi_e); a satellite is visible where cos(phi_l) >= params.zeta.
+
+    With 1 - c formed once, d = sqrt(h^2 + 2 r R (1 - c)) is the law of
+    cosines, cos(phi_l) = (h - R (1 - c)) / d and sin(phi_l) =
+    R sqrt((1 - c)(1 + c)) / d the transfer relations d cos(phi_l) =
+    R c - r and d sin(phi_l) = R sin(phi_e). A drawn c is a multiple of
+    2**-52, so 1 - c and 1 + c are exact; R c - r itself would cancel to
+    order h out of terms of order R.
+    """
+    c = np.asarray(cos_phi_e, dtype=float)
+    r, h, big_r = params.r, params.h, params.big_r
+    s = 1.0 - c
+    d = np.sqrt(h * h + (2.0 * r * big_r) * s)
+    cos_l = (h - big_r * s) / d
+    sin_l = big_r * np.sqrt(s * (1.0 + c)) / d
+    return d, cos_l, sin_l
+
+
 def _visible_chunk(
     params: SystemParams, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """counts and padded (phi_l, theta, d) of one chunk of visible_chunks."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """counts and padded (v, d) of one chunk of visible_chunks."""
     trial, cos_phi_e, u = _cup_draws(params, keys)
-    phi_l, d, visible = e_to_l_arrays(np.arccos(cos_phi_e), params)
+    d, cos_l, sin_l = local_frame(cos_phi_e, params)
+    visible = cos_l >= params.zeta
     counts = np.bincount(trial[visible], minlength=len(keys))
     # row-major order of the padded rows is trial order, then draw order
     filled = np.arange(counts.max()) < counts[:, None]
-    return (
-        counts,
-        _padded(filled, phi_l[visible], 0.0),
-        _padded(filled, _azimuth(u[visible]), 0.0),
-        _padded(filled, d[visible], math.inf),
+    theta = _azimuth(u[visible])
+    sin_l = sin_l[visible]
+    v = np.stack(
+        [
+            _padded(filled, sin_l * np.cos(theta), 0.0),
+            _padded(filled, sin_l * np.sin(theta), 0.0),
+            _padded(filled, cos_l[visible], 0.0),
+        ],
+        axis=-1,
     )
+    return counts, v, _padded(filled, d[visible], math.inf)
 
 
 def visible_chunks(
     params: SystemParams, seed: int, trials: range
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """The visible satellites of the streams (seed, t) for t in `trials`,
     a chunk of trials at a time.
 
-    Yields (rows, counts, phi_l, theta, d): rows is the chunk's slice of
-    `trials`, and row i of the padded (chunk, max(counts)) arrays holds the
-    counts[i] visible satellites of trials[rows][i] in draw order, then
-    padding slots with phi_l = theta = 0 at d = inf. A chunk draws its
-    streams into one block of about _BLOCK doubles (one trial if N is
-    larger), and only the cup candidates of the whole chunk go to the local
-    frame, in one call, where e_to_l_arrays still decides visibility; so
-    each trial's satellites equal converting all N of its
-    sample_constellation and masking, bit for bit.
+    Yields (rows, counts, v, d): rows is the chunk's slice of `trials`, and
+    row i of the padded (chunk, max(counts), 3) lines of sight v and
+    (chunk, max(counts)) distances d holds the counts[i] visible satellites
+    of trials[rows][i] in draw order, then padding slots with v = 0 at
+    d = inf. A chunk draws its streams into one block of about _BLOCK
+    doubles (one trial if N is larger), and only the cup candidates of the
+    whole chunk go to local_frame, in one call, where cos(phi_l) >= zeta
+    still decides visibility; so each trial's satellites equal taking all N
+    cosines of its sample_constellation through local_frame and masking,
+    bit for bit.
     """
     keys = stream_keys(seed, trials)
     size = _trials_per_chunk(params.n_sats)
@@ -345,30 +378,13 @@ def visible_chunks(
 
 def visible_sky(
     params: SystemParams, seed: int, trial: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_l, theta, d) of the visible satellites of sample_constellation(
-    params, seed, trial), in draw order: visible_chunks for one trial."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(v, d) of the visible satellites of sample_constellation(params,
+    seed, trial), in draw order: the (M, 3) unit lines of sight and the
+    (M,) distances, visible_chunks for one trial."""
     chunks = visible_chunks(params, seed, range(trial, trial + 1))
-    _, _, phi_l, theta, d = next(chunks)
-    return phi_l[0], theta[0], d[0]
-
-
-def e_to_l_arrays(
-    phi_e: np.ndarray, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Earth-frame to local-frame conversion.
-
-    Returns (phi_l, d, visible). Uses the law of cosines for the distance and
-    the exact sine/cosine transfer relations, so both trig identities hold to
-    machine precision.
-    """
-    phi_e = np.asarray(phi_e, dtype=float)
-    r, big_r = params.r, params.big_r
-    d = np.sqrt(big_r * big_r + r * r - 2.0 * r * big_r * np.cos(phi_e))
-    sin_l = big_r * np.sin(phi_e) / d
-    cos_l = (big_r * np.cos(phi_e) - r) / d
-    phi_l = np.arctan2(sin_l, cos_l)
-    return phi_l, d, phi_l <= params.phi_l_max
+    _, _, v, d = next(chunks)
+    return v[0], d[0]
 
 
 def _sqrt_shell(phi_l, r: float, big_r):
@@ -395,15 +411,6 @@ def d_max(params: SystemParams) -> float:
     return shell_distance(params.phi_l_max, params)
 
 
-def d_max_minus_h(params: SystemParams) -> float:
-    """D_max - h without cancellation; the small-h limit is h(1-zeta)/zeta."""
-    r, h, big_r = params.r, params.h, params.big_r
-    sq = float(_sqrt_shell(params.phi_l_max, r, big_r))
-    s2 = (r * math.sin(params.phi_l_max)) ** 2
-    # 2r + h - r*zeta - sq == r(1-zeta) + (R - sq), with R - sq = s2/(R + sq)
-    return h * (r * (1.0 - params.zeta) + s2 / (big_r + sq)) / (sq + r * params.zeta)
-
-
 def h_minus_zeta_d_max(params: SystemParams) -> float:
     """h - zeta*D_max without cancellation; of order h^2/r for small h."""
     return float(h_minus_zeta_d_max_arrays(params, params.h, params.phi_l_max))
@@ -417,11 +424,6 @@ def h_minus_zeta_d_max_arrays(params: SystemParams, h, phi):
     sq = _sqrt_shell(phi, r, r + h)
     # (h + r zeta^2)^2 - zeta^2 (R^2 - r^2 sin^2) == h^2 (1 - zeta^2)
     return h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
-
-
-def log_dmax_over_h(params: SystemParams) -> float:
-    """log(D_max / h), accurate even when D_max/h -> 1 at large h."""
-    return math.log1p(d_max_minus_h(params) / params.h)
 
 
 def chi_max(params: SystemParams) -> float:

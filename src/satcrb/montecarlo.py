@@ -11,13 +11,14 @@ trial) stream, derived for all trials at once by geometry.stream_keys) ->
 chunked draw (one reused generator, reset to each trial's key, fills that
 trial's row of one bounded block: N cosines cos(phi_e), then N azimuths)
 -> candidates (only the chunk's cos(phi_e) >= chi_max - CUP_MARGIN reach
-the local frame, in one call, where phi_l <= phi_l_max decides) -> padded
-FIM stack (row t of the chunk holds trial t's visible satellites, padded
-at d = inf, where a satellite weighs zero; one (chunk, 4, 4) build; rows
-below four visible satellites are NaN and counted as uncovered) -> one
-gate (fim.gated_inverse inverts the whole run's rows that pass; the rest
-count as singular). Every result is bit for bit the one-trial-at-a-time
-computation.
+the local frame, in one call, which forms d, cos(phi_l) and sin(phi_l)
+straight from cos(phi_e), and cos(phi_l) >= zeta decides) -> padded FIM
+stack (row t of the chunk holds trial t's visible lines of sight v and
+distances d, padded with v = 0 at d = inf, where a satellite weighs zero;
+one (chunk, 4, 4) build; rows below four visible satellites are NaN and
+counted as uncovered) -> one gate (fim.gated_inverse inverts the whole
+run's rows that pass; the rest count as singular). Every result is bit for
+bit the one-trial-at-a-time computation.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def crb_distribution(
     build = _fim_builder(model)
     j = np.empty((trials, 4, 4))
     uncovered = 0
-    for rows, counts, phi_l, theta, d in visible_chunks(params, seed, range(trials)):
-        chunk = build(phi_l, theta, d, params)
+    for rows, counts, v, d in visible_chunks(params, seed, range(trials)):
+        chunk = build(v, d, params)
         chunk[counts < 4] = np.nan
         j[rows] = chunk
         uncovered += int(np.sum(counts < 4))

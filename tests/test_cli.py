@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, output formats, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,12 +12,15 @@ from click.testing import CliRunner
 
 from satcrb.cli import (
     DEFAULT_SEED,
+    GRID_MAX,
     CheckResult,
+    _grid_values,
     default_signal_config,
     load_run_config,
     main,
     run_verification,
 )
+from satcrb.closed_form import lcrb_tdoa
 from satcrb.geometry import InvalidConfig, SystemParams
 
 C_KM_S = 299792.458
@@ -239,6 +243,23 @@ class TestBoundsCommand:
         assert result.exit_code == 2
         assert result.stdout_bytes == b""
         assert f"Error: bad grid range {grid!r}" in result.stderr
+
+    @pytest.mark.parametrize("axis", ["h", "phi_l_max"])
+    def test_oversized_grid_exits_2(self, axis, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        grid = f"1:2:{GRID_MAX + 1}"
+        result = CliRunner().invoke(main, ["bounds", "--axis", axis, "--grid", grid])
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert f"Error: bad grid range {grid!r}" in result.stderr
+
+    def test_largest_grid_is_accepted(self):
+        for axis in ("h", "phi_l_max"):
+            assert _grid_values(f"1:2:{GRID_MAX}", axis).shape == (GRID_MAX,)
 
     def test_writes_to_file(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -684,10 +705,15 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "FAIL" not in result.output
 
-    def test_single_path_perturbation_detected(self):
-        checks = run_verification(
-            SystemParams(), None, DEFAULT_SEED, literal_eta_rho_factor=1.0 + 1e-6
-        )
+    def test_single_path_perturbation_detected(self, monkeypatch):
+        import satcrb.cli as cli_mod
+
+        # skew the literal TDOA route alone, as a 1e-6 error in eta_rho would
+        def skewed(params):
+            return lcrb_tdoa(dataclasses.replace(params, eta_rho=params.eta_rho * (1.0 + 1e-6)))
+
+        monkeypatch.setattr(cli_mod, "lcrb_tdoa", skewed)
+        checks = run_verification(SystemParams(), None, DEFAULT_SEED)
         by_name = {c.name: c for c in checks}
         assert not by_name["limit-routes"].passed
         assert by_name["moments-quadrature"].passed  # other paths untouched
@@ -695,7 +721,7 @@ class TestVerifyCommand:
     def test_failure_exits_4(self, monkeypatch):
         import satcrb.cli as cli_mod
 
-        def fake(params, signal, seed, literal_eta_rho_factor=1.0):
+        def fake(params, signal, seed):
             return [CheckResult("stub", False, "forced")]
 
         monkeypatch.setattr(cli_mod, "run_verification", fake)

@@ -19,7 +19,7 @@ from satcrb.coverage import (
     visibility_prob,
     visibility_prob_dmax_form,
 )
-from satcrb.geometry import InvalidConfig, SystemParams, sample_constellation
+from satcrb.geometry import InvalidConfig, SystemParams, local_frame, sample_constellation
 
 P_DEFAULT = 0.16493639025333170  # frozen: r=6371, h=20000, phi=60 deg
 
@@ -138,15 +138,8 @@ def test_visible_fraction_matches_p_monte_carlo():
     count = 0
     for t in range(trials):
         c = sample_constellation(params, seed=20260819, trial=t)
-        _, _, vis = (
-            np.asarray(c.phi_e),
-            np.asarray(c.theta),
-            None,
-        )
-        from satcrb.geometry import e_to_l_arrays
-
-        _, _, visible = e_to_l_arrays(np.asarray(c.phi_e), params)
-        count += int(visible.sum())
+        _, cos_l, _ = local_frame(c.cos_phi_e, params)
+        count += int(np.sum(cos_l >= params.zeta))
     n_total = trials * params.n_sats
     se = math.sqrt(p * (1.0 - p) / n_total)
     assert count / n_total == pytest.approx(p, abs=3.0 * se)

@@ -23,20 +23,30 @@ SPLIT = SystemParams(eta=400.0)
 
 
 def visible_sats(seed, n=20, params=SPLIT):
-    """(phi_l, theta, d) of the visible satellites of the first draw of
-    (seed, trial) with at least 5 of them, so the FIM is comfortably regular."""
+    """(v, d) of the visible satellites of the first draw of (seed, trial)
+    with at least 5 of them, so the FIM is comfortably regular."""
     p = dataclasses.replace(params, n_sats=n)
     for trial in range(50):
         drawn = visible_sky(p, seed, trial)
-        if len(drawn[0]) >= 5:
+        if len(drawn[1]) >= 5:
             return drawn
     raise AssertionError("no draw with enough visible satellites")
 
 
 def sky(*sats):
-    """(phi_l, theta, d) arrays of satellites given as (phi_l, theta, d)."""
+    """(v, d): the (M, 3) lines of sight and (M,) distances of satellites
+    given as (phi_l, theta, d)."""
     a = np.array(sats, dtype=float).reshape(-1, 3)
-    return a[:, 0], a[:, 1], a[:, 2]
+    phi_l, theta, d = a[:, 0], a[:, 1], a[:, 2]
+    sin_l = np.sin(phi_l)
+    v = np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=-1)
+    return v, d
+
+
+def rotated(v, angle):
+    """Lines of sight v turned by angle about the zenith."""
+    c, s = math.cos(angle), math.sin(angle)
+    return v @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_boundset_sum_is_structural():
@@ -69,11 +79,13 @@ def test_fim_symmetric_psd():
 
 
 def test_invisible_satellites_do_not_contribute():
-    # the array form has no hidden satellites, only padding slots at d = inf
-    vis = (0.2, 0.0, 20500.0)
-    pad = (0.0, 0.0, math.inf)
-    for build in (fim_tdoa_arrays, fim_tdoa_rss_arrays):
-        assert np.array_equal(build(*sky(vis), SPLIT), build(*sky(vis, pad), SPLIT))
+    # the array form has no hidden satellites, only padding slots: v = 0 at
+    # d = inf, as visible_chunks pads, or any other line of sight there
+    v, d = sky((0.2, 0.0, 20500.0))
+    for pad in (np.zeros(3), np.array([0.0, 0.0, 1.0])):
+        padded = np.vstack([v, pad]), np.append(d, math.inf)
+        for build in (fim_tdoa_arrays, fim_tdoa_rss_arrays):
+            assert np.array_equal(build(v, d, SPLIT), build(*padded, SPLIT))
 
 
 def test_empty_visible_set_gives_zero_matrix():
@@ -117,9 +129,9 @@ def test_crb_diagonal_example():
 
 
 def test_three_satellites_singular():
-    phi_l, theta, d = visible_sats(seed=4)
+    v, d = visible_sats(seed=4)
     with pytest.raises(SingularInformation):
-        crb_from_fim(fim_tdoa_arrays(phi_l[:3], theta[:3], d[:3], SPLIT))
+        crb_from_fim(fim_tdoa_arrays(v[:3], d[:3], SPLIT))
 
 
 def test_crb_matches_linear_solve_oracle():
@@ -134,22 +146,20 @@ def test_crb_matches_linear_solve_oracle():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_rotation_invariance(offset):
-    phi_l, theta, d = visible_sats(seed=6)
-    b0 = crb_from_fim(fim_tdoa_arrays(phi_l, theta, d, SPLIT))
-    b1 = crb_from_fim(
-        fim_tdoa_arrays(phi_l, (theta + offset) % (2.0 * math.pi), d, SPLIT)
-    )
+    v, d = visible_sats(seed=6)
+    b0 = crb_from_fim(fim_tdoa_arrays(v, d, SPLIT))
+    b1 = crb_from_fim(fim_tdoa_arrays(rotated(v, offset), d, SPLIT))
     assert b1.xy == pytest.approx(b0.xy, rel=1e-10)
     assert b1.z == pytest.approx(b0.z, rel=1e-10)
     assert b1.xyz == pytest.approx(b0.xyz, rel=1e-10)
 
 
 def test_extra_satellite_never_hurts():
-    sats = visible_sats(seed=7)
-    extra = (0.7, 2.1, 21500.0)
-    b0 = crb_from_fim(fim_tdoa_arrays(*sats, SPLIT))
+    v, d = visible_sats(seed=7)
+    extra_v, extra_d = sky((0.7, 2.1, 21500.0))
+    b0 = crb_from_fim(fim_tdoa_arrays(v, d, SPLIT))
     b1 = crb_from_fim(
-        fim_tdoa_arrays(*(np.append(a, x) for a, x in zip(sats, extra)), SPLIT)
+        fim_tdoa_arrays(np.vstack([v, extra_v]), np.append(d, extra_d), SPLIT)
     )
     assert b1.xy <= b0.xy * (1.0 + 1e-12)
     assert b1.z <= b0.z * (1.0 + 1e-12)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,9 @@ from satcrb.geometry import (
     check_seed,
     chi_max,
     constellation_rng,
-    e_to_l_arrays,
     d_max,
-    d_max_minus_h,
     h_minus_zeta_d_max,
-    log_dmax_over_h,
+    local_frame,
     max_earth_angle,
     sample_constellation,
     stream_keys,
@@ -36,15 +35,35 @@ D_MAX_DEFAULT = 22601.849810517559
 PHI_E_MAX_DEFAULT_DEG = 47.923115577542835
 
 
-def to_local(phi_e, params):
-    """(phi_l, d, visible) of one Earth-frame angle, through e_to_l_arrays."""
-    phi_l, d, visible = e_to_l_arrays(np.array([phi_e]), params)
-    return float(phi_l[0]), float(d[0]), bool(visible[0])
+def to_local(cos_phi_e, params):
+    """(phi_l, d, visible) of one Earth-frame cosine, through local_frame."""
+    d, cos_l, sin_l = local_frame(np.array([cos_phi_e]), params)
+    return math.atan2(sin_l[0], cos_l[0]), float(d[0]), bool(cos_l[0] >= params.zeta)
+
+
+def sight(sin_l, cos_l, theta):
+    """(M, 3) unit lines of sight of satellites at zenith sines and cosines
+    sin_l, cos_l and azimuths theta."""
+    return np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l], axis=-1)
 
 
 def literal_d_max(params):
     s = params.r * math.sin(params.phi_l_max)
     return math.sqrt(params.big_r**2 - s * s) - params.r * params.zeta
+
+
+def d_max_minus_h(params):
+    """D_max - h without cancellation; the small-h limit is h(1-zeta)/zeta."""
+    r, h, big_r = params.r, params.h, params.big_r
+    s = r * math.sin(params.phi_l_max)
+    sq = math.sqrt((big_r - s) * (big_r + s))
+    # 2r + h - r*zeta - sq == r(1-zeta) + (R - sq), with R - sq = s^2/(R + sq)
+    return h * (r * (1.0 - params.zeta) + s * s / (big_r + sq)) / (sq + r * params.zeta)
+
+
+def log_dmax_over_h(params):
+    """log(D_max / h), accurate even when D_max/h -> 1 at large h."""
+    return math.log1p(d_max_minus_h(params) / params.h)
 
 
 def test_d_max_default_value():
@@ -66,6 +85,8 @@ def test_d_max_closed_cone_reduces_to_h():
 def test_d_max_matches_literal_form(h, phi_deg):
     p = SystemParams(h=h, phi_l_max=math.radians(phi_deg))
     assert d_max(p) == pytest.approx(literal_d_max(p), rel=1e-9)
+    # both terms of h + (D_max - h) are positive, so the sum does not cancel
+    assert d_max(p) == pytest.approx(p.h + d_max_minus_h(p), rel=1e-14)
     assert p.h <= d_max(p) <= 2.0 * p.r + p.h
 
 
@@ -88,14 +109,14 @@ def test_stable_differences_match_naive_at_moderate_scale():
 
 
 def test_e_to_l_zenith():
-    phi_l, d, visible = to_local(0.0, DEFAULTS)
+    phi_l, d, visible = to_local(1.0, DEFAULTS)
     assert d == pytest.approx(DEFAULTS.h, rel=1e-12)
     assert phi_l == pytest.approx(0.0, abs=1e-12)
     assert visible
 
 
 def test_e_to_l_antipode():
-    phi_l, d, visible = to_local(math.pi, DEFAULTS)
+    phi_l, d, visible = to_local(-1.0, DEFAULTS)
     assert d == pytest.approx(2.0 * DEFAULTS.r + DEFAULTS.h, rel=1e-12)
     assert phi_l == pytest.approx(math.pi, rel=1e-12)
     assert not visible
@@ -103,28 +124,56 @@ def test_e_to_l_antipode():
 
 def test_e_to_l_published_angle_pair():
     # 47.93 deg at Earth center maps to the 60 deg viewing-cone edge
-    phi_l, _, _ = to_local(math.radians(47.93), DEFAULTS)
+    phi_l, _, _ = to_local(math.cos(math.radians(47.93)), DEFAULTS)
     assert math.degrees(phi_l) == pytest.approx(60.0, abs=0.05)
 
 
-@given(st.floats(min_value=0.0, max_value=math.pi))
-def test_e_to_l_trig_identities(phi_e):
+@given(st.floats(min_value=-1.0, max_value=1.0))
+def test_e_to_l_trig_identities(cos_phi_e):
     p = DEFAULTS
-    phi_l, d, _ = to_local(phi_e, p)
-    law = math.sqrt(
-        p.big_r**2 + p.r**2 - 2.0 * p.r * p.big_r * math.cos(phi_e)
-    )
-    assert d == pytest.approx(law, rel=1e-12)
+    d, cos_l, sin_l = (float(x[0]) for x in local_frame(np.array([cos_phi_e]), p))
+    c, r, big_r = mpmath.mpf(cos_phi_e), mpmath.mpf(p.r), mpmath.mpf(p.big_r)
+    law = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
+    assert d == pytest.approx(float(law), rel=1e-12)
     # transfer relations: R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
-    assert p.big_r * math.sin(phi_e) == pytest.approx(
-        d * math.sin(phi_l), rel=1e-12, abs=1e-9
+    assert float(big_r * mpmath.sqrt(1 - c * c)) == pytest.approx(
+        d * sin_l, rel=1e-12, abs=1e-9
     )
-    assert p.big_r * math.cos(phi_e) - p.r == pytest.approx(
-        d * math.cos(phi_l), rel=1e-12, abs=1e-9
-    )
-    assert math.sin(phi_l) ** 2 + math.cos(phi_l) ** 2 == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert float(big_r * c - r) == pytest.approx(d * cos_l, rel=1e-12, abs=1e-9)
+    assert sin_l**2 + cos_l**2 == pytest.approx(1.0, abs=1e-12)
+
+
+def local_frame_mpmath(cos_phi_e, params):
+    """(d, cos(phi_l), sin(phi_l)) at 40 digits from the law of cosines and
+    the transfer relations, with R = r + h exact."""
+    with mpmath.workdps(40):
+        c, r, h = (mpmath.mpf(float(x)) for x in (cos_phi_e, params.r, params.h))
+        big_r = r + h
+        d = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
+        return d, (big_r * c - r) / d, big_r * mpmath.sqrt(1 - c * c) / d
+
+
+@pytest.mark.parametrize("h", [0.01, 500.0, 20000.0, 40000.0])
+def test_local_frame_matches_mpmath(h):
+    """Over the horizon cup, at cosines on the 2**-52 grid of the draws and
+    spaced geometrically in 1 - c, d is within 1.5 ulp, sin(phi_l) within
+    4 ulp, and cos(phi_l) within 3 ulp where phi_l <= 60 degrees and within
+    1.5 eps absolute down to the horizon. The measured worst cases are
+    1.14, 2.90 and 2.17 ulp and 1.08 eps; an arccos/arctan2 round trip
+    through phi_e and phi_l is 131 ulp off in d at 500 km and 2.6e11 ulp
+    at 0.01 km."""
+    p = SystemParams(h=h)
+    s = np.geomspace(2.0**-52, 1.0 - p.r / p.big_r, 600)
+    cos_phi_e = np.unique(1.0 - np.ldexp(np.round(np.ldexp(s, 52)), -52))
+    got = local_frame(cos_phi_e, p)
+    want = [local_frame_mpmath(c, p) for c in cos_phi_e]
+    for k, ulps in ((0, 1.5), (1, 3.0), (2, 4.0)):
+        ref = np.array([float(w[k]) for w in want])
+        err = np.array([float(mpmath.mpf(g) - w[k]) for g, w in zip(got[k], want)])
+        cut = ref >= 0.5 if k == 1 else slice(None)
+        assert np.all(np.abs(err[cut]) <= ulps * np.spacing(np.abs(ref[cut]))), k
+        if k == 1:
+            assert np.all(np.abs(err) <= 1.5 * np.finfo(float).eps)
 
 
 def test_max_earth_angle_default():
@@ -136,7 +185,9 @@ def test_max_earth_angle_default():
 def test_max_earth_angle_roundtrip():
     for phi_deg in (5.0, 30.0, 60.0, 90.0):
         p = SystemParams(phi_l_max=math.radians(phi_deg))
-        phi_l, _, _ = to_local(max_earth_angle(p), p)
+        phi_l, _, _ = to_local(math.cos(max_earth_angle(p)), p)
+        assert phi_l == pytest.approx(p.phi_l_max, abs=1e-10)
+        phi_l, _, _ = to_local(chi_max(p), p)
         assert phi_l == pytest.approx(p.phi_l_max, abs=1e-10)
 
 
@@ -154,23 +205,23 @@ def test_max_earth_angle_horizon():
 def test_d_max_consistent_with_max_earth_angle():
     for phi_deg in (10.0, 45.0, 60.0, 90.0):
         p = SystemParams(phi_l_max=math.radians(phi_deg))
-        assert d_max(p) == pytest.approx(to_local(max_earth_angle(p), p)[1], rel=1e-10)
+        assert d_max(p) == pytest.approx(to_local(chi_max(p), p)[1], rel=1e-10)
 
 
 def test_sample_constellation_deterministic():
     p = SystemParams(n_sats=1)
     a = sample_constellation(p, seed=7)
     b = sample_constellation(p, seed=7)
-    assert np.array_equal(a.phi_e, b.phi_e) and np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.cos_phi_e, b.cos_phi_e) and np.array_equal(a.theta, b.theta)
     c = sample_constellation(p, seed=8)
-    assert not np.array_equal(a.phi_e, c.phi_e)
+    assert not np.array_equal(a.cos_phi_e, c.cos_phi_e)
 
 
 def test_sample_constellation_trials_are_independent_streams():
     p = SystemParams(n_sats=16)
     a = sample_constellation(p, seed=7, trial=0)
     b = sample_constellation(p, seed=7, trial=1)
-    assert not np.array_equal(a.phi_e, b.phi_e)
+    assert not np.array_equal(a.cos_phi_e, b.cos_phi_e)
 
 
 def test_sample_constellation_uniform_moments():
@@ -178,7 +229,7 @@ def test_sample_constellation_uniform_moments():
     p = SystemParams(n_sats=n)
     c = sample_constellation(p, seed=123)
     sigma = 1.0 / math.sqrt(3.0 * n)
-    assert abs(np.mean(np.cos(c.phi_e))) < 3.0 * sigma
+    assert abs(np.mean(c.cos_phi_e)) < 3.0 * sigma
     assert np.all(c.theta >= 0.0) and np.all(c.theta < 2.0 * math.pi)
 
 
@@ -186,18 +237,18 @@ def test_sample_constellation_visible_fraction_matches_p():
     n = 10**5
     p = SystemParams(n_sats=n)
     c = sample_constellation(p, seed=2024)
-    frac = np.mean(c.phi_e <= max_earth_angle(p))
+    frac = np.mean(c.cos_phi_e >= chi_max(p))
     pv = visibility_prob(p)
     assert abs(frac - pv) < 3.0 * math.sqrt(pv * (1.0 - pv) / n)
 
 
-def test_e_to_l_arrays_visibility_flags():
+def test_local_frame_visibility_flags():
     p = SystemParams(n_sats=500)
     c = sample_constellation(p, seed=5)
-    _, d, visible = e_to_l_arrays(c.phi_e, p)
-    cut = max_earth_angle(p)
-    for vis, dd, phi_e in zip(visible, d, c.phi_e):
-        assert vis == (phi_e <= cut) or math.isclose(phi_e, cut)
+    d, cos_l, _ = local_frame(c.cos_phi_e, p)
+    cut = chi_max(p)
+    for vis, dd, cos_phi_e in zip(cos_l >= p.zeta, d, c.cos_phi_e):
+        assert vis == (cos_phi_e >= cut) or math.isclose(cos_phi_e, cut)
         assert p.h <= dd <= 2.0 * p.r + p.h
 
 
@@ -252,24 +303,20 @@ def ulp_neighbourhood(x, k):
     return np.clip(np.array(below[:0:-1] + above), -1.0, 1.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    h=st.floats(min_value=1.0e-2, max_value=1.0e5),
-    phi_deg=st.floats(min_value=0.05, max_value=90.0),
-    spread=st.sampled_from([1, 8, 64]),
-)
-def test_prefilter_keeps_every_visible_satellite(h, phi_deg, spread):
+def assert_prefilter_keeps_the_cup(h, phi_deg, spread):
     p = SystemParams(h=h, phi_l_max=math.radians(phi_deg))
     a = chi_max(p)
-    # cosines a few ulps either side of the cup edge, then a wider band
-    # around it as wide as the slack itself
+    # cosines a few ulps either side of the cup edge, the edge moved by the
+    # slack itself, then a wider band around it twice as wide
     cos_phi_e = np.concatenate(
         [
             ulp_neighbourhood(a, 16 * spread),
+            ulp_neighbourhood(a - CUP_MARGIN, 16 * spread),
+            ulp_neighbourhood(a + CUP_MARGIN, 16 * spread),
             np.clip(a + CUP_MARGIN * np.linspace(-2.0, 2.0, 101), -1.0, 1.0),
         ]
     )
-    visible = e_to_l_arrays(np.arccos(cos_phi_e), p)[2]
+    visible = local_frame(cos_phi_e, p)[1] >= p.zeta
     candidates = _cup_candidates(cos_phi_e, p)
     assert not np.any(visible & ~candidates)
     # the exact test itself flips at the edge, to within the rounding
@@ -277,15 +324,37 @@ def test_prefilter_keeps_every_visible_satellite(h, phi_deg, spread):
     assert not visible[cos_phi_e <= a - 1e-12].any()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(min_value=1.0e-2, max_value=1.0e5),
+    phi_deg=st.floats(min_value=0.05, max_value=90.0),
+    spread=st.sampled_from([1, 8, 64]),
+)
+def test_prefilter_keeps_every_visible_satellite(h, phi_deg, spread):
+    assert_prefilter_keeps_the_cup(h, phi_deg, spread)
+
+
+@pytest.mark.parametrize("h", [0.01, 500.0, 40000.0])
+@pytest.mark.parametrize("phi_deg", [0.05, 60.0, 90.0])
+def test_prefilter_keeps_the_cup_edge(h, phi_deg):
+    """Every cosine that cos(phi_l) >= zeta accepts passes the prefilter
+    cos(phi_e) >= chi_max - CUP_MARGIN, at the narrowest and widest cones
+    and the lowest and highest shells, up to 1024 ulps from the edge."""
+    assert_prefilter_keeps_the_cup(h, phi_deg, 64)
+
+
 @pytest.mark.parametrize("n_sats", [1, 4, 250, 5000])
 def test_visible_sky_is_the_masked_full_conversion(n_sats):
     p = SystemParams(n_sats=n_sats)
     for trial in range(5):
         c = sample_constellation(p, seed=31, trial=trial)
-        phi_l, d, visible = e_to_l_arrays(c.phi_e, p)
-        got = visible_sky(p, seed=31, trial=trial)
-        for a, b in zip(got, (phi_l[visible], c.theta[visible], d[visible])):
-            assert np.array_equal(a, b)
+        d, cos_l, sin_l = local_frame(c.cos_phi_e, p)
+        visible = cos_l >= p.zeta
+        v = sight(sin_l[visible], cos_l[visible], c.theta[visible])
+        got_v, got_d = visible_sky(p, seed=31, trial=trial)
+        assert got_v.shape == (visible.sum(), 3)
+        assert np.array_equal(got_v, v)
+        assert np.array_equal(got_d, d[visible])
 
 
 def seed_sequence_key(seed, trial):
@@ -354,7 +423,7 @@ def test_sample_constellation_is_the_uniform_draw(n_sats):
         cos_phi_e = rng.uniform(-1.0, 1.0, n_sats)
         theta = rng.uniform(0.0, 2.0 * math.pi, n_sats)
         c = sample_constellation(p, seed, trial)
-        assert np.array_equal(c.phi_e, np.arccos(cos_phi_e))
+        assert np.array_equal(c.cos_phi_e, cos_phi_e)
         assert np.array_equal(c.theta, theta)
 
 

@@ -12,7 +12,7 @@ from satcrb.geometry import (
     InvalidConfig,
     SystemParams,
     _trials_per_chunk,
-    e_to_l_arrays,
+    local_frame,
     sample_constellation,
 )
 from satcrb.montecarlo import (
@@ -28,16 +28,27 @@ from satcrb.montecarlo import (
 SPLIT = SystemParams(eta=400.0)
 
 
-def reference_trial_bounds(params, model, seed, trial):
-    """One trial the direct way: all N satellites to the local frame, then
-    the single-matrix gate and solve; None for a singular draw."""
+def visible_sats(params, seed, trial):
+    """(v, d) of one draw the direct way: all N satellites to the local
+    frame, then the visible ones' lines of sight from their angles."""
     c = sample_constellation(params, seed, trial=trial)
-    phi_l, d, visible = e_to_l_arrays(c.phi_e, params)
-    phi_l, theta, d = phi_l[visible], c.theta[visible], d[visible]
-    if phi_l.size < 4:
+    d, cos_l, sin_l = local_frame(c.cos_phi_e, params)
+    vis = cos_l >= params.zeta
+    theta = c.theta[vis]
+    v = np.stack(
+        [sin_l[vis] * np.cos(theta), sin_l[vis] * np.sin(theta), cos_l[vis]], axis=-1
+    )
+    return v, d[vis]
+
+
+def reference_trial_bounds(params, model, seed, trial):
+    """One trial the direct way: visible_sats, then the single-matrix gate
+    and solve; None for a singular draw."""
+    v, d = visible_sats(params, seed, trial)
+    if d.size < 4:
         return None
     build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
-    m = build(phi_l, theta, d, params)
+    m = build(v, d, params)
     if not (
         np.all(np.isfinite(m))
         and np.linalg.det(m) > 0.0
@@ -113,10 +124,7 @@ def test_uncovered_draws_are_counted():
         p = SystemParams(n_sats=n_sats)
         dist = crb_distribution(p, "tdoa", trials=300, seed=5)
         # the trials short of four visible satellites, and only those
-        visible = [
-            e_to_l_arrays(sample_constellation(p, 5, t).phi_e, p)[2].sum()
-            for t in range(300)
-        ]
+        visible = [visible_sats(p, 5, t)[1].size for t in range(300)]
         assert dist.uncovered_count == sum(v < 4 for v in visible)
         assert 0 < dist.uncovered_count <= dist.singular_count
 
@@ -169,14 +177,11 @@ def test_all_singular_run_is_flagged():
 def test_rss_no_worse_per_trial():
     params = SystemParams(n_sats=120, eta=400.0)
     for trial in range(25):
-        c = sample_constellation(params, seed=11, trial=trial)
-        phi_l, d, vis = e_to_l_arrays(c.phi_e, params)
-        if vis.sum() < 4:
+        v, d = visible_sats(params, seed=11, trial=trial)
+        if d.size < 4:
             continue
-        from satcrb.fim import fim_tdoa_rss_arrays
-
-        jt = fim_tdoa_arrays(phi_l[vis], c.theta[vis], d[vis], params)
-        jr = fim_tdoa_rss_arrays(phi_l[vis], c.theta[vis], d[vis], params)
+        jt = fim_tdoa_arrays(v, d, params)
+        jr = fim_tdoa_rss_arrays(v, d, params)
         bt = crb_from_fim(jt)
         br = crb_from_fim(jr)
         assert br.xy <= bt.xy * (1.0 + 1e-12)
