@@ -25,14 +25,11 @@ from .closed_form import (
     quadrature_moments,
 )
 from .coverage import (
-    CoverageResult,
     Unachievable,
     coverage_prob,
-    coverage_result,
     min_angle_for_coverage,
     min_height_for_coverage,
     visibility_prob,
-    visibility_prob_dmax_form,
 )
 from .fim import (
     BoundSet,
@@ -43,25 +40,19 @@ from .fim import (
 )
 from .geometry import (
     C_KM_S,
-    Constellation,
     InvalidConfig,
     SystemParams,
     chi_max,
-    constellation_rng,
     d_max,
-    max_earth_angle,
-    sample_constellation,
     visible_sky,
 )
 from .montecarlo import (
     MODELS,
     ConvergenceRow,
     CrbDistribution,
-    ParameterRow,
     convergence_sweep,
     crb_distribution,
     mean_fim,
-    parameter_sweep,
 )
 from .planar import (
     CollinearSensors,
@@ -78,7 +69,6 @@ from .signal_ml import (
     SampledPulse,
     SignalConfig,
     decoupling_check,
-    effective_bandwidth,
     effective_bandwidth_time,
     make_pulse,
     ml_localize,
@@ -100,9 +90,7 @@ __all__ = [
     "PULSES",
     "BoundSet",
     "CollinearSensors",
-    "Constellation",
     "ConvergenceRow",
-    "CoverageResult",
     "CrbDistribution",
     "DegenerateGeometry",
     "InsufficientCoverage",
@@ -111,7 +99,6 @@ __all__ = [
     "LocationEstimate",
     "MomentSet",
     "MseRow",
-    "ParameterRow",
     "PlanarSensors",
     "SampledPulse",
     "SignalConfig",
@@ -121,16 +108,13 @@ __all__ = [
     "aacrb",
     "acrb",
     "chi_max",
-    "constellation_rng",
     "convergence_sweep",
     "coverage_prob",
-    "coverage_result",
     "crb_distribution",
     "crb_from_fim",
     "cup_expectation",
     "d_max",
     "decoupling_check",
-    "effective_bandwidth",
     "effective_bandwidth_time",
     "fim_tdoa_arrays",
     "fim_tdoa_rss_arrays",
@@ -140,26 +124,22 @@ __all__ = [
     "lcrb_tdoa_rss_from_moments",
     "limit_coefficients",
     "make_pulse",
-    "max_earth_angle",
     "mean_fim",
     "min_angle_for_coverage",
     "min_height_for_coverage",
     "ml_localize",
     "moment_integrals",
     "mse_experiment",
-    "parameter_sweep",
     "planar_crb_closed",
     "planar_crb_fim",
     "quadrature_moments",
     "rss_negligibility_threshold",
-    "sample_constellation",
     "sat_positions",
     "signal_crb",
     "signal_fim",
     "simulate_measurements",
     "visible_sky",
     "visibility_prob",
-    "visibility_prob_dmax_form",
     "zenith_ring_geometry",
     "__version__",
 ]

@@ -7,11 +7,16 @@ reduced to integrals in chi = cos(phi_e) over the visibility cup
 and friends) so that the h -> 0 and h -> infinity limits can be probed by
 direct evaluation without losing the answer to floating-point cancellation.
 
-Two independent computation routes exist for every bound:
+Two computation routes exist for every bound:
 
 * the literal published expressions (public path), and
 * assembly from the MomentSet expectations (test path), themselves checked
   against Gauss-Legendre quadrature of the defining integrals.
+
+The two routes are not independent: both take the edge quantities of
+_cup_edges (D_max, log(D_max/h), h - zeta D_max, q), and the TDOA+RSS routes
+the brackets of _rss_brackets, so a fault there moves both together. Only
+the quadrature, which reaches the cup through geometry.chi_max, checks them.
 """
 
 from __future__ import annotations

@@ -9,14 +9,13 @@ the coverage probability is the upper binomial tail P(Binomial(N, p) >= 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .geometry import (
     InvalidConfig,
     SystemParams,
-    d_max,
     h_minus_zeta_d_max,
     h_minus_zeta_d_max_arrays,
     libm,
@@ -32,12 +31,6 @@ class Unachievable(ValueError):
     """No parameter value in the search range reaches the coverage target."""
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    p: float
-    p_cov: float
-
-
 def visibility_prob(params: SystemParams) -> float:
     """Probability one uniformly placed satellite lands in the coverage cup.
 
@@ -46,11 +39,6 @@ def visibility_prob(params: SystemParams) -> float:
     identical and the tests confirm them against each other.
     """
     return 0.5 * h_minus_zeta_d_max(params) / params.big_r
-
-
-def visibility_prob_dmax_form(params: SystemParams) -> float:
-    """The (h - D_max cos(phi_l_max))/(2R) form, literal; cross-check path."""
-    return 0.5 * (params.h - d_max(params) * params.zeta) / params.big_r
 
 
 @np.errstate(all="ignore")
@@ -83,10 +71,6 @@ def coverage_prob(params: SystemParams) -> float:
     """
     h, phi = np.array([params.h]), np.array([params.phi_l_max])
     return float(coverage_prob_arrays(params, h, phi)[0])
-
-
-def coverage_result(params: SystemParams) -> CoverageResult:
-    return CoverageResult(p=visibility_prob(params), p_cov=coverage_prob(params))
 
 
 def _lowest_covering(

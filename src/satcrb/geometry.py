@@ -77,8 +77,12 @@ class SystemParams:
             )
         if not (self.eta_rho > 0.0 and math.isfinite(self.eta_rho)):
             raise InvalidConfig(f"eta_rho must be positive, got {self.eta_rho}")
-        if self.n_sats < 1:
-            raise InvalidConfig(f"n_sats must be >= 1, got {self.n_sats}")
+        if (
+            isinstance(self.n_sats, bool)
+            or not isinstance(self.n_sats, (int, np.integer))
+            or self.n_sats < 1
+        ):
+            raise InvalidConfig(f"n_sats must be an integer >= 1, got {self.n_sats!r}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise InvalidConfig(f"propagation speed must be positive, got {self.c}")
         if self.eta is not None and not (0.0 < self.eta and math.isfinite(self.eta)):
@@ -109,19 +113,6 @@ class SystemParams:
     def with_split(self, eta: float) -> "SystemParams":
         """Return a copy carrying an explicit eta (and hence rho) split."""
         return replace(self, eta=eta)
-
-
-@dataclass(frozen=True)
-class Constellation:
-    """Earth-frame cosines cos(phi_e) and azimuths of N deployed satellites
-    plus the seed that made them."""
-
-    cos_phi_e: np.ndarray
-    theta: np.ndarray
-    seed: int
-
-    def __len__(self) -> int:
-        return self.cos_phi_e.shape[0]
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator), which
@@ -189,14 +180,6 @@ def stream_keys(seed: int, trials: range) -> np.ndarray:
     return pool.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def constellation_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """Counter-based generator giving an independent stream per (seed, trial):
-    Philox keyed with stream_keys, the stream of
-    Philox(SeedSequence(entropy=seed, spawn_key=(trial,)))."""
-    key = stream_keys(seed, range(trial, trial + 1))[0]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def stream_rows(
     keys: np.ndarray, out: np.ndarray, draw: str = "random", skip: int = 0
 ) -> np.ndarray:
@@ -246,21 +229,6 @@ def _draw_azimuths(
     n = params.n_sats
     stream_rows(keys, out[:, : n + n % 4], skip=n // 4)
     return out[:, n % 4 : n % 4 + n]
-
-
-def _azimuth(u: np.ndarray) -> np.ndarray:
-    return 2.0 * math.pi * u
-
-
-def sample_constellation(
-    params: SystemParams, seed: int, trial: int = 0
-) -> Constellation:
-    """Draw N satellites uniformly on the shell; deterministic per (seed, trial)."""
-    keys = stream_keys(seed, range(trial, trial + 1))
-    block = np.empty((1, params.n_sats + _ROW_SLACK))
-    cos_phi_e = _draw_cosines(params, keys, block)[0].copy()
-    theta = _azimuth(_draw_azimuths(params, keys, block)[0])
-    return Constellation(cos_phi_e=cos_phi_e, theta=theta, seed=seed)
 
 
 # Prefilter slack in cos(phi_e): the rounding of local_frame moves the
@@ -339,7 +307,7 @@ def _visible_chunk(
     counts = np.bincount(trial[visible], minlength=len(keys))
     # row-major order of the padded rows is trial order, then draw order
     filled = np.arange(counts.max()) < counts[:, None]
-    theta = _azimuth(u[visible])
+    theta = 2.0 * math.pi * u[visible]
     sin_l = sin_l[visible]
     # scattered one component at a time: a boolean scatter of whole (3,)
     # rows, v[filled] = rows, is several times slower
@@ -365,7 +333,7 @@ def visible_chunks(
     doubles (one trial if N is larger), and only the cup candidates of the
     whole chunk go to local_frame, in one call, where cos(phi_l) >= zeta
     still decides visibility; so each trial's satellites equal taking all N
-    cosines of its sample_constellation through local_frame and masking,
+    cosines of its stream's uniform draw through local_frame and masking,
     bit for bit.
     """
     keys = stream_keys(seed, trials)
@@ -378,9 +346,9 @@ def visible_chunks(
 def visible_sky(
     params: SystemParams, seed: int, trial: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(v, d) of the visible satellites of sample_constellation(params,
-    seed, trial), in draw order: the (M, 3) unit lines of sight and the
-    (M,) distances, visible_chunks for one trial."""
+    """(v, d) of the visible satellites of the stream (seed, trial), in draw
+    order: the (M, 3) unit lines of sight and the (M,) distances,
+    visible_chunks for one trial."""
     chunks = visible_chunks(params, seed, range(trial, trial + 1))
     _, _, v, d = next(chunks)
     return v[0], d[0]
@@ -428,8 +396,3 @@ def h_minus_zeta_d_max_arrays(params: SystemParams, h, phi):
 def chi_max(params: SystemParams) -> float:
     """cos(phi_e_max): the Earth-frame cosine at the edge of visibility."""
     return 1.0 - h_minus_zeta_d_max(params) / params.big_r
-
-
-def max_earth_angle(params: SystemParams) -> float:
-    """Earth-center half-angle of the visibility cup, phi_e_max."""
-    return math.acos(chi_max(params))

@@ -2,8 +2,8 @@
 
 Each trial deploys a fresh uniform constellation, builds the Fisher
 information of the visible satellites, and records N*CRB. Aggregates
-(medians, nearest-rank percentiles, convergence tables, parameter sweeps,
-mean-information structure) feed both the test oracles and the CLI.
+(medians, nearest-rank percentiles, convergence tables, mean-information
+structure) feed both the test oracles and the CLI.
 
 crb_distribution's pipeline, a chunk of trials at a time
 (geometry.visible_chunks): keys (the Philox key of every trial's (seed,
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import acrb, lcrb_tdoa, lcrb_tdoa_rss
-from .coverage import COVERAGE_RULE, coverage_prob
+from .closed_form import lcrb_tdoa, lcrb_tdoa_rss
 from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
 from .geometry import InvalidConfig, SystemParams, visible_chunks, visible_sky
 
@@ -90,11 +89,11 @@ class CrbDistribution:
     def median_z(self) -> float:
         return self.percentile_z(50.0)
 
-    def summary(self, scale: float = 1.0) -> dict[str, float]:
-        """median/p10/p90 of both components, each times scale, keyed as the
-        sweep rows name them (median_xy, p10_xy, ..., p90_z)."""
+    def summary(self) -> dict[str, float]:
+        """median/p10/p90 of both components, keyed as the convergence rows
+        name them (median_xy, p10_xy, ..., p90_z)."""
         return {
-            f"{stat}_{axis}": nearest_rank(samples, pct) * scale
+            f"{stat}_{axis}": nearest_rank(samples, pct)
             for axis, samples in (("xy", self.samples_xy), ("z", self.samples_z))
             for stat, pct in (("median", 50.0), ("p10", 10.0), ("p90", 90.0))
         }
@@ -166,61 +165,6 @@ def convergence_sweep(
                 **dist.summary(),
                 lcrb_xy=limit.xy,
                 lcrb_z=limit.z,
-                singular_count=dist.singular_count,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class ParameterRow:
-    """One grid point of a parameter sweep (CRB scale, not N*CRB)."""
-
-    axis_value: float
-    coverage: float
-    covered: bool
-    median_xy: float
-    p10_xy: float
-    p90_xy: float
-    median_z: float
-    p10_z: float
-    p90_z: float
-    acrb_xy: float
-    acrb_z: float
-    singular_count: int
-
-
-def parameter_sweep(
-    params: SystemParams,
-    model: str,
-    axis: str,
-    grid: list[float],
-    n: int,
-    trials: int,
-    seed: int,
-) -> list[ParameterRow]:
-    """CRB statistics along one system axis, with a 90%-coverage marker.
-
-    Grid points whose coverage probability falls below 90% are still emitted
-    but flagged covered=False so plots can drop them.
-    """
-    _check_model(model)
-    if axis not in ("phi_l_max", "h"):
-        raise InvalidConfig(f"axis must be 'phi_l_max' or 'h', got {axis!r}")
-    rows = []
-    for value in grid:
-        p = dataclasses.replace(params, **{axis: float(value)}, n_sats=int(n))
-        cov = coverage_prob(p)
-        dist = crb_distribution(p, model, trials, seed)
-        bounds = acrb(p, rss=(model == "tdoa_rss"))
-        rows.append(
-            ParameterRow(
-                axis_value=float(value),
-                coverage=cov,
-                covered=cov >= COVERAGE_RULE,
-                **dist.summary(scale=1.0 / p.n_sats),
-                acrb_xy=bounds.xy,
-                acrb_z=bounds.z,
                 singular_count=dist.singular_count,
             )
         )

@@ -70,7 +70,7 @@ MODES = ("fix_z", "full_3d")
 
 # the gaussian is truncated to +-6 sigma: the edge value exp(-18) is small
 # enough that the truncation discontinuity cannot disturb the spectral second
-# moment at the 1e-6 level the two bandwidth routes must agree to
+# moment at the 1e-6 level the bandwidth is checked to
 _GAUSS_SUPPORT_SIGMAS = 12.0
 
 
@@ -167,10 +167,10 @@ class SampledPulse:
     sum(s^2) dt = 1.
     fine and deriv_fine sample the same waveform on a fixed 2048-point lattice
     across the support (spacing dt_fine, independent of the measurement rate):
-    both bandwidth routes work there, because at a non-commensurate sample
-    rate the measurement lattice alone estimates the raised cosine's spectral
+    the bandwidth is taken there, because at a non-commensurate sample rate
+    the measurement lattice alone estimates the raised cosine's spectral
     moments about three orders of magnitude too coarsely for the 1e-6
-    route-agreement contract.
+    agreement with the FFT of the spectrum that the tests hold it to.
     """
 
     samples: np.ndarray
@@ -204,20 +204,10 @@ def make_pulse(config: SignalConfig) -> SampledPulse:
     )
 
 
-def effective_bandwidth(pulse: SampledPulse, n_fft: int = 1 << 16) -> float:
-    """RMS (Gabor) bandwidth in Hz from the pulse spectrum.
-
-    sqrt(int f^2 |S|^2 df / int |S|^2 df) over the zero-padded FFT of the
-    fine-lattice samples; the time-domain route `effective_bandwidth_time`
-    (Parseval on the analytic derivative) agrees to 1e-6 relative.
-    """
-    spec = np.abs(np.fft.fft(pulse.fine, n=n_fft)) ** 2
-    f = np.fft.fftfreq(n_fft, d=pulse.dt_fine)
-    return math.sqrt(float(np.dot(f * f, spec) / np.sum(spec)))
-
-
 def effective_bandwidth_time(pulse: SampledPulse) -> float:
-    """Same bandwidth via Parseval: sqrt(sum sdot^2 / sum s^2) / (2 pi)."""
+    """RMS (Gabor) bandwidth in Hz, sqrt(int f^2 |S|^2 df / int |S|^2 df),
+    via Parseval on the analytic derivative: sqrt(sum sdot^2 / sum s^2) /
+    (2 pi) over the fine lattice."""
     num = float(np.dot(pulse.deriv_fine, pulse.deriv_fine))
     den = float(np.dot(pulse.fine, pulse.fine))
     return math.sqrt(num / den) / (2.0 * math.pi)

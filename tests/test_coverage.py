@@ -13,15 +13,20 @@ from satcrb.coverage import (
     Unachievable,
     coverage_prob,
     coverage_prob_arrays,
-    coverage_result,
     min_angle_for_coverage,
     min_height_for_coverage,
     visibility_prob,
-    visibility_prob_dmax_form,
 )
-from satcrb.geometry import InvalidConfig, SystemParams, local_frame, sample_constellation
+from satcrb.geometry import InvalidConfig, SystemParams, d_max
+
+from draw_reference import masked_sky
 
 P_DEFAULT = 0.16493639025333170  # frozen: r=6371, h=20000, phi=60 deg
+
+
+def visibility_prob_dmax_form(params):
+    """The (h - D_max cos(phi_l_max))/(2R) form, literal."""
+    return 0.5 * (params.h - d_max(params) * params.zeta) / params.big_r
 
 
 def test_visibility_prob_frozen_value():
@@ -78,12 +83,6 @@ def test_coverage_matches_scipy_tail():
             assert coverage_prob(p) == pytest.approx(want, abs=1e-12), (n, phi_deg)
 
 
-def test_coverage_result_bundles_both():
-    res = coverage_result(SystemParams())
-    assert res.p == pytest.approx(visibility_prob(SystemParams()), rel=1e-15)
-    assert res.p_cov == pytest.approx(coverage_prob(SystemParams()), rel=1e-15)
-
-
 def test_min_angle_anchors():
     a250 = min_angle_for_coverage(SystemParams(n_sats=250), 0.9)
     a2000 = min_angle_for_coverage(SystemParams(n_sats=2000), 0.9)
@@ -137,9 +136,7 @@ def test_visible_fraction_matches_p_monte_carlo():
     trials = 100
     count = 0
     for t in range(trials):
-        c = sample_constellation(params, seed=20260819, trial=t)
-        _, cos_l, _ = local_frame(c.cos_phi_e, params)
-        count += int(np.sum(cos_l >= params.zeta))
+        count += masked_sky(params, seed=20260819, trial=t)[1].size
     n_total = trials * params.n_sats
     se = math.sqrt(p * (1.0 - p) / n_total)
     assert count / n_total == pytest.approx(p, abs=3.0 * se)

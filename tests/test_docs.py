@@ -1,4 +1,5 @@
-"""The demos and the README's Python examples run against the current API."""
+"""The demos and the README's Python examples run against the current API,
+and every public name of the package resolves."""
 
 import os
 import re
@@ -36,3 +37,10 @@ def test_readme_python_blocks_run_in_one_namespace():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["bound"].xy > 0.0
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from satcrb import *", namespace)
+    assert len(set(satcrb.__all__)) == len(satcrb.__all__)
+    assert set(satcrb.__all__) <= namespace.keys()

@@ -1,4 +1,4 @@
-"""Geometry: frame conversion, D_max forms, constellation sampling."""
+"""Geometry: frame conversion, D_max forms, the stream draw and the visible sky."""
 
 import dataclasses
 import math
@@ -9,24 +9,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satcrb.geometry import (
+    _ROW_SLACK,
     CUP_MARGIN,
     SEED_MAX,
     InvalidConfig,
     SystemParams,
     _cup_candidates,
+    _draw_azimuths,
+    _draw_cosines,
     check_seed,
     chi_max,
-    constellation_rng,
     d_max,
     h_minus_zeta_d_max,
     local_frame,
-    max_earth_angle,
-    sample_constellation,
     stream_keys,
     stream_rows,
     visible_sky,
 )
 from satcrb.coverage import visibility_prob
+
+from draw_reference import masked_sky, uniform_draw
 
 DEFAULTS = SystemParams()
 
@@ -39,12 +41,6 @@ def to_local(cos_phi_e, params):
     """(phi_l, d, visible) of one Earth-frame cosine, through local_frame."""
     d, cos_l, sin_l = local_frame(np.array([cos_phi_e]), params)
     return math.atan2(sin_l[0], cos_l[0]), float(d[0]), bool(cos_l[0] >= params.zeta)
-
-
-def sight(sin_l, cos_l, theta):
-    """(M, 3) unit lines of sight of satellites at zenith sines and cosines
-    sin_l, cos_l and azimuths theta."""
-    return np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l], axis=-1)
 
 
 def literal_d_max(params):
@@ -176,6 +172,11 @@ def test_local_frame_matches_mpmath(h):
             assert np.all(np.abs(err) <= 1.5 * np.finfo(float).eps)
 
 
+def max_earth_angle(params):
+    """phi_e_max, the Earth-center half-angle of the visibility cup."""
+    return math.acos(chi_max(params))
+
+
 def test_max_earth_angle_default():
     assert math.degrees(max_earth_angle(DEFAULTS)) == pytest.approx(
         PHI_E_MAX_DEFAULT_DEG, abs=0.05
@@ -209,45 +210,31 @@ def test_d_max_consistent_with_max_earth_angle():
 
 
 def test_sample_constellation_deterministic():
-    p = SystemParams(n_sats=1)
-    a = sample_constellation(p, seed=7)
-    b = sample_constellation(p, seed=7)
-    assert np.array_equal(a.cos_phi_e, b.cos_phi_e) and np.array_equal(a.theta, b.theta)
-    c = sample_constellation(p, seed=8)
-    assert not np.array_equal(a.cos_phi_e, c.cos_phi_e)
+    """The same seed gives the same visible sky, and another seed another."""
+    p = SystemParams(n_sats=250)
+    a, b, c = (visible_sky(p, seed=seed)[0] for seed in (7, 7, 8))
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
 def test_sample_constellation_trials_are_independent_streams():
-    p = SystemParams(n_sats=16)
-    a = sample_constellation(p, seed=7, trial=0)
-    b = sample_constellation(p, seed=7, trial=1)
-    assert not np.array_equal(a.cos_phi_e, b.cos_phi_e)
-
-
-def test_sample_constellation_uniform_moments():
-    n = 10**5
-    p = SystemParams(n_sats=n)
-    c = sample_constellation(p, seed=123)
-    sigma = 1.0 / math.sqrt(3.0 * n)
-    assert abs(np.mean(c.cos_phi_e)) < 3.0 * sigma
-    assert np.all(c.theta >= 0.0) and np.all(c.theta < 2.0 * math.pi)
+    p = SystemParams(n_sats=250)
+    assert not np.array_equal(visible_sky(p, 7, trial=0)[0], visible_sky(p, 7, trial=1)[0])
 
 
 def test_sample_constellation_visible_fraction_matches_p():
     n = 10**5
     p = SystemParams(n_sats=n)
-    c = sample_constellation(p, seed=2024)
-    frac = np.mean(c.cos_phi_e >= chi_max(p))
+    frac = visible_sky(p, seed=2024)[1].size / n
     pv = visibility_prob(p)
     assert abs(frac - pv) < 3.0 * math.sqrt(pv * (1.0 - pv) / n)
 
 
 def test_local_frame_visibility_flags():
     p = SystemParams(n_sats=500)
-    c = sample_constellation(p, seed=5)
-    d, cos_l, _ = local_frame(c.cos_phi_e, p)
+    cos_phi_e = uniform_draw(p.n_sats, seed=5, trial=0)[0]
+    d, cos_l, _ = local_frame(cos_phi_e, p)
     cut = chi_max(p)
-    for vis, dd, cos_phi_e in zip(cos_l >= p.zeta, d, c.cos_phi_e):
+    for vis, dd, cos_phi_e in zip(cos_l >= p.zeta, d, cos_phi_e):
         assert vis == (cos_phi_e >= cut) or math.isclose(cos_phi_e, cut)
         assert p.h <= dd <= 2.0 * p.r + p.h
 
@@ -264,11 +251,19 @@ def test_local_frame_visibility_flags():
         dict(n_sats=0),
         dict(c=0.0),
         dict(eta=-1.0),
+        dict(n_sats=2.5),
+        dict(n_sats=1e3),
+        dict(n_sats=True),
+        dict(n_sats="4"),
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(InvalidConfig):
         SystemParams(**kwargs)
+
+
+def test_n_sats_takes_numpy_integers():
+    assert SystemParams(n_sats=np.int64(4)).n_sats == 4
 
 
 def test_split_accessors():
@@ -343,18 +338,18 @@ def test_prefilter_keeps_the_cup_edge(h, phi_deg):
     assert_prefilter_keeps_the_cup(h, phi_deg, 64)
 
 
-@pytest.mark.parametrize("n_sats", [1, 4, 250, 5000])
+@pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 250, 4000, 5000, 100_001])
 def test_visible_sky_is_the_masked_full_conversion(n_sats):
+    """visible_sky is numpy's uniform draw taken whole through local_frame
+    and masked, bit for bit, at every N mod 4."""
     p = SystemParams(n_sats=n_sats)
-    for trial in range(5):
-        c = sample_constellation(p, seed=31, trial=trial)
-        d, cos_l, sin_l = local_frame(c.cos_phi_e, p)
-        visible = cos_l >= p.zeta
-        v = sight(sin_l[visible], cos_l[visible], c.theta[visible])
-        got_v, got_d = visible_sky(p, seed=31, trial=trial)
-        assert got_v.shape == (visible.sum(), 3)
+    draws = [(31, trial) for trial in range(5)] + [(3, 0), (20260819, 11), (2**63 + 11, 2)]
+    for seed, trial in draws:
+        v, d = masked_sky(p, seed, trial)
+        got_v, got_d = visible_sky(p, seed=seed, trial=trial)
+        assert got_v.shape == (d.size, 3)
         assert np.array_equal(got_v, v)
-        assert np.array_equal(got_d, d[visible])
+        assert np.array_equal(got_d, d)
 
 
 def seed_sequence_key(seed, trial):
@@ -398,7 +393,8 @@ def test_constellation_rng_is_the_seed_sequence_stream():
         want = np.random.Generator(np.random.Philox(ss)).random(1001)
         keyed = np.random.Generator(np.random.Philox(key=key)).random(1001)
         assert np.array_equal(keyed, want)
-        assert np.array_equal(constellation_rng(seed, trial).random(1001), want)
+        drawn = stream_rows(stream_keys(seed, range(trial, trial + 1)), np.empty((1, 1001)))
+        assert np.array_equal(drawn[0], want)
 
 
 @pytest.mark.parametrize("seed,last", [(0, 2), (7, 5), (SEED_MAX, SEED_MAX)])
@@ -409,22 +405,27 @@ def test_stream_rows_normals_are_the_trial_stream(seed, last):
     trials = range(last - 2, last + 1)
     rows = stream_rows(stream_keys(seed, trials), np.empty((3, 6, 3900)), "standard_normal")
     for t, row in zip(trials, rows):
-        assert np.array_equal(row, constellation_rng(seed, t).standard_normal((6, 3900)))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+        want = np.random.Generator(np.random.Philox(ss)).standard_normal((6, 3900))
+        assert np.array_equal(row, want)
 
 
 @pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 4000, 100_001])
 def test_sample_constellation_is_the_uniform_draw(n_sats):
-    """The draw is uniform(-1, 1, N) cosines, then uniform(0, 2 pi, N)
-    azimuths, from the trial's SeedSequence-seeded Philox, bit for bit."""
+    """Each row of a block draw of three trials is all N satellites of
+    numpy's uniform draw of the trial's stream, bit for bit: the cosines,
+    then the azimuth uniforms that 2 pi u turns into the azimuths."""
     p = SystemParams(n_sats=n_sats)
-    for seed, trial in ((3, 0), (20260819, 11), (2**63 + 11, 2)):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        rng = np.random.Generator(np.random.Philox(ss))
-        cos_phi_e = rng.uniform(-1.0, 1.0, n_sats)
-        theta = rng.uniform(0.0, 2.0 * math.pi, n_sats)
-        c = sample_constellation(p, seed, trial)
-        assert np.array_equal(c.cos_phi_e, cos_phi_e)
-        assert np.array_equal(c.theta, theta)
+    for seed, first in ((3, 0), (20260819, 11), (2**63 + 11, 2)):
+        trials = range(first, first + 3)
+        keys = stream_keys(seed, trials)
+        block = np.empty((len(trials), n_sats + _ROW_SLACK))
+        cos_phi_e = _draw_cosines(p, keys, block).copy()
+        theta = 2.0 * math.pi * _draw_azimuths(p, keys, block)
+        for t, cos_row, theta_row in zip(trials, cos_phi_e, theta):
+            want_cos, want_theta = uniform_draw(n_sats, seed, t)
+            assert np.array_equal(cos_row, want_cos)
+            assert np.array_equal(theta_row, want_theta)
 
 
 @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 1.5, "7", True, None])
@@ -432,7 +433,7 @@ def test_seed_outside_its_range_is_rejected(seed):
     with pytest.raises(InvalidConfig, match="seed must be an integer"):
         check_seed(seed)
     with pytest.raises(InvalidConfig, match="seed must be an integer"):
-        sample_constellation(SystemParams(n_sats=4), seed)
+        visible_sky(SystemParams(n_sats=4), seed)
 
 
 @pytest.mark.parametrize(
@@ -446,4 +447,4 @@ def test_trials_outside_their_range_are_rejected(trials):
 def test_seed_and_trial_bounds_are_accepted():
     assert check_seed(0) == 0 and check_seed(np.uint64(SEED_MAX)) == SEED_MAX
     assert stream_keys(5, range(0)).shape == (0, 2)
-    assert constellation_rng(SEED_MAX, SEED_MAX).random() >= 0.0
+    assert visible_sky(SystemParams(n_sats=4), SEED_MAX, SEED_MAX)[1].size <= 4

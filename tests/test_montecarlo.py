@@ -6,15 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from satcrb.closed_form import lcrb_tdoa, moment_integrals
+from satcrb.closed_form import acrb, lcrb_tdoa, moment_integrals
+from satcrb.coverage import COVERAGE_RULE, coverage_prob
 from satcrb.fim import COND_LIMIT, crb_from_fim, fim_tdoa_arrays, fim_tdoa_rss_arrays
-from satcrb.geometry import (
-    InvalidConfig,
-    SystemParams,
-    _trials_per_chunk,
-    local_frame,
-    sample_constellation,
-)
+from satcrb.geometry import InvalidConfig, SystemParams, _trials_per_chunk
 from satcrb.montecarlo import (
     ConvergenceRow,
     CrbDistribution,
@@ -22,29 +17,17 @@ from satcrb.montecarlo import (
     crb_distribution,
     mean_fim,
     nearest_rank,
-    parameter_sweep,
 )
+
+from draw_reference import masked_sky
 
 SPLIT = SystemParams(eta=400.0)
 
 
-def visible_sats(params, seed, trial):
-    """(v, d) of one draw the direct way: all N satellites to the local
-    frame, then the visible ones' lines of sight from their angles."""
-    c = sample_constellation(params, seed, trial=trial)
-    d, cos_l, sin_l = local_frame(c.cos_phi_e, params)
-    vis = cos_l >= params.zeta
-    theta = c.theta[vis]
-    v = np.stack(
-        [sin_l[vis] * np.cos(theta), sin_l[vis] * np.sin(theta), cos_l[vis]], axis=-1
-    )
-    return v, d[vis]
-
-
 def reference_trial_bounds(params, model, seed, trial):
-    """One trial the direct way: visible_sats, then the single-matrix gate
+    """One trial the direct way: masked_sky, then the single-matrix gate
     and solve; None for a singular draw."""
-    v, d = visible_sats(params, seed, trial)
+    v, d = masked_sky(params, seed, trial)
     if d.size < 4:
         return None
     build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
@@ -124,7 +107,7 @@ def test_uncovered_draws_are_counted():
         p = SystemParams(n_sats=n_sats)
         dist = crb_distribution(p, "tdoa", trials=300, seed=5)
         # the trials short of four visible satellites, and only those
-        visible = [visible_sats(p, 5, t)[1].size for t in range(300)]
+        visible = [masked_sky(p, 5, t)[1].size for t in range(300)]
         assert dist.uncovered_count == sum(v < 4 for v in visible)
         assert 0 < dist.uncovered_count <= dist.singular_count
 
@@ -177,7 +160,7 @@ def test_all_singular_run_is_flagged():
 def test_rss_no_worse_per_trial():
     params = SystemParams(n_sats=120, eta=400.0)
     for trial in range(25):
-        v, d = visible_sats(params, seed=11, trial=trial)
+        v, d = masked_sky(params, seed=11, trial=trial)
         if d.size < 4:
             continue
         jt = fim_tdoa_arrays(v, d, params)
@@ -221,40 +204,30 @@ def test_median_tracks_limit_at_large_n():
 
 
 def test_parameter_sweep_h_axis():
-    rows = parameter_sweep(
-        SystemParams(n_sats=200),
-        "tdoa",
-        axis="h",
-        grid=[1000.0, 2500.0, 10000.0, 35000.0],
-        n=200,
-        trials=30,
-        seed=17,
-    )
-    assert [r.covered for r in rows] == [False, True, True, True]
-    acrbs = [r.acrb_xy + r.acrb_z for r in rows]
-    assert acrbs[1] < acrbs[2] < acrbs[3]  # grows with h above coverage
-    for r in rows:
-        assert 0.0 <= r.coverage <= 1.0
-        assert r.p10_xy <= r.median_xy <= r.p90_xy
+    """Along h at N = 200: coverage reaches the design rule from 2500 km on,
+    and above it the ACRB grows with h."""
+    points = [SystemParams(n_sats=200, h=h) for h in (1000.0, 2500.0, 10000.0, 35000.0)]
+    coverage = [coverage_prob(p) for p in points]
+    assert [c >= COVERAGE_RULE for c in coverage] == [False, True, True, True]
+    acrbs = [b.xy + b.z for b in map(acrb, points)]
+    assert acrbs[1] < acrbs[2] < acrbs[3]
+    for p, cov in zip(points, coverage):
+        assert 0.0 <= cov <= 1.0
+        dist = crb_distribution(p, "tdoa", trials=30, seed=17)
+        assert dist.percentile_xy(10.0) <= dist.median_xy <= dist.percentile_xy(90.0)
 
 
 def test_parameter_sweep_phi_axis():
-    rows = parameter_sweep(
-        SystemParams(n_sats=2000),
-        "tdoa",
-        axis="phi_l_max",
-        grid=[math.radians(10.0), math.radians(25.0), math.radians(60.0)],
-        n=2000,
-        trials=30,
-        seed=4,
-    )
-    assert all(r.covered for r in rows)
-    # opening the cone helps z more than xy
-    drop_xy = rows[0].median_xy / rows[-1].median_xy
-    drop_z = rows[0].median_z / rows[-1].median_z
+    """Along phi_l_max at N = 2000, every point covered: opening the cone
+    from 10 to 60 degrees lowers the median N*CRB of z more than of xy."""
+    points = [
+        SystemParams(n_sats=2000, phi_l_max=math.radians(deg)) for deg in (10.0, 25.0, 60.0)
+    ]
+    assert all(coverage_prob(p) >= COVERAGE_RULE for p in points)
+    narrow, wide = (crb_distribution(p, "tdoa", trials=30, seed=4) for p in (points[0], points[-1]))
+    drop_xy = narrow.median_xy / wide.median_xy
+    drop_z = narrow.median_z / wide.median_z
     assert drop_z > drop_xy > 1.0
-    with pytest.raises(InvalidConfig):
-        parameter_sweep(SystemParams(), "tdoa", "r", [6000.0], 100, 5, 1)
 
 
 def test_mean_fim_structure():
