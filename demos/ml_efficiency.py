@@ -16,7 +16,7 @@ an order of magnitude above the planar error, exactly as the bound predicts.
 import time
 
 from satcrb import SystemParams, mse_experiment, signal_crb, zenith_ring_geometry
-from satcrb.cli import default_signal_config
+from satcrb.signal_ml import default_signal_config
 
 SEED = 20260819
 TRIALS = 100  # raise for tighter ratios; 200 reproduces the shipped experiment

@@ -14,14 +14,19 @@ and output_path. Angles are degrees in files and radians internally. The key
 ``c`` sets the one propagation speed shared by both parameter sets. A seed,
 from a file or ``--seed``, is an integer in [0, 2**64 - 1].
 
-Exit codes: 0 success, 2 usage or config error, 3 degenerate geometry or
-unachievable target, 4 verification failure.
+Every command runs through one runner, `_runs`, which loads the RunConfig
+and maps library errors to exit codes: 0 success; 2 usage or config error
+(InvalidConfig, reported as a click usage error); 3 degenerate geometry,
+unachievable target or singular information (DegenerateGeometry,
+Unachievable, SingularInformation, reported as ``error: ...`` on stderr);
+4 verification failure.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -62,6 +67,7 @@ from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
     SignalConfig,
     decoupling_check,
+    default_signal_config,
     mse_experiment,
     zenith_ring_geometry,
 )
@@ -77,25 +83,10 @@ _META_KEYS = ("seed", "format", "output_path")
 GRID_MAX = 10**6
 
 
-def default_signal_config(c: float) -> SignalConfig:
-    """Gaussian pulse with a 10 kHz effective bandwidth, sampled at 1.5 MHz
-    over a window long enough for the zenith-plus-ring delay spread."""
-    sigma = 1.0 / (2.0 * math.pi * math.sqrt(2.0) * 1.0e4)
-    return SignalConfig(
-        pulse="gaussian",
-        pulse_width=sigma,
-        sample_rate=1.5e6,
-        obs_window=2.6e-3,
-        n0=1.0e-2,
-        es_max=1.0,
-        c=c,
-    )
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: SystemParams
-    signal: SignalConfig | None
+    signal: SignalConfig
     seed: int
     output_path: str | None
     format: str
@@ -140,10 +131,13 @@ def _read_config_file(path: str) -> dict:
 def _config_number(key: str, value, kind: type):
     """The value of a numeric config key as kind, float or int; InvalidConfig
     naming the key unless it is a number (an integer for int), not a bool,
-    and kind holds it (an integer beyond the float range does not)."""
+    and kind holds it as a finite value (an integer beyond the float range,
+    Infinity and NaN do not)."""
     if not isinstance(value, bool) and isinstance(value, (int, kind)):
         with contextlib.suppress(OverflowError):
-            return kind(value)
+            number = kind(value)
+            if kind is int or math.isfinite(number):
+                return number
     noun = "an integer" if kind is int else "a number"
     raise InvalidConfig(f"config key {key} must be {noun}, got {value!r}")
 
@@ -168,18 +162,14 @@ def load_run_config(
             param_kwargs[key] = math.radians(value) if key == "phi_l_max" else value
     params = SystemParams(**param_kwargs)
 
-    signal = None
-    if any(key in data for key in _SIGNAL_KEYS):
-        base = default_signal_config(c=params.c)
-        sig_kwargs = {}
-        for key in _SIGNAL_KEYS:
-            if key in data:
-                sig_kwargs[key] = (
-                    str(data[key])
-                    if key == "pulse"
-                    else _config_number(key, data[key], float)
-                )
-        signal = dataclasses.replace(base, c=params.c, **sig_kwargs)
+    signal = dataclasses.replace(
+        default_signal_config(params.c),
+        **{
+            key: str(data[key]) if key == "pulse" else _config_number(key, data[key], float)
+            for key in _SIGNAL_KEYS
+            if key in data
+        },
+    )
 
     file_seed = data.get("seed")
     final_seed = check_seed(
@@ -297,40 +287,34 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / abs(b)
 
 
+def _gate(name: str, label: str, values: Sequence[float], gate: float) -> CheckResult:
+    """The check `name`: its largest value, a NaN among the values
+    propagating, passes iff it is below gate."""
+    v = float(np.max(values))
+    return CheckResult(name, v < gate, f"{label}={v:.3e} gate={gate:.0e}")
+
+
 def run_verification(
-    params: SystemParams, signal: SignalConfig | None, seed: int
+    params: SystemParams, signal: SignalConfig, seed: int
 ) -> list[CheckResult]:
     """Cross-oracle checks of independent routes to the same quantities."""
-    checks: list[CheckResult] = []
     # the (h, phi_l_max) grid of checks 1 and 2, each point with an eta split
     grid = [
-        SystemParams(
-            r=params.r,
-            h=h,
-            phi_l_max=math.radians(phi),
-            eta_rho=params.eta_rho,
-            n_sats=params.n_sats,
-            c=params.c,
-        ).with_split(1.0e6 / h**2)
+        dataclasses.replace(params, h=h, phi_l_max=math.radians(phi), eta=1.0e6 / h**2)
         for h in (500.0, 2000.0, 20000.0, 40000.0)
         for phi in (10.0, 35.0, 60.0, 90.0)
     ]
 
     # 1. closed-form moments against Gauss-Legendre quadrature
-    worst = 0.0
+    moments_rel = []
     for p in grid:
         closed = moment_integrals(p)
         quad = quadrature_moments(p, n_points=128)
         for field in ("m_l", "m_l_cos", "m_l_sin2", "m_k_sin2", "m_k_cos2"):
-            worst = max(worst, _rel(getattr(closed, field), getattr(quad, field)))
-    checks.append(
-        CheckResult(
-            "moments-quadrature", worst < 1e-8, f"max_rel={worst:.3e} gate=1e-08"
-        )
-    )
+            moments_rel.append(_rel(getattr(closed, field), getattr(quad, field)))
 
     # 2. literal limit formulas against moment assembly
-    worst = 0.0
+    routes_rel = []
     for p in grid:
         for literal_fn, assembly_fn in (
             (lcrb_tdoa, lcrb_tdoa_from_moments),
@@ -338,31 +322,20 @@ def run_verification(
         ):
             lit = literal_fn(p)
             asm = assembly_fn(moment_integrals(p))
-            worst = max(worst, _rel(lit.xy, asm.xy), _rel(lit.z, asm.z))
-    checks.append(
-        CheckResult(
-            "limit-routes", worst < 1e-9, f"max_rel={worst:.3e} gate=1e-09"
-        )
-    )
+            routes_rel += [_rel(lit.xy, asm.xy), _rel(lit.z, asm.z)]
 
     # 3. Monte Carlo median against the limit
-    n_big = 2000
     dist = crb_distribution(
-        dataclasses.replace(params, n_sats=n_big), "tdoa", trials=200, seed=seed
+        dataclasses.replace(params, n_sats=2000), "tdoa", trials=200, seed=seed
     )
     limit = lcrb_tdoa(params)
-    dev = max(
+    median_dev = [
         abs(dist.median_xy / limit.xy - 1.0), abs(dist.median_z / limit.z - 1.0)
-    )
-    checks.append(
-        CheckResult(
-            "montecarlo-limit", dev < 0.05, f"max_median_dev={dev:.3e} gate=5e-02"
-        )
-    )
+    ]
 
     # 4. planar closed form against direct FIM inversion
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    planar_rel = []
     for _ in range(30):
         m = int(rng.integers(3, 8))
         sensors = PlanarSensors(
@@ -373,37 +346,21 @@ def run_verification(
             rho=100.0,
             c=params.c,
         )
-        worst = max(worst, _rel(planar_crb_closed(sensors), planar_crb_fim(sensors)))
-    checks.append(
-        CheckResult(
-            "planar-oracle", worst < 1e-10, f"max_rel={worst:.3e} gate=1e-10"
-        )
-    )
+        planar_rel.append(_rel(planar_crb_closed(sensors), planar_crb_fim(sensors)))
 
     # 5. amplitude/(position, clock) decoupling for the symmetric pulse
-    sig = signal if signal is not None else default_signal_config(c=params.c)
-    coupling = decoupling_check(zenith_ring_geometry(params), sig)
-    checks.append(
-        CheckResult(
-            "decoupling", coupling < 1e-3, f"max_coupling={coupling:.3e} gate=1e-03"
-        )
-    )
-    return checks
+    coupling = decoupling_check(zenith_ring_geometry(params), signal)
+    return [
+        _gate("moments-quadrature", "max_rel", moments_rel, 1e-8),
+        _gate("limit-routes", "max_rel", routes_rel, 1e-9),
+        _gate("montecarlo-limit", "max_median_dev", median_dev, 5e-2),
+        _gate("planar-oracle", "max_rel", planar_rel, 1e-10),
+        _gate("decoupling", "max_coupling", [coupling], 1e-3),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # click wiring
-
-
-def _computation_errors(fn: Callable[[], None]) -> None:
-    """Map library errors to documented exit codes."""
-    try:
-        fn()
-    except (DegenerateGeometry, Unachievable, SingularInformation) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(3) from exc
-    except InvalidConfig as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -418,55 +375,62 @@ def main(ctx, config_path, seed, output_path, fmt):
     ctx.obj = (config_path, seed, output_path, fmt)
 
 
-def _load(ctx) -> RunConfig:
-    config_path, seed, output_path, fmt = ctx.obj
-    try:
-        return load_run_config(config_path, seed, output_path, fmt)
-    except InvalidConfig as exc:
-        raise click.UsageError(str(exc)) from exc
+def _runs(body: Callable[..., None]) -> Callable[..., None]:
+    """The click callback of a command: body(run, **options) on the loaded
+    RunConfig. DegenerateGeometry, Unachievable and SingularInformation print
+    ``error: ...`` on stderr and exit 3; InvalidConfig, from the config or an
+    option, is a usage error (exit 2)."""
+
+    @functools.wraps(body)
+    @click.pass_context
+    def command(ctx, **options) -> None:
+        try:
+            body(load_run_config(*ctx.obj), **options)
+        except (DegenerateGeometry, Unachievable, SingularInformation) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(3) from exc
+        except InvalidConfig as exc:
+            raise click.UsageError(str(exc)) from exc
+
+    return command
 
 
 @main.command()
 @click.option("--axis", type=click.Choice(["h", "phi_l_max"]), default="h", help="Sweep axis.")
 @click.option("--grid", default=None, help="lo:hi:n or comma list (degrees for the angle).")
-@click.pass_context
-def bounds(ctx, axis, grid):
+@_runs
+def bounds(run: RunConfig, axis, grid):
     """Closed-form bound sweep: limit, per-N approximation, two-term
     approximation, limit coefficients, and coverage per grid point."""
-    run = _load(ctx)
-
-    def work() -> None:
-        values = _grid_values(grid, axis)
-        p = run.params
-        # one array evaluation per sweep; the fixed axis is a length-1 array
-        swept = values if axis == "h" else np.radians(values)
-        h = swept if axis == "h" else np.array([p.h])
-        phi = swept if axis == "phi_l_max" else np.array([p.phi_l_max])
-        limit, checks = lcrb_tdoa_arrays(p, h, phi)
-        coeff, coeff_checks = limit_coefficients_arrays(p, h, phi)
-        # the first bad point wins, as point by point: an illegal value (replace
-        # raises its InvalidConfig), then the LCRB's checks, the coefficients'
-        illegal = ~SWEEP_RANGES[axis](swept)
-        raise_first([
-            (illegal, lambda j: dataclasses.replace(p, **{axis: float(swept[j])})),
-            *checks,
-            *coeff_checks,
-        ])
-        per_n = limit.scaled(1.0 / p.n_sats)
-        approx = two_term(coeff, h)
-        p_cov = coverage_prob_arrays(p, h, phi)
-        columns = {
-            "axis_value": values, "lcrb_xy": limit.xy, "lcrb_z": limit.z,
-            "acrb_xy": per_n.xy, "acrb_z": per_n.z,
-            "aacrb_xy": approx.xy, "aacrb_z": approx.z,
-            "alpha_xy": coeff.alpha_xy, "alpha_z": coeff.alpha_z,
-            "beta_xy": coeff.beta_xy, "beta_z": coeff.beta_z,
-            "coverage_prob": p_cov, "covered": p_cov >= COVERAGE_RULE,
-        }
-        cells = [np.broadcast_to(c, values.shape).tolist() for c in columns.values()]
-        _emit(render_rows(list(columns), cells, run.format), run.output_path)
-
-    _computation_errors(work)
+    values = _grid_values(grid, axis)
+    p = run.params
+    # one array evaluation per sweep; the fixed axis is a length-1 array
+    swept = values if axis == "h" else np.radians(values)
+    h = swept if axis == "h" else np.array([p.h])
+    phi = swept if axis == "phi_l_max" else np.array([p.phi_l_max])
+    limit, checks = lcrb_tdoa_arrays(p, h, phi)
+    coeff, coeff_checks = limit_coefficients_arrays(p, h, phi)
+    # the first bad point wins, as point by point: an illegal value (replace
+    # raises its InvalidConfig), then the LCRB's checks, the coefficients'
+    illegal = ~SWEEP_RANGES[axis](swept)
+    raise_first([
+        (illegal, lambda j: dataclasses.replace(p, **{axis: float(swept[j])})),
+        *checks,
+        *coeff_checks,
+    ])
+    per_n = limit.scaled(1.0 / p.n_sats)
+    approx = two_term(coeff, h)
+    p_cov = coverage_prob_arrays(p, h, phi)
+    columns = {
+        "axis_value": values, "lcrb_xy": limit.xy, "lcrb_z": limit.z,
+        "acrb_xy": per_n.xy, "acrb_z": per_n.z,
+        "aacrb_xy": approx.xy, "aacrb_z": approx.z,
+        "alpha_xy": coeff.alpha_xy, "alpha_z": coeff.alpha_z,
+        "beta_xy": coeff.beta_xy, "beta_z": coeff.beta_z,
+        "coverage_prob": p_cov, "covered": p_cov >= COVERAGE_RULE,
+    }
+    cells = [np.broadcast_to(c, values.shape).tolist() for c in columns.values()]
+    _emit(render_rows(list(columns), cells, run.format), run.output_path)
 
 
 # one column per ConvergenceRow field, in order; n_sats prints as N
@@ -478,20 +442,15 @@ MONTECARLO_HEADER = ("N", *_MC_FIELDS[1:])
 @click.option("--model", type=click.Choice(["tdoa", "tdoa_rss"]), default="tdoa")
 @click.option("--trials", type=click.IntRange(min=1), default=200)
 @click.option("--n-list", default="250,500,1000,2000", help="Comma list of satellite counts.")
-@click.pass_context
-def montecarlo(ctx, model, trials, n_list):
+@_runs
+def montecarlo(run: RunConfig, model, trials, n_list):
     """Random-constellation N*CRB distribution against the closed-form limit."""
-    run = _load(ctx)
-
-    def work() -> None:
-        counts = _number_list(n_list, "n", int)
-        rows = [
-            dataclasses.astuple(row)
-            for row in convergence_sweep(run.params, model, counts, trials, run.seed)
-        ]
-        _emit(render_rows(MONTECARLO_HEADER, list(zip(*rows)), run.format), run.output_path)
-
-    _computation_errors(work)
+    counts = _number_list(n_list, "n", int)
+    rows = [
+        dataclasses.astuple(row)
+        for row in convergence_sweep(run.params, model, counts, trials, run.seed)
+    ]
+    _emit(render_rows(MONTECARLO_HEADER, list(zip(*rows)), run.format), run.output_path)
 
 
 @main.command()
@@ -501,39 +460,34 @@ def montecarlo(ctx, model, trials, n_list):
     default="prob",
 )
 @click.option("--target", type=float, default=0.9, help="Coverage target for min_* queries.")
-@click.pass_context
-def coverage(ctx, query, target):
+@_runs
+def coverage(run: RunConfig, query, target):
     """Coverage probability and inverse design queries (single JSON object)."""
-    run = _load(ctx)
-
-    def work() -> None:
-        p = run.params
-        inputs = {
-            "r": p.r,
-            "h": p.h,
-            "phi_l_max_deg": math.degrees(p.phi_l_max),
-            "n_sats": p.n_sats,
+    p = run.params
+    inputs = {
+        "r": p.r,
+        "h": p.h,
+        "phi_l_max_deg": math.degrees(p.phi_l_max),
+        "n_sats": p.n_sats,
+    }
+    if query == "prob":
+        answer = {
+            "p_single": visibility_prob(p),
+            "p_cov": coverage_prob(p),
         }
-        if query == "prob":
-            answer = {
-                "p_single": visibility_prob(p),
-                "p_cov": coverage_prob(p),
-            }
-        elif query == "min_angle":
-            inputs["target"] = target
-            answer = {
-                "phi_l_max_deg": math.degrees(min_angle_for_coverage(p, target))
-            }
-        else:
-            inputs["target"] = target
-            answer = {"h_km": min_height_for_coverage(p, target)}
-        text = (
-            json.dumps({"query": query, "inputs": inputs, "answer": answer}, indent=2)
-            + "\n"
-        )
-        _emit(text, run.output_path)
-
-    _computation_errors(work)
+    elif query == "min_angle":
+        inputs["target"] = target
+        answer = {
+            "phi_l_max_deg": math.degrees(min_angle_for_coverage(p, target))
+        }
+    else:
+        inputs["target"] = target
+        answer = {"h_km": min_height_for_coverage(p, target)}
+    text = (
+        json.dumps({"query": query, "inputs": inputs, "answer": answer}, indent=2)
+        + "\n"
+    )
+    _emit(text, run.output_path)
 
 
 ML_HEADER = ("snr_db", "mse_xy", "mse_xyz", "crb_xy", "crb_xyz")
@@ -542,41 +496,27 @@ ML_HEADER = ("snr_db", "mse_xy", "mse_xyz", "crb_xy", "crb_xyz")
 @main.command()
 @click.option("--snr-grid", default="6,10,14,18,22,26,30", help="Es,max/N0 points in dB.")
 @click.option("--trials", type=click.IntRange(min=50), default=200)
-@click.pass_context
-def ml(ctx, snr_grid, trials):
+@_runs
+def ml(run: RunConfig, snr_grid, trials):
     """ML localization MSE against the bound on the zenith-plus-ring geometry."""
-    run = _load(ctx)
-
-    def work() -> None:
-        snrs = _number_list(snr_grid, "snr", float)
-        sig = run.signal if run.signal is not None else default_signal_config(run.params.c)
-        geometry = zenith_ring_geometry(run.params)
-        rows = [
-            (row.snr_db, row.mse_xy, row.mse_xyz, row.crb_xy, row.crb_xyz)
-            for row in mse_experiment(geometry, sig, snrs, trials, run.seed)
-        ]
-        _emit(render_rows(ML_HEADER, list(zip(*rows)), run.format), run.output_path)
-
-    _computation_errors(work)
+    snrs = _number_list(snr_grid, "snr", float)
+    geometry = zenith_ring_geometry(run.params)
+    rows = [
+        (row.snr_db, row.mse_xy, row.mse_xyz, row.crb_xy, row.crb_xyz)
+        for row in mse_experiment(geometry, run.signal, snrs, trials, run.seed)
+    ]
+    _emit(render_rows(ML_HEADER, list(zip(*rows)), run.format), run.output_path)
 
 
 @main.command()
-@click.pass_context
-def verify(ctx):
+@_runs
+def verify(run: RunConfig):
     """Run the cross-oracle verification chain; exit 0 iff every check passes."""
-    run = _load(ctx)
-
-    def work() -> None:
-        checks = run_verification(run.params, run.signal, run.seed)
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks
-        ]
-        text = "\n".join(lines) + "\n"
-        _emit(text, run.output_path)
-        if not all(c.passed for c in checks):
-            raise SystemExit(4)
-
-    _computation_errors(work)
+    checks = run_verification(run.params, run.signal, run.seed)
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
+    _emit("\n".join(lines) + "\n", run.output_path)
+    if not all(c.passed for c in checks):
+        raise SystemExit(4)
 
 
 if __name__ == "__main__":

@@ -105,7 +105,8 @@ class SignalConfig:
         if self.pulse not in PULSES:
             raise InvalidConfig(f"pulse must be one of {PULSES}, got {self.pulse!r}")
         for name in ("pulse_width", "sample_rate", "obs_window", "n0", "es_max", "c"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidConfig(f"{name} must be positive")
         if self.sample_rate * self.pulse_width < 16.0:
             raise InvalidConfig(
@@ -129,6 +130,21 @@ class SignalConfig:
         if self.pulse == "gaussian":
             return _GAUSS_SUPPORT_SIGMAS * self.pulse_width
         return self.pulse_width
+
+
+def default_signal_config(c: float) -> SignalConfig:
+    """Gaussian pulse with a 10 kHz effective bandwidth, sampled at 1.5 MHz
+    over a window long enough for the zenith-plus-ring delay spread."""
+    sigma = 1.0 / (2.0 * math.pi * math.sqrt(2.0) * 1.0e4)
+    return SignalConfig(
+        pulse="gaussian",
+        pulse_width=sigma,
+        sample_rate=1.5e6,
+        obs_window=2.6e-3,
+        n0=1.0e-2,
+        es_max=1.0,
+        c=c,
+    )
 
 
 @dataclass(frozen=True)
@@ -166,8 +182,8 @@ class SampledPulse:
     samples[i] = s((i - (len-1)/2) dt) at the config's dt, rescaled so that
     sum(s^2) dt = 1.
     fine and deriv_fine sample the same waveform on a fixed 2048-point lattice
-    across the support (spacing dt_fine, independent of the measurement rate):
-    the bandwidth is taken there, because at a non-commensurate sample rate
+    across the support (spacing support / 2048, independent of the measurement
+    rate): the bandwidth is taken there, because at a non-commensurate sample rate
     the measurement lattice alone estimates the raised cosine's spectral
     moments about three orders of magnitude too coarsely for the 1e-6
     agreement with the FFT of the spectrum that the tests hold it to.
@@ -176,7 +192,6 @@ class SampledPulse:
     samples: np.ndarray
     fine: np.ndarray
     deriv_fine: np.ndarray
-    dt_fine: float
 
     @property
     def half_len(self) -> int:
@@ -200,7 +215,6 @@ def make_pulse(config: SignalConfig) -> SampledPulse:
         samples=raw * scale,
         fine=fine * scale,
         deriv_fine=deriv_fine * scale,
-        dt_fine=dt_fine,
     )
 
 
@@ -231,16 +245,20 @@ def sat_positions(positions: np.ndarray) -> np.ndarray:
     return pos
 
 
-def zenith_ring_geometry(
-    params: SystemParams, ring_phi_l: float = math.radians(30.0), n_ring: int = 5
-) -> np.ndarray:
-    """(1 + n_ring, 3) km positions: one satellite at zenith plus a ring of
-    n_ring at zenith angle ring_phi_l, all on the shell of height h."""
-    d = shell_distance(ring_phi_l, params)
-    rho, z = d * math.sin(ring_phi_l), d * math.cos(ring_phi_l)
+# the ring of zenith_ring_geometry: its zenith angle and its satellite count
+_RING_PHI_L = math.radians(30.0)
+_N_RING = 5
+
+
+def zenith_ring_geometry(params: SystemParams) -> np.ndarray:
+    """(1 + _N_RING, 3) km positions: one satellite at zenith plus a ring of
+    _N_RING = 5 at zenith angle _RING_PHI_L = 30 deg, all on the shell of
+    height h."""
+    d = shell_distance(_RING_PHI_L, params)
+    rho, z = d * math.sin(_RING_PHI_L), d * math.cos(_RING_PHI_L)
     ring = [
         [rho * math.cos(theta), rho * math.sin(theta), z]
-        for theta in (2.0 * math.pi * k / n_ring for k in range(n_ring))
+        for theta in (2.0 * math.pi * k / _N_RING for k in range(_N_RING))
     ]
     return np.array([[0.0, 0.0, params.h], *ring])
 
@@ -630,8 +648,8 @@ def _refine(
     return _ascend(evaluate, u0, radius, max_iter, xtol=2.0e-4)
 
 
-# ml_localize's defaults, which mse_experiment's trials use too: the
-# lattice's half-width in km and the most scoring steps of one solve
+# the coarse lattice's half-width in km, for ml_localize and mse_experiment
+# alike, and the most scoring steps of one solve, ml_localize's default
 _HALFWIDTH = 4.5
 _MAX_ITER = 100
 
@@ -642,23 +660,21 @@ def ml_localize(
     config: SignalConfig,
     mode: str = "full_3d",
     search_center: Sequence[float] = (0.0, 0.0, 0.0),
-    search_halfwidth: float = _HALFWIDTH,
-    grid_spacing: float | None = None,
     max_iter: int = _MAX_ITER,
 ) -> LocationEstimate:
     """Maximum-likelihood (xi, T0) with amplitudes profiled out, from the
     (M, K) samples whose row m is the window of positions[m].
 
-    Coarse stage: a lattice from search_center - search_halfwidth to
-    search_center + search_halfwidth per axis, odd-sized so the center is on
-    it, with spacing at most grid_spacing (default c/(4 W_e)); at each point
-    the clock offset is maximized over integer correlation lags. Fine stage:
-    Fisher scoring on the exact profiled likelihood over (x, y[, z], c*T0),
-    all in km, with steps of at most grid_spacing / 2, until a step is
-    shorter than 0.2 m (max_iter iterations at most; max_iter=0 returns the
-    lattice start). In fix_z mode the z coordinate is pinned to the search
-    center's z (the receiver knows its altitude). The fine stage is the
-    lockstep solver of `mse_experiment`, run on a chunk of one trial.
+    Coarse stage: a lattice from search_center - 4.5 km to search_center +
+    4.5 km per axis (`_HALFWIDTH`), odd-sized so the center is on it, with
+    spacing at most c/(4 W_e); at each point the clock offset is maximized
+    over integer correlation lags. Fine stage: Fisher scoring on the exact
+    profiled likelihood over (x, y[, z], c*T0), all in km, with steps of at
+    most half that spacing, until a step is shorter than 0.2 m (max_iter
+    iterations at most; max_iter=0 returns the lattice start). In fix_z
+    mode the z coordinate is pinned to the search center's z (the receiver
+    knows its altitude). The fine stage is the lockstep solver of
+    `mse_experiment`, run on a chunk of one trial.
     """
     _check_mode(mode)
     pos = sat_positions(positions)
@@ -671,20 +687,15 @@ def ml_localize(
             f"{mode} needs at least {need} measurements, got {len(pos)}"
         )
     sp = make_pulse(config)
-
-    if grid_spacing is None:
-        grid_spacing = config.c / (4.0 * effective_bandwidth_time(sp))
-    if not (search_halfwidth >= 0.0 and grid_spacing > 0.0):
-        raise InvalidConfig("search_halfwidth must be >= 0 and grid_spacing > 0")
-
+    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
     center = np.asarray(search_center, dtype=float)
-    points = _lattice_points(center, search_halfwidth, grid_spacing, mode)
+    points = _lattice_points(center, _HALFWIDTH, spacing, mode)
     best, t0 = _coarse(
         samples, _pulse_filter(sp.samples, samples.shape[1]), pos, points, config
     )
     u0 = _start(points, best, t0, 2 if mode == "fix_z" else 3, config.c)
     u, _, amps, converged = _refine(
-        samples[None], pos, center, u0[None], config, 0.5 * grid_spacing, max_iter
+        samples[None], pos, center, u0[None], config, 0.5 * spacing, max_iter
     )
     xi_hat, t0_hat = _unpack(u, center, config.c)
     return LocationEstimate(
@@ -849,8 +860,9 @@ def decoupling_check(
 
     Builds the extended-model information over (x, y, z, c*T0, A_1..A_M) from
     central finite differences of the noiseless sample means and returns
-    max |J_ab| / sqrt(J_aa J_bb) over the cross block. A time-symmetric pulse
-    makes this vanish; break_symmetry truncates the pulse tail to confirm the
+    max |J_ab| / sqrt(J_aa J_bb) over the cross block, skipping pairs with a
+    zero diagonal, or NaN if J is not finite. A time-symmetric pulse makes
+    this vanish; break_symmetry truncates the pulse tail to confirm the
     check can detect a coupled model: it zeroes the pulse after 0.15
     pulse_width, without re-normalizing its energy.
     """
@@ -879,11 +891,11 @@ def decoupling_check(
         cols.append((mean_vector(up) - mean_vector(dn)) / (2.0 * steps[i]))
     g = np.stack(cols, axis=1)
     j = g.T @ g
+    if not np.isfinite(j).all():
+        return math.nan
     diag = np.diag(j)
-    worst = 0.0
-    for a in range(4):
-        for b in range(4, len(theta0)):
-            denom = math.sqrt(diag[a] * diag[b])
-            if denom > 0.0:
-                worst = max(worst, abs(j[a, b]) / denom)
-    return worst
+    denom = np.sqrt(np.outer(diag[:4], diag[4:]))
+    coupling = np.divide(
+        np.abs(j[:4, 4:]), denom, out=np.zeros_like(denom), where=denom > 0.0
+    )
+    return float(coupling.max())

@@ -43,7 +43,8 @@ from satcrb import (
     visible_sky,
     zenith_ring_geometry,
 )
-from satcrb.cli import default_signal_config, main
+from satcrb.cli import main
+from satcrb.signal_ml import default_signal_config
 
 SEED = 20260819
 DEFAULTS = SystemParams()  # r=6371 km, h=20000 km, 60 deg, eta*rho=6.4e13, N=250

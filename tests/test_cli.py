@@ -10,18 +10,21 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import satcrb.cli as cli_mod
 from satcrb.cli import (
     DEFAULT_SEED,
     GRID_MAX,
     CheckResult,
     _grid_values,
-    default_signal_config,
     load_run_config,
     main,
     run_verification,
 )
-from satcrb.closed_form import lcrb_tdoa
+from satcrb.closed_form import DegenerateGeometry, lcrb_tdoa
+from satcrb.coverage import Unachievable
+from satcrb.fim import SingularInformation
 from satcrb.geometry import InvalidConfig, SystemParams
+from satcrb.signal_ml import default_signal_config
 
 C_KM_S = 299792.458
 
@@ -39,7 +42,7 @@ class TestConfigLoading:
         assert run.params.phi_l_max == pytest.approx(math.radians(60.0))
         assert run.params.eta_rho == 6.4e13
         assert run.params.n_sats == 250
-        assert run.signal is None
+        assert run.signal == default_signal_config(run.params.c)
         assert run.seed == DEFAULT_SEED
         assert run.format == "csv"
         assert run.output_path is None
@@ -125,6 +128,7 @@ class TestConfigLoading:
             "n_sats = true",
             "n_sats = 250.0",
             "h = 1" + "0" * 400,
+            "sample_rate = Infinity",
         ],
         ids=lambda line: line[:20],
     )
@@ -706,21 +710,42 @@ class TestVerifyCommand:
         assert "FAIL" not in result.output
 
     def test_single_path_perturbation_detected(self, monkeypatch):
-        import satcrb.cli as cli_mod
-
         # skew the literal TDOA route alone, as a 1e-6 error in eta_rho would
         def skewed(params):
             return lcrb_tdoa(dataclasses.replace(params, eta_rho=params.eta_rho * (1.0 + 1e-6)))
 
         monkeypatch.setattr(cli_mod, "lcrb_tdoa", skewed)
-        checks = run_verification(SystemParams(), None, DEFAULT_SEED)
+        p = SystemParams()
+        checks = run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
         by_name = {c.name: c for c in checks}
         assert not by_name["limit-routes"].passed
         assert by_name["moments-quadrature"].passed  # other paths untouched
 
-    def test_failure_exits_4(self, monkeypatch):
-        import satcrb.cli as cli_mod
+    def test_nan_route_fails(self, monkeypatch):
+        # the literal TDOA route returns xy = NaN at one grid point
+        def nan_at_one_point(params):
+            bound = lcrb_tdoa(params)
+            if (params.h, params.phi_l_max) == (2000.0, math.radians(35.0)):
+                return dataclasses.replace(bound, xy=math.nan)
+            return bound
 
+        monkeypatch.setattr(cli_mod, "lcrb_tdoa", nan_at_one_point)
+        p = SystemParams()
+        checks = run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
+        by_name = {c.name: c for c in checks}
+        assert not by_name["limit-routes"].passed
+        assert by_name["limit-routes"].detail == "max_rel=nan gate=1e-09"
+        assert by_name["moments-quadrature"].passed
+
+    def test_non_finite_decoupling_matrix_fails(self, tmp_path):
+        # es_max = 1e308 overflows the finite-difference information matrix
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("es_max = 1e308\n")
+        result = invoke(["--config", str(cfg), "verify"])
+        assert result.exit_code == 4
+        assert "FAIL decoupling: max_coupling=nan gate=1e-03\n" in result.output
+
+    def test_failure_exits_4(self, monkeypatch):
         def fake(params, signal, seed):
             return [CheckResult("stub", False, "forced")]
 
@@ -728,6 +753,37 @@ class TestVerifyCommand:
         result = invoke(["verify"])
         assert result.exit_code == 4
         assert "FAIL stub" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, target, error",
+    [
+        (["bounds"], "lcrb_tdoa_arrays", DegenerateGeometry),
+        (["montecarlo", "--trials", "2"], "convergence_sweep", SingularInformation),
+        (["coverage"], "coverage_prob", Unachievable),
+        (["ml", "--trials", "50"], "mse_experiment", SingularInformation),
+        (["verify"], None, None),
+    ],
+    ids=["bounds", "montecarlo", "coverage", "ml", "verify"],
+)
+def test_runner_exit_codes(args, target, error, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = -1\n")
+    bad = CliRunner().invoke(main, ["--config", str(cfg), *args])
+    assert bad.exit_code == 2
+    assert bad.stdout == ""
+    assert "Error: altitude must be positive, got h=-1.0\n" in bad.stderr
+    if target is None:
+        return
+
+    def fail(*_args, **_kwargs):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: stub failure\n"
 
 
 class TestDeterminism:
