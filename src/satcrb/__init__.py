@@ -43,7 +43,6 @@ from .geometry import (
     InvalidConfig,
     SystemParams,
     chi_max,
-    d_max,
     visible_sky,
 )
 from .montecarlo import (
@@ -113,7 +112,6 @@ __all__ = [
     "crb_distribution",
     "crb_from_fim",
     "cup_expectation",
-    "d_max",
     "decoupling_check",
     "effective_bandwidth_time",
     "fim_tdoa_arrays",

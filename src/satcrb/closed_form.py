@@ -13,10 +13,15 @@ Two computation routes exist for every bound:
 * assembly from the MomentSet expectations (test path), themselves checked
   against Gauss-Legendre quadrature of the defining integrals.
 
+The bound denominators subtract nearly equal terms at narrow cones, so the
+kernels take the edges and carry the brackets in extended precision
+(np.longdouble, with no SIMD loops, so each element is the scalar result).
+
 The two routes are not independent: both take the edge quantities of
-_cup_edges (D_max, log(D_max/h), h - zeta D_max, q), and the TDOA+RSS routes
-the brackets of _rss_brackets, so a fault there moves both together. Only
-the quadrature, which reaches the cup through geometry.chi_max, checks them.
+geometry.cup_edges (D_max, log(D_max/h), h - zeta D_max, q), evaluated in
+extended precision, and the TDOA+RSS routes the brackets of _rss_brackets,
+so a fault there moves both together. Only the quadrature checks them; it
+integrates up to geometry.chi_max, the float64 evaluation of the same edge.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fim import BoundSet
-from .geometry import InvalidConfig, SystemParams, chi_max, libm
+from .geometry import CupEdges, InvalidConfig, SystemParams, chi_max, cup_edges, libm
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,65 +164,7 @@ def _at_point(kernel: Callable, params: SystemParams):
     return type(out)(**{f.name: float(getattr(out, f.name)[0]) for f in fields(out)})
 
 
-@dataclass(frozen=True)
-class _CupEdges:
-    """Cup-edge geometry in extended precision (np.longdouble arrays).
-
-    The bound denominators subtract nearly equal terms when the viewing cone
-    is narrow (they are weighted variances of cos phi_e over a shrinking cup),
-    which magnifies the rounding already present in D_max, log(D_max/h) and
-    friends. Carrying the edge quantities and the bracket arithmetic in
-    extended precision keeps the closed forms accurate through the corners of
-    the parameter grids; results are cast back to float on return. Numpy has
-    no SIMD loops for longdouble, so each element is the scalar result.
-
-    Fields: dm = D_max, lam = log(D_max/h), hmzd = h - zeta D_max, and
-      surd  = R - r zeta^2 - zeta D_max
-            = sin^2 (R^2 + zeta^2 r^2) / (R + zeta sqrt(R^2 - r^2 sin^2))
-      q     = R - (r(h - zeta D_max) + hR)/D_max
-            = (R^2 - r^2) r^2 sin^2 / ((R + sqrt)(sqrt + r zeta) D_max)
-    with R^2 - r^2 formed as h(2r + h), which does not cancel at small h.
-    """
-
-    r: np.longdouble
-    h: np.ndarray
-    big_r: np.ndarray
-    zeta: np.ndarray
-    sin2: np.ndarray
-    dm: np.ndarray
-    lam: np.ndarray
-    hmzd: np.ndarray
-    surd: np.ndarray
-    q: np.ndarray
-
-
-@np.errstate(all="ignore")
-def _cup_edges(params: SystemParams, h: np.ndarray, phi: np.ndarray) -> _CupEdges:
-    """Edge quantities elementwise over h and phi_l_max (1-d float arrays
-    broadcast together); params supplies r."""
-    one = np.longdouble(1.0)
-    r = np.longdouble(params.r)
-    h = h.astype(np.longdouble)
-    big_r = r + h
-    phi = phi.astype(np.longdouble)
-    zeta = np.cos(phi)
-    sin_phi = np.sin(phi)
-    sin2 = sin_phi * sin_phi
-    s = r * sin_phi
-    sq = np.sqrt((big_r - s) * (big_r + s))
-    dm = h * (2.0 * r + h) / (sq + r * zeta)
-    dmh = h * (r * (one - zeta) + s * s / (big_r + sq)) / (sq + r * zeta)
-    lam = np.log1p(dmh / h)
-    hmzd = h * h * (one - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
-    surd = sin2 * (big_r * big_r + zeta * zeta * r * r) / (big_r + zeta * sq)
-    q = h * (2.0 * r + h) * r * r * sin2 / ((big_r + sq) * (sq + r * zeta) * dm)
-    return _CupEdges(
-        r=r, h=h, big_r=big_r, zeta=zeta, sin2=sin2,
-        dm=dm, lam=lam, hmzd=hmzd, surd=surd, q=q,
-    )
-
-
-def _rss_brackets(e: _CupEdges, eta: np.longdouble) -> tuple[np.ndarray, np.ndarray]:
+def _rss_brackets(e: CupEdges, eta: np.longdouble) -> tuple[np.ndarray, np.ndarray]:
     """The sin^2 and cos^2 brackets of the K moments, the TDOA+RSS xy
     denominator and (before its q^2 term) z denominator."""
     r, h, big_r, dm, lam = e.r, e.h, e.big_r, e.dm, e.lam
@@ -240,7 +187,8 @@ def _rss_brackets(e: _CupEdges, eta: np.longdouble) -> tuple[np.ndarray, np.ndar
 
 def moment_integrals(params: SystemParams) -> MomentSet:
     """Closed-form values of the five cup expectations."""
-    e = _cup_edges(params, np.array([params.h]), np.array([params.phi_l_max]))
+    h, phi = np.array([params.h]), np.array([params.phi_l_max])
+    e = cup_edges(params, h, phi, np.longdouble)
     r, big_r, dm, lam = e.r, e.big_r, e.dm, e.lam
     er = np.longdouble(params.eta_rho)
     one_minus_chi = e.hmzd / big_r
@@ -293,7 +241,7 @@ def lcrb_tdoa_arrays(
 ) -> tuple[BoundSet, list]:
     """lcrb_tdoa elementwise over h and phi_l_max (1-d arrays broadcast
     together): the bounds, and the checks each point must pass."""
-    e = _cup_edges(params, h, phi)
+    e = cup_edges(params, h, phi, np.longdouble)
     r, h, big_r, lam = e.r, e.h, e.big_r, e.lam
     er = np.longdouble(params.eta_rho)
     xy_den = er * (
@@ -317,7 +265,7 @@ def lcrb_tdoa(params: SystemParams) -> BoundSet:
 def _lcrb_tdoa_rss_arrays(
     params: SystemParams, h: np.ndarray, phi: np.ndarray
 ) -> tuple[BoundSet, list]:
-    e = _cup_edges(params, h, phi)
+    e = cup_edges(params, h, phi, np.longdouble)
     r, big_r, lam = e.r, e.big_r, e.lam
     eta, rho = np.longdouble(params.eta), np.longdouble(params.rho)
     xy_den, z_den = _rss_brackets(e, eta)

@@ -13,13 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import (
-    InvalidConfig,
-    SystemParams,
-    h_minus_zeta_d_max,
-    h_minus_zeta_d_max_arrays,
-    libm,
-)
+from .geometry import InvalidConfig, SystemParams, cup_edges, libm
 
 
 # design rule: a sweep point below this coverage probability is flagged as not
@@ -38,7 +32,8 @@ def visibility_prob(params: SystemParams) -> float:
     (h - D_max*zeta)/(2R) route; the two published forms are algebraically
     identical and the tests confirm them against each other.
     """
-    return 0.5 * h_minus_zeta_d_max(params) / params.big_r
+    edges = cup_edges(params, params.h, params.phi_l_max, float)
+    return float(0.5 * edges.hmzd / params.big_r)
 
 
 @np.errstate(all="ignore")
@@ -47,7 +42,7 @@ def coverage_prob_arrays(params: SystemParams, h: np.ndarray, phi: np.ndarray):
     together): p in one array pass, then logs, exps and the compensated sums
     through the C library, so each element is the one-point float."""
     n = params.n_sats
-    p = 0.5 * h_minus_zeta_d_max_arrays(params, h, phi) / (params.r + h)
+    p = 0.5 * cup_edges(params, h, phi, float).hmzd / (params.r + h)
     out = np.where(p >= 1.0, 1.0 if n >= 4 else 0.0, 0.0)
     inside = ~((p <= 0.0) | (p >= 1.0))
     log_p = libm(math.log, p[inside])
@@ -73,6 +68,12 @@ def coverage_prob(params: SystemParams) -> float:
     return float(coverage_prob_arrays(params, h, phi)[0])
 
 
+# bisection resolutions (rad, km) and the top of the altitude search (km)
+ANGLE_TOL = 1.0e-4
+HEIGHT_TOL = 1.0
+H_MAX = 1.0e5
+
+
 def _lowest_covering(
     params: SystemParams, field: str, hi: float, target: float, tol: float,
     unreachable: str,
@@ -82,10 +83,6 @@ def _lowest_covering(
     the field and vanish as it goes to 0."""
     if not (0.0 < target < 1.0):
         raise InvalidConfig(f"target must be in (0,1), got {target}")
-    # the loop stops once the bracket is narrower than tol, which a tol <= 0
-    # never allows
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidConfig(f"tol must be finite and positive, got {tol}")
 
     def covered(value: float) -> bool:
         return coverage_prob(replace(params, **{field: value})) >= target
@@ -102,29 +99,25 @@ def _lowest_covering(
     return hi
 
 
-def min_angle_for_coverage(
-    params: SystemParams, target: float, tol: float = 1e-4
-) -> float:
+def min_angle_for_coverage(params: SystemParams, target: float) -> float:
     """Smallest phi_l_max whose coverage probability reaches the target.
 
     Bisection on (0, pi/2]; coverage is monotone increasing in the angle and
     goes to 0 as the cone closes.
     """
     return _lowest_covering(
-        params, "phi_l_max", math.pi / 2.0, target, tol,
+        params, "phi_l_max", math.pi / 2.0, target, ANGLE_TOL,
         f"coverage {target} unreachable even at phi_l_max=90 deg",
     )
 
 
-def min_height_for_coverage(
-    params: SystemParams, target: float, tol: float = 1.0, h_max: float = 1.0e5
-) -> float:
+def min_height_for_coverage(params: SystemParams, target: float) -> float:
     """Smallest altitude whose coverage probability reaches the target.
 
-    Bisection on (0, h_max] km; coverage is monotone increasing in h at fixed
+    Bisection on (0, H_MAX] km; coverage is monotone increasing in h at fixed
     viewing angle (a higher shell widens the cup, which vanishes as h -> 0).
     """
     return _lowest_covering(
-        params, "h", h_max, target, tol,
-        f"coverage {target} unreachable below h={h_max} km",
+        params, "h", H_MAX, target, HEIGHT_TOL,
+        f"coverage {target} unreachable below h={H_MAX} km",
     )

@@ -12,15 +12,17 @@ distance d and to cos(phi_l) and sin(phi_l), with no angle in between. A
 draw's visible satellites are their unit lines of sight v = (sin(phi_l)
 cos(theta), sin(phi_l) sin(theta), cos(phi_l)), an (M, 3) array, and their
 distances d, in draw order, as visible_sky gives them for one trial and
-visible_chunks for padded chunks of trials. All lengths are km, all angles
-radians, times seconds.
+visible_chunks for padded chunks of trials. cup_edges is the one evaluator
+of the cup's edge (D_max, h - zeta D_max, chi_max), for the closed forms and
+the shell geometry alike. All lengths are km, all angles radians, times
+seconds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -109,10 +111,6 @@ class SystemParams:
                 "rho requires the (eta, rho) split; construct SystemParams with eta="
             )
         return self.eta_rho / self.eta
-
-    def with_split(self, eta: float) -> "SystemParams":
-        """Return a copy carrying an explicit eta (and hence rho) split."""
-        return replace(self, eta=eta)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator), which
@@ -237,8 +235,9 @@ def _draw_azimuths(
 CUP_MARGIN = 1.0e-9
 
 
-def _cup_candidates(cos_phi_e: np.ndarray, params: SystemParams) -> np.ndarray:
-    return cos_phi_e >= chi_max(params) - CUP_MARGIN
+def _cup_threshold(params: SystemParams) -> float:
+    """The least cos(phi_e) a cup candidate has."""
+    return chi_max(params) - CUP_MARGIN
 
 
 # doubles a chunk of trials draws at once; a chunk holds at least one trial
@@ -258,14 +257,15 @@ def _padded(filled: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
 
 
 def _cup_draws(
-    params: SystemParams, keys: np.ndarray
+    params: SystemParams, keys: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(trial, cos(phi_e), u) of each cup candidate of the streams keys, in
-    trial order and then draw order. The candidates are taken before the
-    azimuths overwrite the cosines, and the block dies on return."""
+    """(trial, cos(phi_e), u) of each cup candidate (cos(phi_e) >= threshold)
+    of the streams keys, in trial order and then draw order. The candidates
+    are taken before the azimuths overwrite the cosines, and the block dies
+    on return."""
     n = params.n_sats
     block = np.empty((len(keys), n + _ROW_SLACK))
-    cand = np.flatnonzero(_cup_candidates(_draw_cosines(params, keys, block), params))
+    cand = np.flatnonzero(_draw_cosines(params, keys, block) >= threshold)
     trial = cand // n
     # a candidate's place in the flat block; its azimuth's is n mod 4 further
     at = cand + trial * _ROW_SLACK
@@ -298,10 +298,10 @@ def local_frame(
 
 
 def _visible_chunk(
-    params: SystemParams, keys: np.ndarray
+    params: SystemParams, keys: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """counts and padded (v, d) of one chunk of visible_chunks."""
-    trial, cos_phi_e, u = _cup_draws(params, keys)
+    trial, cos_phi_e, u = _cup_draws(params, keys, threshold)
     d, cos_l, sin_l = local_frame(cos_phi_e, params)
     visible = cos_l >= params.zeta
     counts = np.bincount(trial[visible], minlength=len(keys))
@@ -338,9 +338,10 @@ def visible_chunks(
     """
     keys = stream_keys(seed, trials)
     size = _trials_per_chunk(params.n_sats)
+    threshold = _cup_threshold(params)
     for first in range(0, len(keys), size):
         chunk = keys[first : first + size]
-        yield (slice(first, first + size), *_visible_chunk(params, chunk))
+        yield (slice(first, first + size), *_visible_chunk(params, chunk, threshold))
 
 
 def visible_sky(
@@ -354,45 +355,53 @@ def visible_sky(
     return v[0], d[0]
 
 
-def _sqrt_shell(phi_l, r: float, big_r):
-    """sqrt(R^2 - r^2 sin^2(phi_l)), the shared surd of the shell-distance
-    forms; elementwise on arrays of phi_l and R."""
-    s = r * np.sin(phi_l)
-    return np.sqrt((big_r - s) * (big_r + s))
+@dataclass(frozen=True)
+class CupEdges:
+    """The edge of the visibility cup, elementwise over (h, phi_l_max).
 
-
-def shell_distance(phi_l: float, params: SystemParams) -> float:
-    """Distance from the LT to the height-h shell along zenith angle phi_l.
-
-    Algebraically sqrt(R^2 - r^2 sin^2(phi_l)) - r*cos(phi_l), but evaluated
-    as h(2r+h)/(sqrt(R^2 - r^2 sin^2) + r cos) which stays exact for h many
-    orders below r (the literal form cancels catastrophically there).
+    Fields: r, h, big_r = R = r + h, dm = D_max, lam = log(D_max/h),
+    hmzd = h - zeta D_max, and
+      surd  = R - r zeta^2 - zeta D_max
+            = sin^2 (R^2 + zeta^2 r^2) / (R + zeta sqrt(R^2 - r^2 sin^2))
+      q     = R - (r(h - zeta D_max) + hR)/D_max
+            = (R^2 - r^2) r^2 sin^2 / ((R + sqrt)(sqrt + r zeta) D_max)
+    with R^2 - r^2 formed as h(2r + h), which does not cancel at small h.
     """
-    r, h = params.r, params.h
-    sq = _sqrt_shell(phi_l, r, params.big_r)
-    return h * (2.0 * r + h) / (sq + r * math.cos(phi_l))
+
+    r: np.ndarray
+    h: np.ndarray
+    big_r: np.ndarray
+    dm: np.ndarray
+    lam: np.ndarray
+    hmzd: np.ndarray
+    surd: np.ndarray
+    q: np.ndarray
 
 
-def d_max(params: SystemParams) -> float:
-    """Largest LT-satellite distance with phi_l <= phi_l_max."""
-    return shell_distance(params.phi_l_max, params)
-
-
-def h_minus_zeta_d_max(params: SystemParams) -> float:
-    """h - zeta*D_max without cancellation; of order h^2/r for small h."""
-    return float(h_minus_zeta_d_max_arrays(params, params.h, params.phi_l_max))
-
-
-def h_minus_zeta_d_max_arrays(params: SystemParams, h, phi):
-    """h - zeta*D_max elementwise over h and phi_l_max, floats or arrays
-    broadcast together; params supplies r."""
-    r = params.r
+@np.errstate(all="ignore")
+def cup_edges(params: SystemParams, h, phi, dtype: type) -> CupEdges:
+    """Cup-edge quantities elementwise over h and phi_l_max (floats or
+    arrays broadcast together), evaluated in dtype; params supplies r."""
+    r = dtype(params.r)
+    h = np.asarray(h, dtype=dtype)
+    big_r = r + h
+    phi = np.asarray(phi, dtype=dtype)
     zeta = np.cos(phi)
-    sq = _sqrt_shell(phi, r, r + h)
+    sin_phi = np.sin(phi)
+    sin2 = sin_phi * sin_phi
+    s = r * sin_phi
+    sq = np.sqrt((big_r - s) * (big_r + s))
+    dm = h * (2.0 * r + h) / (sq + r * zeta)
+    dmh = h * (r * (1.0 - zeta) + s * s / (big_r + sq)) / (sq + r * zeta)
+    lam = np.log1p(dmh / h)
     # (h + r zeta^2)^2 - zeta^2 (R^2 - r^2 sin^2) == h^2 (1 - zeta^2)
-    return h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
+    hmzd = h * h * (1.0 - zeta * zeta) / (h + r * zeta * zeta + zeta * sq)
+    surd = sin2 * (big_r * big_r + zeta * zeta * r * r) / (big_r + zeta * sq)
+    q = h * (2.0 * r + h) * r * r * sin2 / ((big_r + sq) * (sq + r * zeta) * dm)
+    return CupEdges(r=r, h=h, big_r=big_r, dm=dm, lam=lam, hmzd=hmzd, surd=surd, q=q)
 
 
 def chi_max(params: SystemParams) -> float:
     """cos(phi_e_max): the Earth-frame cosine at the edge of visibility."""
-    return 1.0 - h_minus_zeta_d_max(params) / params.big_r
+    edges = cup_edges(params, params.h, params.phi_l_max, float)
+    return float(1.0 - edges.hmzd / params.big_r)

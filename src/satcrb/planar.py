@@ -20,6 +20,7 @@ move the bound by ~1e-6 relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,11 +66,15 @@ class PlanarSensors:
             )
         if len(self.angles) < 2:
             raise InvalidConfig("need at least two sensors")
-        if any(d <= 0.0 for d in self.distances):
-            raise InvalidConfig("distances must be positive")
+        if not all(math.isfinite(a) for a in self.angles):
+            raise InvalidConfig("angles must be finite")
+        if not all(0.0 < d < math.inf for d in self.distances):
+            raise InvalidConfig("distances must be finite and positive")
+        if not math.isfinite(self.gamma):
+            raise InvalidConfig(f"gamma must be finite, got {self.gamma}")
         for name in ("w_e", "rho", "c"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidConfig(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and positive")
 
     @property
     def weights(self) -> np.ndarray:

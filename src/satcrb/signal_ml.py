@@ -60,7 +60,7 @@ from .fim import (
 from .geometry import (
     InvalidConfig,
     SystemParams,
-    shell_distance,
+    cup_edges,
     stream_keys,
     stream_rows,
 )
@@ -254,7 +254,7 @@ def zenith_ring_geometry(params: SystemParams) -> np.ndarray:
     """(1 + _N_RING, 3) km positions: one satellite at zenith plus a ring of
     _N_RING = 5 at zenith angle _RING_PHI_L = 30 deg, all on the shell of
     height h."""
-    d = shell_distance(_RING_PHI_L, params)
+    d = float(cup_edges(params, params.h, _RING_PHI_L, float).dm)
     rho, z = d * math.sin(_RING_PHI_L), d * math.cos(_RING_PHI_L)
     ring = [
         [rho * math.cos(theta), rho * math.sin(theta), z]
@@ -679,8 +679,11 @@ def ml_localize(
     _check_mode(mode)
     pos = sat_positions(positions)
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or len(samples) != len(pos):
-        raise InvalidConfig(f"samples need one row per position, got {samples.shape}")
+    if samples.shape != (len(pos), config.n_samples):
+        raise InvalidConfig(
+            f"samples need one row per position of {config.n_samples} samples, "
+            f"got {samples.shape}"
+        )
     need = 3 if mode == "fix_z" else 4
     if len(pos) < need:
         raise InsufficientCoverage(
@@ -853,18 +856,14 @@ def mse_experiment(
     ]
 
 
-def decoupling_check(
-    positions: np.ndarray, config: SignalConfig, break_symmetry: bool = False
-) -> float:
+def decoupling_check(positions: np.ndarray, config: SignalConfig) -> float:
     """Largest normalized information coupling between (xi, T0) and amplitudes.
 
     Builds the extended-model information over (x, y, z, c*T0, A_1..A_M) from
     central finite differences of the noiseless sample means and returns
     max |J_ab| / sqrt(J_aa J_bb) over the cross block, skipping pairs with a
     zero diagonal, or NaN if J is not finite. A time-symmetric pulse makes
-    this vanish; break_symmetry truncates the pulse tail to confirm the
-    check can detect a coupled model: it zeroes the pulse after 0.15
-    pulse_width, without re-normalizing its energy.
+    this vanish.
     """
     pos = sat_positions(positions)
     amps = amplitudes(pos, config.es_max)
@@ -874,10 +873,7 @@ def decoupling_check(
     def mean_vector(theta: np.ndarray) -> np.ndarray:
         taus = _delays(pos, theta[:3], theta[3] / config.c, config.c)
         t = t_axis[None, :] - taus[:, None]
-        s = _pulse(config, t)[0]
-        if break_symmetry:
-            s[t > 0.15 * config.pulse_width] = 0.0
-        return (theta[4:, None] * s).ravel()
+        return (theta[4:, None] * _pulse(config, t)[0]).ravel()
 
     theta0 = np.concatenate([np.zeros(3), [t0 * config.c], amps])
     steps = np.concatenate(

@@ -58,8 +58,7 @@ def _grid():
 
 
 def _split_params(h: float, phi: float) -> SystemParams:
-    base = dataclasses.replace(DEFAULTS, h=h, phi_l_max=phi)
-    return base.with_split(1.0e6 / h**2)
+    return dataclasses.replace(DEFAULTS, h=h, phi_l_max=phi, eta=1.0e6 / h**2)
 
 
 def _report(num: int, name: str, ok: bool, detail: str, dt: float, budget: float):
@@ -196,7 +195,7 @@ def test_criterion_07_coverage_design_points():
 def test_criterion_08_bandwidth_gap():
     t0 = time.perf_counter()
     threshold = rss_negligibility_threshold(20000.0, 3.0e5)
-    p = dataclasses.replace(DEFAULTS, n_sats=50).with_split(1.0e6 / DEFAULTS.h**2)
+    p = dataclasses.replace(DEFAULTS, n_sats=50, eta=1.0e6 / DEFAULTS.h**2)
     gaps_xy, gaps_z = [], []
     trial = 0
     while len(gaps_xy) < 20 and trial < 200:

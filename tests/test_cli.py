@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import satcrb.cli as cli_mod
+from satcrb import closed_form, coverage, geometry, signal_ml
 from satcrb.cli import (
     DEFAULT_SEED,
     GRID_MAX,
@@ -23,7 +24,7 @@ from satcrb.cli import (
 from satcrb.closed_form import DegenerateGeometry, lcrb_tdoa
 from satcrb.coverage import Unachievable
 from satcrb.fim import SingularInformation
-from satcrb.geometry import InvalidConfig, SystemParams
+from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 from satcrb.signal_ml import default_signal_config
 
 C_KM_S = 299792.458
@@ -720,6 +721,31 @@ class TestVerifyCommand:
         by_name = {c.name: c for c in checks}
         assert not by_name["limit-routes"].passed
         assert by_name["moments-quadrature"].passed  # other paths untouched
+
+    @pytest.mark.parametrize(
+        "field, failing",
+        [
+            ("dm", {"moments-quadrature", "limit-routes"}),
+            ("hmzd", {"moments-quadrature", "limit-routes"}),
+            ("lam", {"moments-quadrature"}),
+            ("surd", {"limit-routes"}),
+        ],
+    )
+    def test_cup_edge_perturbation_detected(self, field, failing, monkeypatch):
+        # one field of the one cup-edge evaluator off by 1e-9 relative, at
+        # every binding its callers read (q moves check 1 by 1e-9 exactly,
+        # below its 1e-8 gate, so it is not listed)
+        def skewed(*args):
+            edges = cup_edges(*args)
+            value = getattr(edges, field) * (1.0 + 1e-9)
+            return dataclasses.replace(edges, **{field: value})
+
+        for module in (geometry, closed_form, coverage, signal_ml):
+            monkeypatch.setattr(module, "cup_edges", skewed)
+        p = SystemParams()
+        checks = run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
+        failed = {c.name for c in checks if not c.passed}
+        assert failing <= failed
 
     def test_nan_route_fails(self, monkeypatch):
         # the literal TDOA route returns xy = NaN at one grid point

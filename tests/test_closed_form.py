@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from satcrb.closed_form import (
     DegenerateGeometry,
-    _cup_edges,
     _lcrb_tdoa_rss_arrays,
     aacrb,
     acrb,
@@ -27,7 +26,7 @@ from satcrb.closed_form import (
     two_term,
 )
 from satcrb.coverage import coverage_prob, coverage_prob_arrays, visibility_prob
-from satcrb.geometry import InvalidConfig, SystemParams, d_max
+from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 
 SPLIT = SystemParams(eta=400.0)
 
@@ -282,7 +281,7 @@ VERIFY_GRID = [
 def test_rss_limit_matches_quadrature(h, phi_deg):
     """The literal TDOA+RSS limit against the K moments integrated directly
     (512 nodes), which share no bracket with it; worst measured 9.6e-12."""
-    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg)).with_split(1.0e6 / h**2)
+    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg), eta=1.0e6 / h**2)
     lit = lcrb_tdoa_rss(p)
     quad = lcrb_tdoa_rss_from_moments(quadrature_moments(p, n_points=512))
     assert lit.xy == pytest.approx(quad.xy, rel=1e-9)
@@ -308,7 +307,7 @@ def _mp_cup_edges(r: float, h: float, phi: float) -> dict:
 def _cup_edge_error(h: float, phi_deg: float, names=None) -> float:
     """The worst relative error of the edge quantities (those named, or all)."""
     phi = math.radians(phi_deg)
-    e = _cup_edges(SystemParams(), np.array([h]), np.array([phi]))
+    e = cup_edges(SystemParams(), np.array([h]), np.array([phi]), np.longdouble)
     worst = 0.0
     for name, want in _mp_cup_edges(6371.0, h, phi).items():
         if names is not None and name not in names:

@@ -1,7 +1,10 @@
 """The demos and the README's Python examples run against the current API,
-and every public name of the package resolves."""
+every public name of the package resolves, and so does every module.name
+the README names."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -44,3 +47,18 @@ def test_star_import_binds_every_public_name():
     exec("from satcrb import *", namespace)
     assert len(set(satcrb.__all__)) == len(satcrb.__all__)
     assert set(satcrb.__all__) <= namespace.keys()
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.name` of the README whose module is a satcrb
+    submodule names something that module has, so a renamed or deleted name
+    cannot leave the README behind."""
+    submodules = {m.name for m in pkgutil.iter_modules(satcrb.__path__)}
+    refs = [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+        if module in submodules
+    ]
+    assert len(refs) >= 5
+    for module, name in refs:
+        assert hasattr(importlib.import_module(f"satcrb.{module}"), name), f"{module}.{name}"

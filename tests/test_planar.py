@@ -104,6 +104,19 @@ def test_validation_errors():
         make([0.0, 1.0, 2.0], [10.0, -1.0, 5.0])
     with pytest.raises(InvalidConfig):
         PlanarSensors((0.0, 1.0, 2.0), (1.0, 2.0, 3.0), 2.0, -5.0, 1.0, 3.0e5)
+    # non-finite values pass a sign test; each is a config error, not a
+    # nan bound, a zero bound or collinear sensors
+    angles, distances = [0.0, 2.0, 4.0], [10.0, 20.0, 30.0]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            make([0.0, bad, 4.0], distances)
+        with pytest.raises(InvalidConfig):
+            make(angles, [10.0, bad, 30.0])
+        with pytest.raises(InvalidConfig):
+            make(angles, distances, gamma=bad)
+        for name in ("w_e", "rho", "c"):
+            with pytest.raises(InvalidConfig):
+                make(angles, distances, **{name: bad})
 
 
 def _verify_draws(seed, count=30):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satcrb.fim import SingularInformation
-from satcrb.geometry import InvalidConfig, SystemParams, shell_distance
+from satcrb import signal_ml
+from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 from satcrb.signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
@@ -73,6 +74,12 @@ def rc_cfg(**over) -> SignalConfig:
     )
     base.update(over)
     return SignalConfig(**base)
+
+
+def shell_distance(phi_l: float, params: SystemParams) -> float:
+    """Distance from the LT to the shell of height params.h along zenith
+    angle phi_l: the D_max of the one cup-edge evaluator at that angle."""
+    return float(cup_edges(params, params.h, phi_l, float).dm)
 
 
 def ring_positions() -> np.ndarray:
@@ -750,9 +757,13 @@ class TestMlLocalize:
     def test_samples_must_match_positions(self):
         cfg = gauss_cfg()
         pos, _, samples = noisy_windows(cfg, seed=1)
-        # one row per position: a block of other height, or one window, is
-        # no alignment of samples to satellites
-        for bad in (samples[:5], samples[0], samples[None]):
+        # one row per position of n_samples: a block of other height, one
+        # window, or windows cut short or run long, is no alignment of
+        # samples to satellites
+        k = cfg.n_samples
+        assert samples.shape[1] == k
+        long = np.concatenate([samples, samples[:, :500]], axis=1)
+        for bad in (samples[:5], samples[0], samples[None], samples[:, : k - 500], long):
             with pytest.raises(InvalidConfig, match="one row per position"):
                 ml_localize(bad, pos, cfg)
 
@@ -923,10 +934,20 @@ class TestDecoupling:
         worst = decoupling_check(ring_positions(), gauss_cfg())
         assert worst < 1e-3
 
-    def test_truncated_pulse_couples(self):
+    def test_truncated_pulse_couples(self, monkeypatch):
         pos = ring_positions()
         sym = decoupling_check(pos, gauss_cfg())
-        broken = decoupling_check(pos, gauss_cfg(), break_symmetry=True)
+
+        # zero the pulse after 0.15 pulse_width, without re-normalizing its
+        # energy, to confirm the check can detect a coupled model
+        def truncated(config, t):
+            s, ds = pulse(config, t)
+            s[t > 0.15 * config.pulse_width] = 0.0
+            return s, ds
+
+        pulse = signal_ml._pulse
+        monkeypatch.setattr(signal_ml, "_pulse", truncated)
+        broken = decoupling_check(pos, gauss_cfg())
         assert broken > 0.01
         assert broken > 100.0 * max(sym, 1e-12)
 
