@@ -209,10 +209,21 @@ _CSV_COLUMN = {
 }
 
 
+def _json_float(value) -> float | None:
+    """A float cell in JSON, which has no NaN or infinity (RFC 8259): null
+    where it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+_JSON_CELL = {bool: bool, int: int, float: _json_float}
+
+
 def render_rows(header: Sequence[str], columns: Sequence[Sequence], fmt: str) -> str:
     """Rows given column by column, as CSV with CRLF line ends or a JSON array
     of objects; each column is converted by one formatter, chosen by its first
-    cell. Cells are numbers and flags, so no CSV field needs quoting."""
+    cell. Cells are numbers and flags, so no CSV field needs quoting; a CSV
+    cell that is not finite prints as nan or inf, a JSON one as null."""
     kinds = [_kind(col[0]) for col in columns]
     if fmt == "csv":
         buf = io.StringIO()
@@ -220,9 +231,9 @@ def render_rows(header: Sequence[str], columns: Sequence[Sequence], fmt: str) ->
         for line in itertools.chain([header], cells):
             buf.write(",".join(line) + "\r\n")
         return buf.getvalue()
-    values = [list(map(k, c)) for k, c in zip(kinds, columns)]
+    values = [list(map(_JSON_CELL[k], c)) for k, c in zip(kinds, columns)]
     payload = [dict(zip(header, row)) for row in zip(*values)]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:

@@ -7,15 +7,22 @@ direction and the satellite direction, phi_l is measured at the LT from its
 local zenith. A satellite is usable when cos(phi_l) >= zeta = cos(phi_l_max).
 
 Uniform deployment on the sphere means cos(phi_e) ~ U[-1, 1] and the azimuth
-theta ~ U[0, 2*pi). local_frame takes the drawn cosine straight to the
-distance d and to cos(phi_l) and sin(phi_l), with no angle in between. A
-draw's visible satellites are their unit lines of sight v = (sin(phi_l)
-cos(theta), sin(phi_l) sin(theta), cos(phi_l)), an (M, 3) array, and their
-distances d, in draw order, as visible_sky gives them for one trial and
-visible_chunks for padded chunks of trials. cup_edges is the one evaluator
-of the cup's edge (D_max, h - zeta D_max, chi_max), for the closed forms and
-the shell geometry alike. All lengths are km, all angles radians, times
-seconds.
+theta ~ U[0, 2*pi). A satellite is visible where s = 1 - cos(phi_e) is below
+s_max = 1 - chi_max = (h - zeta D_max)/R, so the visible part of a uniform
+fleet of N is again a binomial point process: K ~ Binomial(N, s_max/2)
+satellites, each with s ~ U[0, s_max) and theta ~ U[0, 2*pi), all
+independent. The stream (seed, t) of a trial draws exactly that: K, then 2K
+uniforms u in [0, 1) in one call, the first K giving s = s_max u and the
+next K theta = 2 pi u. As u < 1, s < s_max, so the cup's edge, a set of
+measure zero, is never drawn; the draw itself decides visibility.
+local_frame takes s straight to the distance d and to cos(phi_l) and
+sin(phi_l), with no angle in between. A draw's visible satellites are their
+unit lines of sight v = (sin(phi_l) cos(theta), sin(phi_l) sin(theta),
+cos(phi_l)), an (M, 3) array, and their distances d, in draw order, as
+visible_sky gives them for one trial and visible_chunks for padded chunks
+of trials. cup_edges is the one evaluator of the cup's edge (D_max,
+h - zeta D_max, chi_max), for the closed forms and the shell geometry
+alike. All lengths are km, all angles radians, times seconds.
 """
 
 from __future__ import annotations
@@ -79,12 +86,7 @@ class SystemParams:
             )
         if not (self.eta_rho > 0.0 and math.isfinite(self.eta_rho)):
             raise InvalidConfig(f"eta_rho must be positive, got {self.eta_rho}")
-        if (
-            isinstance(self.n_sats, bool)
-            or not isinstance(self.n_sats, (int, np.integer))
-            or self.n_sats < 1
-        ):
-            raise InvalidConfig(f"n_sats must be an integer >= 1, got {self.n_sats!r}")
+        check_count("n_sats", self.n_sats, 1)
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise InvalidConfig(f"propagation speed must be positive, got {self.c}")
         if self.eta is not None and not (0.0 < self.eta and math.isfinite(self.eta)):
@@ -133,6 +135,17 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, value, least: int) -> int:
+    """value as an int; InvalidConfig unless it is an integer >= least."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < least
+    ):
+        raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _xorshift(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint32(16))
 
@@ -178,69 +191,41 @@ def stream_keys(seed: int, trials: range) -> np.ndarray:
     return pool.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def stream_rows(
-    keys: np.ndarray, out: np.ndarray, draw: str = "random", skip: int = 0
-) -> np.ndarray:
-    """Row i of out: what Generator.<draw>(out=row) gives the stream keyed
-    keys[i], from its (4 skip)-th 64-bit word on; "random" draws doubles in
-    [0, 1), one word each, and "standard_normal" unit normals. A Philox
-    counter counts blocks of four words, and one Philox reset to a key and a
-    counter draws what a fresh Philox(key=...) advanced by that count draws,
-    so a single generator serves every row."""
-    bitgen = np.random.Philox(key=keys[0])
+def streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator, reset before each yield to the start of the stream
+    keyed keys[i]: it draws what Generator(Philox(key=keys[i])) draws, as
+    long as the caller is done with it before asking for the next. Setting
+    a Philox's key and zeroing its counter and buffer is a fresh Philox, so
+    one generator serves every stream."""
+    bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    fill = getattr(gen, draw)
-    state = bitgen.state
-    state["state"]["counter"][0] = skip
-    for key, row in zip(keys, out):
-        state["state"]["key"] = key
-        bitgen.state = state
-        fill(out=row)
-    return out
+    fresh = bitgen.state
+    for key in keys:
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        yield gen
 
 
-# A trial's stream is N cosines cos(phi_e), then N uniforms u for the
-# azimuths 2 pi u: the values of uniform(-1, 1, N) and uniform(0, 2 pi, N),
-# which compute low + (high - low) u. The two halves are drawn in turn into
-# the same row of a (trials, N + 3) block; the azimuth draw starts at a
-# block of four doubles, up to 3 before its first.
-_ROW_SLACK = 3
+def local_frame(
+    s: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, cos(phi_l), sin(phi_l)) of satellites at s = 1 - cos(phi_e).
+
+    d = sqrt(h^2 + 2 r R s) is the law of cosines, cos(phi_l) =
+    (h - R s) / d and sin(phi_l) = R sqrt(s (2 - s)) / d the transfer
+    relations d cos(phi_l) = R cos(phi_e) - r and d sin(phi_l) =
+    R sin(phi_e); R cos(phi_e) - r itself would cancel to order h out of
+    terms of order R.
+    """
+    s = np.asarray(s, dtype=float)
+    r, h, big_r = params.r, params.h, params.big_r
+    d = np.sqrt(h * h + (2.0 * r * big_r) * s)
+    cos_l = (h - big_r * s) / d
+    sin_l = big_r * np.sqrt(s * (2.0 - s)) / d
+    return d, cos_l, sin_l
 
 
-def _draw_cosines(
-    params: SystemParams, keys: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Each trial's N cosines, in the first N columns of its row of out.
-    -1 + 2u is exact, so it is done in place."""
-    cos_phi_e = stream_rows(keys, out[:, : params.n_sats])
-    cos_phi_e *= 2.0
-    cos_phi_e -= 1.0
-    return cos_phi_e
-
-
-def _draw_azimuths(
-    params: SystemParams, keys: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Each trial's N azimuth uniforms, over its row of out. The draw starts
-    at the block of four doubles holding the first of them, N mod 4 columns
-    before it."""
-    n = params.n_sats
-    stream_rows(keys, out[:, : n + n % 4], skip=n // 4)
-    return out[:, n % 4 : n % 4 + n]
-
-
-# Prefilter slack in cos(phi_e): the rounding of local_frame moves the
-# visibility edge by well under 1e-14 from chi_max, and the slack admits only
-# about N * CUP_MARGIN / 2 extra candidates per draw.
-CUP_MARGIN = 1.0e-9
-
-
-def _cup_threshold(params: SystemParams) -> float:
-    """The least cos(phi_e) a cup candidate has."""
-    return chi_max(params) - CUP_MARGIN
-
-
-# doubles a chunk of trials draws at once; a chunk holds at least one trial
+# trials a chunk holds: about _BLOCK / N, at least one
 _BLOCK = 1 << 15
 
 
@@ -248,75 +233,27 @@ def _trials_per_chunk(n_sats: int) -> int:
     return max(1, _BLOCK // n_sats)
 
 
-def _padded(filled: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
-    """values in the True slots of the mask filled, in row-major order, and
-    fill in the others."""
-    rows = np.full(filled.shape, fill)
-    rows[filled] = values
-    return rows
-
-
-def _cup_draws(
-    params: SystemParams, keys: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(trial, cos(phi_e), u) of each cup candidate (cos(phi_e) >= threshold)
-    of the streams keys, in trial order and then draw order. The candidates
-    are taken before the azimuths overwrite the cosines, and the block dies
-    on return."""
-    n = params.n_sats
-    block = np.empty((len(keys), n + _ROW_SLACK))
-    cand = np.flatnonzero(_draw_cosines(params, keys, block) >= threshold)
-    trial = cand // n
-    # a candidate's place in the flat block; its azimuth's is n mod 4 further
-    at = cand + trial * _ROW_SLACK
-    flat = block.reshape(-1)
-    cos_phi_e = flat[at]
-    _draw_azimuths(params, keys, block)
-    return trial, cos_phi_e, flat[at + n % 4]
-
-
-def local_frame(
-    cos_phi_e: np.ndarray, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, cos(phi_l), sin(phi_l)) of satellites at the Earth-frame cosines
-    c = cos(phi_e); a satellite is visible where cos(phi_l) >= params.zeta.
-
-    With 1 - c formed once, d = sqrt(h^2 + 2 r R (1 - c)) is the law of
-    cosines, cos(phi_l) = (h - R (1 - c)) / d and sin(phi_l) =
-    R sqrt((1 - c)(1 + c)) / d the transfer relations d cos(phi_l) =
-    R c - r and d sin(phi_l) = R sin(phi_e). A drawn c is a multiple of
-    2**-52, so 1 - c and 1 + c are exact; R c - r itself would cancel to
-    order h out of terms of order R.
-    """
-    c = np.asarray(cos_phi_e, dtype=float)
-    r, h, big_r = params.r, params.h, params.big_r
-    s = 1.0 - c
-    d = np.sqrt(h * h + (2.0 * r * big_r) * s)
-    cos_l = (h - big_r * s) / d
-    sin_l = big_r * np.sqrt(s * (1.0 + c)) / d
-    return d, cos_l, sin_l
-
-
-def _visible_chunk(
-    params: SystemParams, keys: np.ndarray, threshold: float
+def _cup_chunk(
+    params: SystemParams, keys: np.ndarray, s_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """counts and padded (v, d) of one chunk of visible_chunks."""
-    trial, cos_phi_e, u = _cup_draws(params, keys, threshold)
-    d, cos_l, sin_l = local_frame(cos_phi_e, params)
-    visible = cos_l >= params.zeta
-    counts = np.bincount(trial[visible], minlength=len(keys))
-    # row-major order of the padded rows is trial order, then draw order
+    draws = [
+        gen.random(2 * gen.binomial(params.n_sats, 0.5 * s_max))
+        for gen in streams(keys)
+    ]
+    counts = np.array([draw.size // 2 for draw in draws])
     filled = np.arange(counts.max()) < counts[:, None]
-    theta = 2.0 * math.pi * u[visible]
-    sin_l = sin_l[visible]
-    # scattered one component at a time: a boolean scatter of whole (3,)
-    # rows, v[filled] = rows, is several times slower
-    v = np.zeros(filled.shape + (3,))
-    for k, comp in enumerate(
-        (sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l[visible])
-    ):
-        v[..., k][filled] = comp
-    return counts, v, _padded(filled, d[visible], math.inf)
+    # row i of u[0] and u[1]: the uniforms of s and theta of trial i; a
+    # padding slot is at the zenith, s = 0, until v and d are set below
+    u = np.zeros((2,) + filled.shape)
+    for row, draw in enumerate(draws):
+        u[:, row, : draw.size // 2] = draw.reshape(2, -1)
+    theta = 2.0 * math.pi * u[1]
+    d, cos_l, sin_l = local_frame(s_max * u[0], params)
+    v = np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l], axis=-1)
+    v[~filled] = 0.0
+    d[~filled] = math.inf
+    return counts, v, d
 
 
 def visible_chunks(
@@ -329,19 +266,17 @@ def visible_chunks(
     row i of the padded (chunk, max(counts), 3) lines of sight v and
     (chunk, max(counts)) distances d holds the counts[i] visible satellites
     of trials[rows][i] in draw order, then padding slots with v = 0 at
-    d = inf. A chunk draws its streams into one block of about _BLOCK
-    doubles (one trial if N is larger), and only the cup candidates of the
-    whole chunk go to local_frame, in one call, where cos(phi_l) >= zeta
-    still decides visibility; so each trial's satellites equal taking all N
-    cosines of its stream's uniform draw through local_frame and masking,
-    bit for bit.
+    d = inf. The draw is the cup draw of the module docstring, so every
+    drawn satellite is visible: there is no cos(phi_l) >= zeta test, which
+    rounding near the edge could only make disagree with the draw.
     """
     keys = stream_keys(seed, trials)
     size = _trials_per_chunk(params.n_sats)
-    threshold = _cup_threshold(params)
+    edges = cup_edges(params, params.h, params.phi_l_max, float)
+    s_max = float(edges.hmzd / params.big_r)
     for first in range(0, len(keys), size):
         chunk = keys[first : first + size]
-        yield (slice(first, first + size), *_visible_chunk(params, chunk, threshold))
+        yield (slice(first, first + size), *_cup_chunk(params, chunk, s_max))
 
 
 def visible_sky(

@@ -8,17 +8,18 @@ structure) feed both the test oracles and the CLI.
 crb_distribution's pipeline, a chunk of trials at a time
 (geometry.visible_chunks): keys (the Philox key of every trial's (seed,
 trial) stream, derived for all trials at once by geometry.stream_keys) ->
-chunked draw (one reused generator, reset to each trial's key, fills that
-trial's row of one bounded block: N cosines cos(phi_e), then N azimuths)
--> candidates (only the chunk's cos(phi_e) >= chi_max - CUP_MARGIN reach
-the local frame, in one call, which forms d, cos(phi_l) and sin(phi_l)
-straight from cos(phi_e), and cos(phi_l) >= zeta decides) -> padded FIM
-stack (row t of the chunk holds trial t's visible lines of sight v and
-distances d, padded with v = 0 at d = inf, where a satellite weighs zero;
-one (chunk, 4, 4) build; rows below four visible satellites are NaN and
-counted as uncovered) -> one gate (fim.gated_inverse inverts the whole
-run's rows that pass; the rest count as singular). Every result is bit for
-bit the one-trial-at-a-time computation.
+cup draw (one reused generator, reset to each trial's key by
+geometry.streams, draws the trial's visible count K ~ Binomial(N, s_max/2)
+and then 2K uniforms, the first K giving s = 1 - cos(phi_e) = s_max u and
+the next K the azimuths 2 pi u; only visible satellites are ever drawn) ->
+local frame (one call per chunk forms d, cos(phi_l) and sin(phi_l)
+straight from s) -> padded FIM stack (row t of the chunk holds trial t's
+visible lines of sight v and distances d, padded with v = 0 at d = inf,
+where a satellite weighs zero; one (chunk, 4, 4) build; rows below four
+visible satellites are NaN and counted as uncovered) -> one gate
+(fim.gated_inverse inverts the whole run's rows that pass; the rest count
+as singular). Every result is bit for bit the one-trial-at-a-time
+computation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ import numpy as np
 
 from .closed_form import lcrb_tdoa, lcrb_tdoa_rss
 from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
-from .geometry import InvalidConfig, SystemParams, visible_chunks, visible_sky
+from .geometry import (
+    InvalidConfig,
+    SystemParams,
+    check_count,
+    visible_chunks,
+    visible_sky,
+)
 
 MODELS = ("tdoa", "tdoa_rss")
 
@@ -108,8 +115,7 @@ def crb_distribution(
 ) -> CrbDistribution:
     """Sample the distribution of N*CRB over `trials` random constellations."""
     _check_model(model)
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    trials = check_count("trials", trials, 1)
     build = _fim_builder(model)
     j = np.empty((trials, 4, 4))
     uncovered = 0
@@ -157,11 +163,11 @@ def convergence_sweep(
     limit = _lcrb(params, model)
     rows = []
     for n in n_list:
-        p = dataclasses.replace(params, n_sats=int(n))
+        p = dataclasses.replace(params, n_sats=n)
         dist = crb_distribution(p, model, trials, seed)
         rows.append(
             ConvergenceRow(
-                n_sats=int(n),
+                n_sats=p.n_sats,
                 **dist.summary(),
                 lcrb_xy=limit.xy,
                 lcrb_z=limit.z,
@@ -177,10 +183,10 @@ def mean_fim(
     """Average single-satellite information over uniform positions.
 
     Invisible positions contribute zero (the visibility indicator stays inside
-    the expectation), so the average is over all n_samples draws.
+    the expectation), so the information of the visible ones, all that the
+    cup draw of n_samples positions yields, is divided by n_samples.
     """
     _check_model(model)
-    if n_samples < 10_000:
-        raise InvalidConfig(f"n_samples must be >= 10000, got {n_samples}")
-    p = dataclasses.replace(params, n_sats=int(n_samples))
+    n_samples = check_count("n_samples", n_samples, 10_000)
+    p = dataclasses.replace(params, n_sats=n_samples)
     return _fim_builder(model)(*visible_sky(p, seed), p) / float(n_samples)

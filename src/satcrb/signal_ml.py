@@ -60,9 +60,10 @@ from .fim import (
 from .geometry import (
     InvalidConfig,
     SystemParams,
+    check_count,
     cup_edges,
     stream_keys,
-    stream_rows,
+    streams,
 )
 
 PULSES = ("gaussian", "raised_cosine")
@@ -332,11 +333,8 @@ def simulate_measurements(
     forms every trial's samples the same way."""
     pos = sat_positions(positions)
     block = _pulse_block(truth, pos, config)
-    noise = stream_rows(
-        stream_keys(seed, range(trial, trial + 1)),
-        np.empty((1, len(pos), config.n_samples)),
-        "standard_normal",
-    )
+    gen = next(streams(stream_keys(seed, range(trial, trial + 1))))
+    noise = gen.standard_normal((1, len(pos), config.n_samples))
     return _noisy_samples(noise, block, config, noise)[0]
 
 
@@ -689,9 +687,17 @@ def ml_localize(
         raise InsufficientCoverage(
             f"{mode} needs at least {need} measurements, got {len(pos)}"
         )
+    try:
+        center = np.asarray(search_center, dtype=float)
+    except (TypeError, ValueError):
+        center = np.empty(0)
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise InvalidConfig(
+            f"search_center must be 3 finite numbers, got {search_center!r}"
+        )
+    max_iter = check_count("max_iter", max_iter, 0)
     sp = make_pulse(config)
     spacing = config.c / (4.0 * effective_bandwidth_time(sp))
-    center = np.asarray(search_center, dtype=float)
     points = _lattice_points(center, _HALFWIDTH, spacing, mode)
     best, t0 = _coarse(
         samples, _pulse_filter(sp.samples, samples.shape[1]), pos, points, config
@@ -798,8 +804,7 @@ def mse_experiment(
     point in turn, with the multiplies and adds of `simulate_measurements`,
     so each row keeps the bits of those per-trial calls.
     """
-    if trials < 50:
-        raise InvalidConfig(f"trials must be >= 50, got {trials}")
+    trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
     cfgs = [
         dataclasses.replace(config, n0=_noise_density(config.es_max, float(snr_db)))
@@ -821,7 +826,9 @@ def mse_experiment(
     buffer = np.empty_like(noise)
     for first in range(0, trials, _CHUNK):
         chunk_keys = keys[first : first + _CHUNK]
-        z = stream_rows(chunk_keys, noise[: len(chunk_keys)], "standard_normal")
+        z = noise[: len(chunk_keys)]
+        for gen, row in zip(streams(chunk_keys), z):
+            gen.standard_normal(out=row)
         samples = buffer[: len(z)]
         for cfg, err, unconv in zip(cfgs, errors, unconverged):
             _noisy_samples(z, block, cfg, samples)

@@ -7,27 +7,24 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from satcrb.geometry import (
-    _ROW_SLACK,
-    CUP_MARGIN,
     SEED_MAX,
     InvalidConfig,
     SystemParams,
-    _cup_threshold,
-    _draw_azimuths,
-    _draw_cosines,
     check_seed,
     chi_max,
     cup_edges,
     local_frame,
     stream_keys,
-    stream_rows,
+    streams,
+    visible_chunks,
     visible_sky,
 )
 from satcrb.coverage import visibility_prob
 
-from draw_reference import masked_sky, uniform_draw
+from draw_reference import cup_draw, trial_generator, uniform_draw
 
 DEFAULTS = SystemParams()
 
@@ -38,7 +35,7 @@ PHI_E_MAX_DEFAULT_DEG = 47.923115577542835
 
 def to_local(cos_phi_e, params):
     """(phi_l, d, visible) of one Earth-frame cosine, through local_frame."""
-    d, cos_l, sin_l = local_frame(np.array([cos_phi_e]), params)
+    d, cos_l, sin_l = local_frame(np.array([1.0 - cos_phi_e]), params)
     return math.atan2(sin_l[0], cos_l[0]), float(d[0]), bool(cos_l[0] >= params.zeta)
 
 
@@ -169,26 +166,27 @@ def test_e_to_l_published_angle_pair():
     assert math.degrees(phi_l) == pytest.approx(60.0, abs=0.05)
 
 
-@given(st.floats(min_value=-1.0, max_value=1.0))
-def test_e_to_l_trig_identities(cos_phi_e):
+@given(st.floats(min_value=0.0, max_value=2.0))
+def test_e_to_l_trig_identities(s):
     p = DEFAULTS
-    d, cos_l, sin_l = (float(x[0]) for x in local_frame(np.array([cos_phi_e]), p))
-    c, r, big_r = mpmath.mpf(cos_phi_e), mpmath.mpf(p.r), mpmath.mpf(p.big_r)
-    law = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
+    d, cos_l, sin_l = (float(x[0]) for x in local_frame(np.array([s]), p))
+    with mpmath.workdps(60):
+        c, r, big_r = 1 - mpmath.mpf(s), mpmath.mpf(p.r), mpmath.mpf(p.big_r)
+        law = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
+        # transfer relations: R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
+        d_sin_l, d_cos_l = big_r * mpmath.sqrt(1 - c * c), big_r * c - r
     assert d == pytest.approx(float(law), rel=1e-12)
-    # transfer relations: R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
-    assert float(big_r * mpmath.sqrt(1 - c * c)) == pytest.approx(
-        d * sin_l, rel=1e-12, abs=1e-9
-    )
-    assert float(big_r * c - r) == pytest.approx(d * cos_l, rel=1e-12, abs=1e-9)
+    assert float(d_sin_l) == pytest.approx(d * sin_l, rel=1e-12, abs=1e-9)
+    assert float(d_cos_l) == pytest.approx(d * cos_l, rel=1e-12, abs=1e-9)
     assert sin_l**2 + cos_l**2 == pytest.approx(1.0, abs=1e-12)
 
 
-def local_frame_mpmath(cos_phi_e, params):
+def local_frame_mpmath(s, params):
     """(d, cos(phi_l), sin(phi_l)) at 40 digits from the law of cosines and
-    the transfer relations, with R = r + h exact."""
+    the transfer relations, with R = r + h and cos(phi_e) = 1 - s exact."""
     with mpmath.workdps(40):
-        c, r, h = (mpmath.mpf(float(x)) for x in (cos_phi_e, params.r, params.h))
+        s, r, h = (mpmath.mpf(float(x)) for x in (s, params.r, params.h))
+        c = 1 - s
         big_r = r + h
         d = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
         return d, (big_r * c - r) / d, big_r * mpmath.sqrt(1 - c * c) / d
@@ -196,8 +194,8 @@ def local_frame_mpmath(cos_phi_e, params):
 
 @pytest.mark.parametrize("h", [0.01, 500.0, 20000.0, 40000.0])
 def test_local_frame_matches_mpmath(h):
-    """Over the horizon cup, at cosines on the 2**-52 grid of the draws and
-    spaced geometrically in 1 - c, d is within 1.5 ulp, sin(phi_l) within
+    """Over the horizon cup, at s = 1 - cos(phi_e) on the 2**-52 grid and
+    spaced geometrically, d is within 1.5 ulp, sin(phi_l) within
     4 ulp, and cos(phi_l) within 3 ulp where phi_l <= 60 degrees and within
     1.5 eps absolute down to the horizon. The measured worst cases are
     1.14, 2.90 and 2.17 ulp and 1.08 eps; an arccos/arctan2 round trip
@@ -205,9 +203,9 @@ def test_local_frame_matches_mpmath(h):
     at 0.01 km."""
     p = SystemParams(h=h)
     s = np.geomspace(2.0**-52, 1.0 - p.r / p.big_r, 600)
-    cos_phi_e = np.unique(1.0 - np.ldexp(np.round(np.ldexp(s, 52)), -52))
-    got = local_frame(cos_phi_e, p)
-    want = [local_frame_mpmath(c, p) for c in cos_phi_e]
+    s = np.unique(np.ldexp(np.round(np.ldexp(s, 52)), -52))
+    got = local_frame(s, p)
+    want = [local_frame_mpmath(x, p) for x in s]
     for k, ulps in ((0, 1.5), (1, 3.0), (2, 4.0)):
         ref = np.array([float(w[k]) for w in want])
         err = np.array([float(mpmath.mpf(g) - w[k]) for g, w in zip(got[k], want)])
@@ -274,10 +272,54 @@ def test_sample_constellation_visible_fraction_matches_p():
     assert abs(frac - pv) < 3.0 * math.sqrt(pv * (1.0 - pv) / n)
 
 
+# The law of the cup draw: counts by chi-square against Binomial(N, p),
+# s / s_max and theta / 2 pi by KS against U[0, 1). Trials, seeds and the
+# per-test level were fixed before the first run.
+CUP_LAW_TRIALS = 20_000
+CUP_LAW_ALPHA = 1e-3
+
+
+def binomial_bins(n, p, trials, least=5.0):
+    """Edges of the count bins [k_i, k_{i+1}) over 0..n, each expected to
+    hold at least `least` trials; the last takes the tail."""
+    expected = trials * stats.binom.pmf(np.arange(n + 1), n, p)
+    edges, held = [0], 0.0
+    for k, e in enumerate(expected):
+        held += e
+        if held >= least and trials * stats.binom.sf(k, n, p) >= least:
+            edges.append(k + 1)
+            held = 0.0
+    return np.array(edges + [n + 1])
+
+
+@pytest.mark.parametrize(
+    "h,n_sats,seed", [(20000.0, 250, 101), (500.0, 2000, 202)], ids=["default", "500km"]
+)
+def test_cup_draw_law(h, n_sats, seed):
+    p = SystemParams(h=h, n_sats=n_sats)
+    pv = visibility_prob(p)
+    s_max = 2.0 * pv
+    counts, s, theta = [], [], []
+    for _, k, v, d in visible_chunks(p, seed, range(CUP_LAW_TRIALS)):
+        filled = np.isfinite(d)
+        counts.append(k)
+        s.append((d[filled] ** 2 - p.h**2) / (2.0 * p.r * p.big_r))
+        theta.append(np.arctan2(v[filled][:, 1], v[filled][:, 0]) % (2.0 * math.pi))
+    counts = np.concatenate(counts)
+    edges = binomial_bins(n_sats, pv, CUP_LAW_TRIALS)
+    observed = np.histogram(counts, edges)[0]
+    expected = CUP_LAW_TRIALS * np.diff(stats.binom.cdf(edges - 1, n_sats, pv))
+    assert observed.sum() == CUP_LAW_TRIALS and len(edges) > 4
+    assert stats.chisquare(observed, expected).pvalue >= CUP_LAW_ALPHA
+    for x in (np.concatenate(s) / s_max, np.concatenate(theta) / (2.0 * math.pi)):
+        assert x.size == counts.sum()
+        assert stats.kstest(x, "uniform").pvalue >= CUP_LAW_ALPHA
+
+
 def test_local_frame_visibility_flags():
     p = SystemParams(n_sats=500)
     cos_phi_e = uniform_draw(p.n_sats, seed=5, trial=0)[0]
-    d, cos_l, _ = local_frame(cos_phi_e, p)
+    d, cos_l, _ = local_frame(1.0 - cos_phi_e, p)
     cut = chi_max(p)
     for vis, dd, cos_phi_e in zip(cos_l >= p.zeta, d, cos_phi_e):
         assert vis == (cos_phi_e >= cut) or math.isclose(cos_phi_e, cut)
@@ -320,68 +362,20 @@ def test_split_accessors():
     assert q.has_split and q.rho == pytest.approx(q.eta_rho / 400.0)
 
 
-def ulp_neighbourhood(x, k):
-    """The 2k+1 floats nearest x, in order, clipped to [-1, 1]."""
-    below = [x]
-    above = [x]
-    for _ in range(k):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return np.clip(np.array(below[:0:-1] + above), -1.0, 1.0)
-
-
-def assert_prefilter_keeps_the_cup(h, phi_deg, spread):
-    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg))
-    a = chi_max(p)
-    # cosines a few ulps either side of the cup edge, the edge moved by the
-    # slack itself, then a wider band around it twice as wide
-    cos_phi_e = np.concatenate(
-        [
-            ulp_neighbourhood(a, 16 * spread),
-            ulp_neighbourhood(a - CUP_MARGIN, 16 * spread),
-            ulp_neighbourhood(a + CUP_MARGIN, 16 * spread),
-            np.clip(a + CUP_MARGIN * np.linspace(-2.0, 2.0, 101), -1.0, 1.0),
-        ]
-    )
-    visible = local_frame(cos_phi_e, p)[1] >= p.zeta
-    candidates = cos_phi_e >= _cup_threshold(p)
-    assert not np.any(visible & ~candidates)
-    # the exact test itself flips at the edge, to within the rounding
-    assert visible[cos_phi_e >= a + 1e-12].all()
-    assert not visible[cos_phi_e <= a - 1e-12].any()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    h=st.floats(min_value=1.0e-2, max_value=1.0e5),
-    phi_deg=st.floats(min_value=0.05, max_value=90.0),
-    spread=st.sampled_from([1, 8, 64]),
-)
-def test_prefilter_keeps_every_visible_satellite(h, phi_deg, spread):
-    assert_prefilter_keeps_the_cup(h, phi_deg, spread)
-
-
-@pytest.mark.parametrize("h", [0.01, 500.0, 40000.0])
-@pytest.mark.parametrize("phi_deg", [0.05, 60.0, 90.0])
-def test_prefilter_keeps_the_cup_edge(h, phi_deg):
-    """Every cosine that cos(phi_l) >= zeta accepts passes the prefilter
-    cos(phi_e) >= chi_max - CUP_MARGIN, at the narrowest and widest cones
-    and the lowest and highest shells, up to 1024 ulps from the edge."""
-    assert_prefilter_keeps_the_cup(h, phi_deg, 64)
-
-
-@pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 250, 4000, 5000, 100_001])
-def test_visible_sky_is_the_masked_full_conversion(n_sats):
-    """visible_sky is numpy's uniform draw taken whole through local_frame
-    and masked, bit for bit, at every N mod 4."""
-    p = SystemParams(n_sats=n_sats)
+@pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 250, 2000, 4000, 5000, 100_001])
+def test_visible_sky_is_the_cup_draw(n_sats):
+    """visible_sky is numpy's binomial count and uniforms of the trial's
+    stream taken through local_frame, bit for bit, at the default cup and at
+    the narrowest and widest cones of a 500 km shell."""
     draws = [(31, trial) for trial in range(5)] + [(3, 0), (20260819, 11), (2**63 + 11, 2)]
-    for seed, trial in draws:
-        v, d = masked_sky(p, seed, trial)
-        got_v, got_d = visible_sky(p, seed=seed, trial=trial)
-        assert got_v.shape == (d.size, 3)
-        assert np.array_equal(got_v, v)
-        assert np.array_equal(got_d, d)
+    for h, phi_deg in ((20000.0, 60.0), (500.0, 5.0), (500.0, 90.0)):
+        p = SystemParams(n_sats=n_sats, h=h, phi_l_max=math.radians(phi_deg))
+        for seed, trial in draws:
+            v, d = cup_draw(p, seed, trial)
+            got_v, got_d = visible_sky(p, seed=seed, trial=trial)
+            assert got_v.shape == (d.size, 3)
+            assert np.array_equal(got_v, v)
+            assert np.array_equal(got_d, d)
 
 
 def seed_sequence_key(seed, trial):
@@ -421,43 +415,27 @@ def test_constellation_rng_is_the_seed_sequence_stream():
     SeedSequence-seeded Philox draws, so a numpy that breaks it fails here."""
     for seed, trial in ((0, 0), (7, 3), (SEED_MAX, 2**32)):
         key = seed_sequence_key(seed, trial)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        want = np.random.Generator(np.random.Philox(ss)).random(1001)
+        want = trial_generator(seed, trial).random(1001)
         keyed = np.random.Generator(np.random.Philox(key=key)).random(1001)
         assert np.array_equal(keyed, want)
-        drawn = stream_rows(stream_keys(seed, range(trial, trial + 1)), np.empty((1, 1001)))
-        assert np.array_equal(drawn[0], want)
+        gen = next(streams(stream_keys(seed, range(trial, trial + 1))))
+        assert np.array_equal(gen.random(1001), want)
 
 
 @pytest.mark.parametrize("seed,last", [(0, 2), (7, 5), (SEED_MAX, SEED_MAX)])
-def test_stream_rows_normals_are_the_trial_stream(seed, last):
-    """Each row of a keyed block of unit normals is the trial's own
-    standard_normal draw, bit for bit: the ziggurat takes a varying number
-    of words per value, so no row may leave state for the next."""
+def test_streams_are_the_fresh_trial_generators(seed, last):
+    """Each stream draws what a fresh generator of the trial draws, bit for
+    bit, whatever the draws of the stream before it left behind: a ziggurat
+    that takes a varying number of words per value, a binomial whose
+    count decides how many uniforms follow, and a buffered half word."""
     trials = range(last - 2, last + 1)
-    rows = stream_rows(stream_keys(seed, trials), np.empty((3, 6, 3900)), "standard_normal")
-    for t, row in zip(trials, rows):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-        want = np.random.Generator(np.random.Philox(ss)).standard_normal((6, 3900))
-        assert np.array_equal(row, want)
-
-
-@pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 4000, 100_001])
-def test_sample_constellation_is_the_uniform_draw(n_sats):
-    """Each row of a block draw of three trials is all N satellites of
-    numpy's uniform draw of the trial's stream, bit for bit: the cosines,
-    then the azimuth uniforms that 2 pi u turns into the azimuths."""
-    p = SystemParams(n_sats=n_sats)
-    for seed, first in ((3, 0), (20260819, 11), (2**63 + 11, 2)):
-        trials = range(first, first + 3)
-        keys = stream_keys(seed, trials)
-        block = np.empty((len(trials), n_sats + _ROW_SLACK))
-        cos_phi_e = _draw_cosines(p, keys, block).copy()
-        theta = 2.0 * math.pi * _draw_azimuths(p, keys, block)
-        for t, cos_row, theta_row in zip(trials, cos_phi_e, theta):
-            want_cos, want_theta = uniform_draw(n_sats, seed, t)
-            assert np.array_equal(cos_row, want_cos)
-            assert np.array_equal(theta_row, want_theta)
+    for gen, t in zip(streams(stream_keys(seed, trials)), trials):
+        want = trial_generator(seed, t)
+        assert np.array_equal(gen.standard_normal((6, 3900)), want.standard_normal((6, 3900)))
+        k = gen.binomial(100_001, 0.0825)
+        assert k == want.binomial(100_001, 0.0825)
+        assert np.array_equal(gen.random(2 * k), want.random(2 * k))
+        assert gen.integers(2**32, dtype=np.uint32) == want.integers(2**32, dtype=np.uint32)
 
 
 @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1, 1.5, "7", True, None])

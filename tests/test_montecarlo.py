@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from satcrb.closed_form import acrb, lcrb_tdoa, moment_integrals
 from satcrb.coverage import COVERAGE_RULE, coverage_prob
@@ -19,15 +20,15 @@ from satcrb.montecarlo import (
     nearest_rank,
 )
 
-from draw_reference import masked_sky
+from draw_reference import cup_draw, masked_sky
 
 SPLIT = SystemParams(eta=400.0)
 
 
-def reference_trial_bounds(params, model, seed, trial):
-    """One trial the direct way: masked_sky, then the single-matrix gate
-    and solve; None for a singular draw."""
-    v, d = masked_sky(params, seed, trial)
+def reference_trial_bounds(params, model, seed, trial, draw=cup_draw):
+    """One trial the direct way: the draw's visible sky, then the
+    single-matrix gate and solve; None for a singular draw."""
+    v, d = draw(params, seed, trial)
     if d.size < 4:
         return None
     build = fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
@@ -42,9 +43,12 @@ def reference_trial_bounds(params, model, seed, trial):
     return float(inv[0, 0] + inv[1, 1]), float(inv[2, 2])
 
 
-def reference_distribution(params, model, trials, seed):
-    """The trial-by-trial loop crb_distribution must reproduce bit for bit."""
-    results = [reference_trial_bounds(params, model, seed, t) for t in range(trials)]
+def reference_distribution(params, model, trials, seed, draw=cup_draw):
+    """The trial-by-trial loop crb_distribution must reproduce bit for bit
+    with the cup draw."""
+    results = [
+        reference_trial_bounds(params, model, seed, t, draw) for t in range(trials)
+    ]
     kept = [b for b in results if b is not None]
     n = float(params.n_sats)
     xs = np.sort(np.array([n * xy for xy, _ in kept]))
@@ -107,7 +111,7 @@ def test_uncovered_draws_are_counted():
         p = SystemParams(n_sats=n_sats)
         dist = crb_distribution(p, "tdoa", trials=300, seed=5)
         # the trials short of four visible satellites, and only those
-        visible = [masked_sky(p, 5, t)[1].size for t in range(300)]
+        visible = [cup_draw(p, 5, t)[1].size for t in range(300)]
         assert dist.uncovered_count == sum(v < 4 for v in visible)
         assert 0 < dist.uncovered_count <= dist.singular_count
 
@@ -127,8 +131,16 @@ def test_nearest_rank_small_lists():
 def test_model_validation():
     with pytest.raises(InvalidConfig):
         crb_distribution(SystemParams(), "rss", trials=2, seed=1)
-    with pytest.raises(InvalidConfig):
-        crb_distribution(SystemParams(), "tdoa", trials=0, seed=1)
+    for trials in (0, 2.5, True, 3.0, "3"):
+        with pytest.raises(InvalidConfig, match="trials must be an integer"):
+            crb_distribution(SystemParams(), "tdoa", trials=trials, seed=1)
+    # counts that are not integers are rejected, never truncated
+    for n_samples in (10_000.9, 10_000.0, True):
+        with pytest.raises(InvalidConfig, match="n_samples must be an integer"):
+            mean_fim(SystemParams(), "tdoa", n_samples, seed=1)
+    for n_list in ([2.5], [250, 1e3], [True]):
+        with pytest.raises(InvalidConfig, match="n_sats must be an integer"):
+            convergence_sweep(SystemParams(), "tdoa", n_list, trials=2, seed=1)
 
 
 def test_distribution_shape_and_determinism():
@@ -254,3 +266,21 @@ def test_mean_fim_deterministic():
     a = mean_fim(SystemParams(), "tdoa", n_samples=10_000, seed=2)
     b = mean_fim(SystemParams(), "tdoa", n_samples=10_000, seed=2)
     assert np.array_equal(a, b)
+
+
+# Two-sample KS of the scaled bounds against the whole-sphere draw, which
+# shares no stream with the cup draw but has the same law. Trials, seed and
+# the per-test level were fixed before the first run.
+LAW_TRIALS = 4000
+LAW_SEED = 4242
+LAW_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+@pytest.mark.parametrize("n_sats", [250, 2000])
+def test_scaled_bound_law_matches_the_whole_sphere_draw(model, n_sats):
+    params = SystemParams(n_sats=n_sats, eta=0.0025)
+    dist = crb_distribution(params, model, LAW_TRIALS, LAW_SEED)
+    xs, zs, _ = reference_distribution(params, model, LAW_TRIALS, LAW_SEED, masked_sky)
+    assert ks_2samp(dist.samples_xy, xs).pvalue >= LAW_ALPHA
+    assert ks_2samp(dist.samples_z, zs).pvalue >= LAW_ALPHA

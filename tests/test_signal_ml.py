@@ -740,6 +740,13 @@ class TestMlLocalize:
         samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         with pytest.raises(InvalidConfig):
             ml_localize(samples, pos, cfg, mode="hybrid")
+        for center in ((0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                       np.zeros((1, 3)), ("a", "b", "c"), None):
+            with pytest.raises(InvalidConfig, match="search_center"):
+                ml_localize(samples, pos, cfg, search_center=center)
+        for max_iter in (2.5, -1, True, "3"):
+            with pytest.raises(InvalidConfig, match="max_iter"):
+                ml_localize(samples, pos, cfg, max_iter=max_iter)
 
     def test_minimum_measurement_counts(self):
         cfg = gauss_cfg()
