@@ -27,8 +27,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -200,13 +198,117 @@ def _kind(value) -> type:
     raise TypeError(f"no column format for {value!r}")
 
 
-# one CSV formatter per column kind, mapping a whole column to strings lazily,
-# so only one row's cells exist at a time
-_CSV_COLUMN = {
-    bool: lambda col: ("true" if v else "false" for v in col),
-    int: lambda col: map(str, map(int, col)),
-    float: lambda col: map("{:.12e}".format, map(float, col)),
-}
+# A CSV cell is a slot of _SLOT zero-padded bytes, then 4 separator bytes,
+# ',' or CR LF padded with zero bytes. Slots are filled as uint32 words of 4
+# bytes in native order, and the zero bytes are dropped when a block of rows
+# becomes text. 20 bytes hold the widest cell printed: '{:.12e}' of a
+# negative double with a three-digit exponent, or an int64 (a larger count
+# fails before it reaches a row).
+_SLOT = 20
+# rows rendered per array pass, which bounds the temporaries of a sweep
+_ROW_BLOCK = 8192
+# _POW10[k - _POW10_LO] is 10**k correctly rounded; the float cells written
+# by array passes, |x| in [1e-290, 1e290], read k from -279 to 303
+_POW10_LO = -300
+_POW10 = np.array(list(map(float, [f"1e{k}" for k in range(_POW10_LO, 309)])))
+
+
+def _word_table(*columns) -> np.ndarray:
+    """One uint32 word per row whose four bytes, in order, are the byte
+    columns given (a scalar repeats)."""
+    rows = np.column_stack(np.broadcast_arrays(*columns)).astype(np.uint8)
+    return rows.view(np.uint32)[:, 0]
+
+
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The words a float cell is made of: the sign, the lead digit, '.' and
+    the next digit, indexed by 100·(x < 0) + the two digits; four digits of
+    n < 10**4; three digits of n < 1000 and 'e'; the exponent e's sign and
+    at least two digits, indexed by e - _POW10_LO."""
+    # column n holds the four ASCII digits of n
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + np.uint8(ord("0"))
+    i = np.arange(200)
+    sign = np.where(i >= 100, ord("-"), 0)
+    head = _word_table(sign, d[2, i % 100], ord("."), d[3, i % 100])
+    quad = _word_table(*d)
+    tail = _word_table(*d[1:, :1000], ord("e"))
+    e = np.arange(_POW10_LO, 1 - _POW10_LO)
+    wide = np.abs(e) >= 100
+    ed = d[:, np.abs(e)]
+    exponent = _word_table(
+        np.where(e < 0, ord("-"), ord("+")),
+        np.where(wide, ed[1], ed[2]),
+        np.where(wide, ed[2], ed[3]),
+        np.where(wide, ed[3], 0),
+    )
+    return head, quad, tail, exponent
+
+
+_HEAD, _QUAD, _TAIL, _EXPONENT = _digit_tables()
+
+
+def _text_words(texts, width: int = _SLOT) -> np.ndarray:
+    """Texts as zero-padded rows of width bytes, in uint32 words."""
+    cells = np.array([t.encode() for t in texts], dtype=f"S{width}")
+    return cells.view(np.uint32).reshape(-1, width // 4)
+
+
+_BOOL_WORDS = _text_words(["false", "true"])
+_COMMA, _CRLF = _text_words([",", "\r\n"], 4)[:, 0]
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """'{:.12e}'.format of each cell of the float array x, byte for byte, as
+    x.shape + (_SLOT // 4,) words.
+
+    With E = floor(log10|x|), y = |x|·10**(12 − E) lies in [1e12, 1e13) and
+    rint(y) gives the 13 digits; 10**13 carries into the exponent. y passes
+    through two roundings (the power of ten and the product), so it is
+    within 2.3e-3 of exact, and rint(y) is the correctly rounded value
+    unless y lies within 0.005 of a rounding half. Those cells, and those
+    outside [1e-290, 1e290] (±0, NaN, ±inf, subnormals), are written by
+    Python's own formatter."""
+    a = np.abs(x)
+    in_range = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(in_range, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[12 - e - _POW10_LO]
+    # log10 can land one decade off next to a power of ten
+    e += (y >= 1e13).astype(np.int64) - (y < 1e12)
+    y = a * _POW10[12 - e - _POW10_LO]
+    exact = in_range & (np.abs(y - np.floor(y) - 0.5) >= 0.005)
+    digits = np.rint(y).astype(np.int64)
+    carry = digits == 10**13
+    digits[carry] = 10**12
+    e += carry
+    top, rest = np.divmod(digits, 10**11)
+    words = np.empty(x.shape + (_SLOT // 4,), np.uint32)
+    words[..., 0] = _HEAD[top + 100 * (x < 0.0)]
+    words[..., 1] = _QUAD[rest // 10**7]
+    words[..., 2] = _QUAD[rest // 1000 % 10**4]
+    words[..., 3] = _TAIL[rest % 1000]
+    words[..., 4] = _EXPONENT[e - _POW10_LO]
+    if not exact.all():
+        words[~exact] = _text_words(map("{:.12e}".format, x[~exact].tolist()))
+    return words
+
+
+def _csv_block(kinds: Sequence[type], columns: Sequence[Sequence]) -> str:
+    """The rows of equally long columns as CSV text with CRLF line ends."""
+    cells = np.zeros((len(columns[0]), len(columns), _SLOT // 4 + 1), np.uint32)
+    cells[:, :, -1] = _COMMA
+    cells[:, -1, -1] = _CRLF
+    floats = [j for j, kind in enumerate(kinds) if kind is float]
+    if floats:
+        block = np.stack([np.asarray(columns[j], dtype=float) for j in floats], axis=1)
+        cells[:, floats, :-1] = _float_words(block)
+    for j, kind in enumerate(kinds):
+        if kind is bool:
+            cells[:, j, :-1] = _BOOL_WORDS[np.asarray(columns[j], dtype=np.intp)]
+        elif kind is int:
+            cells[:, j, :-1] = _text_words(map(str, map(int, columns[j])))
+    text = cells.view(np.uint8)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _json_float(value) -> float | None:
@@ -222,15 +324,17 @@ _JSON_CELL = {bool: bool, int: int, float: _json_float}
 def render_rows(header: Sequence[str], columns: Sequence[Sequence], fmt: str) -> str:
     """Rows given column by column, as CSV with CRLF line ends or a JSON array
     of objects; each column is converted by one formatter, chosen by its first
-    cell. Cells are numbers and flags, so no CSV field needs quoting; a CSV
-    cell that is not finite prints as nan or inf, a JSON one as null."""
+    cell. Cells are numbers and flags, so no CSV field needs quoting. A CSV
+    float cell is byte for byte '{:.12e}'.format, so one that is not finite
+    prints as nan or inf; a JSON one prints as null. CSV rows are rendered
+    _ROW_BLOCK at a time."""
     kinds = [_kind(col[0]) for col in columns]
     if fmt == "csv":
-        buf = io.StringIO()
-        cells = zip(*(_CSV_COLUMN[k](c) for k, c in zip(kinds, columns)))
-        for line in itertools.chain([header], cells):
-            buf.write(",".join(line) + "\r\n")
-        return buf.getvalue()
+        blocks = (
+            _csv_block(kinds, [c[lo : lo + _ROW_BLOCK] for c in columns])
+            for lo in range(0, len(columns[0]), _ROW_BLOCK)
+        )
+        return "".join([",".join(header) + "\r\n", *blocks])
     values = [list(map(_JSON_CELL[k], c)) for k, c in zip(kinds, columns)]
     payload = [dict(zip(header, row)) for row in zip(*values)]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -440,7 +544,7 @@ def bounds(run: RunConfig, axis, grid):
         "beta_xy": coeff.beta_xy, "beta_z": coeff.beta_z,
         "coverage_prob": p_cov, "covered": p_cov >= COVERAGE_RULE,
     }
-    cells = [np.broadcast_to(c, values.shape).tolist() for c in columns.values()]
+    cells = [np.broadcast_to(c, values.shape) for c in columns.values()]
     _emit(render_rows(list(columns), cells, run.format), run.output_path)
 
 

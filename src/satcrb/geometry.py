@@ -77,20 +77,28 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise InvalidConfig(f"Earth radius must be positive, got r={self.r}")
+            raise InvalidConfig(
+                f"Earth radius must be finite and positive, got r={self.r}"
+            )
         if not SWEEP_RANGES["h"](self.h):
-            raise InvalidConfig(f"altitude must be positive, got h={self.h}")
+            raise InvalidConfig(f"altitude must be finite and positive, got h={self.h}")
         if not SWEEP_RANGES["phi_l_max"](self.phi_l_max):
             raise InvalidConfig(
                 f"phi_l_max must lie in (0, pi/2], got {self.phi_l_max}"
             )
         if not (self.eta_rho > 0.0 and math.isfinite(self.eta_rho)):
-            raise InvalidConfig(f"eta_rho must be positive, got {self.eta_rho}")
+            raise InvalidConfig(
+                f"eta_rho must be finite and positive, got {self.eta_rho}"
+            )
         check_count("n_sats", self.n_sats, 1)
         if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise InvalidConfig(f"propagation speed must be positive, got {self.c}")
+            raise InvalidConfig(
+                f"propagation speed must be finite and positive, got {self.c}"
+            )
         if self.eta is not None and not (0.0 < self.eta and math.isfinite(self.eta)):
-            raise InvalidConfig(f"eta must be positive when given, got {self.eta}")
+            raise InvalidConfig(
+                f"eta must be finite and positive when given, got {self.eta}"
+            )
 
     @property
     def big_r(self) -> float:

@@ -588,10 +588,11 @@ BOUNDS_ERRORS = [
      "error: xy denominator degenerated to -0.0; viewing cone too small"),
     (["--axis", "phi_l_max", "--grid", "60,0"], 2,
      "Error: phi_l_max must lie in (0, pi/2], got 0.0"),
-    (["--grid", "500,nan,1e300"], 2, "Error: altitude must be positive, got h=nan"),
+    (["--grid", "500,nan,1e300"], 2, "Error: altitude must be finite and positive, got h=nan"),
     (["--grid", "500,1e300,nan"], 3,
      "error: xy denominator degenerated to 0.0; viewing cone too small"),
-    (["--grid", "500,-5"], 2, "Error: altitude must be positive, got h=-5.0"),
+    (["--grid", "500,-5"], 2, "Error: altitude must be finite and positive, got h=-5.0"),
+    (["--grid", "500,1e400"], 2, "Error: altitude must be finite and positive, got h=inf"),
 ]
 
 
@@ -812,7 +813,7 @@ def test_runner_exit_codes(args, target, error, tmp_path, monkeypatch):
     bad = CliRunner().invoke(main, ["--config", str(cfg), *args])
     assert bad.exit_code == 2
     assert bad.stdout == ""
-    assert "Error: altitude must be positive, got h=-1.0\n" in bad.stderr
+    assert "Error: altitude must be finite and positive, got h=-1.0\n" in bad.stderr
     if target is None:
         return
 

@@ -349,6 +349,13 @@ def test_params_validation(kwargs):
         SystemParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["r", "h", "eta_rho", "c", "eta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_scalar_fields_must_be_finite_and_positive(field, value):
+    with pytest.raises(InvalidConfig, match=f"must be finite and positive.* got .*{value}"):
+        SystemParams(**{field: value})
+
+
 def test_n_sats_takes_numpy_integers():
     assert SystemParams(n_sats=np.int64(4)).n_sats == 4
 
