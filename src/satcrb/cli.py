@@ -342,8 +342,11 @@ def render_rows(header: Sequence[str], columns: Sequence[Sequence], fmt: str) ->
 
 def _emit(text: str, output_path: str | None) -> None:
     if output_path:
-        with open(output_path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot write output file {output_path}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 

@@ -235,6 +235,9 @@ def local_frame(
 
 # trials a chunk holds: about _BLOCK / N, at least one
 _BLOCK = 1 << 15
+# the most satellites a fleet may have to be drawn: a trial draws K <= N of
+# them, then 2K uniforms, and numpy refuses arrays of 2**60 doubles or more
+_DRAW_MAX = 1 << 59
 
 
 def _trials_per_chunk(n_sats: int) -> int:
@@ -277,7 +280,12 @@ def visible_chunks(
     d = inf. The draw is the cup draw of the module docstring, so every
     drawn satellite is visible: there is no cos(phi_l) >= zeta test, which
     rounding near the edge could only make disagree with the draw.
+    InvalidConfig for a fleet of more than 2**59 satellites.
     """
+    if params.n_sats > _DRAW_MAX:
+        raise InvalidConfig(
+            f"n_sats must be at most 2**59 to be drawn, got {params.n_sats}"
+        )
     keys = stream_keys(seed, trials)
     size = _trials_per_chunk(params.n_sats)
     edges = cup_edges(params, params.h, params.phi_l_max, float)

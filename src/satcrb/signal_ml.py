@@ -19,18 +19,14 @@ scoring (Gauss-Newton) on the exact profiled likelihood, evaluated at
 fractional delays for all satellites at once via the analytic pulse and its
 derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
 
-There is one solver, and it refines a chunk of trials in lockstep: `_ascend`
-keeps each trial's scoring state, and one `_profile` call per round
-evaluates every trial still running on a (C, M) stack of delays. Each trial
-follows the iterate sequence it would follow alone, bit for bit.
-`ml_localize` is a chunk of one. `mse_experiment` runs chunk by chunk: it
-draws the unit normals of `_CHUNK` = 8 trials once, and at each SNR point
-scales them into the chunk's samples, adds the pulse block it built once
-for the experiment, scans each trial with one matched filter and one
-full_3d lattice serving both modes, and refines the chunk together. Memory
-sets that size: the chunk's normals and samples (M*K doubles per trial
-each, 187 kB at the default config) are the two buffers the batching adds,
-so batched FFTs or lattices over all trials of an SNR point are not used.
+There is one signal path, and it runs a chunk of C trials at once.
+`_mean_samples` builds the noiseless windows, `_draw` forms each sample
+block as sigma*z + mean from the trials' unit normals z, and `_localize`
+scans each trial's lattice once for both modes and refines the chunk in
+lockstep: `_ascend` keeps each trial's scoring state, so each trial follows
+the iterate sequence it would follow alone, bit for bit. `ml_localize` and
+`simulate_measurements` are chunks of one; `mse_experiment` runs `_CHUNK`
+trials at a time, whose normals and samples are the two buffers it adds.
 
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
@@ -45,7 +41,7 @@ import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,53 +267,54 @@ def amplitudes(positions: np.ndarray, es_max: float) -> np.ndarray:
     return d.min() / d * math.sqrt(es_max)
 
 
-def _delays(positions: np.ndarray, xi: np.ndarray, t0: float, c: float) -> np.ndarray:
-    return np.linalg.norm(positions - xi[None, :], axis=1) / c + t0
-
-
 def centered_t0(positions: np.ndarray, config: SignalConfig) -> float:
     """Clock offset that centers the arrival spread inside the window."""
     g = np.linalg.norm(positions, axis=1) / config.c
     return 0.5 * (config.obs_window - (g.max() - g.min())) - g.min()
 
 
-def _pulse_block(
-    truth: tuple[np.ndarray, float], positions: np.ndarray, config: SignalConfig
-) -> list[tuple[int, int, np.ndarray]]:
-    """Each satellite's (lo, hi, A_m s(t_k - tau_m)) for the samples
-    lo <= k < hi of its window: the pulse's support with a sample of slack on
-    either side (_pulse itself decides the edge samples), clipped to the
-    window. Nothing here depends on N0, so every trial and SNR point of an
-    experiment shares one block."""
+def _mean_samples(
+    positions: np.ndarray,
+    xi: np.ndarray,
+    t0: float,
+    amps: np.ndarray,
+    config: SignalConfig,
+) -> np.ndarray:
+    """The (M, K) noiseless windows A_m s(t_k - tau_m), tau_m = |p_m - xi|/c
+    + t0; `_pulse` is zero off its support."""
+    taus = np.linalg.norm(positions - xi, axis=1) / config.c + t0
+    t = np.arange(config.n_samples) * config.dt - taus[:, None]
+    return amps[:, None] * _pulse(config, t)[0]
+
+
+def _truth_mean(truth: tuple, positions: np.ndarray, config: SignalConfig) -> np.ndarray:
+    """The noiseless windows of the truth (xi, T0), for four satellites or more."""
     xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
     if len(positions) < 4:
         raise InsufficientCoverage(
             f"need at least 4 visible satellites, got {len(positions)}"
         )
-    amps = amplitudes(positions, config.es_max)
-    taus = _delays(positions, xi, t0, config.c)
-    dt, k = config.dt, config.n_samples
-    half = 0.5 * config.support
-    lo = np.clip(np.floor((taus - half) / dt).astype(int) - 1, 0, k)
-    hi = np.clip(np.ceil((taus + half) / dt).astype(int) + 2, 0, k)
-    return [
-        (a, b, amp * _pulse(config, np.arange(a, b) * dt - tau)[0])
-        for a, b, amp, tau in zip(lo, hi, amps, taus)
-    ]
+    return _mean_samples(positions, xi, t0, amplitudes(positions, config.es_max), config)
 
 
-def _noisy_samples(
+def _draw(
+    keys: np.ndarray,
+    mean: np.ndarray,
+    configs: Sequence[SignalConfig],
     noise: np.ndarray,
-    block: list[tuple[int, int, np.ndarray]],
-    config: SignalConfig,
     out: np.ndarray,
-) -> np.ndarray:
-    """out = sigma * noise with the pulse block added to every trial, for
-    (C, M, K) unit normals and sigma = sqrt(N0 / (2 dt))."""
-    np.multiply(math.sqrt(config.n0 / (2.0 * config.dt)), noise, out=out)
-    for m, (lo, hi, pulse) in enumerate(block):
-        out[:, m, lo:hi] += pulse
-    return out
+) -> Iterator[np.ndarray]:
+    """The (C, M, K) samples sigma * z + mean of the trials keyed by keys, at
+    each config's sigma = sqrt(N0 / (2 dt)) in turn. The unit normals z are
+    drawn once into noise; each yield overwrites out, which may be noise."""
+    z = noise[: len(keys)]
+    for gen, block in zip(streams(keys), z):
+        gen.standard_normal(out=block)
+    samples = out[: len(keys)]
+    for config in configs:
+        np.multiply(math.sqrt(config.n0 / (2.0 * config.dt)), z, out=samples)
+        samples += mean
+        yield samples
 
 
 def simulate_measurements(
@@ -328,20 +325,18 @@ def simulate_measurements(
     trial: int = 0,
 ) -> np.ndarray:
     """The (M, K) block of sampled windows, deterministic per (seed, trial):
-    row m is the window of positions[m], sigma times the stream's unit
-    normals with its pulse added over the pulse's support. `mse_experiment`
-    forms every trial's samples the same way."""
+    row m is the window of positions[m]. It is `mse_experiment`'s draw on a
+    chunk of one trial."""
     pos = sat_positions(positions)
-    block = _pulse_block(truth, pos, config)
-    gen = next(streams(stream_keys(seed, range(trial, trial + 1))))
-    noise = gen.standard_normal((1, len(pos), config.n_samples))
-    return _noisy_samples(noise, block, config, noise)[0]
+    mean = _truth_mean(truth, pos, config)
+    keys = stream_keys(seed, range(trial, trial + 1))
+    noise = np.empty((1,) + mean.shape)
+    return next(_draw(keys, mean, [config], noise, noise))[0]
 
 
-def _check_mode(mode: str) -> str:
+def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -450,15 +445,10 @@ def _lattice_offsets(halfwidth: float, spacing: float) -> np.ndarray:
     return np.arange(-n_side, n_side + 1) / max(n_side, 1) * halfwidth
 
 
-def _lattice_points(
-    center: np.ndarray, halfwidth: float, spacing: float, mode: str
-) -> np.ndarray:
-    """(G, 3) coarse lattice around center, x slowest and z fastest. fix_z
-    keeps the center's z, so its points are the full_3d lattice's dz = 0
-    plane, in the same order."""
+def _lattice_points(center: np.ndarray, halfwidth: float, spacing: float) -> np.ndarray:
+    """(G, 3) coarse lattice around center, x slowest and z fastest."""
     offsets = _lattice_offsets(halfwidth, spacing)
-    dz = offsets if mode == "full_3d" else np.zeros(1)
-    grid = np.meshgrid(offsets, offsets, dz, indexing="ij")
+    grid = np.meshgrid(offsets, offsets, offsets, indexing="ij")
     return center + np.stack(grid, axis=-1).reshape(-1, 3)
 
 
@@ -646,10 +636,43 @@ def _refine(
     return _ascend(evaluate, u0, radius, max_iter, xtol=2.0e-4)
 
 
-# the coarse lattice's half-width in km, for ml_localize and mse_experiment
-# alike, and the most scoring steps of one solve, ml_localize's default
+# the coarse lattice's half-width in km, and the most scoring steps of one
+# solve, ml_localize's default
 _HALFWIDTH = 4.5
 _MAX_ITER = 100
+
+
+def _localize(
+    samples: np.ndarray,
+    positions: np.ndarray,
+    center: np.ndarray,
+    config: SignalConfig,
+    modes: Sequence[str],
+    max_iter: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per mode of modes, the positions (C, 3), clock offsets (C,),
+    amplitudes (C, M) and converged flags (C,) that the ML estimator gives
+    a (C, M, K) stack of trials. One matched filter and one scan of the
+    lattice around center per trial serve every mode, fix_z starting from
+    its dz = 0 plane; then one lockstep `_refine` per mode."""
+    sp = make_pulse(config)
+    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
+    pulse_filter = _pulse_filter(sp.samples, config.n_samples)
+    points = _lattice_points(center, _HALFWIDTH, spacing)
+    lattices = {"fix_z": points[:, 2] == center[2], "full_3d": slice(None)}
+    starts = {m: np.empty((len(samples), 3 if m == "fix_z" else 4)) for m in modes}
+    for i, v in enumerate(samples):
+        best, t0 = _coarse(v, pulse_filter, positions, points, config)
+        for mode, u0 in starts.items():
+            on = lattices[mode]
+            u0[i] = _start(points[on], best[on], t0[on], u0.shape[1] - 1, config.c)
+    estimates = []
+    for u0 in starts.values():
+        u, _, amps, converged = _refine(
+            samples, positions, center, u0, config, 0.5 * spacing, max_iter
+        )
+        estimates.append((*_unpack(u, center, config.c), amps, converged))
+    return estimates
 
 
 def ml_localize(
@@ -671,8 +694,8 @@ def ml_localize(
     most half that spacing, until a step is shorter than 0.2 m (max_iter
     iterations at most; max_iter=0 returns the lattice start). In fix_z
     mode the z coordinate is pinned to the search center's z (the receiver
-    knows its altitude). The fine stage is the lockstep solver of
-    `mse_experiment`, run on a chunk of one trial.
+    knows its altitude) and the start is the best of the lattice's dz = 0
+    plane. Both stages are `mse_experiment`'s, on a stack of one trial.
     """
     _check_mode(mode)
     pos = sat_positions(positions)
@@ -696,23 +719,10 @@ def ml_localize(
             f"search_center must be 3 finite numbers, got {search_center!r}"
         )
     max_iter = check_count("max_iter", max_iter, 0)
-    sp = make_pulse(config)
-    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
-    points = _lattice_points(center, _HALFWIDTH, spacing, mode)
-    best, t0 = _coarse(
-        samples, _pulse_filter(sp.samples, samples.shape[1]), pos, points, config
+    ((xi, t0, amps, converged),) = _localize(
+        samples[None], pos, center, config, (mode,), max_iter
     )
-    u0 = _start(points, best, t0, 2 if mode == "fix_z" else 3, config.c)
-    u, _, amps, converged = _refine(
-        samples[None], pos, center, u0[None], config, 0.5 * spacing, max_iter
-    )
-    xi_hat, t0_hat = _unpack(u, center, config.c)
-    return LocationEstimate(
-        xi_hat=xi_hat[0],
-        t0_hat=float(t0_hat[0]),
-        amplitudes_hat=amps[0],
-        converged=bool(converged[0]),
-    )
+    return LocationEstimate(xi[0], float(t0[0]), amps[0], bool(converged[0]))
 
 
 def signal_fim(positions: np.ndarray, config: SignalConfig) -> np.ndarray:
@@ -768,15 +778,13 @@ def _noise_density(es_max: float, snr_db: float) -> float:
     raise InvalidConfig(f"SNR {snr_db} dB gives no finite positive noise density N0")
 
 
-# Trials whose fine stages run in lockstep. One trial's samples take
-# M * K * 8 bytes (187 kB at the default config's six satellites), and a
-# chunk holds two such blocks: its unit normals, drawn once for every SNR
-# point, and its samples at the current point. So the chunk sets what the
-# batching adds to the peak memory: at 8 trials the ml_snr benchmark's peak
-# RSS grew by about 1.2 MiB with the samples and 1.35 MiB more with the
-# normals (45.2 to 46.6 MiB, 3.0% against a 5% bound), while one `_profile`
-# call costs 0.027 ms per trial at 8 trials, 0.091 ms at 1 and 0.037 ms at
-# 50 (best of five timeit runs, 2-vCPU Xeon, numpy 2.4).
+# Trials whose fine stages run in lockstep. A chunk holds two (C, M, K)
+# blocks, its unit normals (drawn once for every SNR point) and its samples
+# at the current point, 187 kB per trial each at the default config. At 8
+# trials they grew the ml_snr benchmark's peak RSS from 45.2 to 46.6 MiB
+# (3.0% against a 5% bound), while one `_profile` call costs 0.027 ms per
+# trial at 8 trials, 0.091 ms at 1 and 0.037 ms at 50 (best of five timeit
+# runs, 2-vCPU Xeon, numpy 2.4).
 _CHUNK = 8
 
 
@@ -793,16 +801,10 @@ def mse_experiment(
     estimates score mse_xyz against the full bound. The truth sits at the
     origin with the clock offset centering all arrivals in the window. Each
     trial is `ml_localize` with its defaults in both modes on the samples
-    `simulate_measurements` gives it at that SNR point: one matched filter
-    and one full_3d lattice per trial and point serve both modes, fix_z
-    starting from the lattice's dz = 0 plane, and the fine stages of
-    `_CHUNK` trials run in lockstep.
-
-    The loop runs chunk by chunk. Only the noise scale depends on N0, so the
-    pulse block, the matched filter's spectrum and the lattice are built
-    once, and a chunk's unit normals are drawn once and scaled for each SNR
-    point in turn, with the multiplies and adds of `simulate_measurements`,
-    so each row keeps the bits of those per-trial calls.
+    `simulate_measurements` gives it at that SNR point, bit for bit. Only
+    the noise scale depends on N0, so the noiseless windows are built once,
+    and each chunk's unit normals are drawn once and scaled for every SNR
+    point in turn.
     """
     trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
@@ -811,42 +813,21 @@ def mse_experiment(
         for snr_db in snr_grid
     ]
     truth_xi = np.zeros(3)
-    block = _pulse_block((truth_xi, centered_t0(pos, config)), pos, config)
+    mean = _truth_mean((truth_xi, centered_t0(pos, config)), pos, config)
     keys = stream_keys(seed, range(trials))
-    sp = make_pulse(config)
-    pulse_filter = _pulse_filter(sp.samples, config.n_samples)
-    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
-    points = _lattice_points(truth_xi, _HALFWIDTH, spacing, "full_3d")
-    plane = points[:, 2] == truth_xi[2]
     errors = [{mode: [] for mode in MODES} for _ in cfgs]
     unconverged = [dict.fromkeys(MODES, 0) for _ in cfgs]
     # one block of normals and one of samples for every chunk, so no two
     # chunks' draws are ever alive
-    noise = np.empty((_CHUNK, len(pos), config.n_samples))
+    noise = np.empty((_CHUNK,) + mean.shape)
     buffer = np.empty_like(noise)
     for first in range(0, trials, _CHUNK):
-        chunk_keys = keys[first : first + _CHUNK]
-        z = noise[: len(chunk_keys)]
-        for gen, row in zip(streams(chunk_keys), z):
-            gen.standard_normal(out=row)
-        samples = buffer[: len(z)]
-        for cfg, err, unconv in zip(cfgs, errors, unconverged):
-            _noisy_samples(z, block, cfg, samples)
-            u_xy = np.empty((len(z), 3))
-            u_xyz = np.empty((len(z), 4))
-            for i, v in enumerate(samples):
-                best, t0s = _coarse(v, pulse_filter, pos, points, config)
-                u_xy[i] = _start(points[plane], best[plane], t0s[plane], 2, config.c)
-                u_xyz[i] = _start(points, best, t0s, 3, config.c)
-            for mode, u0 in (("fix_z", u_xy), ("full_3d", u_xyz)):
-                u, _, _, converged = _refine(
-                    samples, pos, truth_xi, u0, config, 0.5 * spacing, _MAX_ITER
-                )
-                n = u0.shape[1] - 1
-                err[mode] += [
-                    float(np.sum((xi[:n] - truth_xi[:n]) ** 2))
-                    for xi in _unpack(u, truth_xi, config.c)[0]
-                ]
+        draws = _draw(keys[first : first + _CHUNK], mean, cfgs, noise, buffer)
+        for samples, err, unconv in zip(draws, errors, unconverged):
+            estimates = _localize(samples, pos, truth_xi, config, MODES, _MAX_ITER)
+            for mode, (xi, _, _, converged) in zip(MODES, estimates):
+                n = 2 if mode == "fix_z" else 3
+                err[mode] += [float(np.sum((x[:n] - truth_xi[:n]) ** 2)) for x in xi]
                 unconv[mode] += int(np.sum(~converged))
     return [
         MseRow(
@@ -874,30 +855,29 @@ def decoupling_check(positions: np.ndarray, config: SignalConfig) -> float:
     """
     pos = sat_positions(positions)
     amps = amplitudes(pos, config.es_max)
-    t_axis = np.arange(config.n_samples) * config.dt
     t0 = centered_t0(pos, config)
 
     def mean_vector(theta: np.ndarray) -> np.ndarray:
-        taus = _delays(pos, theta[:3], theta[3] / config.c, config.c)
-        t = t_axis[None, :] - taus[:, None]
-        return (theta[4:, None] * _pulse(config, t)[0]).ravel()
+        mean = _mean_samples(pos, theta[:3], theta[3] / config.c, theta[4:], config)
+        return mean.ravel()
 
     theta0 = np.concatenate([np.zeros(3), [t0 * config.c], amps])
     steps = np.concatenate(
         [np.full(4, 1.0e-3), np.maximum(1.0e-3 * np.abs(amps), 1.0e-9)]
     )
-    cols = []
-    for i in range(len(theta0)):
-        up, dn = theta0.copy(), theta0.copy()
-        up[i] += steps[i]
-        dn[i] -= steps[i]
-        cols.append((mean_vector(up) - mean_vector(dn)) / (2.0 * steps[i]))
+    cols = [
+        (mean_vector(theta0 + e) - mean_vector(theta0 - e)) / (2.0 * h)
+        for e, h in zip(np.diag(steps), steps)
+    ]
     g = np.stack(cols, axis=1)
-    j = g.T @ g
+    # a large enough es_max overflows J; the NaN below reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = g.T @ g
     if not np.isfinite(j).all():
         return math.nan
     diag = np.diag(j)
-    denom = np.sqrt(np.outer(diag[:4], diag[4:]))
+    # sqrt(J_aa) sqrt(J_bb): the product J_aa J_bb can overflow where J does not
+    denom = np.outer(np.sqrt(diag[:4]), np.sqrt(diag[4:]))
     coupling = np.divide(
         np.abs(j[:4, 4:]), denom, out=np.zeros_like(denom), where=denom > 0.0
     )

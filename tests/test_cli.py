@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,8 @@ from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 from satcrb.signal_ml import default_signal_config
 
 C_KM_S = 299792.458
+# the directory the satcrb under test is imported from, for the subprocesses
+PACKAGE_ROOT = str(Path(cli_mod.__file__).resolve().parent.parent)
 
 
 def invoke(args, **kwargs):
@@ -604,6 +609,35 @@ def test_bounds_first_bad_point_wins(args, code, message):
     assert result.stderr.strip().splitlines()[-1] == message
 
 
+# a trial draws up to 2N uniforms, and numpy cannot allocate 2**60 doubles
+@pytest.mark.parametrize("count", [10**23, 9 * 10**18, 2**59 + 1])
+def test_montecarlo_rejects_counts_it_cannot_draw(count):
+    result = CliRunner().invoke(main, ["montecarlo", "--trials", "2", "--n-list", str(count)])
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
+    assert result.stderr.strip().splitlines()[-1] == (
+        f"Error: n_sats must be at most 2**59 to be drawn, got {count}"
+    )
+
+
+def test_commands_that_draw_nothing_take_any_count(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_sats = {10**23}\n")
+    for args in (["bounds", "--grid", "500"], ["coverage"]):
+        result = invoke(["--config", str(cfg), *args])
+        assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("target", ["", "missing/x.csv"], ids=["directory", "no-parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, target):
+    path = tmp_path / target
+    result = CliRunner().invoke(main, ["--out", str(path), "bounds", "--grid", "500"])
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
+    message = result.stderr.strip().splitlines()[-1]
+    assert message.startswith(f"Error: cannot write output file {path}: ")
+
+
 # cos(phi_l_max) rounds to 1 below about 6e-7 degrees, where the limit
 # coefficients divide by zero; at h = 500 km the LCRB still evaluates there,
 # so the sweep stops at that point with a DegenerateGeometry.
@@ -785,6 +819,20 @@ class TestVerifyCommand:
         result = invoke(["--config", str(cfg), "verify"])
         assert result.exit_code == 4
         assert "FAIL decoupling: max_coupling=nan gate=1e-03\n" in result.output
+
+    def test_non_finite_decoupling_matrix_writes_no_warning(self, tmp_path):
+        # a fresh process shows every RuntimeWarning on stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("es_max = 1e308\n")
+        result = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "satcrb.cli",
+             "--config", str(cfg), "verify"],
+            env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert result.returncode == 4
+        assert result.stderr == ""
+        assert "FAIL decoupling: max_coupling=nan gate=1e-03\n" in result.stdout
 
     def test_failure_exits_4(self, monkeypatch):
         def fake(params, signal, seed):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import satcrb
+from test_acceptance import bandwidth_gaps
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -62,3 +63,15 @@ def test_readme_module_names_resolve():
     assert len(refs) >= 5
     for module, name in refs:
         assert hasattr(importlib.import_module(f"satcrb.{module}"), name), f"{module}.{name}"
+
+
+def test_readme_quotes_the_measured_rss_gaps():
+    """The criterion 08 gaps the README quotes are the ones the criterion
+    measures, to the three decimals it prints, so a change of the draw
+    cannot leave them stale."""
+    readme = (ROOT / "README.md").read_text()
+    superscript = str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹")
+    for name, gaps in zip(("max_gap_xy", "max_gap_z"), bandwidth_gaps()):
+        mantissa, exponent = f"{max(gaps):.3e}".split("e")
+        quoted = f"`{name}` = {mantissa}×10{str(int(exponent)).translate(superscript)}"
+        assert quoted in readme

@@ -356,6 +356,12 @@ def test_scalar_fields_must_be_finite_and_positive(field, value):
         SystemParams(**{field: value})
 
 
+def test_fleets_numpy_cannot_draw_are_rejected():
+    p = SystemParams(n_sats=2**59 + 1)
+    with pytest.raises(InvalidConfig, match=r"at most 2\*\*59 to be drawn, got 576460752303423489"):
+        visible_sky(p, seed=1)
+
+
 def test_n_sats_takes_numpy_integers():
     assert SystemParams(n_sats=np.int64(4)).n_sats == 4
 

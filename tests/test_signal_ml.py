@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -656,7 +657,10 @@ class TestLattice:
     def test_coarse_matches_per_point_scan(self, mode, n0):
         cfg = gauss_cfg(n0=n0)
         center = np.array([0.3, -0.2, 0.1])
-        points = _lattice_points(center, 9.0, 4.5, mode)
+        points = _lattice_points(center, 9.0, 4.5)
+        if mode == "fix_z":
+            # fix_z starts from the lattice's dz = 0 plane
+            points = points[points[:, 2] == center[2]]
         assert len(points) == (25 if mode == "fix_z" else 125)
         n_xyz = 2 if mode == "fix_z" else 3
         for trial in range(4):
@@ -666,12 +670,6 @@ class TestLattice:
             xi, t0_hat = reference_lattice_start(samples, pos, points, cfg)
             want = np.append(xi[:n_xyz], t0_hat * cfg.c)
             assert np.array_equal(_start(points, best, t0, n_xyz, cfg.c), want)
-
-    def test_fix_z_lattice_is_the_full_lattice_plane(self):
-        center = np.array([0.3, -0.2, 0.1])
-        full = _lattice_points(center, 9.0, 4.5, "full_3d")
-        plane = _lattice_points(center, 9.0, 4.5, "fix_z")
-        assert np.array_equal(plane, full[full[:, 2] == center[2]])
 
     def test_no_point_in_window_is_singular(self):
         cfg = gauss_cfg()
@@ -818,7 +816,7 @@ class TestLockstep:
         pos = ring_positions()
         sp = make_pulse(cfg)
         spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
-        points = _lattice_points(np.zeros(3), 4.5, spacing, "full_3d")
+        points = _lattice_points(np.zeros(3), 4.5, spacing)
         plane = points[:, 2] == 0.0
         samples = np.array([noisy_windows(cfg, seed=43, trial=t)[2] for t in range(8)])
         starts = {"fix_z": [], "full_3d": []}
@@ -847,7 +845,7 @@ class TestLockstep:
         t0 = centered_t0(pos, cfg)
         sp = make_pulse(cfg)
         spacing = cfg.c / (4.0 * effective_bandwidth_time(sp))
-        points = _lattice_points(np.zeros(3), 4.5, spacing, "full_3d")
+        points = _lattice_points(np.zeros(3), 4.5, spacing)
         meas = [
             simulate_measurements((np.zeros(3), t0), pos, cfg, 41, trial=t)
             for t in range(5)
@@ -964,3 +962,15 @@ class TestDecoupling:
         b = decoupling_check(pos, gauss_cfg(es_max=1.0e4))
         assert b < 1e-3
         assert math.isclose(a, b, rel_tol=1e-3, abs_tol=1e-9)
+
+    def test_invariant_until_the_information_overflows(self):
+        """J_aa J_bb overflows from es_max of about 1e297, J itself only
+        from about 1e303; until then the coupling keeps its value, and from
+        there it is NaN, with no floating-point warning either way."""
+        pos = ring_positions()
+        a = decoupling_check(pos, gauss_cfg(es_max=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = decoupling_check(pos, gauss_cfg(es_max=1.0e300))
+            assert math.isnan(decoupling_check(pos, gauss_cfg(es_max=1.0e308)))
+        assert b == pytest.approx(a, rel=1e-2)
