@@ -12,8 +12,8 @@ Both routes are evaluated so that their agreement does not depend on the
 conditioning of the instance: beta_ij is computed as 2 sin^2((phi_i -
 phi_j) / 2), which keeps full relative precision for near-coincident bearings
 where 1 - cos cancels, and the FIM route sums and inverts the information
-matrix in exact rational arithmetic from the float64 direction vectors and
-weights. Near-coincident bearings give matrices with cond ~ 1e10, still
+matrix exactly, in integers scaled from the float64 direction vectors and
+weights by powers of two. Near-coincident bearings give matrices with cond ~ 1e10, still
 inside the conditioning gate, where rounding the matrix entries alone would
 move the bound by ~1e-6 relative.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -113,20 +112,32 @@ def planar_crb_closed(sensors: PlanarSensors) -> float:
     return 3.0 * sensors.c**2 * pair / (4.0 * sensors.w_e * sensors.rho * triple)
 
 
+def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
+    """Integers n_i and one exponent p with values[i] = n_i / 2**p exactly:
+    every float is an integer over a power of two."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    p = max(d for _, d in ratios).bit_length() - 1
+    return [n << (p - d.bit_length() + 1) for n, d in ratios], p
+
+
 def _exact_xy_trace(u: np.ndarray, w: np.ndarray) -> float:
     """(J^-1)_00 + (J^-1)_11 of J = sum_i w_i u_i u_i^T, (M, 3) rows u_i.
 
-    J and its cofactors are formed in rational arithmetic from the float64
-    inputs, so the only rounding is the final conversion to float.
+    With u = U / 2**p and w = W / 2**q for integers U and W (`_dyadic`),
+    J = A / 2**(q + 2p) with A = sum_i W_i U_i U_i^T, so the trace is
+    2**(q + 2p) (A's two cofactors) / det A. A, its cofactors and det A
+    are Python integers, exact, and int true division rounds the exact
+    quotient correctly, so the only rounding is that final one.
     """
-    uq = [[Fraction(float(x)) for x in row] for row in u]
-    wq = [Fraction(float(x)) for x in w]
+    uq, p = _dyadic(np.ravel(u))
+    wq, q = _dyadic(w)
+    rows = [uq[3 * i : 3 * i + 3] for i in range(len(wq))]
     a = [
-        [sum(wi * ui[r] * ui[c] for wi, ui in zip(wq, uq)) for c in range(3)]
+        [sum(wi * ui[r] * ui[c] for wi, ui in zip(wq, rows)) for c in range(3)]
         for r in range(3)
     ]
 
-    def minor(r0: int, r1: int, c0: int, c1: int) -> Fraction:
+    def minor(r0: int, r1: int, c0: int, c1: int) -> int:
         return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
 
     det = (
@@ -134,7 +145,7 @@ def _exact_xy_trace(u: np.ndarray, w: np.ndarray) -> float:
         - a[0][1] * minor(1, 2, 0, 2)
         + a[0][2] * minor(1, 2, 0, 1)
     )
-    return float((minor(1, 2, 1, 2) + minor(0, 2, 0, 2)) / det)
+    return ((minor(1, 2, 1, 2) + minor(0, 2, 0, 2)) << (q + 2 * p)) / det
 
 
 def planar_crb_fim(sensors: PlanarSensors) -> float:

@@ -19,14 +19,21 @@ scoring (Gauss-Newton) on the exact profiled likelihood, evaluated at
 fractional delays for all satellites at once via the analytic pulse and its
 derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
 
-There is one signal path, and it runs a chunk of C trials at once.
-`_mean_samples` builds the noiseless windows, `_draw` forms each sample
-block as sigma*z + mean from the trials' unit normals z, and `_localize`
-scans each trial's lattice once for both modes and refines the chunk in
-lockstep: `_ascend` keeps each trial's scoring state, so each trial follows
-the iterate sequence it would follow alone, bit for bit. `ml_localize` and
-`simulate_measurements` are chunks of one; `mse_experiment` runs `_CHUNK`
-trials at a time, whose normals and samples are the two buffers it adds.
+There is one signal path, and it runs a stack of sample blocks at once.
+`_mean_samples` builds the noiseless windows. The blocks are kept as
+their parts (`_Blocks`): the unit normals z of the trials in the stack's
+slots, each drawn once, the noiseless mean and one noise scale sigma per
+block, so one block per (SNR point, trial) pair costs no memory of its
+own. `_localize` filters each trial's normals once: by linearity the
+matched filter of the block sigma*z + mean is sigma*MF(z) + MF(mean),
+which the coarse lattice scan reads for every SNR point of the trial.
+One lockstep `_Ascent` per mode then refines the blocks, whose `_profile`
+gathers each window as sigma*z + mean, the samples' own bits; a trial
+takes the slot of one whose blocks have all finished, so the stack stays
+full while the slowest blocks finish. Each block keeps its own scoring
+state, so it follows the iterate sequence it would follow alone, bit for
+bit. `ml_localize` is a stack of one trial at sigma = 1 and mean = 0, and
+`simulate_measurements` its draw.
 
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
@@ -41,7 +48,7 @@ import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -152,23 +159,45 @@ class LocationEstimate:
     converged: bool
 
 
-def _pulse(config: SignalConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pulse(
+    config: SignalConfig, t: np.ndarray, outside: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The analytic unit-energy pulse s(t), centered at t=0, and its time
-    derivative at the times t; both are zero outside the support."""
+    derivative at the times t; both are zero outside the support and where
+    the boolean mask `outside`, if given, is set (this one masking pass
+    serves both). Every operation is in place on the two results."""
     t = np.asarray(t, dtype=float)
-    outside = np.abs(t) > 0.5 * config.support
+    s = np.abs(t)
+    off = s > 0.5 * config.support
+    if outside is not None:
+        off |= outside
     if config.pulse == "gaussian":
+        # s = (pi sigma^2)^-1/4 exp(-(t/sigma)^2 / 2), s' = -t/sigma^2 s
         sigma = config.pulse_width
-        s = (math.pi * sigma * sigma) ** -0.25 * np.exp(-0.5 * (t / sigma) ** 2)
-        s[outside] = 0.0
-        return s, -t / (sigma * sigma) * s
-    # raised cosine of full period pulse_width
-    amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
-    w = 2.0 * math.pi / config.pulse_width
-    s = amp * 0.5 * (1.0 + np.cos(2.0 * math.pi * t / config.pulse_width))
-    ds = -amp * 0.5 * w * np.sin(w * t)
-    s[outside] = 0.0
-    ds[outside] = 0.0
+        np.divide(t, sigma, out=s)
+        s *= s
+        s *= -0.5
+        np.exp(s, out=s)
+        s *= (math.pi * sigma * sigma) ** -0.25
+        np.copyto(s, 0.0, where=off)
+        ds = np.negative(t)
+        ds /= sigma * sigma
+        ds *= s
+    else:
+        # raised cosine of full period pulse_width:
+        # s = amp/2 (1 + cos(w t)), s' = -amp/2 w sin(w t), w = 2 pi/pulse_width
+        amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
+        w = 2.0 * math.pi / config.pulse_width
+        np.multiply(t, 2.0 * math.pi, out=s)
+        s /= config.pulse_width
+        np.cos(s, out=s)
+        s += 1.0
+        s *= amp * 0.5
+        np.copyto(s, 0.0, where=off)
+        ds = np.multiply(t, w)
+        np.sin(ds, out=ds)
+        ds *= -amp * 0.5 * w
+    np.copyto(ds, 0.0, where=off)
     return s, ds
 
 
@@ -297,24 +326,19 @@ def _truth_mean(truth: tuple, positions: np.ndarray, config: SignalConfig) -> np
     return _mean_samples(positions, xi, t0, amplitudes(positions, config.es_max), config)
 
 
-def _draw(
-    keys: np.ndarray,
-    mean: np.ndarray,
-    configs: Sequence[SignalConfig],
-    noise: np.ndarray,
-    out: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """The (C, M, K) samples sigma * z + mean of the trials keyed by keys, at
-    each config's sigma = sqrt(N0 / (2 dt)) in turn. The unit normals z are
-    drawn once into noise; each yield overwrites out, which may be noise."""
-    z = noise[: len(keys)]
-    for gen, block in zip(streams(keys), z):
-        gen.standard_normal(out=block)
-    samples = out[: len(keys)]
-    for config in configs:
-        np.multiply(math.sqrt(config.n0 / (2.0 * config.dt)), z, out=samples)
-        samples += mean
-        yield samples
+def _noise_sigma(config: SignalConfig) -> float:
+    """The per-sample noise deviation sqrt(N0 / (2 dt))."""
+    return math.sqrt(config.n0 / (2.0 * config.dt))
+
+
+def _normals(keys: np.ndarray, out: np.ndarray) -> None:
+    """Overwrite out[i], an (M, K) block whose rows are contiguous, with the
+    unit normals z of the trial keyed by keys[i], row by row (the draw of
+    the whole block at once); a trial's samples at noise deviation sigma
+    are sigma * z + mean."""
+    for gen, block in zip(streams(keys), out):
+        for row in block:
+            gen.standard_normal(out=row)
 
 
 def simulate_measurements(
@@ -325,13 +349,13 @@ def simulate_measurements(
     trial: int = 0,
 ) -> np.ndarray:
     """The (M, K) block of sampled windows, deterministic per (seed, trial):
-    row m is the window of positions[m]. It is `mse_experiment`'s draw on a
-    chunk of one trial."""
+    row m is the window of positions[m]. It is the block `mse_experiment`
+    refines for that trial at this config's N0."""
     pos = sat_positions(positions)
     mean = _truth_mean(truth, pos, config)
-    keys = stream_keys(seed, range(trial, trial + 1))
-    noise = np.empty((1,) + mean.shape)
-    return next(_draw(keys, mean, [config], noise, noise))[0]
+    z = np.empty(mean.shape)
+    _normals(stream_keys(seed, range(trial, trial + 1)), z[None])
+    return _noise_sigma(config) * z + mean
 
 
 def _check_mode(mode: str) -> None:
@@ -339,17 +363,70 @@ def _check_mode(mode: str) -> None:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _pad(config: SignalConfig) -> int:
+    """The zero samples `_padded` puts on each side of a sample row: one
+    less than the L samples `_profile` lays around a delay, so every such
+    range that overlaps the observation window lies inside the padded
+    row."""
+    return int(config.support / config.dt) + 1
+
+
+def _unpadded(a: np.ndarray, config: SignalConfig) -> np.ndarray:
+    """The view of the K samples between the pads of a's last axis."""
+    pad = _pad(config)
+    return a[..., pad : pad + config.n_samples]
+
+
+def _padded(shape: tuple[int, ...], config: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A zero array of shape + (P + K + P,), P = `_pad(config)` and K =
+    config.n_samples, and its `_unpadded` view."""
+    a = np.zeros(shape + (config.n_samples + 2 * _pad(config),))
+    return a, _unpadded(a, config)
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """A stack of R sample blocks kept as their parts, so that no block is
+    formed whole: block r is the (M, K) array sigma[r] * z[trial[r]] + mean,
+    with z the (C, M, K) unit normals of the trials in C slots and mean the
+    noiseless windows that every block shares. One trial at S noise levels
+    is S blocks of one z. z and mean are stored with `_pad` zeros on each
+    side of their K samples, (C, M, P + K + P) and (M, P + K + P)."""
+
+    z: np.ndarray
+    mean: np.ndarray
+    sigma: np.ndarray
+    trial: np.ndarray
+
+
+def _as_blocks(samples: np.ndarray, config: SignalConfig) -> _Blocks:
+    """The (C, M, K) samples as C blocks of themselves: sigma = 1 and mean =
+    0, which leave every sample's value as it is."""
+    z, middle = _padded(samples.shape[:-1], config)
+    middle[...] = samples
+    n = len(z)
+    return _Blocks(z, np.zeros(z.shape[1:]), np.ones(n), np.arange(n))
+
+
+def _windows(a: np.ndarray, n: int) -> np.ndarray:
+    """View of the C-contiguous a as its n-sample windows: [..., j, :] is
+    a[..., j : j + n]. (The array constructor makes it in a fraction of
+    as_strided's time, which counts once per scoring round.)"""
+    shape = a.shape[:-1] + (a.shape[-1] - n + 1, n)
+    return np.ndarray(shape, a.dtype, a, 0, a.strides + a.strides[-1:])
+
+
 @dataclass(frozen=True)
 class _Profile:
     """Per-satellite matched-filter terms at exact (fractional) delays, for a
-    stack of C trials.
+    stack of R blocks.
 
     With s_m the pulse over satellite m's window, C_m = <v_m, s_m> and
     E_m = <s_m, s_m>, the amplitude-profiled score is S = sum_m C_m^2 / E_m.
     slope is dS/dtau_m and curvature the expected -d2S/dtau_m^2 (Fisher
     information of the delay up to the common 1/N0 scale), both with the
-    amplitude at its profiled value a_m = C_m / E_m. score is (C,), the
-    other fields (C, M).
+    amplitude at its profiled value a_m = C_m / E_m. score is (R,), the
+    other fields (R, M).
     """
 
     score: np.ndarray
@@ -366,35 +443,47 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _profile(
-    samples: np.ndarray,
+    blocks: _Blocks,
     taus: np.ndarray,
     config: SignalConfig,
-    trials: np.ndarray,
+    rows: np.ndarray,
 ) -> _Profile:
-    """Profiled-likelihood terms for a stack of trials in one array evaluation.
+    """Profiled-likelihood terms for a stack of blocks in one array evaluation.
 
-    samples is (T, M, K) and taus is (C, M): row i holds the delays of trial
-    trials[i]. Each satellite's window is the sample range the pulse support
-    covers around tau_m, clipped to the observation window, laid out as one
-    (C, M, L) index array with the clipped part masked and gathered from the
-    flattened samples, so no trial's samples are copied.
+    taus is (R, M): row i holds the delays of block rows[i]. Each satellite's
+    window is the L = P + 1 samples from the first the pulse support covers
+    around tau_m (P = `_pad`), with the samples the support does not cover
+    or that fall outside the observation window masked. The window is one
+    slice of the padded z and of the padded mean, gathered whole and formed
+    as sigma * z + mean, the multiply and add that form the block's samples,
+    so it has their bits. After the (R, M, L) times, each step is in place
+    or a gather of whole windows.
     """
     dt = config.dt
-    n_sats, k = samples.shape[1:]
+    n_sats, k = len(blocks.mean), config.n_samples
     half = 0.5 * config.support
-    lo = np.ceil((taus - half) / dt).astype(int)
-    hi = np.minimum(np.floor((taus + half) / dt).astype(int), k - 1)
-    idx = lo[..., None] + np.arange(int(2.0 * half / dt) + 2)
-    inside = (idx >= 0) & (idx <= hi[..., None])
-    t = idx * dt - taus[..., None]
-    s, ds = _pulse(config, t)
-    s[~inside] = 0.0
-    ds[~inside] = 0.0
-    # the flat index of each window sample; idx is not needed after this
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, k - 1, out=idx)
-    idx += (trials[:, None] * n_sats + np.arange(n_sats))[..., None] * k
-    v = samples.reshape(-1)[idx]
+    pad = _pad(config)
+    # first and last sample index of each window's support, as floats
+    lo = np.ceil((taus - half) / dt)
+    hi = np.minimum(np.floor((taus + half) / dt), k - 1)
+    j = np.arange(pad + 1)
+    # t_k - tau_m at the samples k = lo + j; k is exact as a float
+    t = lo[..., None] + j
+    t *= dt
+    t -= taus[..., None]
+    masked = j < -lo[..., None]
+    masked |= j > (hi - lo)[..., None]
+    s, ds = _pulse(config, t, masked)
+    # freed here, so the gathers below add at most two (R, M, L) arrays
+    del t, masked
+    # window starts in the padded arrays; a window wholly outside the
+    # observation window starts at a clamped sample, and all of it is masked
+    # (fmax and fmin clamp a non-finite delay too)
+    start = np.fmin(np.fmax(lo + pad, 0.0), k + pad - 1).astype(int)
+    sats = np.arange(n_sats)
+    v = _windows(blocks.z, pad + 1)[blocks.trial[rows][:, None], sats, start]
+    v *= blocks.sigma[rows][:, None, None]
+    v += _windows(blocks.mean, pad + 1)[sats, start]
     corr = np.einsum("...l,...l->...", v, s)
     energy = np.einsum("...l,...l->...", s, s)
     cross = np.einsum("...l,...l->...", s, ds)
@@ -452,50 +541,65 @@ def _lattice_points(center: np.ndarray, halfwidth: float, spacing: float) -> np.
     return center + np.stack(grid, axis=-1).reshape(-1, 3)
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """Coarse lattice points (G, 3) and what they imply for one
+    constellation: the delays (G, M) |p_m - x|/c, and the integer sample
+    offsets (G, M) of each satellite's delay from the point's earliest, also
+    as the lists the scan slices with. They depend on the geometry alone."""
+
+    points: np.ndarray
+    delays: np.ndarray
+    offsets: np.ndarray
+    offset_rows: list[list[int]]
+
+
+def _lattice(positions: np.ndarray, points: np.ndarray, config: SignalConfig) -> _Lattice:
+    g = np.linalg.norm(positions - points[:, None, :], axis=-1) / config.c
+    o = np.round(g / config.dt).astype(int)
+    rel = o - o.min(axis=1, keepdims=True)
+    return _Lattice(points, g, rel, rel.tolist())
+
+
 def _coarse(
-    samples: np.ndarray,
-    pulse_filter: tuple[np.ndarray, int, int],
-    positions: np.ndarray,
-    points: np.ndarray,
-    config: SignalConfig,
+    corr2: np.ndarray, lattice: _Lattice, config: SignalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's best lattice score at each point and the clock offset that
-    attains it, from its (M, K) samples.
+    """Each block's best lattice score at each point and the clock offset
+    that attains it, both (S, G), from the squared matched-filter outputs
+    (S, M, K) of S blocks.
 
     At a point, score(l) = sum_m corr_m[rel_m + l]^2 over the common clock
     lags l, with corr_m the matched-filter output and rel_m the integer delay
     offsets the point implies; the score is -inf where the delay spread
     leaves no lag with every pulse in the window.
     """
-    corr2 = _matched_filter(samples, pulse_filter)
-    corr2 *= corr2
-    dt, k = config.dt, config.n_samples
-    g = np.linalg.norm(positions - points[:, None, :], axis=-1) / config.c
-    o = np.round(g / dt).astype(int)
-    rel = o - o.min(axis=1, keepdims=True)
-    best = np.full(len(points), -math.inf)
-    lag = np.zeros(len(points), dtype=int)
-    for i, r in enumerate(rel.tolist()):
+    n, k = len(corr2), corr2.shape[-1]
+    best = np.full((n, len(lattice.points)), -math.inf)
+    lag = np.zeros(best.shape, dtype=int)
+    for i, r in enumerate(lattice.offset_rows):
         width = k - max(r)
         if width <= 0:
             continue
         # summed in satellite order (at least three satellites)
-        scores = corr2[0, r[0] : r[0] + width] + corr2[1, r[1] : r[1] + width]
+        scores = corr2[:, 0, r[0] : r[0] + width] + corr2[:, 1, r[1] : r[1] + width]
         for m in range(2, len(r)):
-            scores += corr2[m, r[m] : r[m] + width]
-        j = lag[i] = scores.argmax()
-        best[i] = scores[j]
-    return best, np.mean((rel + lag[:, None]) * dt - g, axis=1)
+            scores += corr2[:, m, r[m] : r[m] + width]
+        j = lag[:, i] = scores.argmax(axis=1)
+        best[:, i] = scores[np.arange(n), j]
+    t0 = np.mean((lattice.offsets + lag[..., None]) * config.dt - lattice.delays, axis=-1)
+    return best, t0
 
 
 def _start(
     points: np.ndarray, best: np.ndarray, t0: np.ndarray, n_xyz: int, c: float
 ) -> np.ndarray:
-    """u = (x, y[, z], c*T0) at the first of the best-scoring lattice points."""
-    i = int(np.argmax(best))
-    if best[i] == -math.inf:
+    """The (S, n_xyz + 1) rows u = (x, y[, z], c*T0) at the first of each
+    block's best-scoring lattice points, from (S, G) scores and offsets."""
+    i = np.argmax(best, axis=1)
+    rows = np.arange(len(best))
+    if (best[rows, i] == -math.inf).any():
         raise SingularInformation("no lattice point keeps all pulses in-window")
-    return np.append(points[i, :n_xyz], t0[i] * c)
+    return np.column_stack([points[i, :n_xyz], t0[rows, i] * c])
 
 
 def _unpack(
@@ -509,7 +613,7 @@ def _unpack(
 
 
 def _scoring_steps(fisher: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The scoring steps F^-1 g of a (C, n, n) and (C, n) stack; a trial
+    """The scoring steps F^-1 g of a (R, n, n) and (R, n) stack; a block
     whose F is singular steps along its gradient instead."""
     try:
         return np.linalg.solve(fisher, grad[..., None])[..., 0]
@@ -521,111 +625,154 @@ def _scoring_steps(fisher: np.ndarray, grad: np.ndarray) -> np.ndarray:
         )
 
 
-def _ascend(
-    evaluate: Callable[[np.ndarray, np.ndarray], tuple[_Profile, np.ndarray, np.ndarray]],
-    u0: np.ndarray,
-    radius: float,
-    max_iter: int,
-    xtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class _Ascent:
     """Fisher scoring (Gauss-Newton) in a trust region for the score's
-    maximum, for a stack of trials in lockstep.
+    maximum, for a stack of blocks in lockstep that blocks can join at any
+    round.
 
-    u0 is (C, n), one start per trial. evaluate(trials, u) returns the
-    profile of those trials at the points u (A, n), with the score's
-    gradients (A, n) and expected Hessians (A, n, n). Each step solves the
-    scoring equations and is clipped to the trust radius, which never
-    exceeds `radius`, so the search cannot leap to a distant correlation
-    peak. A step that lowers the score is halved, and the radius with it,
-    until it does not; the radius then halves after a step that gains less
-    than a quarter of the quadratic model's predicted gain, and doubles
-    after a full-length step that gains more than three quarters of it.
-    Converged once an accepted step is shorter than xtol, or no step longer
-    than xtol raises the score; max_iter accepted steps at most.
+    Each step solves the scoring equations and is clipped to the trust
+    radius, which never exceeds `radius`, so the search cannot leap to a
+    distant correlation peak. A step that lowers the score is halved, and
+    the radius with it, until it does not; the radius then halves after a
+    step that gains less than a quarter of the quadratic model's predicted
+    gain, and doubles after a full-length step that gains more than three
+    quarters of it. A block converges once an accepted step is shorter
+    than xtol, or no step longer than xtol raises the score; max_iter
+    accepted steps at most.
 
-    Every trial keeps its own point, score, gradient, Fisher matrix, trust
-    radius and step length. Each round, every trial still running solves
-    its scoring equations and clips the step to its radius, and one
-    evaluate call scores all the proposals; a trial that finishes drops
-    out, so each trial follows the iterate sequence it would follow alone.
-    A rejected step needs no state of its own: the trial re-solves the same
-    equations at the halved radius, which gives exactly the halved step,
-    because halving a float is exact. Returns the points, their scores and
-    amplitudes, and the converged flags.
+    Every block keeps its own point, score, gradient, Fisher matrix, trust
+    radius and step length in the rows of u, score, grad, fisher, delta
+    and so on, with its amplitudes (n_amps per block) in amps. `start`
+    sets blocks to start from given points. Each `step` is one round: one
+    evaluate call scores the starts of the blocks that joined since the
+    last round and the proposals of every block still running, which
+    solves its scoring equations and clips the step to its radius. A block
+    that finishes drops out, so each block follows the iterate sequence it
+    would follow alone, whichever blocks share its rounds. A rejected step
+    needs no state of its own: the block re-solves the same equations at
+    the halved radius, which gives exactly the halved step, because
+    halving a float is exact. evaluate(rows, u) returns the profile of the
+    blocks rows at the points u (A, n), with the score's gradients (A, n)
+    and expected Hessians (A, n, n).
     """
-    u = np.array(u0, dtype=float)
-    n_trials = len(u)
-    cur, grad, fisher = evaluate(np.arange(n_trials), u)
-    score, amps = cur.score.copy(), cur.amplitudes.copy()
-    delta = np.full(n_trials, float(radius))
-    iters = np.zeros(n_trials, dtype=int)
-    converged = np.zeros(n_trials, dtype=bool)
-    running = np.full(n_trials, max_iter > 0)
-    while running.any():
-        rows = np.flatnonzero(running)
-        step = _scoring_steps(fisher[rows], grad[rows])
+
+    def __init__(
+        self, n_rows: int, n: int, n_amps: int, radius: float, max_iter: int, xtol: float
+    ) -> None:
+        self.radius, self.max_iter, self.xtol = float(radius), max_iter, xtol
+        self.u = np.zeros((n_rows, n))
+        self.score = np.zeros(n_rows)
+        self.amps = np.zeros((n_rows, n_amps))
+        self.grad = np.zeros((n_rows, n))
+        self.fisher = np.zeros((n_rows, n, n))
+        self.delta = np.zeros(n_rows)
+        self.iters = np.zeros(n_rows, dtype=int)
+        self.converged = np.zeros(n_rows, dtype=bool)
+        self.joining = np.zeros(n_rows, dtype=bool)
+        self.running = np.zeros(n_rows, dtype=bool)
+
+    def start(self, rows: np.ndarray, u0: np.ndarray) -> None:
+        """Blocks rows start from the points u0 (A, n) at the next step."""
+        self.u[rows] = u0
+        self.delta[rows] = self.radius
+        self.iters[rows] = 0
+        self.converged[rows] = False
+        self.joining[rows] = True
+
+    def busy(self) -> np.ndarray:
+        """The (R,) flags of the blocks that have not finished."""
+        return self.joining | self.running
+
+    def step(
+        self,
+        evaluate: Callable[[np.ndarray, np.ndarray], tuple[_Profile, np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """One round; the indices of the blocks that finished in it, whose
+        point, score, amplitudes and converged flag stay in place until they
+        start again."""
+        busy = self.busy()
+        u, delta, xtol = self.u, self.delta, self.xtol
+        new = np.flatnonzero(self.joining)
+        rows = np.flatnonzero(self.running)
+        step = _scoring_steps(self.fisher[rows], self.grad[rows])
         n_s = np.sqrt(_dot(step, step))
         stop = ~np.isfinite(n_s) | (n_s == 0.0)
         if stop.any():
-            converged[rows[stop]] = n_s[stop] == 0.0
-            running[rows[stop]] = False
+            self.converged[rows[stop]] = n_s[stop] == 0.0
+            self.running[rows[stop]] = False
             rows, step, n_s = rows[~stop], step[~stop], n_s[~stop]
-            if not len(rows):
-                break
+        if not len(new) and not len(rows):
+            return np.flatnonzero(busy & ~self.busy())
+        # clip to the radius: a step within it is scaled by exactly 1.0
         d = delta[rows]
-        clip = n_s > d
-        step[clip] *= (d[clip] / n_s[clip])[:, None]
-        n_s[clip] = d[clip]
-        trial, t_grad, t_fisher = evaluate(rows, u[rows] + step)
-        gain = trial.score - score[rows]
+        step *= np.minimum(d / n_s, 1.0)[:, None]
+        n_s = np.minimum(n_s, d)
+        k = len(new)
+        points = u[rows] + step
+        if k:
+            rows, points = np.concatenate([new, rows]), np.concatenate([u[new], points])
+        prof, t_grad, t_fisher = evaluate(rows, points)
+        score, amps = prof.score, prof.amplitudes
+        if k:
+            # the joining blocks take their start's values
+            self.score[new], self.amps[new] = score[:k], amps[:k]
+            self.grad[new], self.fisher[new] = t_grad[:k], t_fisher[:k]
+            self.joining[new] = False
+            self.running[new] = self.max_iter > 0
+            rows, score, amps, t_grad, t_fisher = (
+                a[k:] for a in (rows, score, amps, t_grad, t_fisher)
+            )
+
+        gain = score - self.score[rows]
         up = gain >= 0.0
+        if not up.all():
+            down = rows[~up]
+            delta[down] = 0.5 * n_s[~up]
+            gave_up = down[delta[down] < xtol]
+            self.converged[gave_up] = True
+            self.running[gave_up] = False
+            rows, gain, step, n_s = rows[up], gain[up], step[up], n_s[up]
+            score, amps, t_grad, t_fisher = score[up], amps[up], t_grad[up], t_fisher[up]
 
-        down = rows[~up]
-        delta[down] = 0.5 * n_s[~up]
-        gave_up = down[delta[down] < xtol]
-        converged[gave_up] = True
-        running[gave_up] = False
-
-        ok, gain, st, n_ok = rows[up], gain[up], step[up], n_s[up]
-        predicted = _dot(grad[ok], st) - _dot(
-            ((0.5 * st)[:, None, :] @ fisher[ok])[:, 0, :], st
+        # rows now holds the blocks whose steps were accepted
+        predicted = _dot(self.grad[rows], step) - _dot(
+            ((0.5 * step)[:, None, :] @ self.fisher[rows])[:, 0, :], step
         )
-        u[ok] += st
-        score[ok], amps[ok] = trial.score[up], trial.amplitudes[up]
-        grad[ok], fisher[ok] = t_grad[up], t_fisher[up]
-        iters[ok] += 1
-        d_ok = delta[ok]
+        u[rows] += step
+        self.score[rows], self.amps[rows] = score, amps
+        self.grad[rows], self.fisher[rows] = t_grad, t_fisher
+        self.iters[rows] += 1
+        d = delta[rows]
         shrink = gain < 0.25 * predicted
-        grow = ~shrink & (gain > 0.75 * predicted) & (n_ok >= d_ok)
-        delta[ok] = np.where(
-            shrink, 0.5 * n_ok, np.where(grow, np.minimum(2.0 * d_ok, radius), d_ok)
+        grow = ~shrink & (gain > 0.75 * predicted) & (n_s >= d)
+        delta[rows] = np.where(
+            shrink, 0.5 * n_s, np.where(grow, np.minimum(2.0 * d, self.radius), d)
         )
-        done = n_ok < xtol
-        converged[ok[done]] = True
-        running[ok] = ~done & (iters[ok] < max_iter)
-    return u, score, amps, converged
+        done = n_s < xtol
+        self.converged[rows[done]] = True
+        self.running[rows] = ~done & (self.iters[rows] < self.max_iter)
+        return np.flatnonzero(busy & ~self.busy())
 
 
-def _refine(
-    samples: np.ndarray,
+def _evaluator(
+    blocks: _Blocks,
     positions: np.ndarray,
     center: np.ndarray,
-    u0: np.ndarray,
     config: SignalConfig,
-    radius: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The fine stage of a chunk of trials with (C, M, K) samples: `_ascend`
-    from the starts u0 (C, n) over u = (x, y[, z], c*T0), all in km, until a
-    step is shorter than 0.2 m; with n = 3 z stays at the center's."""
+    n_xyz: int,
+) -> Callable[[np.ndarray, np.ndarray], tuple[_Profile, np.ndarray, np.ndarray]]:
+    """The evaluate(rows, u) of an `_Ascent` over blocks: the profile of the
+    blocks rows at the points u = (x, y[, z], c*T0), all in km, with the
+    score's gradients and expected Hessians over u; with n_xyz = 2 z stays
+    at the center's."""
     c = config.c
-    n_xyz = u0.shape[1] - 1
 
-    def evaluate(trials: np.ndarray, u: np.ndarray):
+    def evaluate(rows: np.ndarray, u: np.ndarray):
         xi, t0 = _unpack(u, center, c)
         diff = positions - xi[:, None, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        prof = _profile(samples, dist / c + t0[:, None], config, trials)
+        # np.linalg.norm(diff, axis=-1), without its wrapper's overhead
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        prof = _profile(blocks, dist / c + t0[:, None], config, rows)
         # d tau_m / d u: minus the unit line of sight over c, then 1/c
         jac = np.empty(dist.shape + (n_xyz + 1,))
         jac[..., :n_xyz] = -diff[..., :n_xyz] / (c * dist[..., None])
@@ -633,46 +780,135 @@ def _refine(
         grad = (np.swapaxes(jac, -1, -2) @ prof.slope[..., None])[..., 0]
         return prof, grad, weighted_gram(jac, prof.curvature)
 
-    return _ascend(evaluate, u0, radius, max_iter, xtol=2.0e-4)
+    return evaluate
 
 
-# the coarse lattice's half-width in km, and the most scoring steps of one
-# solve, ml_localize's default
+# the coarse lattice's half-width in km, the most scoring steps of one
+# solve (ml_localize's default), and the step length in km below which a
+# solve has converged
 _HALFWIDTH = 4.5
 _MAX_ITER = 100
+_XTOL = 2.0e-4
+
+
+@dataclass(frozen=True)
+class _Search:
+    """The estimator's set-up for one constellation, search center and
+    config: the coarse lattice from center - _HALFWIDTH to center +
+    _HALFWIDTH per axis at a spacing of at most c/(4 W_e), the trust radius
+    of the refinement (half that spacing) and the matched filter's
+    spectrum. None of it depends on the samples or on N0."""
+
+    center: np.ndarray
+    radius: float
+    pulse_filter: tuple[np.ndarray, int, int]
+    lattice: _Lattice
+
+
+def _search(positions: np.ndarray, center: np.ndarray, config: SignalConfig) -> _Search:
+    sp = make_pulse(config)
+    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
+    points = _lattice_points(center, _HALFWIDTH, spacing)
+    return _Search(
+        center,
+        0.5 * spacing,
+        _pulse_filter(sp.samples, config.n_samples),
+        _lattice(positions, points, config),
+    )
+
+
+def _scan(
+    z: np.ndarray,
+    sigma: np.ndarray,
+    mf_mean: np.ndarray | float,
+    search: _Search,
+    config: SignalConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_coarse` of one trial's blocks sigma[s] * z + mean, from one matched
+    filter of its (M, K) normals z: the filter is linear, so block s has
+    the output sigma[s] * MF(z) + MF(mean), with mf_mean = MF(mean)."""
+    corr2 = sigma[:, None, None] * _matched_filter(z, search.pulse_filter)
+    corr2 += mf_mean
+    corr2 *= corr2
+    return _coarse(corr2, search.lattice, config)
 
 
 def _localize(
-    samples: np.ndarray,
+    blocks: _Blocks,
+    mf_mean: np.ndarray | float,
     positions: np.ndarray,
-    center: np.ndarray,
+    search: _Search,
     config: SignalConfig,
     modes: Sequence[str],
     max_iter: int,
+    n_trials: int,
+    fill: Callable[[int, int], None],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per mode of modes, the positions (C, 3), clock offsets (C,),
-    amplitudes (C, M) and converged flags (C,) that the ML estimator gives
-    a (C, M, K) stack of trials. One matched filter and one scan of the
-    lattice around center per trial serve every mode, fix_z starting from
-    its dz = 0 plane; then one lockstep `_refine` per mode."""
-    sp = make_pulse(config)
-    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
-    pulse_filter = _pulse_filter(sp.samples, config.n_samples)
-    points = _lattice_points(center, _HALFWIDTH, spacing)
-    lattices = {"fix_z": points[:, 2] == center[2], "full_3d": slice(None)}
-    starts = {m: np.empty((len(samples), 3 if m == "fix_z" else 4)) for m in modes}
-    for i, v in enumerate(samples):
-        best, t0 = _coarse(v, pulse_filter, positions, points, config)
-        for mode, u0 in starts.items():
-            on = lattices[mode]
-            u0[i] = _start(points[on], best[on], t0[on], u0.shape[1] - 1, config.c)
-    estimates = []
-    for u0 in starts.values():
-        u, _, amps, converged = _refine(
-            samples, positions, center, u0, config, 0.5 * spacing, max_iter
+    """Per mode of modes, the positions (T S, 3), clock offsets (T S,),
+    amplitudes (T S, M) and converged flags (T S,) that the ML estimator
+    gives each of T = n_trials trials at the S noise levels of a slot; row
+    t S + s is trial t at level s. mf_mean is the matched filter of
+    blocks.mean.
+
+    blocks holds C slots of S blocks each: block r is level r % S of the
+    trial in slot r // S. Trials take the slots in order, fill(slot, t)
+    putting trial t's normals into blocks.z[slot], as soon as every mode
+    has refined all of the slot's blocks. A trial's lattice scan (`_scan`)
+    serves every mode, fix_z starting from its dz = 0 plane; its sigma*MF(z)
+    + MF(mean) differs from the filter of the formed block only in its
+    last bits and feeds nothing but argmax choices. One `_Ascent` per mode
+    refines the blocks on their exact samples, and a trial's blocks join
+    it in the next round."""
+    lattice, center, c = search.lattice, search.center, config.c
+    n_slots, n_rows = len(blocks.z), len(blocks.sigma)
+    per_slot = n_rows // n_slots
+    planes = {"fix_z": lattice.points[:, 2] == center[2], "full_3d": slice(None)}
+    solves = {
+        mode: _Ascent(n_rows, 3 if mode == "fix_z" else 4, len(positions), search.radius,
+                      max_iter, _XTOL)
+        for mode in modes
+    }
+    evaluators = {
+        mode: _evaluator(blocks, positions, center, config, solve.u.shape[1] - 1)
+        for mode, solve in solves.items()
+    }
+    size = n_trials * per_slot
+    results = {
+        mode: (
+            np.empty((size, solve.u.shape[1])),
+            np.empty((size, len(positions))),
+            np.empty(size, dtype=bool),
         )
-        estimates.append((*_unpack(u, center, config.c), amps, converged))
-    return estimates
+        for mode, solve in solves.items()
+    }
+    occupant = np.zeros(n_slots, dtype=int)
+    trial = 0
+    # per slot, the solves (one per block and mode) not yet finished
+    left = np.zeros(n_slots, dtype=int)
+    while True:
+        for slot in np.flatnonzero(left == 0)[: n_trials - trial]:
+            fill(slot, trial)
+            rows = slot * per_slot + np.arange(per_slot)
+            best, t0 = _scan(
+                _unpadded(blocks.z[slot], config), blocks.sigma[rows], mf_mean, search, config
+            )
+            for mode, solve in solves.items():
+                on = planes[mode]
+                n_xyz = solve.u.shape[1] - 1
+                solve.start(rows, _start(lattice.points[on], best[:, on], t0[:, on], n_xyz, c))
+            occupant[slot] = trial
+            trial += 1
+            left[slot] = per_slot * len(solves)
+        if not left.any():
+            break
+        for mode, solve in solves.items():
+            done = solve.step(evaluators[mode])
+            if len(done):
+                np.subtract.at(left, done // per_slot, 1)
+                at = occupant[done // per_slot] * per_slot + done % per_slot
+                for out, state in zip(results[mode], (solve.u, solve.amps, solve.converged)):
+                    out[at] = state[done]
+    return [(*_unpack(u, center, c), amps, converged) for u, amps, converged in results.values()]
 
 
 def ml_localize(
@@ -719,8 +955,11 @@ def ml_localize(
             f"search_center must be 3 finite numbers, got {search_center!r}"
         )
     max_iter = check_count("max_iter", max_iter, 0)
+    # the samples are their own block, already in the one slot, and the
+    # filter of mean = 0 is 0
     ((xi, t0, amps, converged),) = _localize(
-        samples[None], pos, center, config, (mode,), max_iter
+        _as_blocks(samples[None], config), 0.0, pos, _search(pos, center, config), config,
+        (mode,), max_iter, 1, lambda slot, trial: None,
     )
     return LocationEstimate(xi[0], float(t0[0]), amps[0], bool(converged[0]))
 
@@ -778,14 +1017,15 @@ def _noise_density(es_max: float, snr_db: float) -> float:
     raise InvalidConfig(f"SNR {snr_db} dB gives no finite positive noise density N0")
 
 
-# Trials whose fine stages run in lockstep. A chunk holds two (C, M, K)
-# blocks, its unit normals (drawn once for every SNR point) and its samples
-# at the current point, 187 kB per trial each at the default config. At 8
-# trials they grew the ml_snr benchmark's peak RSS from 45.2 to 46.6 MiB
-# (3.0% against a 5% bound), while one `_profile` call costs 0.027 ms per
-# trial at 8 trials, 0.091 ms at 1 and 0.037 ms at 50 (best of five timeit
-# runs, 2-vCPU Xeon, numpy 2.4).
-_CHUNK = 8
+# The most blocks, one per (SNR point, trial) pair, that one lockstep
+# `_Ascent` stacks: it has max(1, _ROWS // len(snr_grid)) trial slots,
+# whose zero-padded normals are the experiment's one large buffer, 206 kB
+# per slot at the default config. Per block, one `_profile` call costs 27
+# us at 8 blocks, 20 us at 24 and 19 us at 48 (best of nine timeit runs,
+# 2-vCPU Xeon, numpy 2.4), so wider stacks gain little per block, while
+# the peak RSS of 12 in-process `ml --snr-grid 6,18,30 --trials 50` passes
+# is 40.9 MiB at 8 blocks, 42.8 MiB at 24 and 44.9 MiB at 48.
+_ROWS = 24
 
 
 def mse_experiment(
@@ -801,10 +1041,15 @@ def mse_experiment(
     estimates score mse_xyz against the full bound. The truth sits at the
     origin with the clock offset centering all arrivals in the window. Each
     trial is `ml_localize` with its defaults in both modes on the samples
-    `simulate_measurements` gives it at that SNR point, bit for bit. Only
-    the noise scale depends on N0, so the noiseless windows are built once,
-    and each chunk's unit normals are drawn once and scaled for every SNR
-    point in turn.
+    `simulate_measurements` gives it at that SNR point: the refinement is
+    the same bit for bit. The coarse stage reads the matched filter as
+    sigma*MF(z) + MF(mean), which differs from the filter of the samples in
+    its last bits; it keeps only argmax choices, so a start could differ
+    only where two lattice scores tie to rounding. Only the noise scale
+    depends on N0, so the noiseless windows and their filter are built
+    once, each trial's unit normals are drawn and filtered once, and its
+    blocks at every SNR point join one lockstep stack per mode of at most
+    `_ROWS` blocks.
     """
     trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
@@ -813,34 +1058,46 @@ def mse_experiment(
         for snr_db in snr_grid
     ]
     truth_xi = np.zeros(3)
-    mean = _truth_mean((truth_xi, centered_t0(pos, config)), pos, config)
+    mean, middle = _padded((len(pos),), config)
+    middle[...] = _truth_mean((truth_xi, centered_t0(pos, config)), pos, config)
     keys = stream_keys(seed, range(trials))
-    errors = [{mode: [] for mode in MODES} for _ in cfgs]
-    unconverged = [dict.fromkeys(MODES, 0) for _ in cfgs]
-    # one block of normals and one of samples for every chunk, so no two
-    # chunks' draws are ever alive
-    noise = np.empty((_CHUNK,) + mean.shape)
-    buffer = np.empty_like(noise)
-    for first in range(0, trials, _CHUNK):
-        draws = _draw(keys[first : first + _CHUNK], mean, cfgs, noise, buffer)
-        for samples, err, unconv in zip(draws, errors, unconverged):
-            estimates = _localize(samples, pos, truth_xi, config, MODES, _MAX_ITER)
-            for mode, (xi, _, _, converged) in zip(MODES, estimates):
-                n = 2 if mode == "fix_z" else 3
-                err[mode] += [float(np.sum((x[:n] - truth_xi[:n]) ** 2)) for x in xi]
-                unconv[mode] += int(np.sum(~converged))
+    if not cfgs:
+        return []
+    search = _search(pos, truth_xi, config)
+    mf_mean = _matched_filter(middle, search.pulse_filter)
+    sigma = np.array([_noise_sigma(cfg) for cfg in cfgs])
+    n_slots = max(1, _ROWS // len(cfgs))
+    # one padded block of normals per slot, each overwritten by the next
+    # trial to take the slot
+    noise, normals = _padded((n_slots, len(pos)), config)
+    # slot-major blocks: block i * S + s is SNR point s of the trial in slot i
+    blocks = _Blocks(
+        noise, mean, np.tile(sigma, n_slots), np.repeat(np.arange(n_slots), len(cfgs))
+    )
+
+    def fill(slot: int, trial: int) -> None:
+        _normals(keys[trial : trial + 1], normals[slot : slot + 1])
+
+    estimates = _localize(blocks, mf_mean, pos, search, config, MODES, _MAX_ITER, trials, fill)
+    sq, missed = {}, {}
+    for mode, (xi, _, _, converged) in zip(MODES, estimates):
+        n = 2 if mode == "fix_z" else 3
+        sq[mode] = [float(np.sum((x[:n] - truth_xi[:n]) ** 2)) for x in xi]
+        missed[mode] = ~converged
+    # row t * S + s of an estimate is trial t at SNR point s
+    n_points = len(cfgs)
     return [
         MseRow(
             snr_db=float(snr_db),
-            mse_xy=float(np.mean(err["fix_z"])),
-            mse_xyz=float(np.mean(err["full_3d"])),
+            mse_xy=float(np.mean(sq["fix_z"][s::n_points])),
+            mse_xyz=float(np.mean(sq["full_3d"][s::n_points])),
             crb_xy=signal_crb(pos, cfg, mode="fix_z").xy,
             crb_xyz=signal_crb(pos, cfg, mode="full_3d").xyz,
             trials=trials,
-            unconverged_xy=unconv["fix_z"],
-            unconverged_xyz=unconv["full_3d"],
+            unconverged_xy=int(np.sum(missed["fix_z"][s::n_points])),
+            unconverged_xyz=int(np.sum(missed["full_3d"][s::n_points])),
         )
-        for snr_db, cfg, err, unconv in zip(snr_grid, cfgs, errors, unconverged)
+        for s, (snr_db, cfg) in enumerate(zip(snr_grid, cfgs))
     ]
 
 

@@ -721,9 +721,6 @@ class TestMlCommand:
 
 # sha256 of `--seed S ml --snr-grid 6,18,30 --trials 50` stdout, captured from
 # the SNR-major loop that drew every trial's noise again at each SNR point.
-# The default grid at seed 7 hashes to
-# d454c47187ab20218336e6a73b6800d61cc5a1d43cc5e05c427d7c0a130070a6 (about 3 s,
-# so it is not run here).
 ML_SHA256 = {
     0: "f8cdd3c12dccdf72f5f74f62c2404d05877cee42f644344006f95e8bdbb1209d",
     7: "cdb72e389c79fddee0d6f3337675a6d2d9f277bd03e0e9ffa73228ddc53bb9a5",
@@ -736,6 +733,17 @@ def test_ml_sha256(seed):
     result = invoke(["--seed", str(seed), "ml", "--snr-grid", "6,18,30", "--trials", "50"])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == ML_SHA256[seed]
+
+
+def test_ml_default_grid_sha256():
+    """`--seed 7 ml`: the default 7-point grid at 200 trials, whose chunks of
+    3 trials stack 21 blocks, hashes as it did before trials were stacked
+    across SNR points."""
+    result = invoke(["--seed", "7", "ml"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "d454c47187ab20218336e6a73b6800d61cc5a1d43cc5e05c427d7c0a130070a6"
+    )
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Planar TDOA oracle tests: closed form vs 3x3 FIM inversion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from satcrb.fim import SingularInformation
 from satcrb.geometry import InvalidConfig
-from satcrb.planar import CollinearSensors, PlanarSensors, planar_crb_closed, planar_crb_fim
+from satcrb.planar import (
+    CollinearSensors,
+    PlanarSensors,
+    _exact_xy_trace,
+    planar_crb_closed,
+    planar_crb_fim,
+)
 
 
 def make(angles, distances, gamma=2.0, w_e=1.0e6, rho=100.0, c=299792.458):
@@ -160,3 +167,45 @@ def test_fim_route_matches_high_precision_inverse():
         want = float(inv[0, 0] + inv[1, 1])
     assert planar_crb_fim(hard) == pytest.approx(want, rel=1e-12)
     assert planar_crb_closed(hard) == pytest.approx(want, rel=1e-12)
+
+
+def fraction_xy_trace(u, w):
+    """(J^-1)_00 + (J^-1)_11 of J = sum_i w_i u_i u_i^T, summed and inverted
+    in Fractions: the rational route that the integer one replaced, kept as
+    its oracle."""
+    uq = [[Fraction(float(x)) for x in row] for row in u]
+    wq = [Fraction(float(x)) for x in w]
+    a = [
+        [sum(wi * ui[r] * ui[c] for wi, ui in zip(wq, uq)) for c in range(3)]
+        for r in range(3)
+    ]
+
+    def minor(r0, r1, c0, c1):
+        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+
+    det = (
+        a[0][0] * minor(1, 2, 1, 2)
+        - a[0][1] * minor(1, 2, 0, 2)
+        + a[0][2] * minor(1, 2, 0, 1)
+    )
+    return float((minor(1, 2, 1, 2) + minor(0, 2, 0, 2)) / det)
+
+
+def test_exact_trace_is_the_rational_one_bit_for_bit():
+    """On random bearings with weights from 1e-20 to 1e20, on bearings a
+    hair apart, and on the verify draws, the integer route rounds the same
+    exact quotient as the Fraction route."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(300):
+        m = int(rng.integers(3, 9))
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        if rng.random() < 0.3:
+            phi[1] = phi[0] + rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-9.0, -3.0)
+        w = 10.0 ** rng.uniform(-20.0, 20.0, m)
+        cases.append((phi, w))
+    for s in _verify_draws(1842214965):
+        cases.append((np.asarray(s.angles), s.eta_planar * s.weights))
+    for phi, w in cases:
+        u = np.stack([np.cos(phi), np.sin(phi), -np.ones_like(phi)], axis=1)
+        assert _exact_xy_trace(u, w) == fraction_xy_trace(u, w)

@@ -11,23 +11,31 @@ from hypothesis import strategies as st
 
 from satcrb.fim import SingularInformation
 from satcrb import signal_ml
-from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
+from satcrb.geometry import InvalidConfig, SystemParams, cup_edges, stream_keys
 from satcrb.signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
     SignalConfig,
-    _ascend,
+    _as_blocks,
+    _Ascent,
     _coarse,
+    _evaluator,
+    _lattice,
     _lattice_offsets,
     _lattice_points,
     _matched_filter,
+    _noise_sigma,
+    _normals,
     _Profile,
     _profile,
     _pulse,
     _pulse_filter,
-    _refine,
+    _scan,
     _scoring_steps,
+    _search,
     _start,
+    _truth_mean,
+    _XTOL,
     centered_t0,
     decoupling_check,
     default_signal_config,
@@ -204,6 +212,29 @@ def reference_refine(samples, pos, center, u0, cfg, radius, max_iter):
     return u, score, amps, False
 
 
+def ascend(evaluate, u0, radius, max_iter, xtol, n_amps=0):
+    """An `_Ascent` of the blocks of u0, all started at once, until every
+    one finishes: (u, score, amplitudes, converged)."""
+    solve = _Ascent(len(u0), u0.shape[1], n_amps, radius, max_iter, xtol)
+    solve.start(np.arange(len(u0)), u0)
+    while solve.busy().any():
+        solve.step(evaluate)
+    return solve.u, solve.score, solve.amps, solve.converged
+
+
+def refine(blocks, pos, center, u0, cfg, radius, max_iter):
+    """The lockstep fine stage of the blocks, from the starts u0 (R, n)."""
+    evaluate = _evaluator(blocks, pos, center, cfg, u0.shape[1] - 1)
+    return ascend(evaluate, u0, radius, max_iter, _XTOL, len(pos))
+
+
+def coarse_scan(samples, pos, points, cfg):
+    """`_coarse` of one trial's (M, K) samples over the lattice points, as a
+    stack of one block: its (1, G) best scores and clock offsets."""
+    corr = _matched_filter(samples, _pulse_filter(make_pulse(cfg).samples, cfg.n_samples))
+    return _coarse((corr * corr)[None], _lattice(pos, points, cfg), cfg)
+
+
 def noisy_windows(cfg, seed, trial=0):
     pos = ring_positions()
     t0 = centered_t0(pos, cfg)
@@ -212,7 +243,7 @@ def noisy_windows(cfg, seed, trial=0):
 
 def profile_one(samples, taus, cfg) -> _Profile:
     """`_profile` of one trial's (M, K) samples at its delays (M,)."""
-    prof = _profile(samples[None], taus[None], cfg, np.arange(1))
+    prof = _profile(_as_blocks(samples[None], cfg), taus[None], cfg, np.arange(1))
     return _Profile(*(getattr(prof, f.name)[0] for f in dataclasses.fields(prof)))
 
 
@@ -503,7 +534,7 @@ class TestProfiledScore:
             # windows are clipped and some fall outside altogether
             taus = rng.uniform(-1.5 * half, cfg.obs_window + 1.5 * half, samples.shape[:2])
             clipped += int(np.sum((taus < half) | (taus > cfg.obs_window - half)))
-            got = _profile(samples, taus, cfg, np.arange(len(samples))).score
+            got = _profile(_as_blocks(samples, cfg), taus, cfg, np.arange(len(samples))).score
             assert got.shape == (len(samples),)
             for v, tau, score in zip(samples, taus, got):
                 want = reference_profiled_score(v, tau, cfg)
@@ -518,9 +549,10 @@ class TestProfiledScore:
         samples = np.array([noisy_windows(cfg, seed=24, trial=t)[2] for t in range(4)])
         rng = np.random.default_rng(6)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + rng.normal(0.0, cfg.dt, (4, 6))
-        full = _profile(samples, taus, cfg, np.arange(4))
+        blocks = _as_blocks(samples, cfg)
+        full = _profile(blocks, taus, cfg, np.arange(4))
         rows = np.array([3, 1])
-        part = _profile(samples, taus[rows], cfg, rows)
+        part = _profile(blocks, taus[rows], cfg, rows)
         for f in dataclasses.fields(full):
             assert np.array_equal(getattr(part, f.name), getattr(full, f.name)[rows])
 
@@ -594,11 +626,11 @@ class TestAscent:
         u0 = np.zeros((len(self.TRIALS), 2))
         scores = [self.quadratics()(np.arange(len(u0)), u0)[0].score]
         for iters in range(1, 8):
-            _, score, _, _ = _ascend(self.quadratics(), u0, 1e9, iters, xtol=1e-9)
+            _, score, _, _ = ascend(self.quadratics(), u0, 1e9, iters, xtol=1e-9)
             scores.append(score)
         assert all(np.all(b >= a) for a, b in zip(scores, scores[1:]))
         calls = np.zeros(len(u0), dtype=int)
-        u, _, _, converged = _ascend(
+        u, _, _, converged = ascend(
             self.quadratics(calls=calls), u0, 1e9, 200, xtol=1e-9
         )
         assert converged.all()
@@ -609,20 +641,45 @@ class TestAscent:
     def test_steps_stay_inside_the_radius(self):
         u0 = np.zeros((len(self.TRIALS), 2))
         for iters in range(1, 6):
-            u, _, _, _ = _ascend(self.quadratics(), u0, 0.1, iters, xtol=1e-9)
+            u, _, _, _ = ascend(self.quadratics(), u0, 0.1, iters, xtol=1e-9)
             assert np.all(np.linalg.norm(u - u0, axis=1) <= 0.1 * iters * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3, 200])
     def test_batch_equals_one_trial_calls(self, max_iter):
         u0 = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0], [1.0, -2.0], [0.5, 0.5]])
-        batch = _ascend(self.quadratics(), u0, 2.0, max_iter, xtol=1e-9)
+        batch = ascend(self.quadratics(), u0, 2.0, max_iter, xtol=1e-9)
         for i in range(len(u0)):
-            one = _ascend(self.quadratics(self.TRIALS[i : i + 1]), u0[i : i + 1],
+            one = ascend(self.quadratics(self.TRIALS[i : i + 1]), u0[i : i + 1],
                           2.0, max_iter, xtol=1e-9)
             for a, b in zip(one, batch):
                 assert np.array_equal(a[0], b[i])
         # the trial that starts on the maximum takes a zero step and stops
         assert batch[3][3] == (max_iter > 0)
+
+    def test_blocks_that_join_later_follow_their_own_sequence(self):
+        """Blocks that join a running stack rounds apart, one of them in
+        the row a finished block held, end where a stack of their own
+        ends, bit for bit."""
+        u0 = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0], [1.0, -2.0], [0.5, 0.5]])
+        want = ascend(self.quadratics(), u0, 2.0, 200, xtol=1e-9)
+        solve = _Ascent(len(u0), 2, 0, 2.0, 200, 1e-9)
+        solve.start(np.arange(3), u0[:3])
+        finished = []
+        for _ in range(2):
+            finished += list(solve.step(self.quadratics()))
+        solve.start(np.array([3, 4]), u0[3:])
+        while not finished:
+            finished += list(solve.step(self.quadratics()))
+        # the first block to finish starts again, from the same point
+        row = finished[0]
+        first = [np.copy(a[row]) for a in (solve.u, solve.score, solve.amps, solve.converged)]
+        solve.start(np.array([row]), u0[row : row + 1])
+        while solve.busy().any():
+            solve.step(self.quadratics())
+        for a, b in zip((solve.u, solve.score, solve.amps, solve.converged), want):
+            assert np.array_equal(a, b)
+        for a, b in zip(first, want):
+            assert np.array_equal(a, b[row])
 
     def test_singular_fisher_falls_back_for_that_trial_only(self):
         fisher = np.array([[[2.0, 1.0], [1.0, 3.0]], np.zeros((2, 2)), 4.0 * np.eye(2)])
@@ -665,11 +722,10 @@ class TestLattice:
         n_xyz = 2 if mode == "fix_z" else 3
         for trial in range(4):
             pos, _, samples = noisy_windows(cfg, seed=32, trial=trial)
-            pulse_filter = _pulse_filter(make_pulse(cfg).samples, cfg.n_samples)
-            best, t0 = _coarse(samples, pulse_filter, pos, points, cfg)
+            best, t0 = coarse_scan(samples, pos, points, cfg)
             xi, t0_hat = reference_lattice_start(samples, pos, points, cfg)
             want = np.append(xi[:n_xyz], t0_hat * cfg.c)
-            assert np.array_equal(_start(points, best, t0, n_xyz, cfg.c), want)
+            assert np.array_equal(_start(points, best, t0, n_xyz, cfg.c), [want])
 
     def test_no_point_in_window_is_singular(self):
         cfg = gauss_cfg()
@@ -820,16 +876,16 @@ class TestLockstep:
         plane = points[:, 2] == 0.0
         samples = np.array([noisy_windows(cfg, seed=43, trial=t)[2] for t in range(8)])
         starts = {"fix_z": [], "full_3d": []}
-        pulse_filter = _pulse_filter(sp.samples, cfg.n_samples)
         for v in samples:
-            best, t0 = _coarse(v, pulse_filter, pos, points, cfg)
-            starts["fix_z"].append(_start(points[plane], best[plane], t0[plane], 2, cfg.c))
-            starts["full_3d"].append(_start(points, best, t0, 3, cfg.c))
+            best, t0 = coarse_scan(v, pos, points, cfg)
+            starts["fix_z"].append(_start(points[plane], best[:, plane], t0[:, plane], 2, cfg.c)[0])
+            starts["full_3d"].append(_start(points, best, t0, 3, cfg.c)[0])
         center = np.zeros(3)
+        blocks = _as_blocks(samples, cfg)
         for mode, u0 in starts.items():
             for max_iter in (3, 100):
-                batch = _refine(
-                    samples, pos, center, np.array(u0), cfg, 0.5 * spacing, max_iter
+                batch = refine(
+                    blocks, pos, center, np.array(u0), cfg, 0.5 * spacing, max_iter
                 )
                 for i, v in enumerate(samples):
                     want = reference_refine(v, pos, center, u0[i], cfg, 0.5 * spacing,
@@ -851,10 +907,8 @@ class TestLockstep:
             for t in range(5)
         ]
         samples = np.array(meas)
-        starts = np.array(
-            [_start(points, *_coarse(v, _pulse_filter(sp.samples, cfg.n_samples), pos,
-                                     points, cfg), 3, cfg.c)
-             for v in samples]
+        starts = np.concatenate(
+            [_start(points, *coarse_scan(v, pos, points, cfg), 3, cfg.c) for v in samples]
         )
         # the last entry restarts trial 0 at its own estimate, where the
         # first step is already shorter than the tolerance
@@ -863,11 +917,12 @@ class TestLockstep:
         starts = np.vstack([starts, np.append(est0.xi_hat, est0.t0_hat * cfg.c)])
         center = np.zeros(3)
         for max_iter in (1, 100):
-            batch = _refine(samples, pos, center, starts, cfg, 0.5 * spacing, max_iter)
+            batch = refine(_as_blocks(samples, cfg), pos, center, starts, cfg, 0.5 * spacing,
+                            max_iter)
             u, _, amps, converged = batch
             for i in range(len(starts)):
-                one = _refine(samples[i : i + 1], pos, center, starts[i : i + 1], cfg,
-                              0.5 * spacing, max_iter)
+                one = refine(_as_blocks(samples[i : i + 1], cfg), pos, center,
+                              starts[i : i + 1], cfg, 0.5 * spacing, max_iter)
                 for a, b in zip(one, batch):
                     assert np.array_equal(a[0], b[i])
                 if i < len(meas):
@@ -879,6 +934,35 @@ class TestLockstep:
             # at max_iter=1 the lattice starts run out and the restart stops
             assert list(converged) == [max_iter > 1] * len(meas) + [True]
 
+    def test_linear_matched_filter_keeps_the_starts(self):
+        """The coarse stage of a trial's blocks reads sigma*MF(z) + MF(mean)
+        rather than the filter of its samples sigma*z + mean, which differs
+        in the last bits. Its choices are argmaxes, so a start could move
+        only where two lattice scores tie to rounding: on 300 (trial, SNR)
+        blocks from -3 to 30 dB, none does, in either mode."""
+        cfg = gauss_cfg()
+        pos = ring_positions()
+        search = _search(pos, np.zeros(3), cfg)
+        mean = _truth_mean((np.zeros(3), centered_t0(pos, cfg)), pos, cfg)
+        mf_mean = _matched_filter(mean, search.pulse_filter)
+        sigma = np.array([
+            _noise_sigma(gauss_cfg(n0=1.0 / 10.0 ** (snr_db / 10.0)))
+            for snr_db in np.linspace(-3.0, 30.0, 10)
+        ])
+        points = search.lattice.points
+        modes = ((points[:, 2] == 0.0, 2), (slice(None), 3))
+        z = np.empty((30,) + mean.shape)
+        _normals(stream_keys(17, range(30)), z)
+        for normals in z:
+            best, t0 = _scan(normals, sigma, mf_mean, search, cfg)
+            for i, sd in enumerate(sigma):
+                corr = _matched_filter(sd * normals + mean, search.pulse_filter)
+                want_best, want_t0 = _coarse((corr * corr)[None], search.lattice, cfg)
+                for on, n_xyz in modes:
+                    got = _start(points[on], best[i : i + 1, on], t0[i : i + 1, on], n_xyz, cfg.c)
+                    want = _start(points[on], want_best[:, on], want_t0[:, on], n_xyz, cfg.c)
+                    assert np.array_equal(got, want)
+
 
 class TestMseExperiment:
     def test_requires_fifty_trials(self):
@@ -888,6 +972,32 @@ class TestMseExperiment:
     def test_needs_four_satellites(self):
         with pytest.raises(InsufficientCoverage):
             mse_experiment(ring_positions()[:3], gauss_cfg(), [20.0], trials=50, seed=1)
+
+    @pytest.fixture(scope="class")
+    def per_trial_rows(self):
+        """Per SNR point, the row of one `simulate_measurements` and one
+        `ml_localize` per trial and mode, for 53 trials at seed 13: the
+        rows `test_rows_are_the_per_trial_calls` builds, for the stacking
+        cases below."""
+        pos = ring_positions()
+        rows = {}
+        for snr_db in (8.0, 20.0):
+            cfg = gauss_cfg(n0=1.0 / 10.0 ** (snr_db / 10.0))  # es_max = 1
+            t0 = centered_t0(pos, cfg)
+            errors = {mode: [] for mode in ("fix_z", "full_3d")}
+            unconverged = dict.fromkeys(errors, 0)
+            for trial in range(53):
+                samples = simulate_measurements((np.zeros(3), t0), pos, cfg, 13, trial)
+                for mode, n in (("fix_z", 2), ("full_3d", 3)):
+                    est = ml_localize(samples, pos, cfg, mode=mode)
+                    errors[mode].append(float(np.sum(est.xi_hat[:n] ** 2)))
+                    unconverged[mode] += not est.converged
+            rows[snr_db] = (
+                snr_db, float(np.mean(errors["fix_z"])), float(np.mean(errors["full_3d"])),
+                signal_crb(pos, cfg, "fix_z").xy, signal_crb(pos, cfg, "full_3d").xyz,
+                53, unconverged["fix_z"], unconverged["full_3d"],
+            )
+        return rows
 
     def test_rows_are_the_per_trial_calls(self):
         """53 trials (a partial last chunk) at two SNR points give the rows of
@@ -913,6 +1023,21 @@ class TestMseExperiment:
             ))
         got = mse_experiment(pos, gauss_cfg(), [8.0, 20.0], trials=53, seed=13)
         assert [dataclasses.astuple(r) for r in got] == rows
+
+    @pytest.mark.parametrize(
+        "grid, budget",
+        [((20.0, 8.0, 20.0), None), ((8.0, 20.0), 5)],
+        ids=["repeated-unsorted", "budget-5"],
+    )
+    def test_stacks_keep_each_rows_bits(self, per_trial_rows, monkeypatch, grid, budget):
+        """The rows stay the per-trial calls' for a repeated and unsorted grid
+        (8 slots of 3 blocks) and at a row budget of 5, whose 2 slots of 2
+        blocks leave the stack a block short of the budget, so that 51 of
+        the 53 trials wait for a slot to free."""
+        if budget is not None:
+            monkeypatch.setattr(signal_ml, "_ROWS", budget)
+        got = mse_experiment(ring_positions(), gauss_cfg(), list(grid), trials=53, seed=13)
+        assert [dataclasses.astuple(r) for r in got] == [per_trial_rows[g] for g in grid]
 
     def test_no_unconverged_solves_at_22_db(self):
         params = SystemParams()
