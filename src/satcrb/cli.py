@@ -60,7 +60,7 @@ from .coverage import (
 )
 from .fim import SingularInformation
 from .geometry import SEED_MAX, SWEEP_RANGES, InvalidConfig, SystemParams, check_seed
-from .montecarlo import ConvergenceRow, convergence_sweep, crb_distribution
+from .montecarlo import MODELS, ConvergenceRow, convergence_sweep, crb_distribution
 from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
 from .signal_ml import (
     SignalConfig,
@@ -73,8 +73,9 @@ from .signal_ml import (
 DEFAULT_SEED = 20260819
 FORMATS = ("csv", "json")
 
-_PARAM_KEYS = ("r", "h", "phi_l_max", "eta_rho", "n_sats", "eta", "c")
-_SIGNAL_KEYS = ("pulse", "pulse_width", "sample_rate", "obs_window", "n0", "es_max")
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
+# c is one key, a system parameter that the signal config shares
+_SIGNAL_KEYS = tuple(f.name for f in dataclasses.fields(SignalConfig) if f.name != "c")
 _META_KEYS = ("seed", "format", "output_path")
 # most points a lo:hi:n grid may ask for; a sweep holds about 13 columns of
 # n doubles
@@ -351,35 +352,6 @@ def _emit(text: str, output_path: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _grid_values(spec: str | None, axis: str) -> np.ndarray:
-    """Grid flag: 'lo:hi:n' (geometric for h, linear for the angle) or a
-    comma-separated list. Angle values are degrees."""
-    if spec is None:
-        if axis == "h":
-            return np.geomspace(500.0, 40000.0, 80)
-        return np.linspace(5.0, 90.0, 80)
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InvalidConfig(f"grid must be lo:hi:n, got {spec!r}")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise InvalidConfig(f"bad grid range {spec!r}") from exc
-        if not (1 <= n <= GRID_MAX and 0.0 < lo <= hi):
-            raise InvalidConfig(f"bad grid range {spec!r} (n from 1 to {GRID_MAX})")
-        if axis == "h":
-            return np.geomspace(lo, hi, n)
-        return np.linspace(lo, hi, n)
-    try:
-        values = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-    except ValueError as exc:
-        raise InvalidConfig(f"bad grid list {spec!r}") from exc
-    if len(values) == 0:
-        raise InvalidConfig("grid list is empty")
-    return values
-
-
 def _number_list(spec: str, name: str, kind: type) -> list:
     try:
         values = [kind(tok) for tok in spec.split(",") if tok.strip()]
@@ -388,6 +360,27 @@ def _number_list(spec: str, name: str, kind: type) -> list:
     if not values:
         raise InvalidConfig(f"{name} list is empty")
     return values
+
+
+def _grid_values(spec: str | None, axis: str) -> np.ndarray:
+    """Grid flag: 'lo:hi:n' (geometric for h, linear for the angle) or a
+    comma-separated list. Angle values are degrees."""
+    if spec is None:
+        spec = "500:40000:80" if axis == "h" else "5:90:80"
+    if ":" not in spec:
+        return np.array(_number_list(spec, "grid", float))
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise InvalidConfig(f"grid must be lo:hi:n, got {spec!r}")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise InvalidConfig(f"bad grid range {spec!r}") from exc
+    if not (1 <= n <= GRID_MAX and 0.0 < lo <= hi):
+        raise InvalidConfig(f"bad grid range {spec!r} (n from 1 to {GRID_MAX})")
+    if axis == "h":
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +550,7 @@ MONTECARLO_HEADER = ("N", *_MC_FIELDS[1:])
 
 
 @main.command()
-@click.option("--model", type=click.Choice(["tdoa", "tdoa_rss"]), default="tdoa")
+@click.option("--model", type=click.Choice(MODELS), default="tdoa")
 @click.option("--trials", type=click.IntRange(min=1), default=200)
 @click.option("--n-list", default="250,500,1000,2000", help="Comma list of satellite counts.")
 @_runs

@@ -191,14 +191,14 @@ def moment_integrals(params: SystemParams) -> MomentSet:
     e = cup_edges(params, h, phi, np.longdouble)
     r, big_r, dm, lam = e.r, e.big_r, e.dm, e.lam
     er = np.longdouble(params.eta_rho)
-    one_minus_chi = e.hmzd / big_r
-    chi = 1.0 - one_minus_chi
+    s_max = e.s_max
+    chi = 1.0 - s_max
 
     m_l = er * lam / (r * big_r)
     m_l_cos = er * e.q / (r * r * big_r)
     m_l_sin2 = 2.0 * er * (
         lam * (big_r**2 + r * r) / (4.0 * r**3 * big_r)
-        - one_minus_chi * (dm * dm + r * big_r * (1.0 + chi)) / (4.0 * r * r * dm * dm)
+        - s_max * (dm * dm + r * big_r * (1.0 + chi)) / (4.0 * r * r * dm * dm)
     )
     m_k = [None, None]
     if params.has_split:
@@ -265,9 +265,9 @@ def lcrb_tdoa(params: SystemParams) -> BoundSet:
 def _lcrb_tdoa_rss_arrays(
     params: SystemParams, h: np.ndarray, phi: np.ndarray
 ) -> tuple[BoundSet, list]:
+    rho, eta = np.longdouble(params.rho), np.longdouble(params.eta)
     e = cup_edges(params, h, phi, np.longdouble)
     r, big_r, lam = e.r, e.big_r, e.lam
-    eta, rho = np.longdouble(params.eta), np.longdouble(params.rho)
     xy_den, z_den = _rss_brackets(e, eta)
     return _limit(
         lam, (64.0 * big_r * r**3 / rho).astype(float), xy_den,
@@ -277,11 +277,6 @@ def _lcrb_tdoa_rss_arrays(
 
 def lcrb_tdoa_rss(params: SystemParams) -> BoundSet:
     """Limit of N*CRB for the TDOA+RSS model (literal published expressions)."""
-    if not params.has_split:
-        raise InvalidConfig(
-            "the TDOA+RSS bound needs eta and rho separately; "
-            "construct SystemParams with eta="
-        )
     return _at_point(_lcrb_tdoa_rss_arrays, params)
 
 

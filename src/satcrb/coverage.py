@@ -32,8 +32,7 @@ def visibility_prob(params: SystemParams) -> float:
     (h - D_max*zeta)/(2R) route; the two published forms are algebraically
     identical and the tests confirm them against each other.
     """
-    edges = cup_edges(params, params.h, params.phi_l_max, float)
-    return float(0.5 * edges.hmzd / params.big_r)
+    return float(0.5 * cup_edges(params, params.h, params.phi_l_max, float).s_max)
 
 
 @np.errstate(all="ignore")
@@ -42,7 +41,7 @@ def coverage_prob_arrays(params: SystemParams, h: np.ndarray, phi: np.ndarray):
     together): p in one array pass, then logs, exps and the compensated sums
     through the C library, so each element is the one-point float."""
     n = params.n_sats
-    p = 0.5 * cup_edges(params, h, phi, float).hmzd / (params.r + h)
+    p = 0.5 * cup_edges(params, h, phi, float).s_max
     out = np.where(p >= 1.0, 1.0 if n >= 4 else 0.0, 0.0)
     inside = ~((p <= 0.0) | (p >= 1.0))
     log_p = libm(math.log, p[inside])

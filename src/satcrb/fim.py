@@ -89,11 +89,6 @@ def fim_tdoa_rss_arrays(
     v: np.ndarray, d: np.ndarray, params: SystemParams
 ) -> np.ndarray:
     """Total TDOA+RSS information; needs the (eta, rho) split in params."""
-    if not params.has_split:
-        raise InvalidConfig(
-            "the TDOA+RSS weights K_i need eta and rho separately; "
-            "construct SystemParams with eta="
-        )
     j, u, d = _tdoa_gram(v, d, params)
     # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
     j[..., :3, :3] += weighted_gram(u[..., :3], 2.0 * params.rho / d**4)

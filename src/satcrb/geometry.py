@@ -21,8 +21,11 @@ unit lines of sight v = (sin(phi_l) cos(theta), sin(phi_l) sin(theta),
 cos(phi_l)), an (M, 3) array, and their distances d, in draw order, as
 visible_sky gives them for one trial and visible_chunks for padded chunks
 of trials. cup_edges is the one evaluator of the cup's edge (D_max,
-h - zeta D_max, chi_max), for the closed forms and the shell geometry
-alike. All lengths are km, all angles radians, times seconds.
+h - zeta D_max, ...), for the closed forms and the shell geometry alike,
+and its s_max the one cup depth, which the draw, chi_max, the coverage
+probabilities and the closed-form moments all read. SystemParams.rho is
+the one check that the (eta, rho) split is there. All lengths are km, all
+angles radians, times seconds.
 """
 
 from __future__ import annotations
@@ -116,9 +119,12 @@ class SystemParams:
 
     @property
     def rho(self) -> float:
+        """eta_rho / eta; InvalidConfig without the split, which every
+        quantity of the received-strength channel needs."""
         if self.eta is None:
             raise InvalidConfig(
-                "rho requires the (eta, rho) split; construct SystemParams with eta="
+                "the TDOA+RSS bound needs eta and rho separately; "
+                "construct SystemParams with eta="
             )
         return self.eta_rho / self.eta
 
@@ -288,8 +294,7 @@ def visible_chunks(
         )
     keys = stream_keys(seed, trials)
     size = _trials_per_chunk(params.n_sats)
-    edges = cup_edges(params, params.h, params.phi_l_max, float)
-    s_max = float(edges.hmzd / params.big_r)
+    s_max = float(cup_edges(params, params.h, params.phi_l_max, float).s_max)
     for first in range(0, len(keys), size):
         chunk = keys[first : first + size]
         yield (slice(first, first + size), *_cup_chunk(params, chunk, s_max))
@@ -328,6 +333,12 @@ class CupEdges:
     surd: np.ndarray
     q: np.ndarray
 
+    @property
+    def s_max(self) -> np.ndarray:
+        """Depth of the cup, s_max = 1 - chi_max = (h - zeta D_max)/R: the
+        cup draw's s ~ U[0, s_max), and twice the visibility probability."""
+        return self.hmzd / self.big_r
+
 
 @np.errstate(all="ignore")
 def cup_edges(params: SystemParams, h, phi, dtype: type) -> CupEdges:
@@ -354,5 +365,4 @@ def cup_edges(params: SystemParams, h, phi, dtype: type) -> CupEdges:
 
 def chi_max(params: SystemParams) -> float:
     """cos(phi_e_max): the Earth-frame cosine at the edge of visibility."""
-    edges = cup_edges(params, params.h, params.phi_l_max, float)
-    return float(1.0 - edges.hmzd / params.big_r)
+    return float(1.0 - cup_edges(params, params.h, params.phi_l_max, float).s_max)

@@ -1,9 +1,10 @@
 """Random-constellation experiments for the localization bounds.
 
 Each trial deploys a fresh uniform constellation, builds the Fisher
-information of the visible satellites, and records N*CRB. Aggregates
-(medians, nearest-rank percentiles, convergence tables, mean-information
-structure) feed both the test oracles and the CLI.
+information of the visible satellites, and records N*CRB. A model names
+a row of one table, _MODELS: its Fisher builder and its N -> infinity
+limit. Aggregates (medians, nearest-rank percentiles, convergence tables,
+mean-information structure) feed both the test oracles and the CLI.
 
 crb_distribution's pipeline, a chunk of trials at a time
 (geometry.visible_chunks): keys (the Philox key of every trial's (seed,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import lcrb_tdoa, lcrb_tdoa_rss
-from .fim import BoundSet, fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
+from .fim import fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
 from .geometry import (
     InvalidConfig,
     SystemParams,
@@ -39,17 +40,20 @@ from .geometry import (
     visible_sky,
 )
 
-MODELS = ("tdoa", "tdoa_rss")
+# each model's Fisher builder over padded (v, d) rows and its N -> infinity
+# limit of N*CRB
+_MODELS = {
+    "tdoa": (fim_tdoa_arrays, lcrb_tdoa),
+    "tdoa_rss": (fim_tdoa_rss_arrays, lcrb_tdoa_rss),
+}
+MODELS = tuple(_MODELS)
 
 
-def _check_model(model: str) -> str:
-    if model not in MODELS:
+def _model(model: str) -> tuple:
+    """(FIM builder, limit) of a model; InvalidConfig for an unknown one."""
+    if model not in _MODELS:
         raise InvalidConfig(f"model must be one of {MODELS}, got {model!r}")
-    return model
-
-
-def _lcrb(params: SystemParams, model: str) -> BoundSet:
-    return lcrb_tdoa_rss(params) if model == "tdoa_rss" else lcrb_tdoa(params)
+    return _MODELS[model]
 
 
 def nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
@@ -106,17 +110,12 @@ class CrbDistribution:
         }
 
 
-def _fim_builder(model: str):
-    return fim_tdoa_rss_arrays if model == "tdoa_rss" else fim_tdoa_arrays
-
-
 def crb_distribution(
     params: SystemParams, model: str, trials: int, seed: int
 ) -> CrbDistribution:
     """Sample the distribution of N*CRB over `trials` random constellations."""
-    _check_model(model)
+    build, _ = _model(model)
     trials = check_count("trials", trials, 1)
-    build = _fim_builder(model)
     j = np.empty((trials, 4, 4))
     uncovered = 0
     for rows, counts, v, d in visible_chunks(params, seed, range(trials)):
@@ -157,10 +156,10 @@ def convergence_sweep(
     params: SystemParams, model: str, n_list: list[int], trials: int, seed: int
 ) -> list[ConvergenceRow]:
     """Distribution summaries of N*CRB against the N->infinity limit."""
-    _check_model(model)
+    _, lcrb = _model(model)
     if not n_list:
         raise InvalidConfig("n_list must be nonempty")
-    limit = _lcrb(params, model)
+    limit = lcrb(params)
     rows = []
     for n in n_list:
         p = dataclasses.replace(params, n_sats=n)
@@ -186,7 +185,7 @@ def mean_fim(
     the expectation), so the information of the visible ones, all that the
     cup draw of n_samples positions yields, is divided by n_samples.
     """
-    _check_model(model)
+    build, _ = _model(model)
     n_samples = check_count("n_samples", n_samples, 10_000)
     p = dataclasses.replace(params, n_sats=n_samples)
-    return _fim_builder(model)(*visible_sky(p, seed), p) / float(n_samples)
+    return build(*visible_sky(p, seed), p) / float(n_samples)

@@ -386,17 +386,16 @@ def _padded(shape: tuple[int, ...], config: SignalConfig) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class _Blocks:
-    """A stack of R sample blocks kept as their parts, so that no block is
-    formed whole: block r is the (M, K) array sigma[r] * z[trial[r]] + mean,
-    with z the (C, M, K) unit normals of the trials in C slots and mean the
-    noiseless windows that every block shares. One trial at S noise levels
-    is S blocks of one z. z and mean are stored with `_pad` zeros on each
-    side of their K samples, (C, M, P + K + P) and (M, P + K + P)."""
+    """A stack of C S sample blocks kept as their parts, so that no block is
+    formed whole: block r is the (M, K) array sigma[r % S] * z[r // S] +
+    mean, with z the (C, M, K) unit normals of the trials in C slots, sigma
+    the S noise levels and mean the noiseless windows that every block
+    shares. z and mean are stored with `_pad` zeros on each side of their
+    K samples, (C, M, P + K + P) and (M, P + K + P)."""
 
     z: np.ndarray
     mean: np.ndarray
     sigma: np.ndarray
-    trial: np.ndarray
 
 
 def _as_blocks(samples: np.ndarray, config: SignalConfig) -> _Blocks:
@@ -404,8 +403,7 @@ def _as_blocks(samples: np.ndarray, config: SignalConfig) -> _Blocks:
     0, which leave every sample's value as it is."""
     z, middle = _padded(samples.shape[:-1], config)
     middle[...] = samples
-    n = len(z)
-    return _Blocks(z, np.zeros(z.shape[1:]), np.ones(n), np.arange(n))
+    return _Blocks(z, np.zeros(z.shape[1:]), np.ones(1))
 
 
 def _windows(a: np.ndarray, n: int) -> np.ndarray:
@@ -481,8 +479,9 @@ def _profile(
     # (fmax and fmin clamp a non-finite delay too)
     start = np.fmin(np.fmax(lo + pad, 0.0), k + pad - 1).astype(int)
     sats = np.arange(n_sats)
-    v = _windows(blocks.z, pad + 1)[blocks.trial[rows][:, None], sats, start]
-    v *= blocks.sigma[rows][:, None, None]
+    slot, level = np.divmod(rows, len(blocks.sigma))
+    v = _windows(blocks.z, pad + 1)[slot[:, None], sats, start]
+    v *= blocks.sigma[level][:, None, None]
     v += _windows(blocks.mean, pad + 1)[sats, start]
     corr = np.einsum("...l,...l->...", v, s)
     energy = np.einsum("...l,...l->...", s, s)
@@ -860,8 +859,8 @@ def _localize(
     refines the blocks on their exact samples, and a trial's blocks join
     it in the next round."""
     lattice, center, c = search.lattice, search.center, config.c
-    n_slots, n_rows = len(blocks.z), len(blocks.sigma)
-    per_slot = n_rows // n_slots
+    n_slots, per_slot = len(blocks.z), len(blocks.sigma)
+    n_rows = n_slots * per_slot
     planes = {"fix_z": lattice.points[:, 2] == center[2], "full_3d": slice(None)}
     solves = {
         mode: _Ascent(n_rows, 3 if mode == "fix_z" else 4, len(positions), search.radius,
@@ -890,7 +889,7 @@ def _localize(
             fill(slot, trial)
             rows = slot * per_slot + np.arange(per_slot)
             best, t0 = _scan(
-                _unpadded(blocks.z[slot], config), blocks.sigma[rows], mf_mean, search, config
+                _unpadded(blocks.z[slot], config), blocks.sigma, mf_mean, search, config
             )
             for mode, solve in solves.items():
                 on = planes[mode]
@@ -1017,15 +1016,18 @@ def _noise_density(es_max: float, snr_db: float) -> float:
     raise InvalidConfig(f"SNR {snr_db} dB gives no finite positive noise density N0")
 
 
-# The most blocks, one per (SNR point, trial) pair, that one lockstep
-# `_Ascent` stacks: it has max(1, _ROWS // len(snr_grid)) trial slots,
-# whose zero-padded normals are the experiment's one large buffer, 206 kB
-# per slot at the default config. Per block, one `_profile` call costs 27
-# us at 8 blocks, 20 us at 24 and 19 us at 48 (best of nine timeit runs,
-# 2-vCPU Xeon, numpy 2.4), so wider stacks gain little per block, while
-# the peak RSS of 12 in-process `ml --snr-grid 6,18,30 --trials 50` passes
-# is 40.9 MiB at 8 blocks, 42.8 MiB at 24 and 44.9 MiB at 48.
+# One lockstep `_Ascent` stacks a block per (SNR point, trial) pair over
+# max(_MIN_SLOTS, _ROWS // len(snr_grid)) trial slots, whose zero-padded
+# normals are the experiment's one large buffer, 206 kB per slot at the
+# default config. Per block, one `_profile` call costs 27 us at 8 blocks,
+# 20 us at 24 and 19 us at 48 (best of nine timeit runs, 2-vCPU Xeon,
+# numpy 2.4), while the peak RSS of 12 in-process `ml --snr-grid 6,18,30
+# --trials 50` passes is 40.9 MiB at 8 blocks, 42.8 MiB at 24 and 44.9 MiB
+# at 48. A round of few blocks costs nearly as much as a full one, so
+# longer grids keep 8 slots: `--seed 7 ml` (7 points) took 1.78-2.30 s in
+# a fresh process at 3 slots and takes 1.44-1.59 s at 8.
 _ROWS = 24
+_MIN_SLOTS = 8
 
 
 def mse_experiment(
@@ -1048,8 +1050,8 @@ def mse_experiment(
     only where two lattice scores tie to rounding. Only the noise scale
     depends on N0, so the noiseless windows and their filter are built
     once, each trial's unit normals are drawn and filtered once, and its
-    blocks at every SNR point join one lockstep stack per mode of at most
-    `_ROWS` blocks.
+    blocks at every SNR point join one lockstep stack per mode, over
+    max(`_MIN_SLOTS`, `_ROWS` // S) trial slots for S SNR points.
     """
     trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
@@ -1066,14 +1068,12 @@ def mse_experiment(
     search = _search(pos, truth_xi, config)
     mf_mean = _matched_filter(middle, search.pulse_filter)
     sigma = np.array([_noise_sigma(cfg) for cfg in cfgs])
-    n_slots = max(1, _ROWS // len(cfgs))
+    n_slots = max(_MIN_SLOTS, _ROWS // len(cfgs))
     # one padded block of normals per slot, each overwritten by the next
     # trial to take the slot
     noise, normals = _padded((n_slots, len(pos)), config)
-    # slot-major blocks: block i * S + s is SNR point s of the trial in slot i
-    blocks = _Blocks(
-        noise, mean, np.tile(sigma, n_slots), np.repeat(np.arange(n_slots), len(cfgs))
-    )
+    # block i * S + s is SNR point s of the trial in slot i
+    blocks = _Blocks(noise, mean, sigma)
 
     def fill(slot: int, trial: int) -> None:
         _normals(keys[trial : trial + 1], normals[slot : slot + 1])

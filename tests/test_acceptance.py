@@ -4,7 +4,7 @@ Thirteen numbered criteria, one test each, every test printing a single
 PASS/FAIL line with its measured values and runtime. Two criteria (06 and 08)
 state gates that the exact mathematics of this model does not meet; they are
 implemented at their stated tolerances regardless and fail honestly, printing
-the measured values.
+the measured values. One more test pins criterion 08's N -> infinity gap.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from satcrb import (
@@ -192,11 +193,15 @@ def test_criterion_07_coverage_design_points():
             f"h_min(200)={h200:.0f}km h_min(2000)={h2000:.0f}km", dt, 1.0)
 
 
+# criterion 08's system: N = 50 at the default h = 20 000 km, eta = 1e6/h^2
+RSS_GAP_PARAMS = dataclasses.replace(DEFAULTS, n_sats=50, eta=1.0e6 / DEFAULTS.h**2)
+
+
 def bandwidth_gaps() -> tuple[list[float], list[float]]:
     """Criterion 08's relative gaps between the TDOA+RSS and the TDOA-only
     bound, xy and z, over the first 20 draws of trial seeds SEED, SEED + 1,
     ... whose information is invertible, at N = 50 and eta = 1e6/h^2."""
-    p = dataclasses.replace(DEFAULTS, n_sats=50, eta=1.0e6 / DEFAULTS.h**2)
+    p = RSS_GAP_PARAMS
     gaps_xy, gaps_z = [], []
     trial = 0
     while len(gaps_xy) < 20 and trial < 200:
@@ -223,6 +228,33 @@ def test_criterion_08_bandwidth_gap():
             f"threshold={threshold}Hz max_gap_xy={max(gaps_xy):.3e} "
             f"max_gap_z={max(gaps_z):.3e} gate=3e-06 over {len(gaps_xy)} draws",
             dt, 5.0)
+
+
+def limit_gaps() -> dict[str, tuple[float, float]]:
+    """Criterion 08's gaps as N -> infinity, 1 - LCRB_tdoa+rss / LCRB_tdoa for
+    xy and z, by two routes: the closed forms, and the 512-node quadrature
+    of the cup moments."""
+    p = RSS_GAP_PARAMS
+    quad = quadrature_moments(p, n_points=512)
+    routes = {
+        "closed form": (lcrb_tdoa_rss(p), lcrb_tdoa(p)),
+        "quadrature": (lcrb_tdoa_rss_from_moments(quad), lcrb_tdoa_from_moments(quad)),
+    }
+    return {
+        name: (1.0 - rss.xy / tdoa.xy, 1.0 - rss.z / tdoa.z)
+        for name, (rss, tdoa) in routes.items()
+    }
+
+
+def test_criterion_08_limit_gap_by_two_routes():
+    """The limit gaps agree between the two routes to 1e-8 relative (about
+    1e-10 is measured) and hold the values the README quotes. The z gap is
+    itself above criterion 08's 3e-6 gate."""
+    gaps = limit_gaps()
+    for closed, quad in zip(gaps["closed form"], gaps["quadrature"]):
+        assert closed == pytest.approx(quad, rel=1e-8, abs=0.0)
+    for route in gaps.values():
+        assert [f"{gap:.3e}" for gap in route] == ["8.546e-07", "2.544e-05"]
 
 
 def test_criterion_09_ml_efficiency():

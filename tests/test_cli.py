@@ -736,14 +736,61 @@ def test_ml_sha256(seed):
 
 
 def test_ml_default_grid_sha256():
-    """`--seed 7 ml`: the default 7-point grid at 200 trials, whose chunks of
-    3 trials stack 21 blocks, hashes as it did before trials were stacked
-    across SNR points."""
+    """`--seed 7 ml`: the default 7-point grid at 200 trials, whose 8 trial
+    slots stack 56 blocks, hashes as it did before trials were stacked
+    across SNR points and at 3 slots."""
     result = invoke(["--seed", "7", "ml"])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
         "d454c47187ab20218336e6a73b6800d61cc5a1d43cc5e05c427d7c0a130070a6"
     )
+
+
+# numpy's AVX-512 dispatch targets; NPY_DISABLE_CPU_FEATURES switches their
+# loops off in the process whose environment holds it
+AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
+# a child that fails unless those loops are off, then runs the command
+NO_AVX512_CHILD = (
+    "import sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "assert __cpu_features__['X86_V4'] is False, 'AVX-512 loops still on'\n"
+    "from satcrb.cli import main\n"
+    "main(sys.argv[1:])\n"
+)
+
+
+def avx512_dispatched() -> bool:
+    """Whether numpy here dispatches to AVX-512 loops that can be switched
+    off: built with the X86_V4 target, on a CPU that has it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not avx512_dispatched(), reason="no AVX-512 loops to switch off")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--seed", "7", "montecarlo", "--trials", "200"],
+        ["--config", str(ETA_CONFIG), "--seed", "7", "montecarlo", "--trials", "200",
+         "--model", "tdoa_rss"],
+        ["coverage", "--query", "min_height"],
+        ["coverage", "--query", "min_angle"],
+    ],
+    ids=["montecarlo-tdoa", "montecarlo-tdoa_rss", "min_height", "min_angle"],
+)
+def test_output_is_the_same_without_avx512_loops(args):
+    """Commands whose output does not depend on numpy's SIMD dispatch print
+    the same bytes in a process with the AVX-512 loops switched off."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT, NPY_DISABLE_CPU_FEATURES=AVX512_TARGETS)
+    child = subprocess.run(
+        [sys.executable, "-c", NO_AVX512_CHILD, *args], env=env, capture_output=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout == invoke(args).stdout_bytes
 
 
 class TestVerifyCommand:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import satcrb
-from test_acceptance import bandwidth_gaps
+from test_acceptance import bandwidth_gaps, limit_gaps
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -65,13 +65,28 @@ def test_readme_module_names_resolve():
         assert hasattr(importlib.import_module(f"satcrb.{module}"), name), f"{module}.{name}"
 
 
+SUPERSCRIPT = str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def quote(value: float) -> str:
+    """value as the README writes it: three decimals times a power of ten."""
+    mantissa, exponent = f"{value:.3e}".split("e")
+    return f"{mantissa}×10{str(int(exponent)).translate(SUPERSCRIPT)}"
+
+
 def test_readme_quotes_the_measured_rss_gaps():
     """The criterion 08 gaps the README quotes are the ones the criterion
     measures, to the three decimals it prints, so a change of the draw
     cannot leave them stale."""
     readme = (ROOT / "README.md").read_text()
-    superscript = str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹")
     for name, gaps in zip(("max_gap_xy", "max_gap_z"), bandwidth_gaps()):
-        mantissa, exponent = f"{max(gaps):.3e}".split("e")
-        quoted = f"`{name}` = {mantissa}×10{str(int(exponent)).translate(superscript)}"
-        assert quoted in readme
+        assert f"`{name}` = {quote(max(gaps))}" in readme
+
+
+def test_readme_quotes_the_limit_gaps():
+    """The N -> infinity gaps the README quotes for criterion 08 are those of
+    both routes of `limit_gaps`, to three decimals."""
+    readme = (ROOT / "README.md").read_text()
+    for route in limit_gaps().values():
+        for axis, gap in zip(("xy", "z"), route):
+            assert f"{quote(gap)} ({axis})" in readme

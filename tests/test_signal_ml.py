@@ -18,6 +18,7 @@ from satcrb.signal_ml import (
     SignalConfig,
     _as_blocks,
     _Ascent,
+    _Blocks,
     _coarse,
     _evaluator,
     _lattice,
@@ -26,6 +27,7 @@ from satcrb.signal_ml import (
     _matched_filter,
     _noise_sigma,
     _normals,
+    _padded,
     _Profile,
     _profile,
     _pulse,
@@ -556,6 +558,26 @@ class TestProfiledScore:
         for f in dataclasses.fields(full):
             assert np.array_equal(getattr(part, f.name), getattr(full, f.name)[rows])
 
+    def test_block_index_spans_slots_and_levels(self):
+        # a stack of 2 slots at 3 noise levels over a nonzero mean: block r is
+        # sigma[r % 3] * z[r // 3] + mean, and rows out of order across both
+        # slots and every level give the bits of those blocks formed whole
+        cfg = gauss_cfg()
+        pos, t0, _ = noisy_windows(cfg, seed=25)
+        rng = np.random.default_rng(7)
+        z, z_mid = _padded((2, len(pos)), cfg)
+        z_mid[...] = rng.standard_normal(z_mid.shape)
+        mean, mean_mid = _padded((len(pos),), cfg)
+        mean_mid[...] = _truth_mean((np.zeros(3), t0), pos, cfg)
+        sigma = np.array([0.05, 0.3, 1.7])
+        formed = np.array([sigma[r % 3] * z_mid[r // 3] + mean_mid for r in range(6)])
+        taus = np.linalg.norm(pos, axis=1) / cfg.c + t0 + rng.normal(0.0, cfg.dt, (6, 6))
+        rows = np.array([4, 0, 5, 2, 3])
+        got = _profile(_Blocks(z, mean, sigma), taus[rows], cfg, rows)
+        want = _profile(_as_blocks(formed, cfg), taus[rows], cfg, rows)
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_slope_is_score_derivative(self, cfg):
         pos, t0, samples = noisy_windows(cfg, seed=22)
@@ -1031,11 +1053,12 @@ class TestMseExperiment:
     )
     def test_stacks_keep_each_rows_bits(self, per_trial_rows, monkeypatch, grid, budget):
         """The rows stay the per-trial calls' for a repeated and unsorted grid
-        (8 slots of 3 blocks) and at a row budget of 5, whose 2 slots of 2
-        blocks leave the stack a block short of the budget, so that 51 of
-        the 53 trials wait for a slot to free."""
+        (8 slots of 3 blocks) and at a row budget of 5 with no slot floor,
+        whose 2 slots of 2 blocks leave the stack a block short of the
+        budget, so that 51 of the 53 trials wait for a slot to free."""
         if budget is not None:
             monkeypatch.setattr(signal_ml, "_ROWS", budget)
+            monkeypatch.setattr(signal_ml, "_MIN_SLOTS", 1)
         got = mse_experiment(ring_positions(), gauss_cfg(), list(grid), trials=53, seed=13)
         assert [dataclasses.astuple(r) for r in got] == [per_trial_rows[g] for g in grid]
 
