@@ -16,16 +16,21 @@ uniforms u in [0, 1) in one call, the first K giving s = s_max u and the
 next K theta = 2 pi u. As u < 1, s < s_max, so the cup's edge, a set of
 measure zero, is never drawn; the draw itself decides visibility.
 local_frame takes s straight to the distance d and to cos(phi_l) and
-sin(phi_l), with no angle in between. A draw's visible satellites are their
-unit lines of sight v = (sin(phi_l) cos(theta), sin(phi_l) sin(theta),
-cos(phi_l)), an (M, 3) array, and their distances d, in draw order, as
-visible_sky gives them for one trial and visible_chunks for padded chunks
-of trials. cup_edges is the one evaluator of the cup's edge (D_max,
-h - zeta D_max, ...), for the closed forms and the shell geometry alike,
-and its s_max the one cup depth, which the draw, chi_max, the coverage
-probabilities and the closed-form moments all read. SystemParams.rho is
-the one check that the (eta, rho) split is there. All lengths are km, all
-angles radians, times seconds.
+sin(phi_l), with no angle in between, and cos_sin_turns takes u straight
+to cos(theta) and sin(theta), with IEEE arithmetic and a table, so no
+angle is rounded and the bits do not depend on numpy's SIMD dispatch. A
+draw's visible satellites are their unit lines of sight v = (sin(phi_l)
+cos(theta), sin(phi_l) sin(theta), cos(phi_l)), an (M, 3) array, and
+their distances d, in draw order, as visible_sky gives them for one trial.
+visible_chunks gives padded chunks of trials as timing rows (v, -1), the
+rows the Fisher information sums, filled into buffers reused by every
+chunk: each trial draws straight into them, and the element-wise stages
+run on slices of at most 4096 satellites. cup_edges is the one evaluator
+of the cup's edge (D_max, h - zeta D_max, ...), for the closed forms and
+the shell geometry alike, and its s_max the one cup depth, which the draw,
+chi_max, the coverage probabilities and the closed-form moments all read.
+SystemParams.rho is the one check that the (eta, rho) split is there. All
+lengths are km, all angles radians, times seconds.
 """
 
 from __future__ import annotations
@@ -239,38 +244,157 @@ def local_frame(
     return d, cos_l, sin_l
 
 
-# trials a chunk holds: about _BLOCK / N, at least one
-_BLOCK = 1 << 15
+# the turn tables of cos_sin_turns: 256 steps of 2 pi / 256, and pi to 50
+# digits for their 128-bit fixed-point evaluation
+_TURN_STEPS = 256
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
+
+
+def _turn_tables() -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """cos and sin of the steps 2 pi j / 256, j in [0, 256), and the Taylor
+    coefficients of sin(a f) (f, f^3, f^5, f^7) and cos(a f) - 1 (f^2 to
+    f^8) at a = 2 pi / 256, each rounded once to float from a 128-bit
+    fixed-point value. The first quarter turn is built by rotating step by
+    step; the other three follow from it by exact negation and exchange."""
+    one = 1 << 128
+    a = 2 * int(_PI_DIGITS.replace(".", "")) * one // (10**50 * _TURN_STEPS)
+    # a^i / i!, signed as the i-th Taylor term of cos (i even) or sin (i odd)
+    terms = [one]
+    while terms[-1]:
+        terms.append(terms[-1] * a // (one * len(terms)))
+    signed = [t if i % 4 < 2 else -t for i, t in enumerate(terms)]
+    cos_a, sin_a = sum(signed[0::2]), sum(signed[1::2])
+    quarter = [(one, 0)]
+    for _ in range(_TURN_STEPS // 4 - 1):
+        c, s = quarter[-1]
+        quarter.append(((c * cos_a - s * sin_a) >> 128, (c * sin_a + s * cos_a) >> 128))
+    cos_q = [c / one for c, _ in quarter]
+    sin_q = [s / one for _, s in quarter]
+    neg_cos, neg_sin = [-c for c in cos_q], [-s for s in sin_q]
+    return (
+        np.array(cos_q + neg_sin + neg_cos + sin_q),
+        np.array(sin_q + cos_q + neg_sin + neg_cos),
+        tuple(t / one for t in signed[1:9:2]),
+        tuple(t / one for t in signed[2:9:2]),
+    )
+
+
+_COS_STEP, _SIN_STEP, (_S1, _S3, _S5, _S7), (_C2, _C4, _C6, _C8) = _turn_tables()
+
+
+def cos_sin_turns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos 2 pi u, sin 2 pi u) of an array of turns u in [0, 1), each
+    within 2**-52 of the exact value at the double u.
+
+    j = floor(256 u) and f = 256 u - j are exact. cos and sin of the step
+    2 pi j / 256 come from a table, those of the rest 2 pi f / 256 from
+    Taylor polynomials in f, and the angle-addition formulas join them. The
+    kernel is IEEE multiplies, adds, one truncating cast and two table
+    takes, which round the same at every SIMD level, so the bits do not
+    depend on numpy's dispatch, and it calls no C-library function per
+    element. The angle 2 pi u is never formed, while numpy's np.cos(2 pi u)
+    misses by up to 7e-16 for the rounding of its argument alone.
+    """
+    t = np.multiply(u, float(_TURN_STEPS))
+    j = t.astype(np.intp)
+    f = t - j
+    f2 = f * f
+    # Horner's rule in place: sin(a f) and cos(a f) - 1
+    sin_f = f2 * _S7
+    sin_f += _S5
+    sin_f *= f2
+    sin_f += _S3
+    sin_f *= f2
+    sin_f += _S1
+    sin_f *= f
+    cos_f1 = f2 * _C8
+    cos_f1 += _C6
+    cos_f1 *= f2
+    cos_f1 += _C4
+    cos_f1 *= f2
+    cos_f1 += _C2
+    cos_f1 *= f2
+    cos_j, sin_j = _COS_STEP.take(j), _SIN_STEP.take(j)
+    cos = cos_j * cos_f1
+    cos -= sin_j * sin_f
+    cos += cos_j
+    sin = np.multiply(sin_j, cos_f1, out=cos_f1)
+    sin += np.multiply(cos_j, sin_f, out=sin_f)
+    sin += sin_j
+    return cos, sin
+
+
+# a chunk takes trials while trials x max K stays within _SLOTS slots; a
+# trial of more visible satellites is a chunk of its own
+_SLOTS = 1 << 13
+# the element-wise stages run on at most _SLICE slots at a time, so that
+# their temporaries (32 kB each) are reused from the heap
+_SLICE = 1 << 12
 # the most satellites a fleet may have to be drawn: a trial draws K <= N of
 # them, then 2K uniforms, and numpy refuses arrays of 2**60 doubles or more
 _DRAW_MAX = 1 << 59
 
 
-def _trials_per_chunk(n_sats: int) -> int:
-    return max(1, _BLOCK // n_sats)
+class _Workspace:
+    """The buffers of visible_chunks, reused by every chunk: the packed
+    uniforms (a trial's 2K after the last trial's), the timing rows
+    (v, -1) of the padded (chunk, max K) slots and their distances. They
+    are allocated for the first trial, with _SLOTS slots or an eighth more
+    than its K, and grow only for a trial of more; the -1 column is
+    written once per allocation."""
+
+    def __init__(self) -> None:
+        self.slots = -1  # nothing allocated
+
+    def reserve(self, slots: int) -> None:
+        if slots > self.slots:
+            slots = self.slots = max(_SLOTS, slots + slots // 8)
+            self.uniforms = np.empty(2 * slots)
+            self.rows = np.empty((slots, 4))
+            self.rows[:, 3] = -1.0
+            self.d = np.empty(slots)
 
 
-def _cup_chunk(
-    params: SystemParams, keys: np.ndarray, s_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """counts and padded (v, d) of one chunk of visible_chunks."""
-    draws = [
-        gen.random(2 * gen.binomial(params.n_sats, 0.5 * s_max))
-        for gen in streams(keys)
-    ]
-    counts = np.array([draw.size // 2 for draw in draws])
-    filled = np.arange(counts.max()) < counts[:, None]
-    # row i of u[0] and u[1]: the uniforms of s and theta of trial i; a
-    # padding slot is at the zenith, s = 0, until v and d are set below
-    u = np.zeros((2,) + filled.shape)
-    for row, draw in enumerate(draws):
-        u[:, row, : draw.size // 2] = draw.reshape(2, -1)
-    theta = 2.0 * math.pi * u[1]
-    d, cos_l, sin_l = local_frame(s_max * u[0], params)
-    v = np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l], axis=-1)
-    v[~filled] = 0.0
-    d[~filled] = math.inf
-    return counts, v, d
+def _slices(
+    uniforms: np.ndarray, counts: np.ndarray, width: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]:
+    """(s uniforms, theta uniforms, padded slots) of the chunk's drawn
+    satellites, at most _SLICE at a time. Trial i's 2 K_i uniforms follow
+    the trials before it, its satellite j is slot i * width + j."""
+    if counts.size == 1:
+        k = int(counts[0])
+        for lo in range(0, k, _SLICE):
+            hi = min(lo + _SLICE, k)
+            yield uniforms[lo:hi], uniforms[k + lo : k + hi], slice(lo, hi)
+        return
+    start = np.cumsum(counts) - counts
+    packed = np.arange(int(counts.sum()))
+    s_at = packed + np.repeat(start, counts)
+    theta_at = s_at + np.repeat(counts, counts)
+    slot = packed + np.repeat(np.arange(counts.size) * width - start, counts)
+    for lo in range(0, packed.size, _SLICE):
+        at = slice(lo, lo + _SLICE)
+        yield uniforms[s_at[at]], uniforms[theta_at[at]], slot[at]
+
+
+def _fill(
+    space: _Workspace, counts: np.ndarray, width: int, s_max: float, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The padded (chunk, width, 4) timing rows and (chunk, width)
+    distances of one chunk, as views of the workspace."""
+    size = counts.size * width
+    rows, d = space.rows[:size], space.d[:size]
+    if counts.min() < width:
+        rows[:, :3] = 0.0
+        d[:] = math.inf
+    for s, turns, at in _slices(space.uniforms, counts, width):
+        dist, cos_l, sin_l = local_frame(s_max * s, params)
+        cos_t, sin_t = cos_sin_turns(turns)
+        rows[at, 0] = sin_l * cos_t
+        rows[at, 1] = sin_l * sin_t
+        rows[at, 2] = cos_l
+        d[at] = dist
+    return rows.reshape(counts.size, width, 4), d.reshape(counts.size, width)
 
 
 def visible_chunks(
@@ -279,25 +403,45 @@ def visible_chunks(
     """The visible satellites of the streams (seed, t) for t in `trials`,
     a chunk of trials at a time.
 
-    Yields (rows, counts, v, d): rows is the chunk's slice of `trials`, and
-    row i of the padded (chunk, max(counts), 3) lines of sight v and
-    (chunk, max(counts)) distances d holds the counts[i] visible satellites
-    of trials[rows][i] in draw order, then padding slots with v = 0 at
-    d = inf. The draw is the cup draw of the module docstring, so every
-    drawn satellite is visible: there is no cos(phi_l) >= zeta test, which
-    rounding near the edge could only make disagree with the draw.
-    InvalidConfig for a fleet of more than 2**59 satellites.
+    Yields (rows, counts, u, d): rows is the chunk's slice of `trials`, and
+    row i of the padded (chunk, max(counts), 4) timing rows u = (v, -1)
+    and (chunk, max(counts)) distances d holds the counts[i] visible
+    satellites of trials[rows][i] in draw order, their unit lines of sight
+    v then -1, then padding slots with v = 0 at d = inf. A chunk takes
+    trials while chunk x max(counts) stays within _SLOTS, and at least one.
+    u and d are views of buffers the next chunk overwrites: they are valid
+    until the next chunk is asked for. The draw is the cup draw of the
+    module docstring, so every drawn satellite is visible: there is no
+    cos(phi_l) >= zeta test, which rounding near the edge could only make
+    disagree with the draw. InvalidConfig for a fleet of more than 2**59
+    satellites.
     """
     if params.n_sats > _DRAW_MAX:
         raise InvalidConfig(
             f"n_sats must be at most 2**59 to be drawn, got {params.n_sats}"
         )
     keys = stream_keys(seed, trials)
-    size = _trials_per_chunk(params.n_sats)
     s_max = float(cup_edges(params, params.h, params.phi_l_max, float).s_max)
-    for first in range(0, len(keys), size):
-        chunk = keys[first : first + size]
-        yield (slice(first, first + size), *_cup_chunk(params, chunk, s_max))
+    space = _Workspace()
+    first, counts, width, drawn = 0, [], 0, 0
+
+    def chunk(stop: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+        held = np.array(counts)
+        return (slice(first, stop), held, *_fill(space, held, width, s_max, params))
+
+    for t, gen in enumerate(streams(keys)):
+        k = gen.binomial(params.n_sats, 0.5 * s_max)
+        if counts and (len(counts) + 1) * max(width, k) > _SLOTS:
+            yield chunk(t)
+            first, counts, width, drawn = t, [], 0, 0
+        if not counts:
+            space.reserve(k)
+        gen.random(out=space.uniforms[drawn : drawn + 2 * k])
+        counts.append(k)
+        width = max(width, k)
+        drawn += 2 * k
+    if counts:
+        yield chunk(len(keys))
 
 
 def visible_sky(
@@ -307,8 +451,8 @@ def visible_sky(
     order: the (M, 3) unit lines of sight and the (M,) distances,
     visible_chunks for one trial."""
     chunks = visible_chunks(params, seed, range(trial, trial + 1))
-    _, _, v, d = next(chunks)
-    return v[0], d[0]
+    _, _, u, d = next(chunks)
+    return u[0, :, :3], d[0]
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ crb_distribution's pipeline, a chunk of trials at a time
 trial) stream, derived for all trials at once by geometry.stream_keys) ->
 cup draw (one reused generator, reset to each trial's key by
 geometry.streams, draws the trial's visible count K ~ Binomial(N, s_max/2)
-and then 2K uniforms, the first K giving s = 1 - cos(phi_e) = s_max u and
-the next K the azimuths 2 pi u; only visible satellites are ever drawn) ->
-local frame (one call per chunk forms d, cos(phi_l) and sin(phi_l)
-straight from s) -> padded FIM stack (row t of the chunk holds trial t's
-visible lines of sight v and distances d, padded with v = 0 at d = inf,
-where a satellite weighs zero; one (chunk, 4, 4) build; rows below four
-visible satellites are NaN and counted as uncovered) -> one gate
-(fim.gated_inverse inverts the whole run's rows that pass; the rest count
-as singular). Every result is bit for bit the one-trial-at-a-time
-computation.
+and then 2K uniforms straight into the chunk's buffer, the first K giving
+s = 1 - cos(phi_e) = s_max u and the next K the azimuths 2 pi u; only
+visible satellites are ever drawn; a chunk takes trials while trials x
+max K stays within 8192 slots) -> local frame (d, cos(phi_l) and
+sin(phi_l) straight from s, and geometry.cos_sin_turns for the azimuths,
+on slices of at most 4096 satellites) -> padded FIM stack (row t of the
+chunk holds trial t's visible timing rows (v, -1) and distances d, padded
+with v = 0 at d = inf, where a satellite weighs zero; one (chunk, 4, 4)
+build; rows below four visible satellites are NaN and counted as
+uncovered) -> one gate (fim.gated_inverse inverts the whole run's rows
+that pass; the rest count as singular). The uniforms, rows and distances
+live in buffers allocated once per call and reused by every chunk. Every
+result is bit for bit the one-trial-at-a-time computation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import lcrb_tdoa, lcrb_tdoa_rss
-from .fim import fim_tdoa_arrays, fim_tdoa_rss_arrays, gated_inverse
+from .fim import gated_inverse, tdoa_gram, tdoa_rss_gram, timing_rows
 from .geometry import (
     InvalidConfig,
     SystemParams,
@@ -40,11 +43,11 @@ from .geometry import (
     visible_sky,
 )
 
-# each model's Fisher builder over padded (v, d) rows and its N -> infinity
-# limit of N*CRB
+# each model's Fisher builder over padded timing rows (v, -1) and distances,
+# and its N -> infinity limit of N*CRB
 _MODELS = {
-    "tdoa": (fim_tdoa_arrays, lcrb_tdoa),
-    "tdoa_rss": (fim_tdoa_rss_arrays, lcrb_tdoa_rss),
+    "tdoa": (tdoa_gram, lcrb_tdoa),
+    "tdoa_rss": (tdoa_rss_gram, lcrb_tdoa_rss),
 }
 MODELS = tuple(_MODELS)
 
@@ -118,8 +121,8 @@ def crb_distribution(
     trials = check_count("trials", trials, 1)
     j = np.empty((trials, 4, 4))
     uncovered = 0
-    for rows, counts, v, d in visible_chunks(params, seed, range(trials)):
-        chunk = build(v, d, params)
+    for rows, counts, u, d in visible_chunks(params, seed, range(trials)):
+        chunk = build(u, d, params)
         chunk[counts < 4] = np.nan
         j[rows] = chunk
         uncovered += int(np.sum(counts < 4))
@@ -188,4 +191,5 @@ def mean_fim(
     build, _ = _model(model)
     n_samples = check_count("n_samples", n_samples, 10_000)
     p = dataclasses.replace(params, n_sats=n_samples)
-    return build(*visible_sky(p, seed), p) / float(n_samples)
+    v, d = visible_sky(p, seed)
+    return build(timing_rows(v), d, p) / float(n_samples)

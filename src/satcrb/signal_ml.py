@@ -1017,7 +1017,7 @@ def _noise_density(es_max: float, snr_db: float) -> float:
 
 
 # One lockstep `_Ascent` stacks a block per (SNR point, trial) pair over
-# max(_MIN_SLOTS, _ROWS // len(snr_grid)) trial slots, whose zero-padded
+# `_slots(len(snr_grid))` trial slots, whose zero-padded
 # normals are the experiment's one large buffer, 206 kB per slot at the
 # default config. Per block, one `_profile` call costs 27 us at 8 blocks,
 # 20 us at 24 and 19 us at 48 (best of nine timeit runs, 2-vCPU Xeon,
@@ -1025,9 +1025,19 @@ def _noise_density(es_max: float, snr_db: float) -> float:
 # --trials 50` passes is 40.9 MiB at 8 blocks, 42.8 MiB at 24 and 44.9 MiB
 # at 48. A round of few blocks costs nearly as much as a full one, so
 # longer grids keep 8 slots: `--seed 7 ml` (7 points) took 1.78-2.30 s in
-# a fresh process at 3 slots and takes 1.44-1.59 s at 8.
+# a fresh process at 3 slots and takes 1.44-1.59 s at 8. The floor holds
+# while the stack stays within the default grid's 56 blocks: a fresh
+# 48-point `ml` peaked at 57.3 MiB at 8 slots and 50.1 MiB at one.
 _ROWS = 24
 _MIN_SLOTS = 8
+_MAX_BLOCKS = 56
+
+
+def _slots(points: int) -> int:
+    """Trial slots of the lockstep stack for a grid of that many SNR
+    points: _ROWS // points, raised to _MIN_SLOTS as long as the stack
+    stays within _MAX_BLOCKS blocks, and at least one."""
+    return max(1, _ROWS // points, min(_MIN_SLOTS, _MAX_BLOCKS // points))
 
 
 def mse_experiment(
@@ -1051,7 +1061,7 @@ def mse_experiment(
     depends on N0, so the noiseless windows and their filter are built
     once, each trial's unit normals are drawn and filtered once, and its
     blocks at every SNR point join one lockstep stack per mode, over
-    max(`_MIN_SLOTS`, `_ROWS` // S) trial slots for S SNR points.
+    `_slots(S)` trial slots for S SNR points.
     """
     trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
@@ -1068,7 +1078,7 @@ def mse_experiment(
     search = _search(pos, truth_xi, config)
     mf_mean = _matched_filter(middle, search.pulse_filter)
     sigma = np.array([_noise_sigma(cfg) for cfg in cfgs])
-    n_slots = max(_MIN_SLOTS, _ROWS // len(cfgs))
+    n_slots = _slots(len(cfgs))
     # one padded block of normals per slot, each overwritten by the next
     # trial to take the slot
     noise, normals = _padded((n_slots, len(pos)), config)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from satcrb.coverage import visibility_prob
-from satcrb.geometry import local_frame
+from satcrb.geometry import cos_sin_turns, local_frame
 
 
 def trial_generator(seed, trial):
@@ -17,22 +17,32 @@ def trial_generator(seed, trial):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def lines_of_sight(s, theta, params):
-    """(v, d) of satellites at s = 1 - cos(phi_e) and azimuths theta."""
+def radian_trig(turns):
+    """numpy's route to (cos, sin) of the azimuths 2 pi u: np.cos and
+    np.sin of the rounded angle."""
+    theta = 2.0 * math.pi * turns
+    return np.cos(theta), np.sin(theta)
+
+
+def lines_of_sight(s, cos_sin, params):
+    """(v, d) of satellites at s = 1 - cos(phi_e) whose azimuths have the
+    cosines and sines cos_sin."""
     d, cos_l, sin_l = local_frame(s, params)
-    v = np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), cos_l], axis=-1)
+    cos_t, sin_t = cos_sin
+    v = np.stack([sin_l * cos_t, sin_l * sin_t, cos_l], axis=-1)
     return v, d
 
 
-def cup_draw(params, seed, trial):
+def cup_draw(params, seed, trial, trig=cos_sin_turns):
     """(v, d) of the visible satellites of the stream (seed, trial): the
     count K ~ binomial(N, p) with p = (1 - chi_max)/2, then 2K uniforms u in
-    one call, s = 2p u from the first K and theta = 2 pi u from the rest."""
+    one call, s = 2p u from the first K and the azimuths' (cos, sin) =
+    trig(u) from the rest."""
     rng = trial_generator(seed, trial)
     p = visibility_prob(params)
     k = rng.binomial(params.n_sats, p)
     u = rng.random(2 * k)
-    return lines_of_sight(2.0 * p * u[:k], 2.0 * math.pi * u[k:], params)
+    return lines_of_sight(2.0 * p * u[:k], trig(u[k:]), params)
 
 
 def uniform_draw(n_sats, seed, trial):
@@ -50,6 +60,6 @@ def masked_sky(params, seed, trial):
     cos(phi_l) >= zeta, in draw order. s = 1 - c is exact for a drawn c,
     a multiple of 2**-52."""
     cos_phi_e, theta = uniform_draw(params.n_sats, seed, trial)
-    v, d = lines_of_sight(1.0 - cos_phi_e, theta, params)
+    v, d = lines_of_sight(1.0 - cos_phi_e, (np.cos(theta), np.sin(theta)), params)
     vis = v[:, 2] >= params.zeta
     return v[vis], d[vis]

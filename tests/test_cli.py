@@ -776,10 +776,12 @@ def avx512_dispatched() -> bool:
         ["--seed", "7", "montecarlo", "--trials", "200"],
         ["--config", str(ETA_CONFIG), "--seed", "7", "montecarlo", "--trials", "200",
          "--model", "tdoa_rss"],
+        ["--seed", "7", "montecarlo", "--trials", "3", "--n-list", "100000"],
         ["coverage", "--query", "min_height"],
         ["coverage", "--query", "min_angle"],
     ],
-    ids=["montecarlo-tdoa", "montecarlo-tdoa_rss", "min_height", "min_angle"],
+    ids=["montecarlo-tdoa", "montecarlo-tdoa_rss", "montecarlo-large-fleet", "min_height",
+         "min_angle"],
 )
 def test_output_is_the_same_without_avx512_loops(args):
     """Commands whose output does not depend on numpy's SIMD dispatch print

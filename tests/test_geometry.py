@@ -15,6 +15,7 @@ from satcrb.geometry import (
     SystemParams,
     check_seed,
     chi_max,
+    cos_sin_turns,
     cup_edges,
     local_frame,
     stream_keys,
@@ -24,7 +25,7 @@ from satcrb.geometry import (
 )
 from satcrb.coverage import visibility_prob
 
-from draw_reference import cup_draw, trial_generator, uniform_draw
+from draw_reference import cup_draw, radian_trig, trial_generator, uniform_draw
 
 DEFAULTS = SystemParams()
 
@@ -389,6 +390,54 @@ def test_visible_sky_is_the_cup_draw(n_sats):
             assert got_v.shape == (d.size, 3)
             assert np.array_equal(got_v, v)
             assert np.array_equal(got_d, d)
+
+
+# turns where cos_sin_turns is checked: every table step, the middle of
+# each step, the last double below each step's end, and seeded uniforms
+STEPS = np.arange(256) / 256.0
+TURNS = np.concatenate(
+    [
+        STEPS,
+        STEPS + 1.0 / 512.0,
+        np.nextafter(STEPS + 1.0 / 256.0, 0.0),
+        np.random.default_rng(20261019).random(10_000),
+    ]
+)
+
+
+def worst_trig_error(turns, cos_t, sin_t):
+    """Largest absolute error of (cos_t, sin_t) against a 40-digit
+    (cos 2 pi u, sin 2 pi u) at the exact double turns u."""
+    with mpmath.workdps(40):
+        return float(
+            max(
+                max(
+                    abs(mpmath.mpf(c) - mpmath.cospi(2 * mpmath.mpf(u))),
+                    abs(mpmath.mpf(s) - mpmath.sinpi(2 * mpmath.mpf(u))),
+                )
+                for u, c, s in zip(turns.tolist(), cos_t.tolist(), sin_t.tolist())
+            )
+        )
+
+
+def test_cos_sin_turns_is_within_2_to_the_minus_52():
+    assert worst_trig_error(TURNS, *cos_sin_turns(TURNS)) <= 2.0**-52
+    # numpy's route misses the gate, by the rounding of the angle 2 pi u
+    assert worst_trig_error(TURNS, *radian_trig(TURNS)) > 2.0**-52
+
+
+def test_cos_sin_turns_tables_are_correctly_rounded():
+    from satcrb.geometry import _COS_STEP, _SIN_STEP
+
+    with mpmath.workdps(50):
+        for j in range(256):
+            angle = mpmath.mpf(j) / 128
+            assert _COS_STEP[j] == float(mpmath.cospi(angle))
+            assert _SIN_STEP[j] == float(mpmath.sinpi(angle))
+    # so the quarter turns are exact
+    cos_t, sin_t = cos_sin_turns(np.array([0.0, 0.25, 0.5, 0.75]))
+    assert cos_t.tolist() == [1.0, 0.0, -1.0, 0.0]
+    assert sin_t.tolist() == [0.0, 1.0, 0.0, -1.0]
 
 
 def seed_sequence_key(seed, trial):

@@ -1,6 +1,7 @@
 """Random-constellation experiment tests."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.stats import ks_2samp
 from satcrb.closed_form import acrb, lcrb_tdoa, moment_integrals
 from satcrb.coverage import COVERAGE_RULE, coverage_prob
 from satcrb.fim import COND_LIMIT, crb_from_fim, fim_tdoa_arrays, fim_tdoa_rss_arrays
-from satcrb.geometry import InvalidConfig, SystemParams, _trials_per_chunk
+from satcrb.geometry import InvalidConfig, SystemParams, visible_chunks
 from satcrb.montecarlo import (
     ConvergenceRow,
     CrbDistribution,
@@ -20,7 +21,7 @@ from satcrb.montecarlo import (
     nearest_rank,
 )
 
-from draw_reference import cup_draw, masked_sky
+from draw_reference import cup_draw, masked_sky, radian_trig
 
 SPLIT = SystemParams(eta=400.0)
 
@@ -93,15 +94,40 @@ def test_large_fleet_matches_reference():
 
 
 @pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
-@pytest.mark.parametrize("n_sats", [250, 2000, 100_000])
-def test_distribution_matches_reference_across_chunk_boundaries(model, n_sats):
-    """Trial counts one below, at and one above a chunk of trials, and one
-    above two chunks; at N = 1e5 a chunk is a single trial."""
+@pytest.mark.parametrize(
+    "h,n_sats",
+    [(20000.0, 250), (20000.0, 2000), (20000.0, 100_000), (500.0, 2000)],
+    ids=["250", "2000", "100000", "500km-2000"],
+)
+def test_distribution_matches_reference_across_chunk_boundaries(model, h, n_sats):
+    """Trial counts one below, at and one above the first chunk, and one
+    above the second. At N = 1e5 a trial sees more satellites than a chunk
+    has slots, so a chunk is a single trial; at 500 km a trial sees about
+    seven, and a chunk holds hundreds of trials."""
+    params = SystemParams(h=h, n_sats=n_sats, eta=0.0025)
+    seed = 17
+    chunks = visible_chunks(params, seed, range(10**4))
+    first, second = (next(chunks)[0].stop for _ in range(2))
+    assert (first == 1) == (n_sats == 100_000)
+    if h == 500.0:
+        assert first > 100
+    for trials in sorted({max(first - 1, 1), first, first + 1, second + 1}):
+        assert_matches_reference(params, model, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("model", ["tdoa", "tdoa_rss"])
+@pytest.mark.parametrize("n_sats,trials", [(250, 200), (2000, 100), (100_000, 8)])
+def test_distribution_matches_the_radian_trig_route(model, n_sats, trials):
+    """numpy's np.cos and np.sin of the rounded angle 2 pi u, a route to the
+    azimuths that shares nothing with geometry.cos_sin_turns, gives the
+    same N*CRB samples to 1e-12 relative."""
     params = SystemParams(n_sats=n_sats, eta=0.0025)
-    size = _trials_per_chunk(n_sats)
-    assert (size == 1) == (n_sats == 100_000)
-    for trials in sorted({max(size - 1, 1), size, size + 1, 2 * size + 1}):
-        assert_matches_reference(params, model, trials=trials, seed=size + trials)
+    dist = crb_distribution(params, model, trials, seed=29)
+    radians = functools.partial(cup_draw, trig=radian_trig)
+    xs, zs, singular = reference_distribution(params, model, trials, 29, radians)
+    assert dist.singular_count == singular
+    np.testing.assert_allclose(dist.samples_xy, xs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dist.samples_z, zs, rtol=1e-12, atol=0.0)
 
 
 def test_uncovered_draws_are_counted():

@@ -1062,6 +1062,13 @@ class TestMseExperiment:
         got = mse_experiment(ring_positions(), gauss_cfg(), list(grid), trials=53, seed=13)
         assert [dataclasses.astuple(r) for r in got] == [per_trial_rows[g] for g in grid]
 
+    @pytest.mark.parametrize("points, slots", [(1, 24), (3, 8), (7, 8), (8, 7), (48, 1)])
+    def test_slot_floor_is_capped_by_block_count(self, points, slots):
+        """Grids of up to 7 points keep the floor of 8 slots; longer ones
+        stay within the default grid's 56 blocks, down to one slot."""
+        assert signal_ml._slots(points) == slots
+        assert points * slots <= max(signal_ml._MAX_BLOCKS, signal_ml._ROWS)
+
     def test_no_unconverged_solves_at_22_db(self):
         params = SystemParams()
         rows = mse_experiment(
