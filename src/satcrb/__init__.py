@@ -35,8 +35,8 @@ from .fim import (
     BoundSet,
     SingularInformation,
     crb_from_fim,
-    fim_tdoa_arrays,
-    fim_tdoa_rss_arrays,
+    tdoa_gram,
+    tdoa_rss_gram,
 )
 from .geometry import (
     C_KM_S,
@@ -114,8 +114,6 @@ __all__ = [
     "cup_expectation",
     "decoupling_check",
     "effective_bandwidth_time",
-    "fim_tdoa_arrays",
-    "fim_tdoa_rss_arrays",
     "lcrb_tdoa",
     "lcrb_tdoa_from_moments",
     "lcrb_tdoa_rss",
@@ -136,6 +134,8 @@ __all__ = [
     "signal_crb",
     "signal_fim",
     "simulate_measurements",
+    "tdoa_gram",
+    "tdoa_rss_gram",
     "visible_sky",
     "visibility_prob",
     "zenith_ring_geometry",

@@ -298,10 +298,9 @@ def lcrb_tdoa_rss_from_moments(moments: MomentSet) -> BoundSet:
     return BoundSet(xy=xy, z=z)
 
 
-def acrb(params: SystemParams, rss: bool = False) -> BoundSet:
-    """Asymptotic CRB: LCRB divided by the constellation size."""
-    base = lcrb_tdoa_rss(params) if rss else lcrb_tdoa(params)
-    return base.scaled(1.0 / params.n_sats)
+def acrb(params: SystemParams) -> BoundSet:
+    """Asymptotic TDOA CRB: LCRB divided by the constellation size."""
+    return lcrb_tdoa(params).scaled(1.0 / params.n_sats)
 
 
 @np.errstate(all="ignore")

@@ -2,14 +2,15 @@
 
 The unknown vector is gamma = (x, y, z, T0) in the LT's local frame (z toward
 zenith). Each satellite contributes an outer-product summand w_i u_i u_i^T
-built from its direction vector; `weighted_gram` is the one place that sum is
-formed, for the bounds here, the signal model's information, the ML
-estimator's scoring matrix and the planar oracle's gate. The builders take
-the visible satellites' (M, 3) unit lines of sight v and (M,) distances d,
-as geometry.visible_sky gives them (the signal model forms the same lines of
-sight as positions / d), and return plain (4, 4) arrays, or a stack of them
-for padded rows. `tdoa_gram` and `tdoa_rss_gram` are the same builders on
-the timing rows (v, -1) themselves, as geometry.visible_chunks fills them.
+over its timing row u_i = (v_i, -1), v_i its unit line of sight;
+`weighted_gram` is the one place that sum is formed, for the bounds here,
+the signal model's information, the ML estimator's scoring matrix and the
+planar oracle's gate. A constellation is its (M, 4) timing rows u and (M,)
+distances d, as geometry.visible_sky gives them for one draw and
+geometry.visible_chunks for padded chunks of draws; `timing_rows` forms u
+from lines of sight given any other way (the signal model forms them as
+positions / d). `tdoa_gram` and `tdoa_rss_gram` return plain (4, 4)
+arrays, or a stack of them for padded rows.
 Two measurement models are supported:
 
 * TDOA+RSS: the received amplitude carries ranging information too, giving the
@@ -83,30 +84,12 @@ def tdoa_gram(u: np.ndarray, d: np.ndarray, params: SystemParams) -> np.ndarray:
 def tdoa_rss_gram(u: np.ndarray, d: np.ndarray, params: SystemParams) -> np.ndarray:
     """tdoa_gram plus the amplitude channel; needs the (eta, rho) split."""
     j = tdoa_gram(u, d, params)
-    # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block only
-    j[..., :3, :3] += weighted_gram(u[..., :3], 2.0 * params.rho / d**4)
+    # amplitude channel adds K_i - L_i = 2 rho / D^4 on the spatial block
+    # only; D^4 as (D^2)^2, whose bits, unlike numpy's power, do not depend
+    # on its SIMD dispatch
+    d2 = d * d
+    j[..., :3, :3] += weighted_gram(u[..., :3], 2.0 * params.rho / (d2 * d2))
     return j
-
-
-def fim_tdoa_arrays(v: np.ndarray, d: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Total TDOA information of the given (already visible) satellites.
-
-    Like fim_tdoa_rss_arrays, it takes (M, 3) lines of sight with (M,)
-    distances, or a stack of (..., M, 3) and (..., M) rows, one 4x4 matrix
-    per row; a slot with d = inf weighs zero, so rows of unequal length are
-    padded with it (and v = 0)."""
-    return tdoa_gram(
-        timing_rows(np.asarray(v, dtype=float)), np.asarray(d, dtype=float), params
-    )
-
-
-def fim_tdoa_rss_arrays(
-    v: np.ndarray, d: np.ndarray, params: SystemParams
-) -> np.ndarray:
-    """Total TDOA+RSS information; needs the (eta, rho) split in params."""
-    return tdoa_rss_gram(
-        timing_rows(np.asarray(v, dtype=float)), np.asarray(d, dtype=float), params
-    )
 
 
 def gated_inverse(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

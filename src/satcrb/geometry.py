@@ -19,18 +19,19 @@ local_frame takes s straight to the distance d and to cos(phi_l) and
 sin(phi_l), with no angle in between, and cos_sin_turns takes u straight
 to cos(theta) and sin(theta), with IEEE arithmetic and a table, so no
 angle is rounded and the bits do not depend on numpy's SIMD dispatch. A
-draw's visible satellites are their unit lines of sight v = (sin(phi_l)
-cos(theta), sin(phi_l) sin(theta), cos(phi_l)), an (M, 3) array, and
-their distances d, in draw order, as visible_sky gives them for one trial.
-visible_chunks gives padded chunks of trials as timing rows (v, -1), the
-rows the Fisher information sums, filled into buffers reused by every
-chunk: each trial draws straight into them, and the element-wise stages
-run on slices of at most 4096 satellites. cup_edges is the one evaluator
-of the cup's edge (D_max, h - zeta D_max, ...), for the closed forms and
-the shell geometry alike, and its s_max the one cup depth, which the draw,
-chi_max, the coverage probabilities and the closed-form moments all read.
-SystemParams.rho is the one check that the (eta, rho) split is there. All
-lengths are km, all angles radians, times seconds.
+draw's visible satellites are an (M, 4) array of timing rows u = (v, -1),
+the rows the Fisher information sums, over their unit lines of sight v =
+(sin(phi_l) cos(theta), sin(phi_l) sin(theta), cos(phi_l)), and their (M,)
+distances d, in draw order. visible_chunks gives them for padded
+chunks of trials, filled into buffers reused by every chunk: each trial
+draws straight into them, and the element-wise stages run on slices of at
+most 4096 satellites. visible_sky is visible_chunks for one trial.
+cup_edges is the one evaluator of the cup's edge (D_max, h - zeta D_max,
+...), for the closed forms and the shell geometry alike, and its s_max the
+one cup depth, which the draw, chi_max, the coverage probabilities and the
+closed-form moments all read. SystemParams.rho is the one check that the
+(eta, rho) split is there. All lengths are km, all angles radians, times
+seconds.
 """
 
 from __future__ import annotations
@@ -447,12 +448,11 @@ def visible_chunks(
 def visible_sky(
     params: SystemParams, seed: int, trial: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(v, d) of the visible satellites of the stream (seed, trial), in draw
-    order: the (M, 3) unit lines of sight and the (M,) distances,
+    """(u, d) of the visible satellites of the stream (seed, trial), in draw
+    order: the (M, 4) timing rows (v, -1) and the (M,) distances,
     visible_chunks for one trial."""
-    chunks = visible_chunks(params, seed, range(trial, trial + 1))
-    _, _, u, d = next(chunks)
-    return u[0, :, :3], d[0]
+    _, _, u, d = next(visible_chunks(params, seed, range(trial, trial + 1)))
+    return u[0], d[0]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Random-constellation experiments for the localization bounds.
 
 Each trial deploys a fresh uniform constellation, builds the Fisher
-information of the visible satellites, and records N*CRB. A model names
-a row of one table, _MODELS: its Fisher builder and its N -> infinity
-limit. Aggregates (medians, nearest-rank percentiles, convergence tables,
-mean-information structure) feed both the test oracles and the CLI.
+information of the visible satellites, and records N*CRB. From the draw to
+the Fisher matrix a constellation is one pair of arrays, the timing rows
+u = (v, -1) and the distances d: visible_chunks fills them for chunks of
+trials, visible_sky for mean_fim's one draw, and a model's builder takes
+them as they come. A model names a row of one table, _MODELS: its Fisher
+builder and its N -> infinity limit. Aggregates (medians, nearest-rank
+percentiles, convergence tables, mean-information structure) feed both the
+test oracles and the CLI.
 
 crb_distribution's pipeline, a chunk of trials at a time
 (geometry.visible_chunks): keys (the Philox key of every trial's (seed,
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import lcrb_tdoa, lcrb_tdoa_rss
-from .fim import gated_inverse, tdoa_gram, tdoa_rss_gram, timing_rows
+from .fim import gated_inverse, tdoa_gram, tdoa_rss_gram
 from .geometry import (
     InvalidConfig,
     SystemParams,
@@ -43,8 +47,8 @@ from .geometry import (
     visible_sky,
 )
 
-# each model's Fisher builder over padded timing rows (v, -1) and distances,
-# and its N -> infinity limit of N*CRB
+# each model's Fisher builder over timing rows (v, -1) and distances, and
+# its N -> infinity limit of N*CRB
 _MODELS = {
     "tdoa": (tdoa_gram, lcrb_tdoa),
     "tdoa_rss": (tdoa_rss_gram, lcrb_tdoa_rss),
@@ -85,23 +89,12 @@ class CrbDistribution:
     uncovered_count: int
 
     @property
-    def all_singular(self) -> bool:
-        """Warning flag: every draw was unidentifiable, no samples recorded."""
-        return self.singular_count == self.trials
-
-    def percentile_xy(self, pct: float) -> float:
-        return nearest_rank(self.samples_xy, pct)
-
-    def percentile_z(self, pct: float) -> float:
-        return nearest_rank(self.samples_z, pct)
-
-    @property
     def median_xy(self) -> float:
-        return self.percentile_xy(50.0)
+        return nearest_rank(self.samples_xy, 50.0)
 
     @property
     def median_z(self) -> float:
-        return self.percentile_z(50.0)
+        return nearest_rank(self.samples_z, 50.0)
 
     def summary(self) -> dict[str, float]:
         """median/p10/p90 of both components, keyed as the convergence rows
@@ -191,5 +184,4 @@ def mean_fim(
     build, _ = _model(model)
     n_samples = check_count("n_samples", n_samples, 10_000)
     p = dataclasses.replace(params, n_sats=n_samples)
-    v, d = visible_sky(p, seed)
-    return build(timing_rows(v), d, p) / float(n_samples)
+    return build(*visible_sky(p, seed), p) / float(n_samples)

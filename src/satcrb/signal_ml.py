@@ -219,10 +219,6 @@ class SampledPulse:
     fine: np.ndarray
     deriv_fine: np.ndarray
 
-    @property
-    def half_len(self) -> int:
-        return (len(self.samples) - 1) // 2
-
 
 _FINE_POINTS = 2048
 

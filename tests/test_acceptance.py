@@ -26,8 +26,6 @@ from satcrb import (
     crb_distribution,
     crb_from_fim,
     decoupling_check,
-    fim_tdoa_arrays,
-    fim_tdoa_rss_arrays,
     lcrb_tdoa,
     lcrb_tdoa_from_moments,
     lcrb_tdoa_rss,
@@ -41,6 +39,8 @@ from satcrb import (
     planar_crb_fim,
     quadrature_moments,
     rss_negligibility_threshold,
+    tdoa_gram,
+    tdoa_rss_gram,
     visible_sky,
     zenith_ring_geometry,
 )
@@ -208,8 +208,8 @@ def bandwidth_gaps() -> tuple[list[float], list[float]]:
         sky = visible_sky(p, SEED + trial)
         trial += 1
         try:
-            tdoa_only = crb_from_fim(fim_tdoa_arrays(*sky, p))
-            combined = crb_from_fim(fim_tdoa_rss_arrays(*sky, p))
+            tdoa_only = crb_from_fim(tdoa_gram(*sky, p))
+            combined = crb_from_fim(tdoa_rss_gram(*sky, p))
         except SingularInformation:
             continue
         gaps_xy.append(abs(combined.xy - tdoa_only.xy) / tdoa_only.xy)

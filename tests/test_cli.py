@@ -1,7 +1,9 @@
 """Command-line interface: config parsing, output formats, exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -749,13 +751,26 @@ def test_ml_default_grid_sha256():
 # numpy's AVX-512 dispatch targets; NPY_DISABLE_CPU_FEATURES switches their
 # loops off in the process whose environment holds it
 AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
-# a child that fails unless those loops are off, then runs the command
+# the start of a child that fails unless those loops are off; a case's code
+# follows it and writes the case's bytes to stdout
 NO_AVX512_CHILD = (
     "import sys\n"
     "from numpy._core._multiarray_umath import __cpu_features__\n"
     "assert __cpu_features__['X86_V4'] is False, 'AVX-512 loops still on'\n"
-    "from satcrb.cli import main\n"
-    "main(sys.argv[1:])\n"
+)
+# each visible satellite's own Fisher matrices, TDOA then TDOA+RSS, for a
+# drawn fleet of 10^5: a stack of one-satellite constellations, so the bytes
+# show the last bit of every weight. At eta = 1e-12 the amplitude weight
+# 2 rho / D^4 outweighs the timing weight by three orders of magnitude, so
+# its bits are not rounded away in the sum of the two channels
+FISHER_STACK = (
+    "import sys\n"
+    "from satcrb.fim import tdoa_gram, tdoa_rss_gram\n"
+    "from satcrb.geometry import SystemParams, visible_sky\n"
+    "p = SystemParams(n_sats=100_000, eta=1e-12)\n"
+    "u, d = visible_sky(p, 7)\n"
+    "for build in (tdoa_gram, tdoa_rss_gram):\n"
+    "    sys.stdout.buffer.write(build(u[:, None], d[:, None], p).tobytes())\n"
 )
 
 
@@ -769,30 +784,46 @@ def avx512_dispatched() -> bool:
     return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
 
 
+def command(args):
+    """A case that runs `satcrb ARGS`: main in the child, invoke here."""
+    return f"from satcrb.cli import main\nmain({args!r})\n", lambda: invoke(args).stdout_bytes
+
+
+def in_process(code):
+    """The stdout bytes of running code in this process."""
+    out = io.TextIOWrapper(io.BytesIO(), write_through=True)
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    return out.buffer.getvalue()
+
+
 @pytest.mark.skipif(not avx512_dispatched(), reason="no AVX-512 loops to switch off")
 @pytest.mark.parametrize(
-    "args",
+    "case",
     [
-        ["--seed", "7", "montecarlo", "--trials", "200"],
-        ["--config", str(ETA_CONFIG), "--seed", "7", "montecarlo", "--trials", "200",
-         "--model", "tdoa_rss"],
-        ["--seed", "7", "montecarlo", "--trials", "3", "--n-list", "100000"],
-        ["coverage", "--query", "min_height"],
-        ["coverage", "--query", "min_angle"],
+        command(["--seed", "7", "montecarlo", "--trials", "200"]),
+        command(["--config", str(ETA_CONFIG), "--seed", "7", "montecarlo", "--trials", "200",
+                 "--model", "tdoa_rss"]),
+        command(["--seed", "7", "montecarlo", "--trials", "3", "--n-list", "100000"]),
+        command(["coverage", "--query", "min_height"]),
+        command(["coverage", "--query", "min_angle"]),
+        (FISHER_STACK, lambda: in_process(FISHER_STACK)),
     ],
     ids=["montecarlo-tdoa", "montecarlo-tdoa_rss", "montecarlo-large-fleet", "min_height",
-         "min_angle"],
+         "min_angle", "fisher-stack"],
 )
-def test_output_is_the_same_without_avx512_loops(args):
-    """Commands whose output does not depend on numpy's SIMD dispatch print
-    the same bytes in a process with the AVX-512 loops switched off."""
+def test_output_is_the_same_without_avx512_loops(case):
+    """Commands whose output does not depend on numpy's SIMD dispatch, and
+    the Fisher builders, give the same bytes in a process with the AVX-512
+    loops switched off."""
+    code, here = case
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT, NPY_DISABLE_CPU_FEATURES=AVX512_TARGETS)
     child = subprocess.run(
-        [sys.executable, "-c", NO_AVX512_CHILD, *args], env=env, capture_output=True,
+        [sys.executable, "-c", NO_AVX512_CHILD + code], env=env, capture_output=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr.decode()
-    assert child.stdout == invoke(args).stdout_bytes
+    assert hashlib.sha256(child.stdout).hexdigest() == hashlib.sha256(here()).hexdigest()
 
 
 class TestVerifyCommand:

@@ -181,7 +181,7 @@ def test_acrb_is_lcrb_over_n():
     p250 = SystemParams(n_sats=250)
     p2000 = SystemParams(n_sats=2000)
     assert acrb(p250).xy / acrb(p2000).xy == pytest.approx(8.0, rel=1e-12)
-    ar = acrb(SystemParams(n_sats=250, eta=400.0), rss=True)
+    ar = lcrb_tdoa_rss(SystemParams(n_sats=250, eta=400.0)).scaled(1.0 / 250)
     assert ar.xy == pytest.approx(ORACLE["lcrb_rss_xy"] / 250.0, rel=1e-12)
 
 

@@ -12,10 +12,11 @@ from satcrb.fim import (
     BoundSet,
     SingularInformation,
     crb_from_fim,
-    fim_tdoa_arrays,
-    fim_tdoa_rss_arrays,
     gated_inverse,
     inverse,
+    tdoa_gram,
+    tdoa_rss_gram,
+    timing_rows,
 )
 from satcrb.geometry import InvalidConfig, SystemParams, visible_sky
 
@@ -23,7 +24,7 @@ SPLIT = SystemParams(eta=400.0)
 
 
 def visible_sats(seed, n=20, params=SPLIT):
-    """(v, d) of the visible satellites of the first draw of (seed, trial)
+    """(u, d) of the visible satellites of the first draw of (seed, trial)
     with at least 5 of them, so the FIM is comfortably regular."""
     p = dataclasses.replace(params, n_sats=n)
     for trial in range(50):
@@ -34,19 +35,22 @@ def visible_sats(seed, n=20, params=SPLIT):
 
 
 def sky(*sats):
-    """(v, d): the (M, 3) lines of sight and (M,) distances of satellites
+    """(u, d): the (M, 4) timing rows and (M,) distances of satellites
     given as (phi_l, theta, d)."""
     a = np.array(sats, dtype=float).reshape(-1, 3)
     phi_l, theta, d = a[:, 0], a[:, 1], a[:, 2]
     sin_l = np.sin(phi_l)
     v = np.stack([sin_l * np.cos(theta), sin_l * np.sin(theta), np.cos(phi_l)], axis=-1)
-    return v, d
+    return timing_rows(v), d
 
 
-def rotated(v, angle):
-    """Lines of sight v turned by angle about the zenith."""
+def rotated(u, angle):
+    """Timing rows u whose lines of sight are turned by angle about the
+    zenith."""
     c, s = math.cos(angle), math.sin(angle)
-    return v @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    turn = np.eye(4)
+    turn[:2, :2] = [[c, s], [-s, c]]
+    return u @ turn
 
 
 def test_boundset_sum_is_structural():
@@ -55,7 +59,7 @@ def test_boundset_sum_is_structural():
 
 
 def test_zenith_satellite_structure():
-    j = fim_tdoa_rss_arrays(*sky((0.0, 0.3, SPLIT.h)), SPLIT)
+    j = tdoa_rss_gram(*sky((0.0, 0.3, SPLIT.h)), SPLIT)
     k = 2.0 * SPLIT.rho / SPLIT.h**4 * (1.0 + SPLIT.eta * SPLIT.h**2)
     ell = 2.0 * SPLIT.eta_rho / SPLIT.h**2
     expect = np.zeros((4, 4))
@@ -66,13 +70,13 @@ def test_zenith_satellite_structure():
 
 
 def test_single_satellite_tdoa_rank_one():
-    j = fim_tdoa_arrays(*sky((0.4, 1.0, 21000.0)), SPLIT)
+    j = tdoa_gram(*sky((0.4, 1.0, 21000.0)), SPLIT)
     assert np.linalg.matrix_rank(j, tol=1e-6 * np.trace(j)) == 1
 
 
 def test_fim_symmetric_psd():
     sats = visible_sats(seed=1)
-    for j in (fim_tdoa_arrays(*sats, SPLIT), fim_tdoa_rss_arrays(*sats, SPLIT)):
+    for j in (tdoa_gram(*sats, SPLIT), tdoa_rss_gram(*sats, SPLIT)):
         assert np.allclose(j, j.T, rtol=1e-12)
         w = np.linalg.eigvalsh(j)
         assert w.min() >= -1e-10 * np.trace(j)
@@ -81,31 +85,31 @@ def test_fim_symmetric_psd():
 def test_invisible_satellites_do_not_contribute():
     # the array form has no hidden satellites, only padding slots: v = 0 at
     # d = inf, as visible_chunks pads, or any other line of sight there
-    v, d = sky((0.2, 0.0, 20500.0))
-    for pad in (np.zeros(3), np.array([0.0, 0.0, 1.0])):
-        padded = np.vstack([v, pad]), np.append(d, math.inf)
-        for build in (fim_tdoa_arrays, fim_tdoa_rss_arrays):
-            assert np.array_equal(build(v, d, SPLIT), build(*padded, SPLIT))
+    u, d = sky((0.2, 0.0, 20500.0))
+    for pad in (np.array([0.0, 0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0, -1.0])):
+        padded = np.vstack([u, pad]), np.append(d, math.inf)
+        for build in (tdoa_gram, tdoa_rss_gram):
+            assert np.array_equal(build(u, d, SPLIT), build(*padded, SPLIT))
 
 
 def test_empty_visible_set_gives_zero_matrix():
-    assert np.array_equal(fim_tdoa_arrays(*sky(), SPLIT), np.zeros((4, 4)))
+    assert np.array_equal(tdoa_gram(*sky(), SPLIT), np.zeros((4, 4)))
     with pytest.raises(SingularInformation):
-        crb_from_fim(fim_tdoa_arrays(*sky(), SPLIT))
+        crb_from_fim(tdoa_gram(*sky(), SPLIT))
 
 
 def test_rss_needs_split():
     sats = visible_sats(seed=2)
     with pytest.raises(InvalidConfig):
-        fim_tdoa_rss_arrays(*sats, SystemParams())
+        tdoa_rss_gram(*sats, SystemParams())
 
 
 def test_rss_reduces_to_tdoa_at_large_eta():
     # eta*D^2 >= eta*h^2 = 1e9 makes the amplitude channel negligible
     p = SystemParams(eta=1.0e9 / SystemParams().h ** 2)
     sats = visible_sats(seed=3, params=p)
-    jt = fim_tdoa_arrays(*sats, p)
-    jr = fim_tdoa_rss_arrays(*sats, p)
+    jt = tdoa_gram(*sats, p)
+    jr = tdoa_rss_gram(*sats, p)
     scale = jt[3, 3]  # sum of L_i
     assert np.max(np.abs(jr - jt)) <= 1e-9 * scale
     diag = np.diag(jt)[:3]
@@ -115,7 +119,7 @@ def test_rss_reduces_to_tdoa_at_large_eta():
 
 def test_coplanar_constellation_has_no_cross_axis_information():
     bearings = [(0.3, 0.0), (0.5, math.pi), (0.8, 0.0), (1.0, math.pi)]
-    j = fim_tdoa_arrays(*sky(*[(f, t, 22000.0) for f, t in bearings]), SPLIT)
+    j = tdoa_gram(*sky(*[(f, t, 22000.0) for f, t in bearings]), SPLIT)
     assert j[1, 1] == pytest.approx(0.0, abs=1e-12 * j[0, 0])
     with pytest.raises(SingularInformation):
         crb_from_fim(j)
@@ -129,13 +133,13 @@ def test_crb_diagonal_example():
 
 
 def test_three_satellites_singular():
-    v, d = visible_sats(seed=4)
+    u, d = visible_sats(seed=4)
     with pytest.raises(SingularInformation):
-        crb_from_fim(fim_tdoa_arrays(v[:3], d[:3], SPLIT))
+        crb_from_fim(tdoa_gram(u[:3], d[:3], SPLIT))
 
 
 def test_crb_matches_linear_solve_oracle():
-    j = fim_tdoa_arrays(*visible_sats(seed=5), SPLIT)
+    j = tdoa_gram(*visible_sats(seed=5), SPLIT)
     b = crb_from_fim(j)
     # independent route: solve J x_k = e_k per column
     cols = [np.linalg.solve(j, np.eye(4)[:, k]) for k in range(4)]
@@ -146,20 +150,20 @@ def test_crb_matches_linear_solve_oracle():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_rotation_invariance(offset):
-    v, d = visible_sats(seed=6)
-    b0 = crb_from_fim(fim_tdoa_arrays(v, d, SPLIT))
-    b1 = crb_from_fim(fim_tdoa_arrays(rotated(v, offset), d, SPLIT))
+    u, d = visible_sats(seed=6)
+    b0 = crb_from_fim(tdoa_gram(u, d, SPLIT))
+    b1 = crb_from_fim(tdoa_gram(rotated(u, offset), d, SPLIT))
     assert b1.xy == pytest.approx(b0.xy, rel=1e-10)
     assert b1.z == pytest.approx(b0.z, rel=1e-10)
     assert b1.xyz == pytest.approx(b0.xyz, rel=1e-10)
 
 
 def test_extra_satellite_never_hurts():
-    v, d = visible_sats(seed=7)
-    extra_v, extra_d = sky((0.7, 2.1, 21500.0))
-    b0 = crb_from_fim(fim_tdoa_arrays(v, d, SPLIT))
+    u, d = visible_sats(seed=7)
+    extra_u, extra_d = sky((0.7, 2.1, 21500.0))
+    b0 = crb_from_fim(tdoa_gram(u, d, SPLIT))
     b1 = crb_from_fim(
-        fim_tdoa_arrays(np.vstack([v, extra_v]), np.append(d, extra_d), SPLIT)
+        tdoa_gram(np.vstack([u, extra_u]), np.append(d, extra_d), SPLIT)
     )
     assert b1.xy <= b0.xy * (1.0 + 1e-12)
     assert b1.z <= b0.z * (1.0 + 1e-12)
@@ -168,8 +172,8 @@ def test_extra_satellite_never_hurts():
 def test_eta_rho_scaling():
     sats = visible_sats(seed=8)
     p2 = SystemParams(eta_rho=SPLIT.eta_rho * 4.0, eta=SPLIT.eta)
-    b0 = crb_from_fim(fim_tdoa_arrays(*sats, SPLIT))
-    b1 = crb_from_fim(fim_tdoa_arrays(*sats, p2))
+    b0 = crb_from_fim(tdoa_gram(*sats, SPLIT))
+    b1 = crb_from_fim(tdoa_gram(*sats, p2))
     assert b1.xy == pytest.approx(b0.xy / 4.0, rel=1e-14)
     assert b1.z == pytest.approx(b0.z / 4.0, rel=1e-14)
 
@@ -204,7 +208,7 @@ def reference_gate(m):
 
 
 def mixed_stack():
-    good = [fim_tdoa_arrays(*visible_sats(seed), SPLIT) for seed in (1, 2, 3)]
+    good = [tdoa_gram(*visible_sats(seed), SPLIT) for seed in (1, 2, 3)]
     nan = good[0].copy()
     nan[1, 2] = np.nan
     inf = good[1].copy()

@@ -24,6 +24,7 @@ from satcrb.geometry import (
     visible_sky,
 )
 from satcrb.coverage import visibility_prob
+from satcrb.fim import timing_rows
 
 from draw_reference import cup_draw, radian_trig, trial_generator, uniform_draw
 
@@ -379,17 +380,24 @@ def test_split_accessors():
 @pytest.mark.parametrize("n_sats", [1, 2, 3, 4, 5, 6, 7, 250, 2000, 4000, 5000, 100_001])
 def test_visible_sky_is_the_cup_draw(n_sats):
     """visible_sky is numpy's binomial count and uniforms of the trial's
-    stream taken through local_frame, bit for bit, at the default cup and at
-    the narrowest and widest cones of a 500 km shell."""
+    stream taken through local_frame, as timing rows (v, -1), bit for bit,
+    at the default cup and at the narrowest and widest cones of a 500 km
+    shell; and it is the unpadded row of its trial in visible_chunks."""
     draws = [(31, trial) for trial in range(5)] + [(3, 0), (20260819, 11), (2**63 + 11, 2)]
     for h, phi_deg in ((20000.0, 60.0), (500.0, 5.0), (500.0, 90.0)):
         p = SystemParams(n_sats=n_sats, h=h, phi_l_max=math.radians(phi_deg))
+        skies = {}
         for seed, trial in draws:
             v, d = cup_draw(p, seed, trial)
-            got_v, got_d = visible_sky(p, seed=seed, trial=trial)
-            assert got_v.shape == (d.size, 3)
-            assert np.array_equal(got_v, v)
+            got_u, got_d = skies[seed, trial] = visible_sky(p, seed=seed, trial=trial)
+            assert got_u.shape == (d.size, 4)
+            assert np.array_equal(got_u, timing_rows(v))
             assert np.array_equal(got_d, d)
+        for rows, counts, u, d in visible_chunks(p, 31, range(5)):
+            for t, k, row_u, row_d in zip(range(5)[rows], counts, u, d):
+                sky_u, sky_d = skies[31, t]
+                assert np.array_equal(row_u[:k], sky_u)
+                assert np.array_equal(row_d[:k], sky_d)
 
 
 # turns where cos_sin_turns is checked: every table step, the middle of

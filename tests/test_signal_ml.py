@@ -287,12 +287,12 @@ class TestPulse:
         sp = make_pulse(cfg)
         assert len(sp.samples) % 2 == 1
         assert np.array_equal(sp.samples, sp.samples[::-1])
-        assert np.argmax(sp.samples) == sp.half_len
+        assert np.argmax(sp.samples) == len(sp.samples) // 2
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_odd_moment_vanishes(self, cfg):
         sp = make_pulse(cfg)
-        t = (np.arange(len(sp.samples)) - sp.half_len) * cfg.dt
+        t = (np.arange(len(sp.samples)) - len(sp.samples) // 2) * cfg.dt
         s, ds = _pulse(cfg, t)
         assert abs(float(np.dot(s, ds)) * cfg.dt) < 1e-8
 
@@ -451,7 +451,7 @@ class TestSimulate:
         for v, tau in zip(samples, taus):
             # full correlation index ph + j holds sum_k v[k] s((k - j) dt)
             corr = np.correlate(v, sp.samples, mode="full")
-            j_hat = int(np.argmax(corr)) - sp.half_len
+            j_hat = int(np.argmax(corr)) - len(sp.samples) // 2
             assert abs(j_hat * cfg.dt - tau) <= 0.5 * cfg.dt
 
     def test_amplitude_law(self):
