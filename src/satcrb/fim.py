@@ -10,7 +10,10 @@ distances d, as geometry.visible_sky gives them for one draw and
 geometry.visible_chunks for padded chunks of draws; `timing_rows` forms u
 from lines of sight given any other way (the signal model forms them as
 positions / d). `tdoa_gram` and `tdoa_rss_gram` return plain (4, 4)
-arrays, or a stack of them for padded rows.
+arrays, or a stack of them for padded rows. One gate (`gated_inverse`)
+admits a matrix to inversion: positive definite with lambda_max / lambda_min
+< COND_LIMIT, from one eigvalsh pass, which reads one triangle; every matrix
+the program builds is a Gram matrix, symmetric up to rounding.
 Two measurement models are supported:
 
 * TDOA+RSS: the received amplitude carries ranging information too, giving the
@@ -32,13 +35,12 @@ import numpy as np
 
 from .geometry import InvalidConfig, SystemParams
 
-# Geometries whose 4x4 information matrix is worse-conditioned than this are
-# treated as unidentifiable rather than inverted into garbage.
+# a matrix whose lambda_max / lambda_min reaches this is unidentifiable
 COND_LIMIT = 1.0e12
 
 
 class SingularInformation(Exception):
-    """The information matrix is too ill-conditioned to bound anything."""
+    """The information matrix is not positive definite or too ill-conditioned."""
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,10 @@ class BoundSet:
 
     xy: float
     z: float
-    xyz: float = float("nan")
 
-    def __post_init__(self) -> None:
-        if np.isnan(self.xyz):
-            object.__setattr__(self, "xyz", self.xy + self.z)
+    @property
+    def xyz(self) -> float:
+        return self.xy + self.z
 
     def scaled(self, factor: float) -> "BoundSet":
         return BoundSet(xy=self.xy * factor, z=self.z * factor)
@@ -92,19 +93,23 @@ def tdoa_rss_gram(u: np.ndarray, d: np.ndarray, params: SystemParams) -> np.ndar
     return j
 
 
+def _gate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (T, k, k) stack's ascending eigenvalues, NaN if not finite, and gate mask."""
+    lam = np.full(m.shape[:-1], np.nan)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    lam[finite] = np.linalg.eigvalsh(m[finite])
+    # lam_max / COND_LIMIT, unlike COND_LIMIT * lam_min, cannot overflow
+    return lam, (lam[:, 0] > 0.0) & (lam[:, -1] / COND_LIMIT < lam[:, 0])
+
+
 def gated_inverse(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (T, k, k) stack and the mask of the matrices that pass
-    the invertibility gate: finite, det > 0 and cond < COND_LIMIT, each test
-    run only where the one before passed. A failing matrix's inverse is NaN.
-    LAPACK handles each matrix of a stack on its own, so every result is
-    bit-identical to gating and inverting that matrix alone."""
+    the gate: finite, positive definite and lambda_max / lambda_min <
+    COND_LIMIT, from one eigvalsh pass over the stack (one triangle of each
+    Gram matrix). A failing matrix's inverse is NaN. LAPACK handles each
+    matrix on its own, so every result is bit for bit that of the matrix alone."""
     m = np.asarray(j, dtype=float)
-    det = np.full(m.shape[0], np.nan)
-    cond = np.full(m.shape[0], np.nan)
-    finite = np.isfinite(m).all(axis=(1, 2))
-    det[finite] = np.linalg.det(m[finite])
-    cond[det > 0.0] = np.linalg.cond(m[det > 0.0])
-    ok = cond < COND_LIMIT
+    _, ok = _gate(m)
     inv = np.full_like(m, np.nan)
     good = m[ok]
     # a stack of identities: numpy < 2 reads a 2-d right-hand side as vectors
@@ -113,18 +118,18 @@ def gated_inverse(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of one square information matrix that passes the gate of
-    gated_inverse; otherwise SingularInformation naming the failed test."""
+    """Inverse of a square matrix positive definite with lambda_max / lambda_min
+    < COND_LIMIT, gated_inverse's gate; else SingularInformation naming why."""
     m = np.asarray(m, dtype=float)
-    inv, ok = gated_inverse(m[None])
+    lam, ok = _gate(m[None])
     if ok[0]:
-        return inv[0]
+        return np.linalg.solve(m, np.eye(len(m)))
     if not np.all(np.isfinite(m)):
         raise SingularInformation("non-finite information matrix")
-    det = np.linalg.det(m)
-    if not det > 0.0:
-        raise SingularInformation(f"non-positive determinant {det}")
-    raise SingularInformation(f"condition number {np.linalg.cond(m):.3e} exceeds gate")
+    low, high = float(lam[0, 0]), float(lam[0, -1])
+    if not low > 0.0:
+        raise SingularInformation(f"lambda_min {low:.3e}, determinant {np.linalg.det(m):.3e}")
+    raise SingularInformation(f"condition number {high / low:.3e} exceeds gate")
 
 
 def crb_from_fim(j: np.ndarray) -> BoundSet:

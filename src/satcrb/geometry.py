@@ -450,9 +450,9 @@ def visible_sky(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u, d) of the visible satellites of the stream (seed, trial), in draw
     order: the (M, 4) timing rows (v, -1) and the (M,) distances,
-    visible_chunks for one trial."""
+    visible_chunks for one trial, copied out of its workspace."""
     _, _, u, d = next(visible_chunks(params, seed, range(trial, trial + 1)))
-    return u[0], d[0]
+    return u[0].copy(), d[0].copy()
 
 
 @dataclass(frozen=True)

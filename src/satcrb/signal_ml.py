@@ -55,7 +55,6 @@ import numpy as np
 from .fim import (
     BoundSet,
     SingularInformation,
-    crb_from_fim,
     inverse,
     timing_rows,
     weighted_gram,
@@ -70,7 +69,9 @@ from .geometry import (
 )
 
 PULSES = ("gaussian", "raised_cosine")
-MODES = ("fix_z", "full_3d")
+# the position coordinates each mode estimates, besides the clock c*T0
+_COORDS = {"fix_z": [0, 1], "full_3d": [0, 1, 2]}
+MODES = tuple(_COORDS)
 
 # the gaussian is truncated to +-6 sigma: the edge value exp(-18) is small
 # enough that the truncation discontinuity cannot disturb the spectral second
@@ -354,9 +355,10 @@ def simulate_measurements(
     return _noise_sigma(config) * z + mean
 
 
-def _check_mode(mode: str) -> None:
+def _coords(mode: str) -> list[int]:
     if mode not in MODES:
         raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
+    return _COORDS[mode]
 
 
 def _pad(config: SignalConfig) -> int:
@@ -859,7 +861,7 @@ def _localize(
     n_rows = n_slots * per_slot
     planes = {"fix_z": lattice.points[:, 2] == center[2], "full_3d": slice(None)}
     solves = {
-        mode: _Ascent(n_rows, 3 if mode == "fix_z" else 4, len(positions), search.radius,
+        mode: _Ascent(n_rows, len(_COORDS[mode]) + 1, len(positions), search.radius,
                       max_iter, _XTOL)
         for mode in modes
     }
@@ -888,8 +890,7 @@ def _localize(
                 _unpadded(blocks.z[slot], config), blocks.sigma, mf_mean, search, config
             )
             for mode, solve in solves.items():
-                on = planes[mode]
-                n_xyz = solve.u.shape[1] - 1
+                on, n_xyz = planes[mode], len(_COORDS[mode])
                 solve.start(rows, _start(lattice.points[on], best[:, on], t0[:, on], n_xyz, c))
             occupant[slot] = trial
             trial += 1
@@ -928,7 +929,7 @@ def ml_localize(
     knows its altitude) and the start is the best of the lattice's dz = 0
     plane. Both stages are `mse_experiment`'s, on a stack of one trial.
     """
-    _check_mode(mode)
+    need = len(_coords(mode)) + 1
     pos = sat_positions(positions)
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (len(pos), config.n_samples):
@@ -936,7 +937,6 @@ def ml_localize(
             f"samples need one row per position of {config.n_samples} samples, "
             f"got {samples.shape}"
         )
-    need = 3 if mode == "fix_z" else 4
     if len(pos) < need:
         raise InsufficientCoverage(
             f"{mode} needs at least {need} measurements, got {len(pos)}"
@@ -976,14 +976,10 @@ def signal_fim(positions: np.ndarray, config: SignalConfig) -> np.ndarray:
 def signal_crb(
     positions: np.ndarray, config: SignalConfig, mode: str = "full_3d"
 ) -> BoundSet:
-    """CRB of the signal model; fix_z drops the z row/column before inverting."""
-    _check_mode(mode)
-    j = signal_fim(positions, config)
-    if mode == "fix_z":
-        keep = [0, 1, 3]
-        inv = inverse(j[np.ix_(keep, keep)])
-        return BoundSet(xy=float(inv[0, 0] + inv[1, 1]), z=0.0)
-    return crb_from_fim(j)
+    """CRB of the signal model over the mode's coordinates and the clock; a pinned z is 0."""
+    keep = _coords(mode) + [3]
+    var = np.diag(inverse(signal_fim(positions, config)[np.ix_(keep, keep)]))
+    return BoundSet(xy=float(var[0] + var[1]), z=float(var[2:-1].sum()))
 
 
 @dataclass(frozen=True)
@@ -1086,9 +1082,8 @@ def mse_experiment(
 
     estimates = _localize(blocks, mf_mean, pos, search, config, MODES, _MAX_ITER, trials, fill)
     sq, missed = {}, {}
-    for mode, (xi, _, _, converged) in zip(MODES, estimates):
-        n = 2 if mode == "fix_z" else 3
-        sq[mode] = [float(np.sum((x[:n] - truth_xi[:n]) ** 2)) for x in xi]
+    for (mode, k), (xi, _, _, converged) in zip(_COORDS.items(), estimates):
+        sq[mode] = [float(np.sum((x[k] - truth_xi[k]) ** 2)) for x in xi]
         missed[mode] = ~converged
     # row t * S + s of an estimate is trial t at SNR point s
     n_points = len(cfgs)

@@ -18,7 +18,7 @@ from satcrb.fim import (
     tdoa_rss_gram,
     timing_rows,
 )
-from satcrb.geometry import InvalidConfig, SystemParams, visible_sky
+from satcrb.geometry import InvalidConfig, SystemParams, visible_chunks, visible_sky
 
 SPLIT = SystemParams(eta=400.0)
 
@@ -56,6 +56,12 @@ def rotated(u, angle):
 def test_boundset_sum_is_structural():
     b = BoundSet(xy=1.5, z=2.5)
     assert b.xyz == 4.0
+
+
+def test_boundset_xyz_is_no_field():
+    with pytest.raises(TypeError):
+        BoundSet(1.0, 2.0, xyz=5.0)
+    assert [f.name for f in dataclasses.fields(BoundSet)] == ["xy", "z"]
 
 
 def test_zenith_satellite_structure():
@@ -261,3 +267,40 @@ def test_single_matrix_callers_agree_with_the_stack():
     # a 3x3 block goes through the same gate
     block = stack[0][np.ix_([0, 1, 3], [0, 1, 3])]
     assert np.array_equal(inverse(block), np.linalg.solve(block, np.eye(3)))
+
+
+def indefinite_with_positive_determinant():
+    """Symmetric 4x4 matrices with two negative eigenvalues, so det > 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(20261019).standard_normal((4, 4)))
+    turned = q @ np.diag([-2.0, -1.0, 1.0, 3.0]) @ q.T
+    return np.stack([np.diag([-1.0, -1.0, 1.0, 1.0]), turned])
+
+
+def test_indefinite_matrices_with_positive_determinant_are_rejected():
+    stack = indefinite_with_positive_determinant()
+    assert (np.linalg.det(stack) > 0.0).all()
+    inv, ok = gated_inverse(stack)
+    assert not ok.any() and np.isnan(inv).all()
+    for m in stack:
+        with pytest.raises(SingularInformation, match="determinant"):
+            inverse(m)
+        with pytest.raises(SingularInformation):
+            crb_from_fim(m)
+    with pytest.raises(SingularInformation, match="determinant"):
+        inverse(np.diag([-1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "h, phi_deg, n_sats",
+    [(500.0, 60.0, 2000), (2000.0, 90.0, 50), (20000.0, 60.0, 20), (40000.0, 10.0, 2000)],
+)
+def test_gate_matches_the_reference_gate_on_drawn_stacks(h, phi_deg, n_sats):
+    p = SystemParams(n_sats=n_sats, h=h, phi_l_max=math.radians(phi_deg), eta=400.0)
+    for build in (tdoa_gram, tdoa_rss_gram):
+        stack = []
+        for _, counts, u, d in visible_chunks(p, 11, range(300)):
+            stack.extend(build(u, d, p)[counts >= 4])
+        stack = np.array(stack)
+        assert len(stack) >= 100
+        _, ok = gated_inverse(stack)
+        assert ok.tolist() == [reference_gate(m) for m in stack]

@@ -391,6 +391,8 @@ def test_visible_sky_is_the_cup_draw(n_sats):
             v, d = cup_draw(p, seed, trial)
             got_u, got_d = skies[seed, trial] = visible_sky(p, seed=seed, trial=trial)
             assert got_u.shape == (d.size, 4)
+            # copies of the trial's rows, not views of the chunk workspace
+            assert got_u.base is None and got_d.base is None
             assert np.array_equal(got_u, timing_rows(v))
             assert np.array_equal(got_d, d)
         for rows, counts, u, d in visible_chunks(p, 31, range(5)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcrb.fim import SingularInformation
+from satcrb.fim import SingularInformation, crb_from_fim
 from satcrb import signal_ml
 from satcrb.geometry import InvalidConfig, SystemParams, cup_edges, stream_keys
 from satcrb.signal_ml import (
@@ -505,6 +505,17 @@ class TestCalibration:
         assert np.linalg.det(j3) > 0.0 and np.linalg.cond(j3) >= 1e12
         with pytest.raises(SingularInformation):
             signal_crb(pos, cfg, mode="fix_z")
+
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_each_mode_inverts_its_coordinates_and_the_clock(self, cfg):
+        # full_3d is the bound of the whole 4x4 information, bit for bit;
+        # fix_z inverts its (x, y, c*T0) block and bounds the pinned z as 0
+        for pos in (ring_positions(), ring_positions()[:-1]):
+            j = signal_fim(pos, cfg)
+            assert signal_crb(pos, cfg, "full_3d") == crb_from_fim(j)
+            inv = np.linalg.solve(j[np.ix_([0, 1, 3], [0, 1, 3])], np.eye(3))
+            fixed = signal_crb(pos, cfg, "fix_z")
+            assert fixed.xy == float(inv[0, 0] + inv[1, 1]) and fixed.z == 0.0
 
     def test_fix_z_reduction_never_hurts(self):
         cfg = gauss_cfg()
