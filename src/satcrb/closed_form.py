@@ -20,8 +20,14 @@ kernels take the edges and carry the brackets in extended precision
 The two routes are not independent: both take the edge quantities of
 geometry.cup_edges (D_max, log(D_max/h), h - zeta D_max, q), evaluated in
 extended precision, and the TDOA+RSS routes the brackets of _rss_brackets,
-so a fault there moves both together. Only the quadrature checks them; it
-integrates up to geometry.chi_max, the float64 evaluation of the same edge.
+so a fault there moves both together. Within the package only the
+quadrature checks them, and it integrates up to geometry.chi_max, the
+float64 evaluation of the same edge; the test suite checks the edges, the
+moments and every printed bound against a 50-digit oracle of the defining
+integrals (tests/oracle.py).
+
+Every bound and limit coefficient of the model is positive, so each array
+kernel's last check is that its results are finite and positive.
 """
 
 from __future__ import annotations
@@ -222,17 +228,38 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _all_positive(out, what: str) -> tuple[np.ndarray, Callable]:
+    """The check that every field of a kernel's result is finite and
+    positive, as every bound and limit coefficient of the model is; its
+    error names the point's first field that is not."""
+    names = [f.name for f in fields(out)]
+    cells = [getattr(out, name) for name in names]
+    bad = [~(np.isfinite(c) & (c > 0.0)) for c in cells]
+
+    def error(j: int) -> DegenerateGeometry:
+        name, value = next((n, float(c[j])) for n, c, b in zip(names, cells, bad) if b[j])
+        return DegenerateGeometry(
+            f"{what} {name} is {value!r}, not finite and positive; viewing cone too small"
+        )
+
+    return np.logical_or.reduce(bad), error
+
+
 def _limit(lam, xy_num, xy_den, z_num, z_den) -> tuple[BoundSet, list]:
     """num/den per axis with float64 denominators, and the checks of each
-    point: log(D_max/h) > 0, then finite positive xy and z denominators."""
+    point: log(D_max/h) > 0, finite positive xy and z denominators, then
+    finite positive bounds."""
     vanished = DegenerateGeometry("log(D_max/h) vanished; viewing cone too small")
     xy, z = xy_den.astype(float), z_den.astype(float)
 
     def positive(name: str, d: np.ndarray):
         return ~(np.isfinite(d) & (d > 0.0)), lambda j: _check_positive(name, float(d[j]))
 
-    checks = [(~(lam > 0.0), lambda j: vanished), positive("xy", xy), positive("z", z)]
-    return BoundSet(xy=xy_num / xy, z=z_num / z), checks
+    out = BoundSet(xy=xy_num / xy, z=z_num / z)
+    return out, [
+        (~(lam > 0.0), lambda j: vanished), positive("xy", xy), positive("z", z),
+        _all_positive(out, "limit"),
+    ]
 
 
 @np.errstate(all="ignore")
@@ -308,9 +335,11 @@ def limit_coefficients_arrays(
     params: SystemParams, h: np.ndarray, phi: np.ndarray
 ) -> tuple[LimitCoefficients, list]:
     """limit_coefficients elementwise over phi_l_max (h is unused), and the
-    check that no divisor is zero, as it is where cos(phi_l_max) rounds to 1
-    (below about 6e-7 degrees). Powers and logs go through `libm`, so each
-    element is the scalar float formula's."""
+    checks that no divisor is zero, as it is where cos(phi_l_max) rounds to 1
+    (below about 6e-7 degrees), then that every coefficient is finite and
+    positive, as alpha_z is not at some angles below about 0.23 degrees.
+    Powers and logs go through `libm`, so each element is the scalar float
+    formula's."""
     r, zeta = params.r, np.cos(phi)
     sin2 = libm(pow, np.sin(phi), 2)
     sq = libm(pow, 1.0 - zeta, 2)
@@ -323,15 +352,16 @@ def limit_coefficients_arrays(
         den * libm(pow, 1.0 - zeta, 3),
     )
     zero = (log_zeta == 0.0) | np.any([d == 0.0 for d in div], axis=0)
-    return LimitCoefficients(
+    out = LimitCoefficients(
         alpha_xy=-8.0 * r * r / div[0],
         alpha_z=2.0 * r * r / div[1],
         beta_xy=12.0 / div[2],
         beta_z=12.0 / div[3],
-    ), [(zero, lambda j: DegenerateGeometry(
+    )
+    return out, [(zero, lambda j: DegenerateGeometry(
         f"limit coefficients divide by zero at cos(phi_l_max) = {float(zeta[j])!r}; "
         "viewing cone too small"
-    ))]
+    )), _all_positive(out, "limit coefficient")]
 
 
 def limit_coefficients(params: SystemParams) -> LimitCoefficients:

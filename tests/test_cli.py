@@ -600,6 +600,9 @@ BOUNDS_ERRORS = [
      "error: xy denominator degenerated to 0.0; viewing cone too small"),
     (["--grid", "500,-5"], 2, "Error: altitude must be finite and positive, got h=-5.0"),
     (["--grid", "500,1e400"], 2, "Error: altitude must be finite and positive, got h=inf"),
+    (["--axis", "phi_l_max", "--grid", "60,0.1"], 3,
+     "error: limit coefficient alpha_z is -438584935.49815017, not finite and positive; "
+     "viewing cone too small"),
 ]
 
 

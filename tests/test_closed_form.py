@@ -1,13 +1,16 @@
 """Closed-form bounds vs quadrature oracle, route agreement, limits."""
 
 import dataclasses
+import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import oracle
+from satcrb.cli import main
 from satcrb.closed_form import (
     DegenerateGeometry,
     _lcrb_tdoa_rss_arrays,
@@ -28,36 +31,24 @@ from satcrb.closed_form import (
 from satcrb.coverage import coverage_prob, coverage_prob_arrays, visibility_prob
 from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 
+# r=6371, h=20000, phi=math.radians(60), eta_rho=6.4e13, eta=400 (rho =
+# eta_rho/eta): the point of the value tests
 SPLIT = SystemParams(eta=400.0)
 
-# Frozen 50-digit quadrature oracle values at r=6371, h=20000, phi=60 deg,
-# eta_rho=6.4e13, eta=400 (rho = eta_rho/eta).
-ORACLE = dict(
-    m_l=46587.604347346119,
-    m_l_cos=34897.217153716009,
-    m_l_sin2=19477.165907301103,
-    m_k_sin2=19477.165907405138,
-    m_k_cos2=27110.438440199277,
-    lcrb_tdoa_xy=2.0536868757176742e-4,
-    lcrb_tdoa_z=1.0308220283259829e-3,
-    lcrb_rss_xy=2.0536868757067045e-4,
-    lcrb_rss_z=1.0308220281620663e-3,
-)
 
-
-def test_moments_match_frozen_oracle():
-    m = moment_integrals(SPLIT)
+def test_moments_match_oracle_at_default_point():
+    m, want = moment_integrals(SPLIT), oracle.moments(SPLIT)
     for key in ("m_l", "m_l_cos", "m_l_sin2", "m_k_sin2", "m_k_cos2"):
-        assert getattr(m, key) == pytest.approx(ORACLE[key], rel=1e-12), key
+        assert getattr(m, key) == pytest.approx(float(want[key]), rel=1e-12), key
 
 
-def test_lcrb_match_frozen_oracle():
-    t = lcrb_tdoa(SPLIT)
-    r = lcrb_tdoa_rss(SPLIT)
-    assert t.xy == pytest.approx(ORACLE["lcrb_tdoa_xy"], rel=1e-12)
-    assert t.z == pytest.approx(ORACLE["lcrb_tdoa_z"], rel=1e-11)
-    assert r.xy == pytest.approx(ORACLE["lcrb_rss_xy"], rel=1e-12)
-    assert r.z == pytest.approx(ORACLE["lcrb_rss_z"], rel=1e-11)
+def test_lcrb_match_oracle_at_default_point():
+    t, want_t = lcrb_tdoa(SPLIT), oracle.lcrb_tdoa(SPLIT)
+    r, want_r = lcrb_tdoa_rss(SPLIT), oracle.lcrb_tdoa_rss(SPLIT)
+    assert t.xy == pytest.approx(float(want_t[0]), rel=1e-12)
+    assert t.z == pytest.approx(float(want_t[1]), rel=1e-11)
+    assert r.xy == pytest.approx(float(want_r[0]), rel=1e-12)
+    assert r.z == pytest.approx(float(want_r[1]), rel=1e-11)
 
 
 def test_cup_expectation_normalization():
@@ -182,7 +173,7 @@ def test_acrb_is_lcrb_over_n():
     p2000 = SystemParams(n_sats=2000)
     assert acrb(p250).xy / acrb(p2000).xy == pytest.approx(8.0, rel=1e-12)
     ar = lcrb_tdoa_rss(SystemParams(n_sats=250, eta=400.0)).scaled(1.0 / 250)
-    assert ar.xy == pytest.approx(ORACLE["lcrb_rss_xy"] / 250.0, rel=1e-12)
+    assert ar.xy == pytest.approx(float(oracle.lcrb_tdoa_rss(SPLIT)[0]) / 250.0, rel=1e-12)
 
 
 def test_acrb_monotone_increasing_in_h_over_reported_range():
@@ -288,34 +279,14 @@ def test_rss_limit_matches_quadrature(h, phi_deg):
     assert lit.z == pytest.approx(quad.z, rel=1e-9)
 
 
-def _mp_cup_edges(r: float, h: float, phi: float) -> dict:
-    """D_max, log(D_max/h), h - zeta D_max, surd and q from their defining
-    (cancelling) expressions, carried at 50 digits."""
-    with mpmath.workdps(50):
-        r, h, phi = mpmath.mpf(r), mpmath.mpf(h), mpmath.mpf(phi)
-        big_r, zeta = r + h, mpmath.cos(phi)
-        dm = mpmath.sqrt(big_r**2 - (r * mpmath.sin(phi)) ** 2) - r * zeta
-        return dict(
-            dm=dm,
-            lam=mpmath.log(dm / h),
-            hmzd=h - zeta * dm,
-            surd=big_r - r * zeta**2 - zeta * dm,
-            q=big_r - (r * (h - zeta * dm) + h * big_r) / dm,
-        )
-
-
 def _cup_edge_error(h: float, phi_deg: float, names=None) -> float:
-    """The worst relative error of the edge quantities (those named, or all)."""
-    phi = math.radians(phi_deg)
-    e = cup_edges(SystemParams(), np.array([h]), np.array([phi]), np.longdouble)
-    worst = 0.0
-    for name, want in _mp_cup_edges(6371.0, h, phi).items():
-        if names is not None and name not in names:
-            continue
-        num, den = getattr(e, name)[0].as_integer_ratio()  # exact longdouble
-        with mpmath.workdps(50):
-            worst = max(worst, float(abs(mpmath.mpf(num) / den / want - 1)))
-    return worst
+    """The worst relative error of the edge quantities (those named, or all)
+    against the oracle's defining expressions."""
+    p = SystemParams(h=h, phi_l_max=math.radians(phi_deg))
+    e = cup_edges(p, np.array([h]), np.array([p.phi_l_max]), np.longdouble)
+    want = oracle.cup_edges(p)
+    names = want if names is None else names
+    return max(oracle.rel_err(getattr(e, name)[0], want[name]) for name in names)
 
 
 LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -460,3 +431,72 @@ def test_limit_coefficients_zero_divisor_is_degenerate(phi_deg):
         reference_limit_coefficients(p)
     with pytest.raises(DegenerateGeometry, match=r"divide by zero at cos\(phi_l_max\) = 1\.0"):
         limit_coefficients(p)
+
+
+@pytest.mark.parametrize("phi_deg", [0.05, 0.1])
+def test_non_positive_alpha_z_is_degenerate(phi_deg):
+    # alpha_z's divisor sin^2 + 2 (1 - zeta)^2 / log(zeta) cancels, to the
+    # wrong sign at some angles below about 0.23 degrees; the true alpha_z
+    # is positive
+    p = SystemParams(phi_l_max=math.radians(phi_deg))
+    assert reference_limit_coefficients(p)[1] < 0.0 < oracle.limit_coefficients(p)["alpha_z"]
+    with pytest.raises(DegenerateGeometry, match=r"^limit coefficient alpha_z is -"):
+        limit_coefficients(p)
+
+
+# The log grid on which every float column `bounds` prints is checked
+# against the oracle, at the exact double inputs the command receives. It
+# starts at 5 degrees: below, the z columns and alpha_z lose most of their
+# digits to cancellation (at 0.1 degrees, lcrb_z by 0.15 relative at
+# 20 000 km, and alpha_z has the wrong sign, which `bounds` refuses).
+COLUMN_H = np.geomspace(0.01, 1.0e5, 8).tolist()
+COLUMN_PHI_DEG = np.geomspace(5.0, 90.0, 6).tolist()
+
+# column: (error measure, stated bound); the comment gives the worst error
+# measured on the grid and its (h km, phi_l_max deg)
+COLUMN_BOUNDS = {
+    "lcrb_xy": (oracle.rel_err, 1e-13),  # 3.8e-14 at (1e5, 5)
+    "lcrb_z": (oracle.rel_err, 3e-10),  # 1.2e-10 at (1e5, 5)
+    "acrb_xy": (oracle.rel_err, 1e-13),  # 3.8e-14 at (1e5, 5)
+    "acrb_z": (oracle.rel_err, 3e-10),  # 1.2e-10 at (1e5, 5)
+    "aacrb_xy": (oracle.rel_err, 2e-12),  # 8.4e-13 at (1, 5)
+    "aacrb_z": (oracle.rel_err, 6e-9),  # 2.7e-9 at (1, 5)
+    "alpha_xy": (oracle.rel_err, 2e-12),  # 8.4e-13 at 5 degrees, any h
+    "alpha_z": (oracle.rel_err, 6e-9),  # 2.7e-9 at 5 degrees, any h
+    "beta_xy": (oracle.rel_err, 2e-14),  # 6.6e-15 at 5 degrees, any h
+    "beta_z": (oracle.rel_err, 2e-14),  # 9.8e-15 at 5 degrees, any h
+    # absolute: 1 - (the first four binomial terms) cancels where coverage
+    # is small
+    "coverage_prob": (oracle.abs_err, 1e-13),  # 5.0e-14 at (100, 90)
+}
+
+
+@pytest.fixture(scope="module")
+def printed_and_true(tmp_path_factory):
+    """Per column, the cells `--format json bounds` prints over COLUMN_H at
+    each angle of COLUMN_PHI_DEG (JSON floats round-trip), the oracle's
+    values, and the (h, phi_l_max deg) of each cell."""
+    cfg = tmp_path_factory.mktemp("bounds") / "run.cfg"
+    printed, true, at = {}, {}, []
+    for phi_deg in COLUMN_PHI_DEG:
+        cfg.write_text(f"phi_l_max = {phi_deg!r}\n")
+        args = ["--config", str(cfg), "--format", "json", "bounds",
+                "--grid", ",".join(map(repr, COLUMN_H))]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        for h, row in zip(COLUMN_H, json.loads(result.stdout)):
+            assert row["axis_value"] == h
+            want = oracle.bounds_row(SystemParams(h=h, phi_l_max=math.radians(phi_deg)))
+            for column, value in want.items():
+                printed.setdefault(column, []).append(row[column])
+                true.setdefault(column, []).append(value)
+            at.append((h, phi_deg))
+    return printed, true, at
+
+
+@pytest.mark.parametrize("column", COLUMN_BOUNDS)
+def test_bounds_column_matches_oracle(printed_and_true, column):
+    printed, true, at = printed_and_true
+    err, bound = COLUMN_BOUNDS[column]
+    worst, where = oracle.worst(printed[column], true[column], err, at)
+    assert worst <= bound, (column, worst, where)

@@ -2,6 +2,7 @@
 every public name of the package resolves, and so does every module.name
 the README names."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import satcrb
-from test_acceptance import bandwidth_gaps, limit_gaps
+from test_acceptance import bandwidth_gaps, gate_bandwidth, limit_gaps, two_term_gate_edge
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -90,3 +91,41 @@ def test_readme_quotes_the_limit_gaps():
     for route in limit_gaps().values():
         for axis, gap in zip(("xy", "z"), route):
             assert f"{quote(gap)} ({axis})" in readme
+
+
+def test_readme_quotes_the_gate_bandwidth():
+    """The bandwidth at which criterion 08's limit z gap meets its gate."""
+    assert f"W_e = {gate_bandwidth() / 1e3:.2f} kHz" in (ROOT / "README.md").read_text()
+
+
+def test_readme_quotes_the_two_term_gate_edge():
+    """The phi_l_max up to which criterion 06's factor meets its gate."""
+    assert f"φ_l,max ≤ {two_term_gate_edge():.2f}°" in (ROOT / "README.md").read_text()
+
+
+def _imports_mpmath(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "mpmath" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "mpmath":
+                return True
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "importorskip" and any(
+                isinstance(arg, ast.Constant) and arg.value == "mpmath" for arg in node.args
+            ):
+                return True
+    return False
+
+
+def test_only_the_oracle_imports_mpmath():
+    """High-precision references live in tests/oracle.py alone, so every test
+    compares against the same truth at the same inputs."""
+    users = [
+        path.name
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if _imports_mpmath(ast.parse(path.read_text()))
+    ]
+    assert users == ["oracle.py"]

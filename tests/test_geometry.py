@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +25,7 @@ from satcrb.geometry import (
 from satcrb.coverage import visibility_prob
 from satcrb.fim import timing_rows
 
+import oracle
 from draw_reference import cup_draw, radian_trig, trial_generator, uniform_draw
 
 DEFAULTS = SystemParams()
@@ -172,26 +172,13 @@ def test_e_to_l_published_angle_pair():
 def test_e_to_l_trig_identities(s):
     p = DEFAULTS
     d, cos_l, sin_l = (float(x[0]) for x in local_frame(np.array([s]), p))
-    with mpmath.workdps(60):
-        c, r, big_r = 1 - mpmath.mpf(s), mpmath.mpf(p.r), mpmath.mpf(p.big_r)
-        law = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
-        # transfer relations: R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
-        d_sin_l, d_cos_l = big_r * mpmath.sqrt(1 - c * c), big_r * c - r
+    # the oracle's law of cosines, and its transfer relations
+    # R sin(phi_e) = d sin(phi_l), R cos(phi_e) - r = d cos(phi_l)
+    law, want_cos, want_sin = oracle.local_frame(s, p)
     assert d == pytest.approx(float(law), rel=1e-12)
-    assert float(d_sin_l) == pytest.approx(d * sin_l, rel=1e-12, abs=1e-9)
-    assert float(d_cos_l) == pytest.approx(d * cos_l, rel=1e-12, abs=1e-9)
+    assert float(law * want_sin) == pytest.approx(d * sin_l, rel=1e-12, abs=1e-9)
+    assert float(law * want_cos) == pytest.approx(d * cos_l, rel=1e-12, abs=1e-9)
     assert sin_l**2 + cos_l**2 == pytest.approx(1.0, abs=1e-12)
-
-
-def local_frame_mpmath(s, params):
-    """(d, cos(phi_l), sin(phi_l)) at 40 digits from the law of cosines and
-    the transfer relations, with R = r + h and cos(phi_e) = 1 - s exact."""
-    with mpmath.workdps(40):
-        s, r, h = (mpmath.mpf(float(x)) for x in (s, params.r, params.h))
-        c = 1 - s
-        big_r = r + h
-        d = mpmath.sqrt(big_r**2 + r**2 - 2 * r * big_r * c)
-        return d, (big_r * c - r) / d, big_r * mpmath.sqrt(1 - c * c) / d
 
 
 @pytest.mark.parametrize("h", [0.01, 500.0, 20000.0, 40000.0])
@@ -207,14 +194,13 @@ def test_local_frame_matches_mpmath(h):
     s = np.geomspace(2.0**-52, 1.0 - p.r / p.big_r, 600)
     s = np.unique(np.ldexp(np.round(np.ldexp(s, 52)), -52))
     got = local_frame(s, p)
-    want = [local_frame_mpmath(x, p) for x in s]
+    want = list(zip(*(oracle.local_frame(x, p) for x in s.tolist())))
     for k, ulps in ((0, 1.5), (1, 3.0), (2, 4.0)):
-        ref = np.array([float(w[k]) for w in want])
-        err = np.array([float(mpmath.mpf(g) - w[k]) for g, w in zip(got[k], want)])
-        cut = ref >= 0.5 if k == 1 else slice(None)
-        assert np.all(np.abs(err[cut]) <= ulps * np.spacing(np.abs(ref[cut]))), k
-        if k == 1:
-            assert np.all(np.abs(err) <= 1.5 * np.finfo(float).eps)
+        err = np.array([oracle.ulps(g, w) for g, w in zip(got[k].tolist(), want[k])])
+        cut = np.array([w >= 0.5 for w in want[k]]) if k == 1 else slice(None)
+        assert np.all(np.abs(err[cut]) <= ulps), k
+    eps = np.finfo(float).eps
+    assert oracle.worst(got[1].tolist(), want[1], oracle.abs_err)[0] <= 1.5 * eps
 
 
 def max_earth_angle(params):
@@ -415,35 +401,28 @@ TURNS = np.concatenate(
 )
 
 
-def worst_trig_error(turns, cos_t, sin_t):
-    """Largest absolute error of (cos_t, sin_t) against a 40-digit
-    (cos 2 pi u, sin 2 pi u) at the exact double turns u."""
-    with mpmath.workdps(40):
-        return float(
-            max(
-                max(
-                    abs(mpmath.mpf(c) - mpmath.cospi(2 * mpmath.mpf(u))),
-                    abs(mpmath.mpf(s) - mpmath.sinpi(2 * mpmath.mpf(u))),
-                )
-                for u, c, s in zip(turns.tolist(), cos_t.tolist(), sin_t.tolist())
-            )
-        )
+def worst_trig_error(cos_t, sin_t, want):
+    """Largest absolute error of (cos_t, sin_t) against want, the oracle's
+    (cos 2 pi u, sin 2 pi u) at the exact double turns u of TURNS."""
+    return max(
+        oracle.worst(got.tolist(), w, oracle.abs_err)[0]
+        for got, w in zip((cos_t, sin_t), zip(*want))
+    )
 
 
 def test_cos_sin_turns_is_within_2_to_the_minus_52():
-    assert worst_trig_error(TURNS, *cos_sin_turns(TURNS)) <= 2.0**-52
+    want = [oracle.cos_sin_turns(u) for u in TURNS.tolist()]
+    assert worst_trig_error(*cos_sin_turns(TURNS), want) <= 2.0**-52
     # numpy's route misses the gate, by the rounding of the angle 2 pi u
-    assert worst_trig_error(TURNS, *radian_trig(TURNS)) > 2.0**-52
+    assert worst_trig_error(*radian_trig(TURNS), want) > 2.0**-52
 
 
 def test_cos_sin_turns_tables_are_correctly_rounded():
     from satcrb.geometry import _COS_STEP, _SIN_STEP
 
-    with mpmath.workdps(50):
-        for j in range(256):
-            angle = mpmath.mpf(j) / 128
-            assert _COS_STEP[j] == float(mpmath.cospi(angle))
-            assert _SIN_STEP[j] == float(mpmath.sinpi(angle))
+    for j in range(256):
+        cos_j, sin_j = oracle.cos_sin_turns(j / 256)
+        assert (_COS_STEP[j], _SIN_STEP[j]) == (float(cos_j), float(sin_j))
     # so the quarter turns are exact
     cos_t, sin_t = cos_sin_turns(np.array([0.0, 0.25, 0.5, 0.75]))
     assert cos_t.tolist() == [1.0, 0.0, -1.0, 0.0]
