@@ -4,7 +4,10 @@ Subcommands compute bound sweeps (`bounds`), Monte Carlo constellation
 experiments (`montecarlo`), coverage design queries (`coverage`), the ML
 efficiency demo (`ml`), and the cross-oracle verification chain (`verify`).
 Everything is deterministic for a fixed (config, seed): output bytes repeat
-across runs.
+across runs. This module is the command line alone: config loading, row
+rendering and the click wiring. Every computation is a library call, and
+the checks `verify` prints, one line each, are the rows of
+`satcrb.verify.CHECKS`.
 
 Config files are flat ``key = value`` text (``#`` comments allowed) or a JSON
 object with the same keys. Keys match the dataclass field names: system
@@ -38,14 +41,8 @@ import numpy as np
 
 from .closed_form import (
     DegenerateGeometry,
-    lcrb_tdoa,
     lcrb_tdoa_arrays,
-    lcrb_tdoa_from_moments,
-    lcrb_tdoa_rss,
-    lcrb_tdoa_rss_from_moments,
     limit_coefficients_arrays,
-    moment_integrals,
-    quadrature_moments,
     raise_first,
     two_term,
 )
@@ -60,15 +57,14 @@ from .coverage import (
 )
 from .fim import SingularInformation
 from .geometry import SEED_MAX, SWEEP_RANGES, InvalidConfig, SystemParams, check_seed
-from .montecarlo import MODELS, ConvergenceRow, convergence_sweep, crb_distribution
-from .planar import PlanarSensors, planar_crb_closed, planar_crb_fim
+from .montecarlo import MODELS, ConvergenceRow, convergence_sweep
 from .signal_ml import (
     SignalConfig,
-    decoupling_check,
     default_signal_config,
     mse_experiment,
     zenith_ring_geometry,
 )
+from .verify import run_verification
 
 DEFAULT_SEED = 20260819
 FORMATS = ("csv", "json")
@@ -381,93 +377,6 @@ def _grid_values(spec: str | None, axis: str) -> np.ndarray:
     if axis == "h":
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
-
-
-# ---------------------------------------------------------------------------
-# verification chain
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / abs(b)
-
-
-def _gate(name: str, label: str, values: Sequence[float], gate: float) -> CheckResult:
-    """The check `name`: its largest value, a NaN among the values
-    propagating, passes iff it is below gate."""
-    v = float(np.max(values))
-    return CheckResult(name, v < gate, f"{label}={v:.3e} gate={gate:.0e}")
-
-
-def run_verification(
-    params: SystemParams, signal: SignalConfig, seed: int
-) -> list[CheckResult]:
-    """Cross-oracle checks of independent routes to the same quantities."""
-    # the (h, phi_l_max) grid of checks 1 and 2, each point with an eta split
-    grid = [
-        dataclasses.replace(params, h=h, phi_l_max=math.radians(phi), eta=1.0e6 / h**2)
-        for h in (500.0, 2000.0, 20000.0, 40000.0)
-        for phi in (10.0, 35.0, 60.0, 90.0)
-    ]
-
-    # 1. closed-form moments against Gauss-Legendre quadrature
-    moments_rel = []
-    for p in grid:
-        closed = moment_integrals(p)
-        quad = quadrature_moments(p, n_points=128)
-        for field in ("m_l", "m_l_cos", "m_l_sin2", "m_k_sin2", "m_k_cos2"):
-            moments_rel.append(_rel(getattr(closed, field), getattr(quad, field)))
-
-    # 2. literal limit formulas against moment assembly
-    routes_rel = []
-    for p in grid:
-        for literal_fn, assembly_fn in (
-            (lcrb_tdoa, lcrb_tdoa_from_moments),
-            (lcrb_tdoa_rss, lcrb_tdoa_rss_from_moments),
-        ):
-            lit = literal_fn(p)
-            asm = assembly_fn(moment_integrals(p))
-            routes_rel += [_rel(lit.xy, asm.xy), _rel(lit.z, asm.z)]
-
-    # 3. Monte Carlo median against the limit
-    dist = crb_distribution(
-        dataclasses.replace(params, n_sats=2000), "tdoa", trials=200, seed=seed
-    )
-    limit = lcrb_tdoa(params)
-    median_dev = [
-        abs(dist.median_xy / limit.xy - 1.0), abs(dist.median_z / limit.z - 1.0)
-    ]
-
-    # 4. planar closed form against direct FIM inversion
-    rng = np.random.default_rng(seed)
-    planar_rel = []
-    for _ in range(30):
-        m = int(rng.integers(3, 8))
-        sensors = PlanarSensors(
-            angles=tuple(rng.uniform(0.0, 2.0 * math.pi, m)) ,
-            distances=tuple(rng.uniform(1.0, 100.0, m)),
-            gamma=float(rng.uniform(1.0, 3.0)),
-            w_e=1.0e6,
-            rho=100.0,
-            c=params.c,
-        )
-        planar_rel.append(_rel(planar_crb_closed(sensors), planar_crb_fim(sensors)))
-
-    # 5. amplitude/(position, clock) decoupling for the symmetric pulse
-    coupling = decoupling_check(zenith_ring_geometry(params), signal)
-    return [
-        _gate("moments-quadrature", "max_rel", moments_rel, 1e-8),
-        _gate("limit-routes", "max_rel", routes_rel, 1e-9),
-        _gate("montecarlo-limit", "max_median_dev", median_dev, 5e-2),
-        _gate("planar-oracle", "max_rel", planar_rel, 1e-10),
-        _gate("decoupling", "max_coupling", [coupling], 1e-3),
-    ]
 
 
 # ---------------------------------------------------------------------------

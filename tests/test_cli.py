@@ -16,21 +16,20 @@ import pytest
 from click.testing import CliRunner
 
 import satcrb.cli as cli_mod
-from satcrb import closed_form, coverage, geometry, signal_ml
+from satcrb import closed_form, coverage, geometry, signal_ml, verify
 from satcrb.cli import (
     DEFAULT_SEED,
     GRID_MAX,
-    CheckResult,
     _grid_values,
     load_run_config,
     main,
-    run_verification,
 )
 from satcrb.closed_form import DegenerateGeometry, lcrb_tdoa
 from satcrb.coverage import Unachievable
 from satcrb.fim import SingularInformation
 from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 from satcrb.signal_ml import default_signal_config
+from satcrb.verify import CHECKS, Check, CheckResult, run_verification
 
 C_KM_S = 299792.458
 # the directory the satcrb under test is imported from, for the subprocesses
@@ -855,7 +854,7 @@ class TestVerifyCommand:
         def skewed(params):
             return lcrb_tdoa(dataclasses.replace(params, eta_rho=params.eta_rho * (1.0 + 1e-6)))
 
-        monkeypatch.setattr(cli_mod, "lcrb_tdoa", skewed)
+        monkeypatch.setattr(verify, "lcrb_tdoa", skewed)
         p = SystemParams()
         checks = run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
         by_name = {c.name: c for c in checks}
@@ -895,7 +894,7 @@ class TestVerifyCommand:
                 return dataclasses.replace(bound, xy=math.nan)
             return bound
 
-        monkeypatch.setattr(cli_mod, "lcrb_tdoa", nan_at_one_point)
+        monkeypatch.setattr(verify, "lcrb_tdoa", nan_at_one_point)
         p = SystemParams()
         checks = run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
         by_name = {c.name: c for c in checks}
@@ -933,6 +932,53 @@ class TestVerifyCommand:
         result = invoke(["verify"])
         assert result.exit_code == 4
         assert "FAIL stub" in result.output
+
+    @pytest.mark.parametrize("row", range(len(CHECKS)), ids=[c.name for c in CHECKS])
+    def test_nan_value_fails_its_row_alone(self, row, monkeypatch):
+        # a NaN among the row's values propagates through the gate's max
+        def with_nan(run, values=CHECKS[row].values):
+            out = list(values(run))
+            return [*out[: len(out) // 2], math.nan, *out[len(out) // 2 :]]
+
+        checks = list(CHECKS)
+        checks[row] = checks[row]._replace(values=with_nan)
+        monkeypatch.setattr(verify, "CHECKS", tuple(checks))
+        result = invoke(["verify"])
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == len(CHECKS)
+        for i, (line, check) in enumerate(zip(lines, CHECKS)):
+            if i == row:
+                assert line == f"FAIL {check.name}: {check.label}=nan gate={check.gate:.0e}"
+            else:
+                assert line.startswith(f"PASS {check.name}: ")
+
+    def test_a_row_is_a_check(self, monkeypatch):
+        extra = Check("stub", "max_rel", 1.0, lambda run: [0.5, 0.25])
+        monkeypatch.setattr(verify, "CHECKS", (*CHECKS, extra))
+        result = invoke(["verify"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == 6
+        assert lines[-1] == "PASS stub: max_rel=5.000e-01 gate=1e+00"
+
+    def test_moments_formed_once_per_grid_point(self, monkeypatch):
+        # checks 1 and 2 share one list of the 16-point grid's moments
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        original = closed_form.moment_integrals
+        for module in (closed_form, verify):
+            monkeypatch.setattr(module, "moment_integrals", counted)
+        p = SystemParams()
+        for _ in range(2):
+            calls.clear()
+            run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
+            assert len(calls) == 16
+            assert len(set(calls)) == 16
 
 
 @pytest.mark.parametrize(

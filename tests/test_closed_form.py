@@ -444,6 +444,29 @@ def test_non_positive_alpha_z_is_degenerate(phi_deg):
         limit_coefficients(p)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1 step 2: alpha_z's divisor cancels at narrow cones; "
+    "bounds prints 8.377e7 at 0.2 deg (true 1.346e8) and 1.523e7 at 0.3 deg "
+    "(true 1.182e7), and aacrb_z inherits the error",
+)
+@pytest.mark.parametrize("column", ["alpha_z", "aacrb_z"])
+@pytest.mark.parametrize("phi_deg", [0.2, 0.3])
+def test_narrow_cone_alpha_z_matches_oracle(phi_deg, column):
+    # positive but wrong cells, which the sign guard lets through
+    result = CliRunner().invoke(
+        main, ["--format", "json", "bounds", "--axis", "phi_l_max", "--grid", repr(phi_deg)]
+    )
+    assert result.exit_code == 0, result.output
+    (row,) = json.loads(result.stdout)
+    p = SystemParams(phi_l_max=math.radians(phi_deg))
+    co = oracle.limit_coefficients(p)
+    aacrb_z = co["alpha_z"] + co["beta_z"] * oracle.exact(p.h) ** 2
+    want = {"alpha_z": co["alpha_z"], "aacrb_z": aacrb_z}
+    assert oracle.rel_err(row[column], want[column]) <= 1e-9
+
+
 # The log grid on which every float column `bounds` prints is checked
 # against the oracle, at the exact double inputs the command receives. It
 # starts at 5 degrees: below, the z columns and alpha_z lose most of their

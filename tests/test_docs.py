@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import satcrb
+from satcrb import verify
 from test_acceptance import bandwidth_gaps, gate_bandwidth, limit_gaps, two_term_gate_edge
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +130,13 @@ def test_only_the_oracle_imports_mpmath():
         if _imports_mpmath(ast.parse(path.read_text()))
     ]
     assert users == ["oracle.py"]
+
+
+def test_readme_lists_the_verify_checks():
+    """README's numbered list under "How it is validated" gives each row of
+    verify.CHECKS, its name, label and gate as verify prints them, in the
+    order verify runs them."""
+    section = (ROOT / "README.md").read_text().split("## How it is validated")[1]
+    section = section.split("\n## ")[0]
+    items = re.findall(r"^\d+\. `([\w-]+)`, `(\w+)` < (\S+):", section, re.M)
+    assert items == [(c.name, c.label, f"{c.gate:.0e}") for c in verify.CHECKS]
