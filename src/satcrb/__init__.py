@@ -15,7 +15,6 @@ from .closed_form import (
     MomentSet,
     aacrb,
     acrb,
-    cup_expectation,
     lcrb_tdoa,
     lcrb_tdoa_from_moments,
     lcrb_tdoa_rss,
@@ -111,7 +110,6 @@ __all__ = [
     "coverage_prob",
     "crb_distribution",
     "crb_from_fim",
-    "cup_expectation",
     "decoupling_check",
     "effective_bandwidth_time",
     "lcrb_tdoa",

@@ -106,8 +106,6 @@ def _read_config_file(path: str) -> dict:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidConfig(f"config file {path} must hold a JSON object")
         return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

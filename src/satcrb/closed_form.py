@@ -11,7 +11,8 @@ Two computation routes exist for every bound:
 
 * the literal published expressions (public path), and
 * assembly from the MomentSet expectations (test path), themselves checked
-  against Gauss-Legendre quadrature of the defining integrals.
+  against one Gauss-Legendre pass over the defining integrands, which reads
+  the cup edge once and integrates every moment on the same nodes.
 
 The bound denominators subtract nearly equal terms at narrow cones, so the
 kernels take the edges and carry the brackets in extended precision
@@ -85,69 +86,36 @@ class LimitCoefficients:
     beta_z: float
 
 
-def cup_expectation(
-    params: SystemParams, f: Callable[[np.ndarray], np.ndarray], n_points: int = 128
-) -> float:
-    """E[f(chi) 1[visible]] = (1/2) * integral of f over [chi_max, 1].
-
-    Fixed-order Gauss-Legendre; the integrands in this module are smooth on
-    the cup so no adaptivity is needed.
-    """
+def quadrature_moments(params: SystemParams, n_points: int = 128) -> MomentSet:
+    """Moment oracle: fixed-order Gauss-Legendre quadrature of the defining
+    integrands, E[f 1[visible]] = (1/2) * integral of f over [chi_max, 1],
+    every moment on one node set. The integrands are smooth on the cup, so
+    no adaptivity is needed."""
     if n_points < 8:
         raise InvalidConfig(f"n_points must be >= 8, got {n_points}")
+    r, big_r, er = params.r, params.big_r, params.eta_rho
     a = chi_max(params)
     x, w = _leggauss(n_points)
     chi = 0.5 * (a + 1.0) + 0.5 * (1.0 - a) * x
-    return 0.5 * 0.5 * (1.0 - a) * float(np.dot(w, f(chi)))
 
+    def mean(f: np.ndarray) -> float:
+        return 0.5 * 0.5 * (1.0 - a) * float(np.dot(w, f))
 
-def quadrature_moments(params: SystemParams, n_points: int = 128) -> MomentSet:
-    """Moment oracle: integrate the defining expressions directly."""
-    r, big_r = params.r, params.big_r
-    er = params.eta_rho
-
-    def d2(chi: np.ndarray) -> np.ndarray:
-        return big_r * big_r + r * r - 2.0 * r * big_r * chi
-
-    # L = 2 eta rho / D^2; sin^2 phi_l = R^2 (1-chi^2)/D^2; cos phi_l = (R chi - r)/D
-    m_l = cup_expectation(params, lambda chi: 2.0 * er / d2(chi), n_points)
-    m_l_cos = cup_expectation(
-        params, lambda chi: 2.0 * er * (big_r * chi - r) / d2(chi) ** 1.5, n_points
-    )
-    m_l_sin2 = cup_expectation(
-        params,
-        lambda chi: 2.0 * er * big_r**2 * (1.0 - chi**2) / d2(chi) ** 2,
-        n_points,
-    )
+    # D^2; L = 2 eta rho / D^2, sin^2 phi_l = R^2 (1-chi^2)/D^2 and
+    # cos phi_l = (R chi - r)/D
+    d2 = big_r * big_r + r * r - 2.0 * r * big_r * chi
     m_k_sin2 = m_k_cos2 = None
     if params.has_split:
-        eta, rho = params.eta, params.rho
         # K = (2 rho / D^4)(1 + eta D^2)
-        m_k_sin2 = cup_expectation(
-            params,
-            lambda chi: 2.0
-            * rho
-            * (1.0 + eta * d2(chi))
-            * big_r**2
-            * (1.0 - chi**2)
-            / d2(chi) ** 3,
-            n_points,
-        )
-        m_k_cos2 = cup_expectation(
-            params,
-            lambda chi: 2.0
-            * rho
-            * (1.0 + eta * d2(chi))
-            * (big_r * chi - r) ** 2
-            / d2(chi) ** 3,
-            n_points,
-        )
+        k = 2.0 * params.rho * (1.0 + params.eta * d2)
+        m_k_sin2 = mean(k * big_r**2 * (1.0 - chi**2) / d2**3)
+        m_k_cos2 = mean(k * (big_r * chi - r) ** 2 / d2**3)
     return MomentSet(
         m_k_sin2=m_k_sin2,
         m_k_cos2=m_k_cos2,
-        m_l=m_l,
-        m_l_cos=m_l_cos,
-        m_l_sin2=m_l_sin2,
+        m_l=mean(2.0 * er / d2),
+        m_l_cos=mean(2.0 * er * (big_r * chi - r) / d2**1.5),
+        m_l_sin2=mean(2.0 * er * big_r**2 * (1.0 - chi**2) / d2**2),
     )
 
 
@@ -307,22 +275,24 @@ def lcrb_tdoa_rss(params: SystemParams) -> BoundSet:
     return _at_point(_lcrb_tdoa_rss_arrays, params)
 
 
+def _from_moments(sin2: float, cos2: float, moments: MomentSet) -> BoundSet:
+    """Mean-information block inverses: xy = 4 / (sin^2 moment) and
+    z = m_l / (cos^2 moment * m_l - m_l_cos^2)."""
+    xy = 4.0 / _check_positive("xy", sin2)
+    z_den = cos2 * moments.m_l - moments.m_l_cos**2
+    return BoundSet(xy=xy, z=moments.m_l / _check_positive("z", z_den))
+
+
 def lcrb_tdoa_from_moments(moments: MomentSet) -> BoundSet:
     """Assembly route: mean-information block inverses from the MomentSet."""
-    xy = 4.0 / _check_positive("xy", moments.m_l_sin2)
-    z_den = moments.m_l_cos2 * moments.m_l - moments.m_l_cos**2
-    z = moments.m_l / _check_positive("z", z_den)
-    return BoundSet(xy=xy, z=z)
+    return _from_moments(moments.m_l_sin2, moments.m_l_cos2, moments)
 
 
 def lcrb_tdoa_rss_from_moments(moments: MomentSet) -> BoundSet:
     """Assembly route for the TDOA+RSS model."""
     if moments.m_k_sin2 is None or moments.m_k_cos2 is None:
         raise InvalidConfig("MomentSet lacks the K moments; need the (eta, rho) split")
-    xy = 4.0 / _check_positive("xy", moments.m_k_sin2)
-    z_den = moments.m_k_cos2 * moments.m_l - moments.m_l_cos**2
-    z = moments.m_l / _check_positive("z", z_den)
-    return BoundSet(xy=xy, z=z)
+    return _from_moments(moments.m_k_sin2, moments.m_k_cos2, moments)
 
 
 def acrb(params: SystemParams) -> BoundSet:

@@ -68,7 +68,7 @@ def moments_quadrature(run: Inputs) -> list[float]:
     """Closed-form moments against 128-node Gauss-Legendre quadrature."""
     values = []
     for p, closed in zip(run.grid, run.moments):
-        quad = quadrature_moments(p, n_points=128)
+        quad = quadrature_moments(p)
         values += [_rel(getattr(closed, f), getattr(quad, f)) for f in _MOMENT_FIELDS]
     return values
 

@@ -642,6 +642,34 @@ def test_unwritable_out_is_a_usage_error(tmp_path, target):
     assert message.startswith(f"Error: cannot write output file {path}: ")
 
 
+# (config file text or None, arguments, the start of the error line); a
+# config file opening with "{" parses to a JSON object or is not valid JSON
+INPUT_ERRORS = {
+    "missing-config": (None, ["coverage"], "Error: cannot read config file {cfg}: "),
+    "bad-json": ('{"h": 5000,\n', ["coverage"], "Error: config file {cfg} is not valid JSON: "),
+    "json-list": ("[1, 2]\n", ["coverage"],
+                  "Error: {cfg}:1: expected 'key = value', got '[1, 2]'"),
+    "format-xml": ('format = "xml"\n', ["coverage"],
+                   "Error: format must be one of ('csv', 'json'), got 'xml'"),
+    "n-list-bad": ("", ["montecarlo", "--n-list", "1,x"], "Error: bad n list '1,x'"),
+    "n-list-empty": ("", ["montecarlo", "--n-list", ","], "Error: n list is empty"),
+    "snr-grid-empty": ("", ["ml", "--snr-grid", ","], "Error: snr list is empty"),
+    "target-above-1": ("", ["coverage", "--query", "min_angle", "--target", "1.5"],
+                       "Error: target must be in (0,1), got 1.5"),
+}
+
+
+@pytest.mark.parametrize("text, args, message", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+def test_input_check_exits_2(text, args, message, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    result = CliRunner().invoke(main, ["--config", str(cfg), *args])
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b""
+    assert result.stderr.strip().splitlines()[-1].startswith(message.format(cfg=cfg))
+
+
 # cos(phi_l_max) rounds to 1 below about 6e-7 degrees, where the limit
 # coefficients divide by zero; at h = 500 km the LCRB still evaluates there,
 # so the sweep stops at that point with a DegenerateGeometry.
@@ -979,6 +1007,22 @@ class TestVerifyCommand:
             run_verification(p, default_signal_config(p.c), DEFAULT_SEED)
             assert len(calls) == 16
             assert len(set(calls)) == 16
+
+    def test_cup_edge_read_once_per_quadrature(self, monkeypatch):
+        # check 1 integrates each of the 16 grid points on one node set
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        original = geometry.chi_max
+        for module in (geometry, closed_form):
+            monkeypatch.setattr(module, "chi_max", counted)
+        result = invoke(["verify"])
+        assert result.exit_code == 0
+        assert len(calls) == 16
+        assert len(set(calls)) == 16
 
 
 @pytest.mark.parametrize(

@@ -7,16 +7,16 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from satcrb import closed_form, geometry
 from satcrb.cli import main
 from satcrb.closed_form import (
     DegenerateGeometry,
     _lcrb_tdoa_rss_arrays,
     aacrb,
     acrb,
-    cup_expectation,
     lcrb_tdoa,
     lcrb_tdoa_arrays,
     lcrb_tdoa_from_moments,
@@ -28,7 +28,7 @@ from satcrb.closed_form import (
     quadrature_moments,
     two_term,
 )
-from satcrb.coverage import coverage_prob, coverage_prob_arrays, visibility_prob
+from satcrb.coverage import coverage_prob, coverage_prob_arrays
 from satcrb.geometry import InvalidConfig, SystemParams, cup_edges
 
 # r=6371, h=20000, phi=math.radians(60), eta_rho=6.4e13, eta=400 (rho =
@@ -51,16 +51,25 @@ def test_lcrb_match_oracle_at_default_point():
     assert r.z == pytest.approx(float(want_r[1]), rel=1e-11)
 
 
-def test_cup_expectation_normalization():
-    for phi_deg in (10.0, 45.0, 60.0, 90.0):
-        p = SystemParams(phi_l_max=math.radians(phi_deg))
-        e1 = cup_expectation(p, lambda chi: np.ones_like(chi))
-        assert e1 == pytest.approx(visibility_prob(p), rel=1e-13)
-
-
-def test_cup_expectation_rejects_few_nodes():
+def test_quadrature_rejects_few_nodes():
     with pytest.raises(InvalidConfig):
-        cup_expectation(SPLIT, lambda chi: chi, n_points=4)
+        quadrature_moments(SPLIT, n_points=4)
+
+
+@pytest.mark.parametrize("params", [SystemParams(), SPLIT], ids=["tdoa", "split"])
+def test_quadrature_reads_the_cup_edge_once(params, monkeypatch):
+    # every moment is integrated on one node set mapped onto [chi_max, 1]
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    original = geometry.chi_max
+    for module in (geometry, closed_form):
+        monkeypatch.setattr(module, "chi_max", counted)
+    quadrature_moments(params)
+    assert calls == [params]
 
 
 def test_quadrature_self_convergence():
@@ -407,6 +416,8 @@ def reference_limit_coefficients(p: SystemParams) -> tuple[float, ...]:
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+# draws 0.23920849611473913 deg, where alpha_z's divisor rounds to exactly 0
+@example(59153755)
 def test_limit_coefficients_match_math_formula_bit_for_bit(seed):
     # numpy's SIMD float64 power and log differ from libm in the last bit for
     # 0.1-5% of inputs; 256 spread-out angles per example catch a swap
@@ -414,12 +425,17 @@ def test_limit_coefficients_match_math_formula_bit_for_bit(seed):
     phis = np.radians(np.concatenate([rng.uniform(0.05, 90.0, 128),
                                       0.05 * 1800.0 ** rng.uniform(0.0, 1.0, 128)])).tolist()
     base = SystemParams(n_sats=250)
-    co, _ = limit_coefficients_arrays(base, np.array([base.h]), np.array(phis))
+    co, checks = limit_coefficients_arrays(base, np.array([base.h]), np.array(phis))
     got = np.stack([co.alpha_xy, co.alpha_z, co.beta_xy, co.beta_z], axis=1)
-    want = np.array([
-        reference_limit_coefficients(dataclasses.replace(base, phi_l_max=f)) for f in phis
-    ])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    zero_divisor = checks[0][0]
+    for j, f in enumerate(phis):
+        try:
+            want = reference_limit_coefficients(dataclasses.replace(base, phi_l_max=f))
+        except ZeroDivisionError:
+            # where the formula divides by zero the kernel refuses the point
+            assert zero_divisor[j], f
+            continue
+        assert np.array_equal(got[j].view(np.int64), np.array(want).view(np.int64)), f
 
 
 @pytest.mark.parametrize("phi_deg", [1.3351540665427098e-08, 3e-7])

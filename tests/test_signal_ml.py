@@ -1006,6 +1006,9 @@ class TestMseExperiment:
         with pytest.raises(InsufficientCoverage):
             mse_experiment(ring_positions()[:3], gauss_cfg(), [20.0], trials=50, seed=1)
 
+    def test_empty_grid_gives_no_rows(self):
+        assert mse_experiment(ring_positions(), gauss_cfg(), [], trials=50, seed=1) == []
+
     @pytest.fixture(scope="class")
     def per_trial_rows(self):
         """Per SNR point, the row of one `simulate_measurements` and one
