@@ -65,11 +65,11 @@ def _model(model: str) -> tuple:
 
 def nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
+    if not 0.0 < pct <= 100.0:
+        raise InvalidConfig(f"percentile must be in (0, 100], got {pct}")
     n = len(sorted_values)
     if n == 0:
         return float("nan")
-    if not 0.0 < pct <= 100.0:
-        raise InvalidConfig(f"percentile must be in (0, 100], got {pct}")
     rank = int(np.ceil(pct / 100.0 * n))
     return float(sorted_values[rank - 1])
 

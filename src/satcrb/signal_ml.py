@@ -20,7 +20,7 @@ fractional delays for all satellites at once via the analytic pulse and its
 derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
 
 There is one signal path, and it runs a stack of sample blocks at once.
-`_mean_samples` builds the noiseless windows. The blocks are kept as
+`_truth_mean` builds the noiseless windows. The blocks are kept as
 their parts (`_Blocks`): the unit normals z of the trials in the stack's
 slots, each drawn once, the noiseless mean and one noise scale sigma per
 block, so one block per (SNR point, trial) pair costs no memory of its
@@ -39,7 +39,12 @@ The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
 is exactly the weight the bound modules call L_m once expressed per km^2;
 `signal_fim` builds that matrix with the bound modules' `weighted_gram`, so
-simulated MSE and the bound share one calibration.
+simulated MSE and the bound share one calibration. That bound treats the
+amplitudes as known; `decoupling_check` shows they decouple, from the
+information over (x, y, z, c*T0, A_1..A_M) formed from s and s' at the
+truth's delays: the cross term of A_m and a delay coordinate is
+proportional to <s', s>_m, the sampled integral of (s^2)'/2, which vanishes
+for a pulse that is zero at both ends of its support.
 """
 
 from __future__ import annotations
@@ -299,28 +304,18 @@ def centered_t0(positions: np.ndarray, config: SignalConfig) -> float:
     return 0.5 * (config.obs_window - (g.max() - g.min())) - g.min()
 
 
-def _mean_samples(
-    positions: np.ndarray,
-    xi: np.ndarray,
-    t0: float,
-    amps: np.ndarray,
-    config: SignalConfig,
-) -> np.ndarray:
-    """The (M, K) noiseless windows A_m s(t_k - tau_m), tau_m = |p_m - xi|/c
-    + t0; `_pulse` is zero off its support."""
-    taus = np.linalg.norm(positions - xi, axis=1) / config.c + t0
-    t = np.arange(config.n_samples) * config.dt - taus[:, None]
-    return amps[:, None] * _pulse(config, t)[0]
-
-
 def _truth_mean(truth: tuple, positions: np.ndarray, config: SignalConfig) -> np.ndarray:
-    """The noiseless windows of the truth (xi, T0), for four satellites or more."""
+    """The (M, K) noiseless windows A_m s(t_k - tau_m) of the truth (xi, T0),
+    tau_m = |p_m - xi|/c + T0, for four satellites or more; `_pulse` is zero
+    off its support."""
     xi, t0 = np.asarray(truth[0], dtype=float), float(truth[1])
     if len(positions) < 4:
         raise InsufficientCoverage(
             f"need at least 4 visible satellites, got {len(positions)}"
         )
-    return _mean_samples(positions, xi, t0, amplitudes(positions, config.es_max), config)
+    taus = np.linalg.norm(positions - xi, axis=1) / config.c + t0
+    t = np.arange(config.n_samples) * config.dt - taus[:, None]
+    return amplitudes(positions, config.es_max)[:, None] * _pulse(config, t)[0]
 
 
 def _noise_sigma(config: SignalConfig) -> float:
@@ -1105,38 +1100,33 @@ def mse_experiment(
 def decoupling_check(positions: np.ndarray, config: SignalConfig) -> float:
     """Largest normalized information coupling between (xi, T0) and amplitudes.
 
-    Builds the extended-model information over (x, y, z, c*T0, A_1..A_M) from
-    central finite differences of the noiseless sample means and returns
-    max |J_ab| / sqrt(J_aa J_bb) over the cross block, skipping pairs with a
-    zero diagonal, or NaN if J is not finite. A time-symmetric pulse makes
-    this vanish.
+    Channel m's mean A_m s(t_k - tau_m) has the slope A_m s' u_m / c along
+    (x, y, z, c*T0), with u_m = (v_m, -1) its timing row (tau_m moves by
+    -u_m / c), and the slope s along A_m. So, from one `_pulse` call at the
+    truth's delays, the extended information over (x, y, z, c*T0,
+    A_1..A_M) has J_aa = sum_m (A_m u_ma / c)^2 <s', s'>_m (the diagonal of
+    `weighted_gram`), J_am = (A_m u_ma / c) <s', s>_m and J_mm = <s, s>_m.
+    Returns max |J_am| / (sqrt(J_mm) sqrt(J_aa)), skipping pairs with a
+    zero diagonal, or NaN if J is not finite. <s', s> samples the integral
+    of (s^2)'/2, so the coupling vanishes, up to rounding, for every pulse
+    that is zero at both ends of its support.
     """
     pos = sat_positions(positions)
-    amps = amplitudes(pos, config.es_max)
-    t0 = centered_t0(pos, config)
-
-    def mean_vector(theta: np.ndarray) -> np.ndarray:
-        mean = _mean_samples(pos, theta[:3], theta[3] / config.c, theta[4:], config)
-        return mean.ravel()
-
-    theta0 = np.concatenate([np.zeros(3), [t0 * config.c], amps])
-    steps = np.concatenate(
-        [np.full(4, 1.0e-3), np.maximum(1.0e-3 * np.abs(amps), 1.0e-9)]
-    )
-    cols = [
-        (mean_vector(theta0 + e) - mean_vector(theta0 - e)) / (2.0 * h)
-        for e, h in zip(np.diag(steps), steps)
-    ]
-    g = np.stack(cols, axis=1)
+    d = np.linalg.norm(pos, axis=1)
+    taus = d / config.c + centered_t0(pos, config)
+    s, ds = _pulse(config, np.arange(config.n_samples) * config.dt - taus[:, None])
+    # the rows carry A_m / c before the Gram squares them, so nothing
+    # overflows before J does
+    rows = (amplitudes(pos, config.es_max) / config.c)[:, None] * timing_rows(pos / d[:, None])
     # a large enough es_max overflows J; the NaN below reports that
     with np.errstate(over="ignore", invalid="ignore"):
-        j = g.T @ g
-    if not np.isfinite(j).all():
+        j_pos = weighted_gram(rows, _dot(ds, ds))
+        j_cross = rows * _dot(ds, s)[:, None]
+    if not (np.isfinite(j_pos).all() and np.isfinite(j_cross).all()):
         return math.nan
-    diag = np.diag(j)
-    # sqrt(J_aa) sqrt(J_bb): the product J_aa J_bb can overflow where J does not
-    denom = np.outer(np.sqrt(diag[:4]), np.sqrt(diag[4:]))
+    # sqrt(J_mm) sqrt(J_aa): the product J_mm J_aa can overflow where J does not
+    denom = np.outer(np.sqrt(_dot(s, s)), np.sqrt(np.diag(j_pos)))
     coupling = np.divide(
-        np.abs(j[:4, 4:]), denom, out=np.zeros_like(denom), where=denom > 0.0
+        np.abs(j_cross), denom, out=np.zeros_like(denom), where=denom > 0.0
     )
     return float(coupling.max())

@@ -533,7 +533,7 @@ GOLDEN_COMMANDS = {
             b"PASS limit-routes: max_rel=1.682e-11 gate=1e-09\n"
             b"PASS montecarlo-limit: max_median_dev=1.745e-02 gate=5e-02\n"
             b"PASS planar-oracle: max_rel=2.608e-15 gate=1e-10\n"
-            b"PASS decoupling: max_coupling=2.329e-12 gate=1e-03\n"
+            b"PASS decoupling: max_coupling=5.269e-17 gate=1e-03\n"
         ),
     ),
 }
@@ -931,7 +931,7 @@ class TestVerifyCommand:
         assert by_name["moments-quadrature"].passed
 
     def test_non_finite_decoupling_matrix_fails(self, tmp_path):
-        # es_max = 1e308 overflows the finite-difference information matrix
+        # es_max = 1e308 overflows the extended information matrix J
         cfg = tmp_path / "run.cfg"
         cfg.write_text("es_max = 1e308\n")
         result = invoke(["--config", str(cfg), "verify"])

@@ -150,8 +150,10 @@ def test_nearest_rank_small_lists():
     assert nearest_rank(v, 100.0) == 4.0
     assert nearest_rank(np.array([7.0]), 50.0) == 7.0
     assert math.isnan(nearest_rank(np.array([]), 50.0))
-    with pytest.raises(InvalidConfig):
-        nearest_rank(v, 0.0)
+    for values in (v, np.array([])):
+        for pct in (0.0, 150.0):
+            with pytest.raises(InvalidConfig):
+                nearest_rank(values, pct)
 
 
 def test_model_validation():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from satcrb.fim import SingularInformation, crb_from_fim
 from satcrb import signal_ml
 from satcrb.geometry import InvalidConfig, SystemParams, cup_edges, stream_keys
@@ -38,6 +39,7 @@ from satcrb.signal_ml import (
     _start,
     _truth_mean,
     _XTOL,
+    amplitudes,
     centered_t0,
     decoupling_check,
     default_signal_config,
@@ -296,6 +298,33 @@ class TestPulse:
         s, ds = _pulse(cfg, t)
         assert abs(float(np.dot(s, ds)) * cfg.dt) < 1e-8
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [gauss_cfg(), gauss_cfg(sample_rate=2.3e6), rc_cfg(), rc_cfg(sample_rate=37.3 / RC_PERIOD)],
+        ids=["gauss", "gauss-2.3MHz", "rc", "rc-37.3"],
+    )
+    def test_matches_oracle(self, cfg):
+        """s and s' at the times the program evaluates, against the 50-digit
+        pulse, with every seventh time masked as `_profile` masks samples
+        off the support or the window. The gaussian is within 1e-14
+        relative, the worst being 4.4e-15 where the exponent's rounding is
+        scaled by up to 18; the raised cosine's 1 + cos cancels towards its
+        edges, so it is held to 1e-15 of its peak (3.1e-16 at worst)."""
+        t = pulse_arguments(cfg)
+        outside = np.arange(len(t)) % 7 == 0
+        s, ds = _pulse(cfg, t, outside)
+        assert not s[outside].any() and not ds[outside].any()
+        want = [oracle.pulse(cfg, float(x)) for x in t[~outside]]
+        for got, ref in zip((s[~outside], ds[~outside]), zip(*want)):
+            if cfg.pulse == "gaussian":
+                zero = np.array([w == 0 for w in ref])
+                assert not got[zero].any()
+                err, at = oracle.worst(got[~zero], [w for w in ref if w != 0])
+                assert err < 1e-14, at
+            else:
+                err, at = oracle.worst(got, ref, oracle.abs_err)
+                assert err < 1e-15 * float(max(abs(w) for w in ref)), at
+
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_autocorrelation_peaks_at_zero_lag(self, cfg):
         s = make_pulse(cfg).samples
@@ -304,6 +333,21 @@ class TestPulse:
         assert np.argmax(ac) == mid
         near = ac[mid : mid + 6]
         assert np.all(np.diff(near) < 0.0)
+
+
+def pulse_arguments(cfg) -> np.ndarray:
+    """The times the program gives `_pulse`: make_pulse's measurement and
+    fine lattices (the fine one ends on the support's edges), and sample
+    times k dt - tau at four fractional delays tau, across the support and
+    two samples past each edge."""
+    dt = cfg.dt
+    half = int(math.ceil(0.5 * cfg.support / dt))
+    lattice = (np.arange(2 * half + 1) - half) * dt
+    n = signal_ml._FINE_POINTS
+    fine = (np.arange(n + 1) - n // 2) * (cfg.support / n)
+    taus = (5.0 + np.array([0.13, 0.5, 0.77, 0.999])) * dt
+    shifted = (np.arange(-half - 2, half + 3) + 5.0) * dt - taus[:, None]
+    return np.concatenate([lattice, fine, shifted.ravel()])
 
 
 def effective_bandwidth(pulse, cfg, n_fft=1 << 16):
@@ -1103,7 +1147,105 @@ class TestMseExperiment:
         )
 
 
+def finite_difference_information(positions, config) -> np.ndarray:
+    """The extended information over (x, y, z, c*T0, A_1..A_M) at the
+    truth, g^T g over the central differences g of the noiseless windows,
+    with steps of 1e-3 km and max(1e-3 |A_m|, 1e-9): the route the analytic
+    check replaced, kept as its reference."""
+    amps = amplitudes(positions, config.es_max)
+
+    def mean(theta):
+        taus = np.linalg.norm(positions - theta[:3], axis=1) / config.c + theta[3] / config.c
+        t = np.arange(config.n_samples) * config.dt - taus[:, None]
+        return (theta[4:, None] * signal_ml._pulse(config, t)[0]).ravel()
+
+    theta0 = np.concatenate([np.zeros(3), [centered_t0(positions, config) * config.c], amps])
+    steps = np.concatenate([np.full(4, 1.0e-3), np.maximum(1.0e-3 * np.abs(amps), 1.0e-9)])
+    g = np.stack(
+        [(mean(theta0 + e) - mean(theta0 - e)) / (2.0 * h) for e, h in zip(np.diag(steps), steps)],
+        axis=1,
+    )
+    return g.T @ g
+
+
+def coupling_of(j: np.ndarray) -> float:
+    """max |J_am| / sqrt(J_aa J_mm) over the cross block of a (4 + M)-square J."""
+    diag = np.sqrt(np.diag(j))
+    return float((np.abs(j[:4, 4:]) / np.outer(diag[:4], diag[4:])).max())
+
+
+def recorded(monkeypatch, *names) -> dict[str, list]:
+    """Wrap the named signal_ml functions so that each call's result is
+    appended to the list under its name."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fn=getattr(signal_ml, name), _out=seen[name], **kwargs):
+            _out.append(_fn(*args, **kwargs))
+            return _out[-1]
+
+        monkeypatch.setattr(signal_ml, name, wrapper)
+    return seen
+
+
+def analytic_check(positions, config, monkeypatch) -> tuple[float, np.ndarray]:
+    """decoupling_check's value and the diagonal of its J: the position
+    block's from its `weighted_gram` and <s, s>_m from its `_pulse`."""
+    seen = recorded(monkeypatch, "_pulse", "weighted_gram")
+    coupling = decoupling_check(positions, config)
+    ((s, _),) = seen["_pulse"]
+    (j_pos,) = seen["weighted_gram"]
+    return coupling, np.concatenate([np.diag(j_pos), np.einsum("mk,mk->m", s, s)])
+
+
+def truncated_pulse(monkeypatch) -> None:
+    """Replace `_pulse` by the pulse with s and s' both zero past 0.15
+    pulse_width: a consistent model whose amplitudes couple to the delay."""
+    pulse = signal_ml._pulse
+
+    def truncated(config, t, outside=None):
+        s, ds = pulse(config, t, outside)
+        cut = t > 0.15 * config.pulse_width
+        s[cut] = 0.0
+        ds[cut] = 0.0
+        return s, ds
+
+    monkeypatch.setattr(signal_ml, "_pulse", truncated)
+
+
 class TestDecoupling:
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_matches_finite_differences(self, cfg, monkeypatch):
+        """Both routes see no coupling, and J's diagonal agrees with the
+        central differences' within their error: 1e-7 relative on the
+        position and clock, whose O(step^2) error is of order (1e-3 km / c
+        sigma)^2 = 9e-8 (4.5e-8 at worst), and 1e-12 on the amplitudes,
+        where the mean is linear and only rounding is left (1.1e-13)."""
+        pos = ring_positions()
+        j = finite_difference_information(pos, cfg)
+        coupling, diag = analytic_check(pos, cfg, monkeypatch)
+        assert coupling < 1e-11 and coupling_of(j) < 1e-11
+        np.testing.assert_allclose(diag[:4], np.diag(j)[:4], rtol=1e-7)
+        np.testing.assert_allclose(diag[4:], np.diag(j)[4:], rtol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
+    def test_coupled_model_matches_finite_differences(self, cfg, monkeypatch):
+        """On the truncated pulse the coupling is large (0.462 gaussian,
+        0.260 raised cosine), and the two routes agree within 1e-8."""
+        pos = ring_positions()
+        truncated_pulse(monkeypatch)
+        reference = coupling_of(finite_difference_information(pos, cfg))
+        assert reference > 0.1
+        assert decoupling_check(pos, cfg) == pytest.approx(reference, rel=1e-8)
+
+    def test_one_pulse_evaluation_and_one_gram(self, monkeypatch):
+        """The check reads the analytic model once: no truth mean, no
+        differences of rebuilt windows."""
+        seen = recorded(monkeypatch, "_pulse", "weighted_gram", "_truth_mean")
+        decoupling_check(ring_positions(), gauss_cfg())
+        assert {name: len(calls) for name, calls in seen.items()} == {
+            "_pulse": 1, "weighted_gram": 1, "_truth_mean": 0,
+        }
+
     def test_symmetric_pulse_decouples(self):
         worst = decoupling_check(ring_positions(), gauss_cfg())
         assert worst < 1e-3
