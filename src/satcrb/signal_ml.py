@@ -15,25 +15,28 @@ exactly es_max. `_pulse` is the one evaluator of the analytic pulse and its
 derivative. The ML location estimate profiles the amplitudes out
 in closed form (matched-filter outputs), scans a coarse spatial lattice with
 the clock offset maximized over correlation lags, then refines by Fisher
-scoring (Gauss-Newton) on the exact profiled likelihood, evaluated at
-fractional delays for all satellites at once via the analytic pulse and its
-derivative (Kay, Fundamentals of Statistical Signal Processing I, sec. 7.7).
+scoring (Gauss-Newton) on the profiled likelihood, evaluated at fractional
+delays for all satellites at once from the matched filter (Kay,
+Fundamentals of Statistical Signal Processing I, sec. 7.7).
 
 There is one signal path, and it runs a stack of sample blocks at once.
-`_truth_mean` builds the noiseless windows. The blocks are kept as
-their parts (`_Blocks`): the unit normals z of the trials in the stack's
-slots, each drawn once, the noiseless mean and one noise scale sigma per
-block, so one block per (SNR point, trial) pair costs no memory of its
-own. `_localize` filters each trial's normals once: by linearity the
-matched filter of the block sigma*z + mean is sigma*MF(z) + MF(mean),
-which the coarse lattice scan reads for every SNR point of the trial.
-One lockstep `_Ascent` per mode then refines the blocks, whose `_profile`
-gathers each window as sigma*z + mean, the samples' own bits; a trial
-takes the slot of one whose blocks have all finished, so the stack stays
-full while the slowest blocks finish. Each block keeps its own scoring
-state, so it follows the iterate sequence it would follow alone, bit for
-bit. `ml_localize` is a stack of one trial at sigma = 1 and mean = 0, and
-`simulate_measurements` its draw.
+`_truth_mean` builds the noiseless windows. Each trial's unit normals z
+are drawn once into one scratch block and filtered once over the lags
+-P..K-1+P (`_matched_filter`); the trial's slot keeps what the refinement
+reads of them (`_reads`: that filter for the gaussian, prefix sums for the
+raised cosine), in place of the normals. The reads are linear in the
+samples, so block (SNR point, trial) reads sigma*R(z) + R(mean) (`_Blocks`)
+and costs no memory of its own; the coarse lattice scan reads the same
+filter at lags 0..K-1 for every SNR point of the trial. One lockstep
+`_Ascent` over (x, y, z, c*T0) then refines every block in both modes,
+fix_z rows with z pinned, so each scoring round reads the tables once
+(`_profile`): the gaussian by a 10-tap fractional-delay interpolator, the
+raised cosine by exact trigonometric sums. A trial takes the slot of one
+whose blocks have all finished, so the stack stays full while the slowest
+blocks finish. Each block keeps its own scoring state, so it follows the
+iterate sequence it would follow alone, bit for bit. `ml_localize` is a
+stack of one trial at sigma = 1 and mean = 0, and `simulate_measurements`
+its draw.
 
 The per-satellite delay information of this discrete model is
 2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
@@ -165,18 +168,13 @@ class LocationEstimate:
     converged: bool
 
 
-def _pulse(
-    config: SignalConfig, t: np.ndarray, outside: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _pulse(config: SignalConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The analytic unit-energy pulse s(t), centered at t=0, and its time
-    derivative at the times t; both are zero outside the support and where
-    the boolean mask `outside`, if given, is set (this one masking pass
-    serves both). Every operation is in place on the two results."""
+    derivative at the times t; both are zero outside the support. Every
+    operation is in place on the two results."""
     t = np.asarray(t, dtype=float)
     s = np.abs(t)
     off = s > 0.5 * config.support
-    if outside is not None:
-        off |= outside
     if config.pulse == "gaussian":
         # s = (pi sigma^2)^-1/4 exp(-(t/sigma)^2 / 2), s' = -t/sigma^2 s
         sigma = config.pulse_width
@@ -324,13 +322,12 @@ def _noise_sigma(config: SignalConfig) -> float:
 
 
 def _normals(keys: np.ndarray, out: np.ndarray) -> None:
-    """Overwrite out[i], an (M, K) block whose rows are contiguous, with the
-    unit normals z of the trial keyed by keys[i], row by row (the draw of
-    the whole block at once); a trial's samples at noise deviation sigma
-    are sigma * z + mean."""
+    """Overwrite out[i], a contiguous (M, K) block, with the unit normals z
+    of the trial keyed by keys[i], in one draw (the stream fills it in
+    row order); a trial's samples at noise deviation sigma are sigma * z +
+    mean."""
     for gen, block in zip(streams(keys), out):
-        for row in block:
-            gen.standard_normal(out=row)
+        gen.standard_normal(out=block)
 
 
 def simulate_measurements(
@@ -356,55 +353,27 @@ def _coords(mode: str) -> list[int]:
     return _COORDS[mode]
 
 
-def _pad(config: SignalConfig) -> int:
-    """The zero samples `_padded` puts on each side of a sample row: one
-    less than the L samples `_profile` lays around a delay, so every such
-    range that overlaps the observation window lies inside the padded
-    row."""
-    return int(config.support / config.dt) + 1
-
-
-def _unpadded(a: np.ndarray, config: SignalConfig) -> np.ndarray:
-    """The view of the K samples between the pads of a's last axis."""
-    pad = _pad(config)
-    return a[..., pad : pad + config.n_samples]
-
-
-def _padded(shape: tuple[int, ...], config: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A zero array of shape + (P + K + P,), P = `_pad(config)` and K =
-    config.n_samples, and its `_unpadded` view."""
-    a = np.zeros(shape + (config.n_samples + 2 * _pad(config),))
-    return a, _unpadded(a, config)
+# the lags the matched-filter tables keep on each side of the K window
+# lags: the taps around every delay whose pulse keeps half its energy in
+# the window
+_MARGIN = 6
+# the taps of the fractional-delay interpolator, as offsets from floor(tau / dt)
+_TAPS = np.arange(-4, 6)
 
 
 @dataclass(frozen=True)
 class _Blocks:
-    """A stack of C S sample blocks kept as their parts, so that no block is
-    formed whole: block r is the (M, K) array sigma[r % S] * z[r // S] +
-    mean, with z the (C, M, K) unit normals of the trials in C slots, sigma
-    the S noise levels and mean the noiseless windows that every block
-    shares. z and mean are stored with `_pad` zeros on each side of their
-    K samples, (C, M, P + K + P) and (M, P + K + P)."""
+    """A stack of C S sample blocks kept as the parts of what `_profile`
+    reads of them, so that no block is formed whole: block r reads sigma[r
+    % S] * tables[r // S] + mean, with tables the (C, ...) reads of the
+    unit normals z of the trials in C slots (`_reads`), sigma the S noise
+    levels and mean the reads of the noiseless windows that every block
+    shares. The reads are linear in the samples, so these are the reads of
+    the block sigma * z + mean, up to rounding."""
 
-    z: np.ndarray
+    tables: np.ndarray
     mean: np.ndarray
     sigma: np.ndarray
-
-
-def _as_blocks(samples: np.ndarray, config: SignalConfig) -> _Blocks:
-    """The (C, M, K) samples as C blocks of themselves: sigma = 1 and mean =
-    0, which leave every sample's value as it is."""
-    z, middle = _padded(samples.shape[:-1], config)
-    middle[...] = samples
-    return _Blocks(z, np.zeros(z.shape[1:]), np.ones(1))
-
-
-def _windows(a: np.ndarray, n: int) -> np.ndarray:
-    """View of the C-contiguous a as its n-sample windows: [..., j, :] is
-    a[..., j : j + n]. (The array constructor makes it in a fraction of
-    as_strided's time, which counts once per scoring round.)"""
-    shape = a.shape[:-1] + (a.shape[-1] - n + 1, n)
-    return np.ndarray(shape, a.dtype, a, 0, a.strides + a.strides[-1:])
 
 
 @dataclass(frozen=True)
@@ -433,59 +402,118 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _terms(
+    blocks: _Blocks,
+    taus: np.ndarray,
+    search: _Search,
+    config: SignalConfig,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The five (R, M) sums over the samples k of each window that
+    `_profile` combines, read from the blocks' tables at the delays: C =
+    <v, s>, D = <v, s'>, E = <s, s>, X = <s, s'> and G = <s', s'>, with s
+    the pulse at t_k - tau. taus is (R, M): row i holds the delays of block
+    rows[i].
+
+    The gaussian reads C and dC/dtau = -D from its matched-filter table,
+    and E, dE/dtau = -2 X and G from its `_GaussTables` of the all-ones
+    window filtered with s^2 and s'^2, each by the 10-tap Lagrange
+    interpolator at the delay (Laakso et al., "Splitting the unit delay",
+    IEEE SP Magazine 13(1), 1996). The raised cosine's s'' jumps at the
+    support edges, so it is not interpolated: over the covered samples,
+    s = h (1 + cos w(t_k - tau)) expands C and D into sums of v, v cos
+    w t_k and v sin w t_k, which its prefix sums give, and E, X and G into
+    sums of cos and sin of w (t_k - tau) and twice that, which are
+    geometric series. Where a delay is clamped, the terms are those of the
+    clamped delay.
+    """
+    dt, k = config.dt, config.n_samples
+    sats = np.arange(len(blocks.mean))
+    slot, level = np.divmod(rows, len(blocks.sigma))
+    scale = blocks.sigma[level][:, None, None]
+    pulse = search.pulse_tables
+    if config.pulse == "gaussian":
+        # the delay in samples, clamped to [-1, K] so that the taps stay in
+        # the tables; the pulse keeps under half its energy at a delay of -1
+        # or K samples and beyond (fmax and fmin clamp a non-finite delay too)
+        u = np.fmin(np.fmax(taus / dt, -1.0), float(k))
+        base = np.floor(u)
+        # powers of the offset from the middle of the taps, and from them each
+        # tap's weight for the value and for the derivative per sample
+        powers = np.empty(u.shape + (len(_TAPS),))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = (u - base - 0.5)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        weights = (powers @ pulse.basis).reshape(u.shape + (len(_TAPS), 2))
+        at = base.astype(int)[..., None] + (_MARGIN + _TAPS)
+        # the taps' indices into the flattened mean, and into the slots'
+        flat = at + (sats * blocks.mean.shape[-1])[:, None]
+        v = blocks.tables.reshape(-1)[flat + (slot * blocks.mean.size)[:, None, None]]
+        v *= scale
+        v += blocks.mean.reshape(-1)[flat]
+        cd = (v[..., None, :] @ weights)[..., 0, :]
+        eg = np.stack([pulse.window[0][at], pulse.window[1][at]], axis=-2) @ weights
+        corr, d = cd[..., 0], cd[..., 1] * (-1.0 / dt)
+        energy, cross, g = eg[..., 0, 0], eg[..., 0, 1] * (-0.5 / dt), eg[..., 1, 0]
+    else:
+        half = 0.5 * config.support
+        h, w = pulse.h, pulse.w
+        # the covered samples lo <= k < hi, empty where the pulse misses the
+        # window; the clamp keeps a non-finite delay's sums empty and finite
+        tau = np.fmin(np.fmax(taus, -config.support), k * dt + config.support)
+        lo = np.fmin(np.fmax(np.ceil((tau - half) / dt), 0.0), float(k))
+        hi = np.fmin(np.fmax(np.floor((tau + half) / dt) + 1.0, lo), float(k))
+        lo, hi = lo.astype(int), hi.astype(int)
+        tab, mean, at = blocks.tables, blocks.mean, slot[:, None]
+        sv = tab[at, sats, hi] - tab[at, sats, lo]
+        sv *= scale
+        sv += mean[sats, hi] - mean[sats, lo]
+        sum_v, sum_vc, sum_vs = np.moveaxis(sv, -1, 0)
+        ct, st = np.cos(w * tau), np.sin(w * tau)
+        corr = h * (sum_v + ct * sum_vc + st * sum_vs)
+        d = (-h * w) * (ct * sum_vs - st * sum_vc)
+        # the sums of exp(i m w (t_k - tau)) over the n covered samples, for m
+        # = 1 and 2: geometric series from the first sample's phase
+        n = hi - lo
+        phi, step = w * (lo * dt - tau), w * dt
+        z1, z2 = (
+            np.exp(1j * m * phi) * (1.0 - np.exp(1j * m * step * n))
+            / (1.0 - np.exp(1j * m * step))
+            for m in (1.0, 2.0)
+        )
+        energy = (h * h) * (1.5 * n + 2.0 * z1.real + 0.5 * z2.real)
+        cross = (-h * h * w) * (z1.imag + 0.5 * z2.imag)
+        g = (h * h * w * w) * (0.5 * n - 0.5 * z2.real)
+    return corr, d, energy, cross, g
+
+
 def _profile(
     blocks: _Blocks,
     taus: np.ndarray,
+    search: _Search,
     config: SignalConfig,
     rows: np.ndarray,
 ) -> _Profile:
-    """Profiled-likelihood terms for a stack of blocks in one array evaluation.
+    """Profiled-likelihood terms for a stack of blocks from one read of
+    their tables (`_terms`): taus is (R, M), row i holding the delays of
+    block rows[i].
 
-    taus is (R, M): row i holds the delays of block rows[i]. Each satellite's
-    window is the L = P + 1 samples from the first the pulse support covers
-    around tau_m (P = `_pad`), with the samples the support does not cover
-    or that fall outside the observation window masked. The window is one
-    slice of the padded z and of the padded mean, gathered whole and formed
-    as sigma * z + mean, the multiply and add that form the block's samples,
-    so it has their bits. After the (R, M, L) times, each step is in place
-    or a gather of whole windows.
+    A satellite whose pulse keeps under half its energy in the window (E <
+    1/(2 dt), half the unit-energy pulse's 1/dt: a delay more than about
+    half a sample before the window's first sample or after its last) is
+    left out: its amplitude, slope and curvature are 0 and it adds nothing
+    to the score. There a = C/E divides by a vanishing E, and the
+    gaussian's tables no longer reach the delay.
     """
-    dt = config.dt
-    n_sats, k = len(blocks.mean), config.n_samples
-    half = 0.5 * config.support
-    pad = _pad(config)
-    # first and last sample index of each window's support, as floats
-    lo = np.ceil((taus - half) / dt)
-    hi = np.minimum(np.floor((taus + half) / dt), k - 1)
-    j = np.arange(pad + 1)
-    # t_k - tau_m at the samples k = lo + j; k is exact as a float
-    t = lo[..., None] + j
-    t *= dt
-    t -= taus[..., None]
-    masked = j < -lo[..., None]
-    masked |= j > (hi - lo)[..., None]
-    s, ds = _pulse(config, t, masked)
-    # freed here, so the gathers below add at most two (R, M, L) arrays
-    del t, masked
-    # window starts in the padded arrays; a window wholly outside the
-    # observation window starts at a clamped sample, and all of it is masked
-    # (fmax and fmin clamp a non-finite delay too)
-    start = np.fmin(np.fmax(lo + pad, 0.0), k + pad - 1).astype(int)
-    sats = np.arange(n_sats)
-    slot, level = np.divmod(rows, len(blocks.sigma))
-    v = _windows(blocks.z, pad + 1)[slot[:, None], sats, start]
-    v *= blocks.sigma[level][:, None, None]
-    v += _windows(blocks.mean, pad + 1)[sats, start]
-    corr = np.einsum("...l,...l->...", v, s)
-    energy = np.einsum("...l,...l->...", s, s)
-    cross = np.einsum("...l,...l->...", s, ds)
-    # windows wholly outside the observation window carry no pulse energy
-    inv_e = np.divide(1.0, energy, out=np.zeros_like(energy), where=energy > 0.0)
+    corr, d, energy, cross, g = _terms(blocks, taus, search, config, rows)
+    inv_e = np.divide(
+        1.0, energy, out=np.zeros_like(energy), where=energy >= 0.5 / config.dt
+    )
     a = corr * inv_e
     # dS/dtau = -2 a <v - a s, s'>; the expected curvature is the Gauss-Newton
     # one of |v - a s(tau)|^2 with a profiled out: 2 a^2 (|s'|^2 - <s,s'>^2/E)
-    slope = -2.0 * a * (np.einsum("...l,...l->...", v, ds) - a * cross)
-    resid = np.einsum("...l,...l->...", ds, ds) - cross * cross * inv_e
+    slope = -2.0 * a * (d - a * cross)
+    resid = g - cross * cross * inv_e
     return _Profile(
         score=_dot(corr, a),
         amplitudes=a,
@@ -499,23 +527,43 @@ def _pulse_filter(pulse: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     the rfft of the time-reversed pulse over the transform length nfft, and
     ph, the pulse's half length. pulse holds the 2 ph + 1 samples of s
     centered on its middle index. The full linear correlation has
-    K + 2 ph - 1 lags and only lags ph..ph+K-1 are kept, so a circular
-    transform of length >= K + ph wraps nothing onto them. The pulse does
-    not depend on N0, so its spectrum is computed once per experiment."""
+    K + 2 ph lags and only lags -P..K-1+P (P = _MARGIN) are kept, so a
+    circular transform of length >= K + ph + P wraps nothing onto them.
+    The pulse does not depend on N0, so its spectrum is computed once per
+    experiment."""
     ph = (len(pulse) - 1) // 2
-    nfft = 1 << (k + ph - 1).bit_length()
+    nfft = 1 << (k + ph + _MARGIN - 1).bit_length()
     return np.fft.rfft(pulse[::-1], nfft), nfft, ph
 
 
 def _matched_filter(
     samples: np.ndarray, pulse_filter: tuple[np.ndarray, int, int]
 ) -> np.ndarray:
-    """corr[m, j] = sum_k v_m[k] s((k - j) dt) for j = 0..K-1, by real FFTs,
-    with pulse_filter = _pulse_filter(s, K)."""
+    """corr[..., P + j] = sum_k v[..., k] s((k - j) dt) for the lags j = -P
+    .. K-1+P (P = _MARGIN) of the (..., K) samples v, by real FFTs, with
+    pulse_filter = _pulse_filter(s, K). The coarse scan reads lags 0..K-1."""
     spectrum, nfft, ph = pulse_filter
-    spec = np.fft.rfft(samples, nfft, axis=1)
+    k = samples.shape[-1]
+    spec = np.fft.rfft(samples, nfft, axis=-1)
     spec *= spectrum
-    return np.fft.irfft(spec, nfft, axis=1)[:, ph : ph + samples.shape[1]]
+    return np.fft.irfft(spec, nfft, axis=-1)[..., ph - _MARGIN : ph + k + _MARGIN]
+
+
+def _reads(
+    samples: np.ndarray, search: _Search, config: SignalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, table) of the (..., M, K) samples v: their `_matched_filter`,
+    and what `_profile` reads of them. For the gaussian that is the filter
+    itself; for the raised cosine, the (..., M, K + 1, 3) prefix sums of v,
+    v cos w t_k and v sin w t_k, from 0 before the first sample."""
+    corr = _matched_filter(samples, search.pulse_filter)
+    if config.pulse == "gaussian":
+        return corr, corr
+    table = np.zeros(samples.shape[:-1] + (samples.shape[-1] + 1, 3))
+    np.cumsum(samples, axis=-1, out=table[..., 1:, 0])
+    for col, phase in enumerate(search.pulse_tables.phases, start=1):
+        np.cumsum(samples * phase, axis=-1, out=table[..., 1:, col])
+    return corr, table
 
 
 def _lattice_offsets(halfwidth: float, spacing: float) -> np.ndarray:
@@ -582,26 +630,20 @@ def _coarse(
     return best, t0
 
 
-def _start(
-    points: np.ndarray, best: np.ndarray, t0: np.ndarray, n_xyz: int, c: float
-) -> np.ndarray:
-    """The (S, n_xyz + 1) rows u = (x, y[, z], c*T0) at the first of each
-    block's best-scoring lattice points, from (S, G) scores and offsets."""
+def _start(points: np.ndarray, best: np.ndarray, t0: np.ndarray, c: float) -> np.ndarray:
+    """The (S, 4) rows u = (x, y, z, c*T0) at the first of each block's
+    best-scoring lattice points, from (S, G) scores and offsets."""
     i = np.argmax(best, axis=1)
     rows = np.arange(len(best))
     if (best[rows, i] == -math.inf).any():
         raise SingularInformation("no lattice point keeps all pulses in-window")
-    return np.column_stack([points[i, :n_xyz], t0[rows, i] * c])
+    return np.column_stack([points[i], t0[rows, i] * c])
 
 
-def _unpack(
-    u: np.ndarray, center: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (C, 3) and clock offsets (C,) of the (C, n) parameter rows
-    u = (x, y[, z], c*T0); with n = 3 the z coordinate is the center's."""
-    xi = np.repeat(center[None, :], len(u), axis=0)
-    xi[:, : u.shape[1] - 1] = u[:, :-1]
-    return xi, u[:, -1] / c
+def _unpack(u: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (C, 3) and clock offsets (C,) of the (C, 4) parameter rows
+    u = (x, y, z, c*T0)."""
+    return u[:, :3], u[:, 3] / c
 
 
 def _scoring_steps(fisher: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -749,28 +791,34 @@ class _Ascent:
 def _evaluator(
     blocks: _Blocks,
     positions: np.ndarray,
-    center: np.ndarray,
+    search: _Search,
     config: SignalConfig,
-    n_xyz: int,
+    pinned: np.ndarray,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[_Profile, np.ndarray, np.ndarray]]:
     """The evaluate(rows, u) of an `_Ascent` over blocks: the profile of the
-    blocks rows at the points u = (x, y[, z], c*T0), all in km, with the
-    score's gradients and expected Hessians over u; with n_xyz = 2 z stays
-    at the center's."""
-    c = config.c
+    rows at the points u = (x, y, z, c*T0), all in km, with the score's
+    gradients and expected Hessians over u. Row i scores block i % B of
+    the B blocks. A row that pinned[i] marks keeps its z: its Jacobian has
+    a zero z column and its Fisher matrix a unit z diagonal, so its scoring
+    step has a z of exactly 0."""
+    c, n_blocks = config.c, len(blocks.tables) * len(blocks.sigma)
 
     def evaluate(rows: np.ndarray, u: np.ndarray):
-        xi, t0 = _unpack(u, center, c)
+        xi, t0 = _unpack(u, c)
         diff = positions - xi[:, None, :]
         # np.linalg.norm(diff, axis=-1), without its wrapper's overhead
         dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        prof = _profile(blocks, dist / c + t0[:, None], config, rows)
+        prof = _profile(blocks, dist / c + t0[:, None], search, config, rows % n_blocks)
         # d tau_m / d u: minus the unit line of sight over c, then 1/c
-        jac = np.empty(dist.shape + (n_xyz + 1,))
-        jac[..., :n_xyz] = -diff[..., :n_xyz] / (c * dist[..., None])
-        jac[..., -1] = 1.0 / c
+        jac = np.empty(dist.shape + (4,))
+        jac[..., :3] = -diff / (c * dist[..., None])
+        jac[..., 3] = 1.0 / c
+        pin = pinned[rows]
+        jac[pin, :, 2] = 0.0
         grad = (np.swapaxes(jac, -1, -2) @ prof.slope[..., None])[..., 0]
-        return prof, grad, weighted_gram(jac, prof.curvature)
+        fisher = weighted_gram(jac, prof.curvature)
+        fisher[pin, 2, 2] = 1.0
+        return prof, grad, fisher
 
     return evaluate
 
@@ -788,13 +836,72 @@ class _Search:
     """The estimator's set-up for one constellation, search center and
     config: the coarse lattice from center - _HALFWIDTH to center +
     _HALFWIDTH per axis at a spacing of at most c/(4 W_e), the trust radius
-    of the refinement (half that spacing) and the matched filter's
-    spectrum. None of it depends on the samples or on N0."""
+    of the refinement (half that spacing), the matched filter's spectrum
+    and what `_reads` and `_terms` read of the pulse alone
+    (`_pulse_tables`). None of it depends on the samples or on N0."""
 
     center: np.ndarray
     radius: float
     pulse_filter: tuple[np.ndarray, int, int]
     lattice: _Lattice
+    pulse_tables: _GaussTables | _CosineTables
+
+
+@dataclass(frozen=True)
+class _GaussTables:
+    """What `_terms` reads of the gaussian alone. window is (2, K + 2P),
+    the all-ones K-sample window filtered with s^2 and with s'^2 at the
+    lags j = -P..K-1+P (P = _MARGIN), that is E and G of a pulse at delay
+    j dt; basis is (10, 20), whose columns 2 n and 2 n + 1 hold the
+    coefficients of x^p (row p) in tap n's Lagrange basis polynomial and
+    in its derivative, with x the delay in samples less the middle of the
+    taps (`_TAPS`), so that x is in [-1/2, 1/2)."""
+
+    window: np.ndarray
+    basis: np.ndarray
+
+
+@dataclass(frozen=True)
+class _CosineTables:
+    """What `_reads` and `_terms` read of the raised cosine alone: its
+    shape s = h (1 + cos w t) over the support, with h half the unit-energy
+    amplitude and w = 2 pi / pulse_width, and the (2, K) phases cos w t_k
+    and sin w t_k of the window's samples."""
+
+    h: float
+    w: float
+    phases: np.ndarray
+
+
+def _pulse_tables(config: SignalConfig) -> _GaussTables | _CosineTables:
+    """What `_reads` and `_terms` read of the pulse alone, the one place
+    that builds it for either pulse."""
+    k, dt = config.n_samples, config.dt
+    if config.pulse == "gaussian":
+        half = int(math.ceil(0.5 * config.support / dt))
+        s, ds = _pulse(config, (np.arange(2 * half + 1) - half) * dt)
+        sums = np.zeros((2 * half + 2, 2))
+        np.cumsum(np.stack([s * s, ds * ds], axis=-1), axis=0, out=sums[1:])
+        # the pulse offsets k - j of the window's samples k at lag j, as
+        # indices into s
+        j = np.arange(-_MARGIN, k + _MARGIN)
+        first = np.clip(half - j, 0, 2 * half + 1)
+        end = np.clip(k + half - j, 0, 2 * half + 1)
+        nodes = _TAPS - 0.5
+        n = len(nodes)
+        basis = np.zeros((n, 2 * n))
+        for i, node in enumerate(nodes):
+            others = np.delete(nodes, i)
+            # np.poly's coefficients of these half-integer roots are exact
+            coef = np.poly(others)[::-1] / np.prod(node - others)
+            basis[:, 2 * i] = coef
+            basis[:-1, 2 * i + 1] = coef[1:] * np.arange(1, n)
+        return _GaussTables(np.ascontiguousarray((sums[end] - sums[first]).T), basis)
+    w = 2.0 * math.pi / config.pulse_width
+    wt = w * (np.arange(k) * dt)
+    return _CosineTables(
+        0.5 * math.sqrt(8.0 / (3.0 * config.pulse_width)), w, np.stack([np.cos(wt), np.sin(wt)])
+    )
 
 
 def _search(positions: np.ndarray, center: np.ndarray, config: SignalConfig) -> _Search:
@@ -806,20 +913,23 @@ def _search(positions: np.ndarray, center: np.ndarray, config: SignalConfig) -> 
         0.5 * spacing,
         _pulse_filter(sp.samples, config.n_samples),
         _lattice(positions, points, config),
+        _pulse_tables(config),
     )
 
 
 def _scan(
-    z: np.ndarray,
+    corr: np.ndarray,
     sigma: np.ndarray,
     mf_mean: np.ndarray | float,
     search: _Search,
     config: SignalConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_coarse` of one trial's blocks sigma[s] * z + mean, from one matched
-    filter of its (M, K) normals z: the filter is linear, so block s has
-    the output sigma[s] * MF(z) + MF(mean), with mf_mean = MF(mean)."""
-    corr2 = sigma[:, None, None] * _matched_filter(z, search.pulse_filter)
+    """`_coarse` of one trial's blocks sigma[s] * z + mean, from the
+    `_matched_filter` corr of its (M, K) normals z, at lags 0..K-1: the
+    filter is linear, so block s has the output sigma[s] * MF(z) +
+    MF(mean), with mf_mean = MF(mean) at those lags."""
+    lags = slice(_MARGIN, _MARGIN + config.n_samples)
+    corr2 = sigma[:, None, None] * corr[:, lags]
     corr2 += mf_mean
     corr2 *= corr2
     return _coarse(corr2, search.lattice, config)
@@ -834,72 +944,74 @@ def _localize(
     modes: Sequence[str],
     max_iter: int,
     n_trials: int,
-    fill: Callable[[int, int], None],
+    fill: Callable[[int, int], np.ndarray],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Per mode of modes, the positions (T S, 3), clock offsets (T S,),
     amplitudes (T S, M) and converged flags (T S,) that the ML estimator
     gives each of T = n_trials trials at the S noise levels of a slot; row
-    t S + s is trial t at level s. mf_mean is the matched filter of
-    blocks.mean.
+    t S + s is trial t at level s. mf_mean is the matched filter of the
+    noiseless windows at lags 0..K-1.
 
     blocks holds C slots of S blocks each: block r is level r % S of the
-    trial in slot r // S. Trials take the slots in order, fill(slot, t)
-    putting trial t's normals into blocks.z[slot], as soon as every mode
-    has refined all of the slot's blocks. A trial's lattice scan (`_scan`)
-    serves every mode, fix_z starting from its dz = 0 plane; its sigma*MF(z)
-    + MF(mean) differs from the filter of the formed block only in its
-    last bits and feeds nothing but argmax choices. One `_Ascent` per mode
-    refines the blocks on their exact samples, and a trial's blocks join
-    it in the next round."""
+    trial in slot r // S. Trials take the slots in order, as soon as every
+    mode has refined all of the slot's blocks: fill(slot, t) puts trial
+    t's reads into blocks.tables[slot] and returns the `_matched_filter`
+    of its normals. A trial's lattice scan (`_scan`) serves every mode,
+    fix_z starting from its dz = 0 plane; its sigma*MF(z) + MF(mean)
+    differs from the filter of the formed block only in its last bits and
+    feeds nothing but argmax choices. One `_Ascent` over (x, y, z, c*T0)
+    refines the blocks of every mode, B = C S rows per mode, mode i's
+    block r in row i B + r, with z pinned in the fix_z rows; a trial's
+    blocks join it in the next round, so each round reads the tables once
+    for every mode."""
     lattice, center, c = search.lattice, search.center, config.c
-    n_slots, per_slot = len(blocks.z), len(blocks.sigma)
-    n_rows = n_slots * per_slot
-    planes = {"fix_z": lattice.points[:, 2] == center[2], "full_3d": slice(None)}
-    solves = {
-        mode: _Ascent(n_rows, len(_COORDS[mode]) + 1, len(positions), search.radius,
-                      max_iter, _XTOL)
-        for mode in modes
-    }
-    evaluators = {
-        mode: _evaluator(blocks, positions, center, config, solve.u.shape[1] - 1)
-        for mode, solve in solves.items()
-    }
+    n_slots, per_slot = len(blocks.tables), len(blocks.sigma)
+    n_blocks = n_slots * per_slot
+    planes = [lattice.points[:, 2] == center[2] if mode == "fix_z" else slice(None)
+              for mode in modes]
+    solve = _Ascent(len(modes) * n_blocks, 4, len(positions), search.radius, max_iter, _XTOL)
+    pinned = np.repeat([mode == "fix_z" for mode in modes], n_blocks)
+    evaluate = _evaluator(blocks, positions, search, config, pinned)
     size = n_trials * per_slot
-    results = {
-        mode: (
-            np.empty((size, solve.u.shape[1])),
-            np.empty((size, len(positions))),
-            np.empty(size, dtype=bool),
-        )
-        for mode, solve in solves.items()
-    }
+    results = [
+        (np.empty((size, 4)), np.empty((size, len(positions))), np.empty(size, dtype=bool))
+        for _ in modes
+    ]
     occupant = np.zeros(n_slots, dtype=int)
     trial = 0
     # per slot, the solves (one per block and mode) not yet finished
     left = np.zeros(n_slots, dtype=int)
     while True:
         for slot in np.flatnonzero(left == 0)[: n_trials - trial]:
-            fill(slot, trial)
+            best, t0 = _scan(fill(slot, trial), blocks.sigma, mf_mean, search, config)
             rows = slot * per_slot + np.arange(per_slot)
-            best, t0 = _scan(
-                _unpadded(blocks.z[slot], config), blocks.sigma, mf_mean, search, config
-            )
-            for mode, solve in solves.items():
-                on, n_xyz = planes[mode], len(_COORDS[mode])
-                solve.start(rows, _start(lattice.points[on], best[:, on], t0[:, on], n_xyz, c))
+            for i, on in enumerate(planes):
+                solve.start(i * n_blocks + rows,
+                            _start(lattice.points[on], best[:, on], t0[:, on], c))
             occupant[slot] = trial
             trial += 1
-            left[slot] = per_slot * len(solves)
+            left[slot] = per_slot * len(modes)
         if not left.any():
             break
-        for mode, solve in solves.items():
-            done = solve.step(evaluators[mode])
-            if len(done):
-                np.subtract.at(left, done // per_slot, 1)
-                at = occupant[done // per_slot] * per_slot + done % per_slot
-                for out, state in zip(results[mode], (solve.u, solve.amps, solve.converged)):
-                    out[at] = state[done]
-    return [(*_unpack(u, center, c), amps, converged) for u, amps, converged in results.values()]
+        done = solve.step(evaluate)
+        if len(done):
+            mode, block = np.divmod(done, n_blocks)
+            np.subtract.at(left, block // per_slot, 1)
+            at = occupant[block // per_slot] * per_slot + block % per_slot
+            for i, out in enumerate(results):
+                on = mode == i
+                for a, state in zip(out, (solve.u, solve.amps, solve.converged)):
+                    a[at[on]] = state[done[on]]
+    return [(*_unpack(u, c), amps, converged) for u, amps, converged in results]
+
+
+def _as_blocks(
+    samples: np.ndarray, search: _Search, config: SignalConfig
+) -> tuple[_Blocks, np.ndarray]:
+    """The (C, M, K) samples as C blocks of themselves, sigma = 1 and mean
+    = 0, which leave every read as it is, and their `_matched_filter`."""
+    corr, table = _reads(samples, search, config)
+    return _Blocks(np.ascontiguousarray(table), np.zeros(table.shape[1:]), np.ones(1)), corr
 
 
 def ml_localize(
@@ -916,7 +1028,7 @@ def ml_localize(
     Coarse stage: a lattice from search_center - 4.5 km to search_center +
     4.5 km per axis (`_HALFWIDTH`), odd-sized so the center is on it, with
     spacing at most c/(4 W_e); at each point the clock offset is maximized
-    over integer correlation lags. Fine stage: Fisher scoring on the exact
+    over integer correlation lags. Fine stage: Fisher scoring on the
     profiled likelihood over (x, y[, z], c*T0), all in km, with steps of at
     most half that spacing, until a step is shorter than 0.2 m (max_iter
     iterations at most; max_iter=0 returns the lattice start). In fix_z
@@ -945,11 +1057,12 @@ def ml_localize(
             f"search_center must be 3 finite numbers, got {search_center!r}"
         )
     max_iter = check_count("max_iter", max_iter, 0)
+    search = _search(pos, center, config)
     # the samples are their own block, already in the one slot, and the
     # filter of mean = 0 is 0
+    blocks, corr = _as_blocks(samples[None], search, config)
     ((xi, t0, amps, converged),) = _localize(
-        _as_blocks(samples[None], config), 0.0, pos, _search(pos, center, config), config,
-        (mode,), max_iter, 1, lambda slot, trial: None,
+        blocks, 0.0, pos, search, config, (mode,), max_iter, 1, lambda slot, trial: corr[0],
     )
     return LocationEstimate(xi[0], float(t0[0]), amps[0], bool(converged[0]))
 
@@ -1003,18 +1116,18 @@ def _noise_density(es_max: float, snr_db: float) -> float:
     raise InvalidConfig(f"SNR {snr_db} dB gives no finite positive noise density N0")
 
 
-# One lockstep `_Ascent` stacks a block per (SNR point, trial) pair over
-# `_slots(len(snr_grid))` trial slots, whose zero-padded
-# normals are the experiment's one large buffer, 206 kB per slot at the
-# default config. Per block, one `_profile` call costs 27 us at 8 blocks,
-# 20 us at 24 and 19 us at 48 (best of nine timeit runs, 2-vCPU Xeon,
-# numpy 2.4), while the peak RSS of 12 in-process `ml --snr-grid 6,18,30
-# --trials 50` passes is 40.9 MiB at 8 blocks, 42.8 MiB at 24 and 44.9 MiB
-# at 48. A round of few blocks costs nearly as much as a full one, so
-# longer grids keep 8 slots: `--seed 7 ml` (7 points) took 1.78-2.30 s in
-# a fresh process at 3 slots and takes 1.44-1.59 s at 8. The floor holds
-# while the stack stays within the default grid's 56 blocks: a fresh
-# 48-point `ml` peaked at 57.3 MiB at 8 slots and 50.1 MiB at one.
+# One lockstep `_Ascent` stacks a block per (SNR point, trial) pair and
+# mode over `_slots(len(snr_grid))` trial slots, whose matched-filter
+# tables are the experiment's one large buffer, 188 kB per slot at the
+# default config. Per block (both modes' rows), one `_profile` call costs
+# 8.2 us at 8 blocks, 4.8 us at 24 and 3.9 us at 48 (best of nine timeit
+# runs, 2-vCPU Xeon, numpy 2.4), while the peak RSS of 12 in-process `ml
+# --snr-grid 6,18,30 --trials 50` passes is 41.7 MiB at 9 blocks, 42.7 MiB
+# at 24 and 44.3 MiB at 48. A round of few blocks costs nearly as much as
+# a full one, so longer grids keep 8 slots: `--seed 7 ml` (7 points) takes
+# 0.97-1.30 s in a fresh process at 3 slots and 0.68-1.05 s at 8. The
+# floor holds while the stack stays within the default grid's 56 blocks: a
+# fresh 48-point `ml` peaks at 52.1 MiB at 8 slots and 50.5 MiB at one.
 _ROWS = 24
 _MIN_SLOTS = 8
 _MAX_BLOCKS = 56
@@ -1040,15 +1153,13 @@ def mse_experiment(
     estimates score mse_xyz against the full bound. The truth sits at the
     origin with the clock offset centering all arrivals in the window. Each
     trial is `ml_localize` with its defaults in both modes on the samples
-    `simulate_measurements` gives it at that SNR point: the refinement is
-    the same bit for bit. The coarse stage reads the matched filter as
-    sigma*MF(z) + MF(mean), which differs from the filter of the samples in
-    its last bits; it keeps only argmax choices, so a start could differ
-    only where two lattice scores tie to rounding. Only the noise scale
-    depends on N0, so the noiseless windows and their filter are built
+    `simulate_measurements` gives it at that SNR point, except that a
+    block's reads are sigma*R(z) + R(mean) (`_Blocks`), which differ from
+    the reads of the formed samples in their last bits. Only the noise
+    scale depends on N0, so the noiseless windows and their reads are built
     once, each trial's unit normals are drawn and filtered once, and its
-    blocks at every SNR point join one lockstep stack per mode, over
-    `_slots(S)` trial slots for S SNR points.
+    blocks at every SNR point and in both modes join one lockstep stack,
+    over `_slots(S)` trial slots for S SNR points.
     """
     trials = check_count("trials", trials, 50)
     pos = sat_positions(positions)
@@ -1057,25 +1168,32 @@ def mse_experiment(
         for snr_db in snr_grid
     ]
     truth_xi = np.zeros(3)
-    mean, middle = _padded((len(pos),), config)
-    middle[...] = _truth_mean((truth_xi, centered_t0(pos, config)), pos, config)
+    mean = _truth_mean((truth_xi, centered_t0(pos, config)), pos, config)
     keys = stream_keys(seed, range(trials))
     if not cfgs:
         return []
     search = _search(pos, truth_xi, config)
-    mf_mean = _matched_filter(middle, search.pulse_filter)
+    mf_mean, mean_table = _reads(mean, search, config)
+    # the one scratch block every trial's normals are drawn into; the
+    # noiseless windows are not needed past their reads
+    normals = np.empty(mean.shape)
+    del mean
     sigma = np.array([_noise_sigma(cfg) for cfg in cfgs])
-    n_slots = _slots(len(cfgs))
-    # one padded block of normals per slot, each overwritten by the next
-    # trial to take the slot
-    noise, normals = _padded((n_slots, len(pos)), config)
-    # block i * S + s is SNR point s of the trial in slot i
-    blocks = _Blocks(noise, mean, sigma)
+    # one table per slot, each overwritten by the next trial to take the
+    # slot; block i * S + s is SNR point s of the trial in slot i
+    blocks = _Blocks(
+        np.empty((_slots(len(cfgs)),) + mean_table.shape), np.ascontiguousarray(mean_table), sigma
+    )
 
-    def fill(slot: int, trial: int) -> None:
-        _normals(keys[trial : trial + 1], normals[slot : slot + 1])
+    def fill(slot: int, trial: int) -> np.ndarray:
+        _normals(keys[trial : trial + 1], normals[None])
+        corr, blocks.tables[slot] = _reads(normals, search, config)
+        return corr
 
-    estimates = _localize(blocks, mf_mean, pos, search, config, MODES, _MAX_ITER, trials, fill)
+    estimates = _localize(
+        blocks, mf_mean[:, _MARGIN : _MARGIN + config.n_samples], pos, search, config, MODES,
+        _MAX_ITER, trials, fill,
+    )
     sq, missed = {}, {}
     for (mode, k), (xi, _, _, converged) in zip(_COORDS.items(), estimates):
         sq[mode] = [float(np.sum((x[k] - truth_xi[k]) ** 2)) for x in xi]
