@@ -64,13 +64,12 @@ from .signal_ml import (
     InsufficientCoverage,
     LocationEstimate,
     MseRow,
-    SampledPulse,
     SignalConfig,
     decoupling_check,
-    effective_bandwidth_time,
     make_pulse,
     ml_localize,
     mse_experiment,
+    rms_bandwidth,
     rss_negligibility_threshold,
     sat_positions,
     signal_crb,
@@ -98,7 +97,6 @@ __all__ = [
     "MomentSet",
     "MseRow",
     "PlanarSensors",
-    "SampledPulse",
     "SignalConfig",
     "SingularInformation",
     "SystemParams",
@@ -111,7 +109,6 @@ __all__ = [
     "crb_distribution",
     "crb_from_fim",
     "decoupling_check",
-    "effective_bandwidth_time",
     "lcrb_tdoa",
     "lcrb_tdoa_from_moments",
     "lcrb_tdoa_rss",
@@ -127,6 +124,7 @@ __all__ = [
     "planar_crb_closed",
     "planar_crb_fim",
     "quadrature_moments",
+    "rms_bandwidth",
     "rss_negligibility_threshold",
     "sat_positions",
     "signal_crb",

@@ -3,10 +3,10 @@
 A source on the plane is localized by M sensors at angles phi_i and distances
 D_i, with pathloss weights A_i = D_i**(-gamma) and clock offset unknown. Two
 routes to the same bound exist: a fully closed form built from the pairwise
-factors beta_ij = 1 - cos(phi_i - phi_j), and a 3x3 Fisher-matrix inversion
-over (x, y, c*T0). Their agreement on random instances validates the FIM and
-inversion machinery used by the satellite modules against hand-checkable
-answers.
+factors beta_ij = 1 - cos(phi_i - phi_j), and the exact xy trace of the
+inverse 3x3 Fisher matrix over (x, y, c*T0). Their agreement checks the
+closed form against an exact evaluation; the float inversion
+`inverse(weighted_gram(u, w))` only gates an instance, and is not read.
 
 Both routes are evaluated so that their agreement does not depend on the
 conditioning of the instance: beta_ij is computed as 2 sin^2((phi_i -
@@ -149,7 +149,7 @@ def _exact_xy_trace(u: np.ndarray, w: np.ndarray) -> float:
 
 
 def planar_crb_fim(sensors: PlanarSensors) -> float:
-    """FIM route: build the 3x3 information over (x, y, c*T0) and invert."""
+    """FIM route: the exact xy trace of J^-1 over (x, y, c*T0), once J passes the gate."""
     if len(sensors.angles) < 3:
         raise CollinearSensors("TDOA needs at least three sensors")
     phi = np.asarray(sensors.angles)

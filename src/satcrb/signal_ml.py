@@ -11,36 +11,39 @@ constellation is the (M, 3) array of the satellite positions p_m, km, in the
 local frame, and a trial's samples the (M, K) array whose row m is p_m's
 window. Amplitudes follow the 1/distance law A_m = (h/D_m)*sqrt(es_max)
 with h the nearest satellite's distance, so the zenith satellite receives
-exactly es_max. `_pulse` is the one evaluator of the analytic pulse and its
-derivative. The ML location estimate profiles the amplitudes out
-in closed form (matched-filter outputs), scans a coarse spatial lattice with
-the clock offset maximized over correlation lags, then refines by Fisher
-scoring (Gauss-Newton) on the profiled likelihood, evaluated at fractional
-delays for all satellites at once from the matched filter (Kay,
-Fundamentals of Statistical Signal Processing I, sec. 7.7).
+exactly es_max. A pulse family (`_FAMILIES`) owns its support, s and s',
+closed-form bandwidth and reads; `_pulse` is the one evaluator of the
+analytic pulse and its derivative. The ML location estimate profiles the
+amplitudes out in closed form (matched-filter outputs), scans a coarse
+spatial lattice with the clock offset maximized over correlation lags,
+then refines by Fisher scoring (Gauss-Newton) on the profiled likelihood,
+evaluated at fractional delays for all satellites at once from the
+matched filter (Kay, Fundamentals of Statistical Signal Processing I,
+sec. 7.7).
 
 There is one signal path, and it runs a stack of sample blocks at once.
 `_truth_mean` builds the noiseless windows. Each trial's unit normals z
 are drawn once into one scratch block and filtered once over the lags
 -P..K-1+P (`_matched_filter`); the trial's slot keeps what the refinement
 reads of them (`_reads`: that filter for the gaussian, prefix sums for the
-raised cosine), in place of the normals. The reads are linear in the
-samples, so block (SNR point, trial) reads sigma*R(z) + R(mean) (`_Blocks`)
-and costs no memory of its own; the coarse lattice scan reads the same
-filter at lags 0..K-1 for every SNR point of the trial. One lockstep
-`_Ascent` over (x, y, z, c*T0) then refines every block in both modes,
-fix_z rows with z pinned, so each scoring round reads the tables once
-(`_profile`): the gaussian by a 10-tap fractional-delay interpolator, the
-raised cosine by exact trigonometric sums. A trial takes the slot of one
-whose blocks have all finished, so the stack stays full while the slowest
-blocks finish. Each block keeps its own scoring state, so it follows the
-iterate sequence it would follow alone, bit for bit. `ml_localize` is a
-stack of one trial at sigma = 1 and mean = 0, and `simulate_measurements`
-its draw.
+raised cosine), in place of the normals; a search samples the pulse once
+(`_template`). The reads are linear in the samples, so block (SNR point,
+trial) reads sigma*R(z) + R(mean) (`_Blocks`) and costs no memory of its
+own; the coarse lattice scan reads the same filter at lags 0..K-1 for
+every SNR point of the trial. One lockstep `_Ascent` over (x, y, z,
+c*T0) then refines every block in both modes, fix_z rows with z pinned,
+so each scoring round reads the tables once (`_profile`): the gaussian by
+a 10-tap fractional-delay interpolator, the raised cosine by exact
+trigonometric sums. A trial takes the slot of one whose blocks have all
+finished, so the stack stays full while the slowest blocks finish. Each
+block keeps its own scoring state, so it follows the iterate sequence it
+would follow alone, bit for bit. `ml_localize` is a stack of one trial at
+sigma = 1 and mean = 0, and `simulate_measurements` its draw.
 
 The per-satellite delay information of this discrete model is
-2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) effective bandwidth, which
-is exactly the weight the bound modules call L_m once expressed per km^2;
+2*(A_m^2/N0)*(2*pi*W_e)^2 with W_e the RMS (Gabor) bandwidth
+(`rms_bandwidth`), exactly the weight the bound modules call L_m once
+expressed per km^2;
 `signal_fim` builds that matrix with the bound modules' `weighted_gram`, so
 simulated MSE and the bound share one calibration. That bound treats the
 amplitudes as known; `decoupling_check` shows they decouple, from the
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -76,14 +80,13 @@ from .geometry import (
     streams,
 )
 
-PULSES = ("gaussian", "raised_cosine")
 # the position coordinates each mode estimates, besides the clock c*T0
 _COORDS = {"fix_z": [0, 1], "full_3d": [0, 1, 2]}
 MODES = tuple(_COORDS)
 
-# the gaussian is truncated to +-6 sigma: the edge value exp(-18) is small
-# enough that the truncation discontinuity cannot disturb the spectral second
-# moment at the 1e-6 level the bandwidth is checked to
+# the gaussian is truncated to +-6 sigma (a = 6), which puts its RMS bandwidth
+# a exp(-a^2) / (sqrt(pi) erf(a)) = 7.8e-16 relative below the untruncated
+# closed form (measured against the truncated pulse's 50-digit value)
 _GAUSS_SUPPORT_SIGMAS = 12.0
 
 
@@ -140,9 +143,12 @@ class SignalConfig:
     @property
     def support(self) -> float:
         """Total duration over which the pulse is nonzero, seconds."""
-        if self.pulse == "gaussian":
-            return _GAUSS_SUPPORT_SIGMAS * self.pulse_width
-        return self.pulse_width
+        return self._family.support
+
+    @functools.cached_property
+    def _family(self) -> _Gaussian | _RaisedCosine:
+        """The pulse family at this pulse width, built on first use."""
+        return _FAMILIES[self.pulse](self.pulse_width)
 
 
 def default_signal_config(c: float) -> SignalConfig:
@@ -170,87 +176,219 @@ class LocationEstimate:
 
 def _pulse(config: SignalConfig, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The analytic unit-energy pulse s(t), centered at t=0, and its time
-    derivative at the times t; both are zero outside the support. Every
-    operation is in place on the two results."""
+    derivative at the times t, from the config's family; both are zero
+    outside the support. Every operation is in place on the two results."""
     t = np.asarray(t, dtype=float)
     s = np.abs(t)
     off = s > 0.5 * config.support
-    if config.pulse == "gaussian":
-        # s = (pi sigma^2)^-1/4 exp(-(t/sigma)^2 / 2), s' = -t/sigma^2 s
-        sigma = config.pulse_width
-        np.divide(t, sigma, out=s)
-        s *= s
-        s *= -0.5
-        np.exp(s, out=s)
-        s *= (math.pi * sigma * sigma) ** -0.25
-        np.copyto(s, 0.0, where=off)
-        ds = np.negative(t)
-        ds /= sigma * sigma
-        ds *= s
-    else:
-        # raised cosine of full period pulse_width:
-        # s = amp/2 (1 + cos(w t)), s' = -amp/2 w sin(w t), w = 2 pi/pulse_width
-        amp = math.sqrt(8.0 / (3.0 * config.pulse_width))
-        w = 2.0 * math.pi / config.pulse_width
-        np.multiply(t, 2.0 * math.pi, out=s)
-        s /= config.pulse_width
-        np.cos(s, out=s)
-        s += 1.0
-        s *= amp * 0.5
-        np.copyto(s, 0.0, where=off)
-        ds = np.multiply(t, w)
-        np.sin(ds, out=ds)
-        ds *= -amp * 0.5 * w
+    ds = config._family.pulse(t, s, off)
     np.copyto(ds, 0.0, where=off)
     return s, ds
 
 
-@dataclass(frozen=True)
-class SampledPulse:
-    """Pulse samples on the measurement lattice, energy-normalized.
-
-    samples[i] = s((i - (len-1)/2) dt) at the config's dt, rescaled so that
-    sum(s^2) dt = 1.
-    fine and deriv_fine sample the same waveform on a fixed 2048-point lattice
-    across the support (spacing support / 2048, independent of the measurement
-    rate): the bandwidth is taken there, because at a non-commensurate sample rate
-    the measurement lattice alone estimates the raised cosine's spectral
-    moments about three orders of magnitude too coarsely for the 1e-6
-    agreement with the FFT of the spectrum that the tests hold it to.
-    """
-
-    samples: np.ndarray
-    fine: np.ndarray
-    deriv_fine: np.ndarray
+# the lags the matched-filter tables keep on each side of the K window
+# lags: the taps around every delay whose pulse keeps half its energy in
+# the window
+_MARGIN = 6
+# the taps of the fractional-delay interpolator, as offsets from floor(tau / dt)
+_TAPS = np.arange(-4, 6)
 
 
-_FINE_POINTS = 2048
+class _Gaussian:
+    """The gaussian s = (pi sigma^2)^-1/4 exp(-(t/sigma)^2 / 2), sigma =
+    pulse_width, truncated to +-6 sigma; its RMS bandwidth is 1/(2 sqrt(2)
+    pi sigma) (Kay, Fundamentals of Statistical Signal Processing I, sec.
+    3.11). `terms` reads C and dC/dtau = -D from the slot's matched filter,
+    and E, dE/dtau = -2 X and G from `tables`' window, by the 10-tap
+    Lagrange interpolator at the delay (Laakso et al., "Splitting the unit
+    delay", IEEE SP Magazine 13(1), 1996)."""
+
+    def __init__(self, sigma: float) -> None:
+        self.sigma = sigma
+        self.support = _GAUSS_SUPPORT_SIGMAS * sigma
+        self.bandwidth = 1.0 / (2.0 * math.pi * math.sqrt(2.0) * sigma)
+
+    def pulse(self, t: np.ndarray, s: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Overwrite s with s(t), 0 where off, and return s'(t) = -t/sigma^2 s."""
+        np.divide(t, self.sigma, out=s)
+        s *= s
+        s *= -0.5
+        np.exp(s, out=s)
+        s *= (math.pi * self.sigma * self.sigma) ** -0.25
+        np.copyto(s, 0.0, where=off)
+        ds = np.negative(t)
+        ds /= self.sigma * self.sigma
+        ds *= s
+        return ds
+
+    def tables(self, s, ds, config) -> tuple[np.ndarray, np.ndarray]:
+        """(window, basis), what `terms` reads of the pulse alone, from s
+        and s' on the `_template` lattice. window is (2, K + 2P), the
+        all-ones K-sample window filtered with s^2 and with s'^2 at the
+        lags j = -P..K-1+P (P = _MARGIN), that is E and G of a pulse at
+        delay j dt; basis is (10, 20), whose columns 2 n and 2 n + 1 hold
+        the coefficients of x^p (row p) in tap n's Lagrange basis
+        polynomial and in its derivative, with x the delay in samples less
+        the middle of the taps (`_TAPS`), so that x is in [-1/2, 1/2)."""
+        k, half = config.n_samples, (len(s) - 1) // 2
+        sums = np.zeros((2 * half + 2, 2))
+        np.cumsum(np.stack([s * s, ds * ds], axis=-1), axis=0, out=sums[1:])
+        # the pulse offsets k - j of the window's samples k at lag j, as
+        # indices into s
+        j = np.arange(-_MARGIN, k + _MARGIN)
+        first = np.clip(half - j, 0, 2 * half + 1)
+        end = np.clip(k + half - j, 0, 2 * half + 1)
+        nodes = _TAPS - 0.5
+        n = len(nodes)
+        basis = np.zeros((n, 2 * n))
+        for i, node in enumerate(nodes):
+            others = np.delete(nodes, i)
+            # np.poly's coefficients of these half-integer roots are exact
+            coef = np.poly(others)[::-1] / np.prod(node - others)
+            basis[:, 2 * i] = coef
+            basis[:-1, 2 * i + 1] = coef[1:] * np.arange(1, n)
+        return np.ascontiguousarray((sums[end] - sums[first]).T), basis
+
+    def reads(self, samples: np.ndarray, corr: np.ndarray, tables) -> np.ndarray:
+        """What `terms` reads of the samples: their matched filter corr."""
+        return corr
+
+    def terms(self, blocks, taus, slot, scale, tables, config) -> tuple[np.ndarray, ...]:
+        """`_terms` by interpolation, slot and scale the rows' (R,) slots
+        and (R, 1, 1) noise levels."""
+        dt, k = config.dt, config.n_samples
+        window, basis = tables
+        sats = np.arange(len(blocks.mean))
+        # the delay in samples, clamped to [-1, K] so that the taps stay in
+        # the tables; the pulse keeps under half its energy at a delay of -1
+        # or K samples and beyond (fmax and fmin clamp a non-finite delay too)
+        u = np.fmin(np.fmax(taus / dt, -1.0), float(k))
+        base = np.floor(u)
+        # powers of the offset from the middle of the taps, and from them each
+        # tap's weight for the value and for the derivative per sample
+        powers = np.empty(u.shape + (len(_TAPS),))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = (u - base - 0.5)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        weights = (powers @ basis).reshape(u.shape + (len(_TAPS), 2))
+        at = base.astype(int)[..., None] + (_MARGIN + _TAPS)
+        # the taps' indices into the flattened mean, and into the slots'
+        flat = at + (sats * blocks.mean.shape[-1])[:, None]
+        v = blocks.tables.reshape(-1)[flat + (slot * blocks.mean.size)[:, None, None]]
+        v *= scale
+        v += blocks.mean.reshape(-1)[flat]
+        cd = (v[..., None, :] @ weights)[..., 0, :]
+        eg = np.stack([window[0][at], window[1][at]], axis=-2) @ weights
+        corr, d = cd[..., 0], cd[..., 1] * (-1.0 / dt)
+        energy, cross, g = eg[..., 0, 0], eg[..., 0, 1] * (-0.5 / dt), eg[..., 1, 0]
+        return corr, d, energy, cross, g
 
 
-def make_pulse(config: SignalConfig) -> SampledPulse:
-    """Sample the pulse on the observation lattice and normalize its energy."""
+class _RaisedCosine:
+    """The raised cosine s = h (1 + cos w t) of full period P = pulse_width,
+    its support, with h = sqrt(8/(3 P))/2 and w = 2 pi/P; its RMS bandwidth
+    is 1/(sqrt(3) P). Its s'' jumps at the support's edges, so `terms` does
+    not interpolate: over the covered samples, s = h (1 + cos w(t_k - tau))
+    expands C and D into sums of v, v cos w t_k and v sin w t_k, which the
+    slot's prefix sums give, and E, X and G into sums of cos and sin of
+    w (t_k - tau) and twice that, which are geometric series."""
+
+    def __init__(self, period: float) -> None:
+        self.period = period
+        self.support = period
+        self.h = 0.5 * math.sqrt(8.0 / (3.0 * period))
+        self.w = 2.0 * math.pi / period
+        self.bandwidth = 1.0 / (math.sqrt(3.0) * period)
+
+    def pulse(self, t: np.ndarray, s: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Overwrite s with s(t), 0 where off, and return s'(t) = -h w sin w t."""
+        np.multiply(t, 2.0 * math.pi, out=s)
+        s /= self.period
+        np.cos(s, out=s)
+        s += 1.0
+        s *= self.h
+        np.copyto(s, 0.0, where=off)
+        ds = np.multiply(t, self.w)
+        np.sin(ds, out=ds)
+        ds *= -self.h * self.w
+        return ds
+
+    def tables(self, s, ds, config) -> np.ndarray:
+        """What `reads` takes of the pulse alone: the (2, K) phases cos w
+        t_k and sin w t_k of the window's samples."""
+        wt = self.w * (np.arange(config.n_samples) * config.dt)
+        return np.stack([np.cos(wt), np.sin(wt)])
+
+    def reads(self, samples: np.ndarray, corr: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """What `terms` reads of the (..., M, K) samples v: the (..., M,
+        K + 1, 3) prefix sums of v, v cos w t_k and v sin w t_k, from 0
+        before the first sample."""
+        table = np.zeros(samples.shape[:-1] + (samples.shape[-1] + 1, 3))
+        np.cumsum(samples, axis=-1, out=table[..., 1:, 0])
+        for col, phase in enumerate(tables, start=1):
+            np.cumsum(samples * phase, axis=-1, out=table[..., 1:, col])
+        return table
+
+    def terms(self, blocks, taus, slot, scale, tables, config) -> tuple[np.ndarray, ...]:
+        """`_terms` by exact sums, slot and scale as `_Gaussian.terms`'."""
+        dt, k = config.dt, config.n_samples
+        half, h, w = 0.5 * self.support, self.h, self.w
+        sats = np.arange(len(blocks.mean))
+        # the covered samples lo <= k < hi, empty where the pulse misses the
+        # window; the clamp keeps a non-finite delay's sums empty and finite
+        tau = np.fmin(np.fmax(taus, -self.support), k * dt + self.support)
+        lo = np.fmin(np.fmax(np.ceil((tau - half) / dt), 0.0), float(k))
+        hi = np.fmin(np.fmax(np.floor((tau + half) / dt) + 1.0, lo), float(k))
+        lo, hi = lo.astype(int), hi.astype(int)
+        tab, mean, at = blocks.tables, blocks.mean, slot[:, None]
+        sv = tab[at, sats, hi] - tab[at, sats, lo]
+        sv *= scale
+        sv += mean[sats, hi] - mean[sats, lo]
+        sum_v, sum_vc, sum_vs = np.moveaxis(sv, -1, 0)
+        ct, st = np.cos(w * tau), np.sin(w * tau)
+        corr = h * (sum_v + ct * sum_vc + st * sum_vs)
+        d = (-h * w) * (ct * sum_vs - st * sum_vc)
+        # the sums of exp(i m w (t_k - tau)) over the n covered samples, for m
+        # = 1 and 2: geometric series from the first sample's phase
+        n = hi - lo
+        phi, step = w * (lo * dt - tau), w * dt
+        z1, z2 = (
+            np.exp(1j * m * phi) * (1.0 - np.exp(1j * m * step * n))
+            / (1.0 - np.exp(1j * m * step))
+            for m in (1.0, 2.0)
+        )
+        energy = (h * h) * (1.5 * n + 2.0 * z1.real + 0.5 * z2.real)
+        cross = (-h * h * w) * (z1.imag + 0.5 * z2.imag)
+        g = (h * h * w * w) * (0.5 * n - 0.5 * z2.real)
+        return corr, d, energy, cross, g
+
+
+# the one lookup of the pulse families, by SignalConfig.pulse
+_FAMILIES = {"gaussian": _Gaussian, "raised_cosine": _RaisedCosine}
+PULSES = tuple(_FAMILIES)
+
+
+def _template(config: SignalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unit, s, s'): s and s' at the times (i - half) dt, i = 0..2 half,
+    that span the support, where a search samples the pulse once, and
+    unit, s rescaled so that sum(unit^2) dt = 1."""
     dt = config.dt
     half = int(math.ceil(0.5 * config.support / dt))
-    raw = _pulse(config, (np.arange(2 * half + 1) - half) * dt)[0]
-    scale = 1.0 / math.sqrt(float(np.dot(raw, raw)) * dt)
-    dt_fine = config.support / _FINE_POINTS
-    fine, deriv_fine = _pulse(
-        config, (np.arange(_FINE_POINTS + 1) - _FINE_POINTS // 2) * dt_fine
-    )
-    return SampledPulse(
-        samples=raw * scale,
-        fine=fine * scale,
-        deriv_fine=deriv_fine * scale,
-    )
+    s, ds = _pulse(config, (np.arange(2 * half + 1) - half) * dt)
+    return s * (1.0 / math.sqrt(float(np.dot(s, s)) * dt)), s, ds
 
 
-def effective_bandwidth_time(pulse: SampledPulse) -> float:
-    """RMS (Gabor) bandwidth in Hz, sqrt(int f^2 |S|^2 df / int |S|^2 df),
-    via Parseval on the analytic derivative: sqrt(sum sdot^2 / sum s^2) /
-    (2 pi) over the fine lattice."""
-    num = float(np.dot(pulse.deriv_fine, pulse.deriv_fine))
-    den = float(np.dot(pulse.fine, pulse.fine))
-    return math.sqrt(num / den) / (2.0 * math.pi)
+def make_pulse(config: SignalConfig) -> np.ndarray:
+    """The unit-energy pulse on the observation lattice: samples[i] =
+    s((i - (len-1)/2) dt), rescaled so that sum(s^2) dt = 1."""
+    return _template(config)[0]
+
+
+def rms_bandwidth(config: SignalConfig) -> float:
+    """W_e in Hz, the RMS (Gabor) bandwidth sqrt(int f^2 |S|^2 df / int
+    |S|^2 df) of the config's pulse, in its family's closed form (the
+    gaussian's untruncated)."""
+    return config._family.bandwidth
 
 
 def rss_negligibility_threshold(h: float, c: float) -> float:
@@ -353,14 +491,6 @@ def _coords(mode: str) -> list[int]:
     return _COORDS[mode]
 
 
-# the lags the matched-filter tables keep on each side of the K window
-# lags: the taps around every delay whose pulse keeps half its energy in
-# the window
-_MARGIN = 6
-# the taps of the fractional-delay interpolator, as offsets from floor(tau / dt)
-_TAPS = np.arange(-4, 6)
-
-
 @dataclass(frozen=True)
 class _Blocks:
     """A stack of C S sample blocks kept as the parts of what `_profile`
@@ -410,81 +540,15 @@ def _terms(
     rows: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """The five (R, M) sums over the samples k of each window that
-    `_profile` combines, read from the blocks' tables at the delays: C =
-    <v, s>, D = <v, s'>, E = <s, s>, X = <s, s'> and G = <s', s'>, with s
-    the pulse at t_k - tau. taus is (R, M): row i holds the delays of block
-    rows[i].
-
-    The gaussian reads C and dC/dtau = -D from its matched-filter table,
-    and E, dE/dtau = -2 X and G from its `_GaussTables` of the all-ones
-    window filtered with s^2 and s'^2, each by the 10-tap Lagrange
-    interpolator at the delay (Laakso et al., "Splitting the unit delay",
-    IEEE SP Magazine 13(1), 1996). The raised cosine's s'' jumps at the
-    support edges, so it is not interpolated: over the covered samples,
-    s = h (1 + cos w(t_k - tau)) expands C and D into sums of v, v cos
-    w t_k and v sin w t_k, which its prefix sums give, and E, X and G into
-    sums of cos and sin of w (t_k - tau) and twice that, which are
-    geometric series. Where a delay is clamped, the terms are those of the
-    clamped delay.
+    `_profile` combines, read from the blocks' tables at the delays by the
+    config's family (`_Gaussian.terms`, `_RaisedCosine.terms`): C = <v, s>,
+    D = <v, s'>, E = <s, s>, X = <s, s'> and G = <s', s'>, with s the pulse
+    at t_k - tau. taus is (R, M): row i holds the delays of block rows[i].
+    Where a delay is clamped, the terms are those of the clamped delay.
     """
-    dt, k = config.dt, config.n_samples
-    sats = np.arange(len(blocks.mean))
     slot, level = np.divmod(rows, len(blocks.sigma))
     scale = blocks.sigma[level][:, None, None]
-    pulse = search.pulse_tables
-    if config.pulse == "gaussian":
-        # the delay in samples, clamped to [-1, K] so that the taps stay in
-        # the tables; the pulse keeps under half its energy at a delay of -1
-        # or K samples and beyond (fmax and fmin clamp a non-finite delay too)
-        u = np.fmin(np.fmax(taus / dt, -1.0), float(k))
-        base = np.floor(u)
-        # powers of the offset from the middle of the taps, and from them each
-        # tap's weight for the value and for the derivative per sample
-        powers = np.empty(u.shape + (len(_TAPS),))
-        powers[..., 0] = 1.0
-        powers[..., 1:] = (u - base - 0.5)[..., None]
-        np.cumprod(powers, axis=-1, out=powers)
-        weights = (powers @ pulse.basis).reshape(u.shape + (len(_TAPS), 2))
-        at = base.astype(int)[..., None] + (_MARGIN + _TAPS)
-        # the taps' indices into the flattened mean, and into the slots'
-        flat = at + (sats * blocks.mean.shape[-1])[:, None]
-        v = blocks.tables.reshape(-1)[flat + (slot * blocks.mean.size)[:, None, None]]
-        v *= scale
-        v += blocks.mean.reshape(-1)[flat]
-        cd = (v[..., None, :] @ weights)[..., 0, :]
-        eg = np.stack([pulse.window[0][at], pulse.window[1][at]], axis=-2) @ weights
-        corr, d = cd[..., 0], cd[..., 1] * (-1.0 / dt)
-        energy, cross, g = eg[..., 0, 0], eg[..., 0, 1] * (-0.5 / dt), eg[..., 1, 0]
-    else:
-        half = 0.5 * config.support
-        h, w = pulse.h, pulse.w
-        # the covered samples lo <= k < hi, empty where the pulse misses the
-        # window; the clamp keeps a non-finite delay's sums empty and finite
-        tau = np.fmin(np.fmax(taus, -config.support), k * dt + config.support)
-        lo = np.fmin(np.fmax(np.ceil((tau - half) / dt), 0.0), float(k))
-        hi = np.fmin(np.fmax(np.floor((tau + half) / dt) + 1.0, lo), float(k))
-        lo, hi = lo.astype(int), hi.astype(int)
-        tab, mean, at = blocks.tables, blocks.mean, slot[:, None]
-        sv = tab[at, sats, hi] - tab[at, sats, lo]
-        sv *= scale
-        sv += mean[sats, hi] - mean[sats, lo]
-        sum_v, sum_vc, sum_vs = np.moveaxis(sv, -1, 0)
-        ct, st = np.cos(w * tau), np.sin(w * tau)
-        corr = h * (sum_v + ct * sum_vc + st * sum_vs)
-        d = (-h * w) * (ct * sum_vs - st * sum_vc)
-        # the sums of exp(i m w (t_k - tau)) over the n covered samples, for m
-        # = 1 and 2: geometric series from the first sample's phase
-        n = hi - lo
-        phi, step = w * (lo * dt - tau), w * dt
-        z1, z2 = (
-            np.exp(1j * m * phi) * (1.0 - np.exp(1j * m * step * n))
-            / (1.0 - np.exp(1j * m * step))
-            for m in (1.0, 2.0)
-        )
-        energy = (h * h) * (1.5 * n + 2.0 * z1.real + 0.5 * z2.real)
-        cross = (-h * h * w) * (z1.imag + 0.5 * z2.imag)
-        g = (h * h * w * w) * (0.5 * n - 0.5 * z2.real)
-    return corr, d, energy, cross, g
+    return config._family.terms(blocks, taus, slot, scale, search.pulse_tables, config)
 
 
 def _profile(
@@ -553,17 +617,10 @@ def _reads(
     samples: np.ndarray, search: _Search, config: SignalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(corr, table) of the (..., M, K) samples v: their `_matched_filter`,
-    and what `_profile` reads of them. For the gaussian that is the filter
-    itself; for the raised cosine, the (..., M, K + 1, 3) prefix sums of v,
-    v cos w t_k and v sin w t_k, from 0 before the first sample."""
+    and what `_profile` reads of them, which the config's family gives
+    (`_Gaussian.reads`, `_RaisedCosine.reads`)."""
     corr = _matched_filter(samples, search.pulse_filter)
-    if config.pulse == "gaussian":
-        return corr, corr
-    table = np.zeros(samples.shape[:-1] + (samples.shape[-1] + 1, 3))
-    np.cumsum(samples, axis=-1, out=table[..., 1:, 0])
-    for col, phase in enumerate(search.pulse_tables.phases, start=1):
-        np.cumsum(samples * phase, axis=-1, out=table[..., 1:, col])
-    return corr, table
+    return corr, config._family.reads(samples, corr, search.pulse_tables)
 
 
 def _lattice_offsets(halfwidth: float, spacing: float) -> np.ndarray:
@@ -837,83 +894,26 @@ class _Search:
     config: the coarse lattice from center - _HALFWIDTH to center +
     _HALFWIDTH per axis at a spacing of at most c/(4 W_e), the trust radius
     of the refinement (half that spacing), the matched filter's spectrum
-    and what `_reads` and `_terms` read of the pulse alone
-    (`_pulse_tables`). None of it depends on the samples or on N0."""
+    and what `_reads` and `_terms` read of the pulse alone (the family's
+    `tables`). None of it depends on the samples or on N0."""
 
     center: np.ndarray
     radius: float
     pulse_filter: tuple[np.ndarray, int, int]
     lattice: _Lattice
-    pulse_tables: _GaussTables | _CosineTables
-
-
-@dataclass(frozen=True)
-class _GaussTables:
-    """What `_terms` reads of the gaussian alone. window is (2, K + 2P),
-    the all-ones K-sample window filtered with s^2 and with s'^2 at the
-    lags j = -P..K-1+P (P = _MARGIN), that is E and G of a pulse at delay
-    j dt; basis is (10, 20), whose columns 2 n and 2 n + 1 hold the
-    coefficients of x^p (row p) in tap n's Lagrange basis polynomial and
-    in its derivative, with x the delay in samples less the middle of the
-    taps (`_TAPS`), so that x is in [-1/2, 1/2)."""
-
-    window: np.ndarray
-    basis: np.ndarray
-
-
-@dataclass(frozen=True)
-class _CosineTables:
-    """What `_reads` and `_terms` read of the raised cosine alone: its
-    shape s = h (1 + cos w t) over the support, with h half the unit-energy
-    amplitude and w = 2 pi / pulse_width, and the (2, K) phases cos w t_k
-    and sin w t_k of the window's samples."""
-
-    h: float
-    w: float
-    phases: np.ndarray
-
-
-def _pulse_tables(config: SignalConfig) -> _GaussTables | _CosineTables:
-    """What `_reads` and `_terms` read of the pulse alone, the one place
-    that builds it for either pulse."""
-    k, dt = config.n_samples, config.dt
-    if config.pulse == "gaussian":
-        half = int(math.ceil(0.5 * config.support / dt))
-        s, ds = _pulse(config, (np.arange(2 * half + 1) - half) * dt)
-        sums = np.zeros((2 * half + 2, 2))
-        np.cumsum(np.stack([s * s, ds * ds], axis=-1), axis=0, out=sums[1:])
-        # the pulse offsets k - j of the window's samples k at lag j, as
-        # indices into s
-        j = np.arange(-_MARGIN, k + _MARGIN)
-        first = np.clip(half - j, 0, 2 * half + 1)
-        end = np.clip(k + half - j, 0, 2 * half + 1)
-        nodes = _TAPS - 0.5
-        n = len(nodes)
-        basis = np.zeros((n, 2 * n))
-        for i, node in enumerate(nodes):
-            others = np.delete(nodes, i)
-            # np.poly's coefficients of these half-integer roots are exact
-            coef = np.poly(others)[::-1] / np.prod(node - others)
-            basis[:, 2 * i] = coef
-            basis[:-1, 2 * i + 1] = coef[1:] * np.arange(1, n)
-        return _GaussTables(np.ascontiguousarray((sums[end] - sums[first]).T), basis)
-    w = 2.0 * math.pi / config.pulse_width
-    wt = w * (np.arange(k) * dt)
-    return _CosineTables(
-        0.5 * math.sqrt(8.0 / (3.0 * config.pulse_width)), w, np.stack([np.cos(wt), np.sin(wt)])
-    )
+    pulse_tables: tuple[np.ndarray, np.ndarray] | np.ndarray
 
 
 def _search(positions: np.ndarray, center: np.ndarray, config: SignalConfig) -> _Search:
-    sp = make_pulse(config)
-    spacing = config.c / (4.0 * effective_bandwidth_time(sp))
+    unit, s, ds = _template(config)
+    spacing = config.c / (4.0 * rms_bandwidth(config))
     points = _lattice_points(center, _HALFWIDTH, spacing)
     return _Search(
         center,
         0.5 * spacing,
-        _pulse_filter(sp.samples, config.n_samples),
+        _pulse_filter(unit, config.n_samples),
         _lattice(positions, points, config),
-        _pulse_tables(config),
+        config._family.tables(s, ds, config),
     )
 
 
@@ -1075,7 +1075,7 @@ def signal_fim(positions: np.ndarray, config: SignalConfig) -> np.ndarray:
     """
     pos = sat_positions(positions)
     amps = amplitudes(pos, config.es_max)
-    w_e = effective_bandwidth_time(make_pulse(config))
+    w_e = rms_bandwidth(config)
     ell = 2.0 * amps**2 / config.n0 * (2.0 * math.pi * w_e / config.c) ** 2
     d = np.linalg.norm(pos, axis=1)
     return weighted_gram(timing_rows(pos / d[:, None]), ell)

@@ -98,8 +98,8 @@ def montecarlo_limit(run: Inputs) -> list[float]:
 
 
 def planar_oracle(run: Inputs) -> list[float]:
-    """The planar closed form against direct FIM inversion, on 30 random
-    planar layouts of 3 to 7 sensors."""
+    """The planar closed form against the exact xy trace of the inverse
+    FIM (`planar_crb_fim`), on 30 random planar layouts of 3 to 7 sensors."""
     rng = np.random.default_rng(run.seed)
     values = []
     for _ in range(30):

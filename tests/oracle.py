@@ -17,7 +17,8 @@ L (cos(phi_l) - c)^2 with c = E[L cos(phi_l)] / E[L], not a difference of
 raw moments.
 
 The pulses are signal_ml's unit-energy waveforms at the exact pulse width,
-zero past the config's double half-support.
+zero past the config's double half-support, and their RMS bandwidth is
+mpmath.quad of s'^2 and s^2 over that support.
 """
 
 from __future__ import annotations
@@ -231,7 +232,12 @@ def pulse(config, t: float) -> tuple[mpmath.mpf, mpmath.mpf]:
     config.support / 2, and 0 elsewhere. The edge is the double support the
     config gives: for the gaussian that is the double 12 sigma, 3e-21 s past
     the exact 12 sigma at the default width."""
-    t, width = exact(t), exact(config.pulse_width)
+    return _pulse_at(config, exact(t))
+
+
+def _pulse_at(config, t: mpmath.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """`pulse` at the mpf t."""
+    width = exact(config.pulse_width)
     if abs(t) > exact(config.support) / 2:
         return mpmath.mpf(0), mpmath.mpf(0)
     if config.pulse == "gaussian":
@@ -239,6 +245,19 @@ def pulse(config, t: float) -> tuple[mpmath.mpf, mpmath.mpf]:
         return s, -t / width**2 * s
     half_amp, turn = mpmath.sqrt(2 / (3 * width)), 2 * t / width
     return half_amp * (1 + mpmath.cospi(turn)), -half_amp * 2 * mpmath.pi / width * mpmath.sinpi(turn)
+
+
+@_at_dps
+def rms_bandwidth(config) -> mpmath.mpf:
+    """W_e in Hz, the RMS (Gabor) bandwidth sqrt(int s'^2 dt / int s^2 dt)
+    / (2 pi) of the pulse the program samples: `pulse` integrated by
+    mpmath.quad over the config's double support, so the gaussian is
+    truncated at its double +-6 sigma."""
+    edge = exact(config.support) / 2
+    nodes = [-edge, 0, edge]
+    energy = mpmath.quad(lambda t: _pulse_at(config, t)[0] ** 2, nodes)
+    slope = mpmath.quad(lambda t: _pulse_at(config, t)[1] ** 2, nodes)
+    return mpmath.sqrt(slope / energy) / (2 * mpmath.pi)
 
 
 @_at_dps

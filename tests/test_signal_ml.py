@@ -46,10 +46,10 @@ from satcrb.signal_ml import (
     centered_t0,
     decoupling_check,
     default_signal_config,
-    effective_bandwidth_time,
     make_pulse,
     ml_localize,
     mse_experiment,
+    rms_bandwidth,
     rss_negligibility_threshold,
     sat_positions,
     signal_crb,
@@ -106,7 +106,7 @@ def reference_lattice_start(samples, pos, points, cfg):
     """(xi, T0) at the first best lattice point, scanned one point at a time
     with a stacked window per point: the loop that `_coarse` and `_start`
     replaced, kept as their oracle."""
-    pulse_filter = _pulse_filter(make_pulse(cfg).samples, samples.shape[1])
+    pulse_filter = _pulse_filter(make_pulse(cfg), samples.shape[1])
     corr = _matched_filter(samples, pulse_filter)[:, _MARGIN : _MARGIN + samples.shape[1]]
     corr2 = corr * corr
     k = cfg.n_samples
@@ -301,7 +301,7 @@ def refine(blocks, search, pos, u0, cfg, max_iter, pinned=None):
 def coarse_scan(samples, pos, points, cfg):
     """`_coarse` of one trial's (M, K) samples over the lattice points, as a
     stack of one block: its (1, G) best scores and clock offsets."""
-    corr = _matched_filter(samples, _pulse_filter(make_pulse(cfg).samples, cfg.n_samples))
+    corr = _matched_filter(samples, _pulse_filter(make_pulse(cfg), cfg.n_samples))
     corr = corr[:, _MARGIN : _MARGIN + cfg.n_samples]
     return _coarse((corr * corr)[None], _lattice(pos, points, cfg), cfg)
 
@@ -349,20 +349,20 @@ class TestConfigValidation:
 class TestPulse:
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_unit_energy(self, cfg):
-        sp = make_pulse(cfg)
-        assert abs(float(np.dot(sp.samples, sp.samples)) * cfg.dt - 1.0) < 1e-10
+        s = make_pulse(cfg)
+        assert abs(float(np.dot(s, s)) * cfg.dt - 1.0) < 1e-10
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_time_symmetry_and_centering(self, cfg):
-        sp = make_pulse(cfg)
-        assert len(sp.samples) % 2 == 1
-        assert np.array_equal(sp.samples, sp.samples[::-1])
-        assert np.argmax(sp.samples) == len(sp.samples) // 2
+        s = make_pulse(cfg)
+        assert len(s) % 2 == 1
+        assert np.array_equal(s, s[::-1])
+        assert np.argmax(s) == len(s) // 2
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_odd_moment_vanishes(self, cfg):
-        sp = make_pulse(cfg)
-        t = (np.arange(len(sp.samples)) - len(sp.samples) // 2) * cfg.dt
+        n = len(make_pulse(cfg))
+        t = (np.arange(n) - n // 2) * cfg.dt
         s, ds = _pulse(cfg, t)
         assert abs(float(np.dot(s, ds)) * cfg.dt) < 1e-8
 
@@ -376,7 +376,7 @@ class TestPulse:
         pulse. The gaussian is within 1e-14 relative, the worst being 4.4e-15
         where the exponent's rounding is scaled by up to 18; the raised
         cosine's 1 + cos cancels towards its edges, so it is held to 1e-15 of
-        its peak (3.1e-16 at worst)."""
+        its peak (3.0e-16 at worst)."""
         t = pulse_arguments(cfg)
         s, ds = _pulse(cfg, t)
         want = [oracle.pulse(cfg, float(x)) for x in t]
@@ -392,7 +392,7 @@ class TestPulse:
 
     @pytest.mark.parametrize("cfg", [gauss_cfg(), rc_cfg()], ids=["gauss", "rc"])
     def test_autocorrelation_peaks_at_zero_lag(self, cfg):
-        s = make_pulse(cfg).samples
+        s = make_pulse(cfg)
         ac = np.correlate(s, s, mode="full")
         mid = len(s) - 1
         assert np.argmax(ac) == mid
@@ -401,42 +401,64 @@ class TestPulse:
 
 
 def pulse_arguments(cfg) -> np.ndarray:
-    """The times the program gives `_pulse`: make_pulse's measurement and
-    fine lattices (the fine one ends on the support's edges), and sample
-    times k dt - tau at four fractional delays tau, across the support and
-    two samples past each edge."""
+    """The times the program gives `_pulse`: the `_template` lattice, and
+    sample times k dt - tau at four fractional delays tau, across the
+    support and two samples past each edge."""
     dt = cfg.dt
     half = int(math.ceil(0.5 * cfg.support / dt))
     lattice = (np.arange(2 * half + 1) - half) * dt
-    n = signal_ml._FINE_POINTS
-    fine = (np.arange(n + 1) - n // 2) * (cfg.support / n)
     taus = (5.0 + np.array([0.13, 0.5, 0.77, 0.999])) * dt
     shifted = (np.arange(-half - 2, half + 3) + 5.0) * dt - taus[:, None]
-    return np.concatenate([lattice, fine, shifted.ravel()])
+    return np.concatenate([lattice, shifted.ravel()])
 
 
-def effective_bandwidth(pulse, cfg, n_fft=1 << 16):
+# the points of the fine lattice the spectral route samples the pulse on
+FINE_POINTS = 2048
+
+
+def effective_bandwidth(cfg, n_fft=1 << 16):
     """RMS (Gabor) bandwidth in Hz from the pulse spectrum, the route
-    independent of effective_bandwidth_time's Parseval sum:
-    sqrt(int f^2 |S|^2 df / int |S|^2 df) over the zero-padded FFT of the
-    fine-lattice samples, which span cfg's pulse support."""
-    spec = np.abs(np.fft.fft(pulse.fine, n=n_fft)) ** 2
-    f = np.fft.fftfreq(n_fft, d=cfg.support / (len(pulse.fine) - 1))
+    independent of rms_bandwidth's closed form: sqrt(int f^2 |S|^2 df /
+    int |S|^2 df) over the zero-padded FFT of s on a lattice of
+    FINE_POINTS steps across cfg's support (the edges included),
+    whatever the measurement rate: at a non-commensurate rate the
+    measurement lattice alone estimates the raised cosine's spectral
+    moments about three orders of magnitude too coarsely for 1e-6."""
+    step = cfg.support / FINE_POINTS
+    fine = _pulse(cfg, (np.arange(FINE_POINTS + 1) - FINE_POINTS // 2) * step)[0]
+    spec = np.abs(np.fft.fft(fine, n=n_fft)) ** 2
+    f = np.fft.fftfreq(n_fft, d=step)
     return math.sqrt(float(np.dot(f * f, spec) / np.sum(spec)))
 
 
 class TestEffectiveBandwidth:
     def test_gaussian_closed_form(self):
-        want = 1.0 / (2.0 * math.pi * GAUSS_SIGMA * math.sqrt(2.0))
+        """The gaussian test pulse is built for W_e = 10 kHz."""
         cfg = gauss_cfg()
-        sp = make_pulse(cfg)
-        assert effective_bandwidth_time(sp) == pytest.approx(want, rel=1e-9)
-        assert effective_bandwidth(sp, cfg) == pytest.approx(want, rel=1e-6)
+        assert rms_bandwidth(cfg) == pytest.approx(W_E, rel=1e-15)
+        assert effective_bandwidth(cfg) == pytest.approx(W_E, rel=1e-6)
 
     def test_raised_cosine_closed_form(self):
-        want = 1.0 / (math.sqrt(3.0) * RC_PERIOD)
-        sp = make_pulse(rc_cfg())
-        assert effective_bandwidth_time(sp) == pytest.approx(want, rel=1e-9)
+        """So is the raised cosine's."""
+        cfg = rc_cfg()
+        assert rms_bandwidth(cfg) == pytest.approx(W_E, rel=1e-15)
+        assert effective_bandwidth(cfg) == pytest.approx(W_E, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "cfg, bound",
+        [(gauss_cfg(), 2e-15), (gauss_cfg(pulse_width=2.75 * GAUSS_SIGMA), 2e-15),
+         (gauss_cfg(pulse_width=1.0e-6, sample_rate=2.3e7), 2e-15),
+         (rc_cfg(), 1e-15), (rc_cfg(pulse_width=1.0e-4, sample_rate=1.6e5), 1e-15),
+         (rc_cfg(pulse_width=3.7e-5, sample_rate=1.0e6), 1e-15)],
+        ids=["gauss", "gauss-2.75", "gauss-1us", "rc", "rc.cfg", "rc-37us"],
+    )
+    def test_closed_form_matches_oracle(self, cfg, bound):
+        """The closed form against the 50-digit RMS bandwidth of the pulse
+        the program samples. The gaussian's untruncated closed form sits
+        a exp(-a^2) / (sqrt(pi) erf(a)) = 7.8e-16 (a = 6) above the
+        truncated pulse's value, so it is held to 2e-15; the raised
+        cosine, whose support is its period, to 1e-15."""
+        assert oracle.rel_err(rms_bandwidth(cfg), oracle.rms_bandwidth(cfg)) <= bound
 
     @pytest.mark.parametrize(
         "cfg",
@@ -445,41 +467,36 @@ class TestEffectiveBandwidth:
         ids=["gauss", "gauss-min", "rc-min", "rc-2.5x"],
     )
     def test_routes_agree(self, cfg):
-        sp = make_pulse(cfg)
-        assert effective_bandwidth(sp, cfg) == pytest.approx(
-            effective_bandwidth_time(sp), rel=1e-6
-        )
+        assert effective_bandwidth(cfg) == pytest.approx(rms_bandwidth(cfg), rel=1e-6)
 
     def test_dilation_scales_inversely(self):
         a = 2.75
-        w1 = effective_bandwidth_time(make_pulse(gauss_cfg()))
-        w2 = effective_bandwidth_time(
-            make_pulse(
-                gauss_cfg(
-                    pulse_width=a * GAUSS_SIGMA,
-                    sample_rate=1.5e6 / a,
-                    obs_window=a * 2.6e-3,
-                )
+        w1 = rms_bandwidth(gauss_cfg())
+        w2 = rms_bandwidth(
+            gauss_cfg(
+                pulse_width=a * GAUSS_SIGMA,
+                sample_rate=1.5e6 / a,
+                obs_window=a * 2.6e-3,
             )
         )
         assert w1 / w2 == pytest.approx(a, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(
+        pulse=st.sampled_from(signal_ml.PULSES),
         width=st.floats(min_value=1e-6, max_value=1e-4),
         oversample=st.floats(min_value=16.1, max_value=64.0),
     )
-    def test_route_agreement_property(self, width, oversample):
-        cfg = rc_cfg(
+    def test_route_agreement_property(self, pulse, width, oversample):
+        cfg = gauss_cfg(
+            pulse=pulse,
             pulse_width=width,
             sample_rate=oversample / width,
-            obs_window=3.0 * width,
+            obs_window=13.0 * width,
         )
-        sp = make_pulse(cfg)
-        assert abs(float(np.dot(sp.samples, sp.samples)) / cfg.sample_rate - 1.0) < 1e-10
-        assert effective_bandwidth(sp, cfg) == pytest.approx(
-            effective_bandwidth_time(sp), rel=1e-6
-        )
+        s = make_pulse(cfg)
+        assert abs(float(np.dot(s, s)) / cfg.sample_rate - 1.0) < 1e-10
+        assert effective_bandwidth(cfg) == pytest.approx(rms_bandwidth(cfg), rel=1e-6)
 
     def test_rss_threshold_example(self):
         assert rss_negligibility_threshold(20000.0, 3.0e5) == pytest.approx(15.0)
@@ -556,11 +573,11 @@ class TestSimulate:
         t0 = centered_t0(pos, cfg) + 0.37 * cfg.dt
         samples = simulate_measurements((np.zeros(3), t0), pos, cfg, seed=1)
         taus = np.linalg.norm(pos, axis=1) / cfg.c + t0
-        sp = make_pulse(cfg)
+        s = make_pulse(cfg)
         for v, tau in zip(samples, taus):
             # full correlation index ph + j holds sum_k v[k] s((k - j) dt)
-            corr = np.correlate(v, sp.samples, mode="full")
-            j_hat = int(np.argmax(corr)) - len(sp.samples) // 2
+            corr = np.correlate(v, s, mode="full")
+            j_hat = int(np.argmax(corr)) - len(s) // 2
             assert abs(j_hat * cfg.dt - tau) <= 0.5 * cfg.dt
 
     def test_one_draw_per_trial_is_the_row_by_row_draw(self):
@@ -607,7 +624,7 @@ class TestCalibration:
         tax = np.arange(k) * cfg.dt
         sd = _pulse(cfg, tax - 0.5 * cfg.obs_window)[1]
         j_num = 2.0 * cfg.dt / cfg.n0 * float(np.dot(sd, sd))
-        w_e = effective_bandwidth_time(make_pulse(cfg))
+        w_e = rms_bandwidth(cfg)
         j_ana = 2.0 / cfg.n0 * (2.0 * math.pi * w_e) ** 2
         assert j_num == pytest.approx(j_ana, rel=0.02)
 
@@ -615,7 +632,7 @@ class TestCalibration:
         cfg = gauss_cfg()
         pos = ring_positions()
         j = signal_fim(pos, cfg)
-        w_e = effective_bandwidth_time(make_pulse(cfg))
+        w_e = rms_bandwidth(cfg)
         d = np.linalg.norm(pos, axis=1)
         amps2 = (d.min() / d) ** 2 * cfg.es_max
         ell = 2.0 * amps2 / cfg.n0 * (2.0 * math.pi * w_e / cfg.c) ** 2
@@ -1001,7 +1018,7 @@ class TestAscent:
 class TestLattice:
     def test_default_lattice_brackets_the_window(self):
         cfg = gauss_cfg()
-        spacing = cfg.c / (4.0 * effective_bandwidth_time(make_pulse(cfg)))
+        spacing = cfg.c / (4.0 * rms_bandwidth(cfg))
         assert spacing == pytest.approx(7.49, abs=0.01)
         assert np.array_equal(_lattice_offsets(4.5, spacing), [-4.5, 0.0, 4.5])
 
@@ -1450,9 +1467,10 @@ class TestMseExperiment:
         assert moved > 0
 
     def test_round_work_does_not_grow_with_trials(self, monkeypatch):
-        """The pulse is evaluated for the experiment's set-up only, as
-        often at 100 trials as at 50, and each scoring round reads the
-        tables once, for both modes."""
+        """The pulse is evaluated for the experiment's set-up only, twice
+        for either pulse at 50 trials as at 100: the search's template and
+        the truth's windows. The bounds take the closed-form bandwidth.
+        Each scoring round reads the tables once, for both modes."""
         counts = {}
         for name, owner in (("_pulse", signal_ml), ("_terms", signal_ml),
                             ("step", signal_ml._Ascent)):
@@ -1461,13 +1479,14 @@ class TestMseExperiment:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        seen = []
-        for trials in (50, 100):
-            counts.update(dict.fromkeys(("_pulse", "_terms", "step"), 0))
-            mse_experiment(ring_positions(), gauss_cfg(), [6.0, 18.0, 30.0], trials, seed=3)
-            assert counts["_terms"] == counts["step"] > 0
-            seen.append(counts["_pulse"])
-        assert seen[0] == seen[1] > 0
+        for cfg in (gauss_cfg(), rc_cfg()):
+            seen = []
+            for trials in (50, 100):
+                counts.update(dict.fromkeys(("_pulse", "_terms", "step"), 0))
+                mse_experiment(ring_positions(), cfg, [6.0, 18.0, 30.0], trials, seed=3)
+                assert counts["_terms"] == counts["step"] > 0
+                seen.append(counts["_pulse"])
+            assert seen == [2, 2], cfg.pulse
 
 
 def finite_difference_information(positions, config) -> np.ndarray:
